@@ -18,8 +18,9 @@
  *    erased individually (only remapped or bulk reset), so the probe
  *    sequences need no tombstones.
  *  - LegacyPageMetaTable: the original unordered_map + per-device
- *    std::list structure, kept as the differential-test oracle and
- *    selectable repo-wide with -DSIBYL_LEGACY_METADATA=ON.
+ *    std::list structure, kept only as the reference for the
+ *    differential test and the metadata microbenchmark; the simulator
+ *    always uses FlatPageMetaTable.
  *
  * Both preserve identical observable behaviour — eviction (LRU) order,
  * tick semantics, counters — which tests/test_hss.cc enforces with a
@@ -207,11 +208,7 @@ class FlatPageMetaTable
     std::vector<std::uint64_t> counts_; ///< per-device resident pages
 };
 
-#ifdef SIBYL_LEGACY_METADATA
-using PageMetaTable = LegacyPageMetaTable;
-#else
 using PageMetaTable = FlatPageMetaTable;
-#endif
 
 /** Feature probe for sources built against both pre- and post-flat
  *  versions of this header (bench/perf_request.cc measures its own

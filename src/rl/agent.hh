@@ -6,10 +6,11 @@
  * the traditional tabular alternative: a lookup table of Q-values "can
  * lead to high storage and computation overhead for environments with
  * a large number of states". To make that trade-off measurable, every
- * agent in this repository — Sibyl's C51, a plain (non-distributional)
- * DQN, and a tabular Q-learning agent — implements this interface and
- * reports its storage footprint, and the agent-ablation bench compares
- * them head-to-head.
+ * agent in this repository — Sibyl's C51 and a plain
+ * (non-distributional) DQN, both heads of the one neural ValueAgent
+ * (rl/value_agent.hh), and a tabular Q-learning agent — implements
+ * this interface and reports its storage footprint, and the
+ * agent-ablation bench compares them head-to-head.
  */
 
 #pragma once
@@ -142,7 +143,7 @@ struct AgentConfig
     double perAlpha = 0.6; ///< prioritization exponent
     double perBeta = 0.4;  ///< importance-weight exponent
 
-    /** Double-DQN target (van Hasselt et al., 2016) for DqnAgent:
+    /** Double-DQN target (van Hasselt et al., 2016) for the DQN head:
      *  action selection by the training network, value by the frozen
      *  inference network. */
     bool doubleDqn = false;
@@ -188,8 +189,8 @@ hashObservation(const ml::Vector &v)
  * (AgentConfig::foldDuplicateStates): rows whose observations are
  * byte-identical share a unique row. Flat linear-probe map sized 2x
  * the batch; hash hits are verified by comparing the vectors, so a
- * collision can only fail to fold, never mis-fold. Shared by the
- * DQN and C51 batched trainers. @p stateOf maps a sampled row number
+ * collision can only fail to fold, never mis-fold. Used by
+ * ValueAgent's minibatch trainer. @p stateOf maps a sampled row number
  * to its observation (the live replay ring for synchronous rounds,
  * the staged snapshot for asynchronous ones — identical bytes, so
  * identical folds). Returns the unique-row count; rowToUnique[r] maps
@@ -233,27 +234,6 @@ buildStateFoldMapRows(StateOf &&stateOf, std::size_t batch,
         rowToUnique[r] = ui;
     }
     return uniqueIdx.size();
-}
-
-/** Replay-ring front end of buildStateFoldMapRows(): folds over the
- *  live buffer entries named by @p indices, and remaps uniqueIdx to
- *  backing buffer indices (the historical contract of this helper). */
-inline std::size_t
-buildStateFoldMap(const ReplayBuffer &buffer,
-                  const std::vector<std::size_t> &indices,
-                  std::vector<std::uint64_t> &foldKeys,
-                  std::vector<std::uint32_t> &foldVals,
-                  std::vector<std::uint32_t> &rowToUnique,
-                  std::vector<std::size_t> &uniqueIdx)
-{
-    const std::size_t uRows = buildStateFoldMapRows(
-        [&](std::size_t r) -> const ml::Vector & {
-            return buffer[indices[r]].state;
-        },
-        indices.size(), foldKeys, foldVals, rowToUnique, uniqueIdx);
-    for (auto &ui : uniqueIdx)
-        ui = indices[ui];
-    return uRows;
 }
 
 /** Training/behaviour statistics for tests and the overhead bench. */

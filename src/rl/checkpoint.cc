@@ -6,9 +6,8 @@
 #include <sstream>
 #include <vector>
 
-#include "rl/c51_agent.hh"
-#include "rl/dqn_agent.hh"
 #include "rl/q_table.hh"
+#include "rl/value_agent.hh"
 
 namespace sibyl::rl
 {
@@ -17,13 +16,6 @@ namespace
 {
 
 constexpr char kMagic[8] = {'S', 'B', 'Y', 'L', 'C', 'K', 'P', 'T'};
-
-enum class FamilyTag : std::uint32_t
-{
-    C51 = 1,
-    Dqn = 2,
-    QTable = 3,
-};
 
 template <typename T>
 void
@@ -77,20 +69,16 @@ readFloats(std::istream &in, std::vector<float> &v)
 FamilyTag
 familyOf(const Agent &agent)
 {
-    if (dynamic_cast<const C51Agent *>(&agent))
-        return FamilyTag::C51;
-    if (dynamic_cast<const DqnAgent *>(&agent))
-        return FamilyTag::Dqn;
+    if (const auto *v = dynamic_cast<const ValueAgent *>(&agent))
+        return v->head().family();
     return FamilyTag::QTable;
 }
 
 const AgentConfig &
 configOf(const Agent &agent)
 {
-    if (const auto *c = dynamic_cast<const C51Agent *>(&agent))
-        return c->config();
-    if (const auto *d = dynamic_cast<const DqnAgent *>(&agent))
-        return d->config();
+    if (const auto *v = dynamic_cast<const ValueAgent *>(&agent))
+        return v->config();
     return dynamic_cast<const QTableAgent &>(agent).config();
 }
 
@@ -102,10 +90,8 @@ saveCheckpoint(const Agent &agent, std::ostream &out)
     // Serialize the family payload to a buffer first so the header can
     // carry its exact length and checksum (the v2 corruption guard).
     std::ostringstream body(std::ios::binary);
-    if (const auto *c = dynamic_cast<const C51Agent *>(&agent)) {
-        writeFloats(body, c->trainingNetwork().saveParams());
-    } else if (const auto *d = dynamic_cast<const DqnAgent *>(&agent)) {
-        writeFloats(body, d->trainingNetwork().saveParams());
+    if (const auto *v = dynamic_cast<const ValueAgent *>(&agent)) {
+        writeFloats(body, v->trainingNetwork().saveParams());
     } else {
         const auto &q = dynamic_cast<const QTableAgent &>(agent);
         writePod(body, static_cast<std::uint64_t>(q.table().size()));
@@ -187,22 +173,14 @@ loadCheckpoint(Agent &agent, std::istream &in)
     // so any residual mismatch (e.g. a different hidden-layer topology
     // with the same state/action dims) leaves the agent untouched.
     std::istringstream body(payload, std::ios::binary);
-    if (auto *c = dynamic_cast<C51Agent *>(&agent)) {
+    if (auto *v = dynamic_cast<ValueAgent *>(&agent)) {
         std::vector<float> params;
         if (!readFloats(body, params))
             return "truncated network parameters";
-        if (params.size() != c->trainingNetwork().saveParams().size())
+        if (params.size() != v->trainingNetwork().saveParams().size())
             return "parameter count mismatch (different topology?)";
-        c->trainingNetwork().loadParams(params);
-        c->syncWeights();
-    } else if (auto *d = dynamic_cast<DqnAgent *>(&agent)) {
-        std::vector<float> params;
-        if (!readFloats(body, params))
-            return "truncated network parameters";
-        if (params.size() != d->trainingNetwork().saveParams().size())
-            return "parameter count mismatch (different topology?)";
-        d->trainingNetwork().loadParams(params);
-        d->syncWeights();
+        v->trainingNetwork().loadParams(params);
+        v->syncWeights();
     } else {
         auto &q = dynamic_cast<QTableAgent &>(agent);
         std::uint64_t entries = 0;

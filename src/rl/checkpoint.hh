@@ -39,10 +39,19 @@ namespace sibyl::rl
  *  payload length + FNV-1a checksum trailer to the header. */
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
+/** Agent family recorded in the header; the values are on-disk format
+ *  and never change. A ValueAgent's tag comes from its head. */
+enum class FamilyTag : std::uint32_t
+{
+    C51 = 1,
+    Dqn = 2,
+    QTable = 3,
+};
+
 /**
  * Serialize @p agent's learned state to @p out.
  *
- * Supports C51Agent, DqnAgent, and QTableAgent. Optimizer momentum
+ * Supports ValueAgent (every head) and QTableAgent. Optimizer momentum
  * and the replay buffer are deliberately not persisted: on restore
  * the agent resumes decision-making immediately and re-accumulates
  * fresh experiences.

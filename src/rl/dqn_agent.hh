@@ -1,152 +1,63 @@
 /**
  * @file
- * Plain (non-distributional) Deep Q-Network agent.
+ * Plain (non-distributional) Deep Q-Network head and agent.
  *
  * Ablation counterpart to Sibyl's C51 (§6.2.1: "C51's objective is to
  * learn the distribution of Q-values, whereas other variants of Deep
- * Q-Networks aim to approximate a single value"). Identical topology
- * and dual-network arrangement, but the head emits one scalar Q-value
- * per action trained with an MSE temporal-difference loss. The
- * agent-ablation bench quantifies what the distributional head buys.
+ * Q-Networks aim to approximate a single value"). The agent is the
+ * shared ValueAgent with the same topology and dual-network
+ * arrangement; only the head differs: it emits one scalar Q-value per
+ * action, trained with an MSE temporal-difference loss (optionally
+ * with the Double-DQN target). The agent-ablation bench quantifies
+ * what the distributional head buys.
  */
 
 #pragma once
 
-#include <future>
-#include <memory>
-
-#include "common/rng.hh"
-#include "ml/network.hh"
-#include "ml/optimizer.hh"
-#include "rl/agent.hh"
+#include "rl/value_agent.hh"
 
 namespace sibyl::rl
 {
 
+/** Scalar Q-value head: max (or Double-DQN select/evaluate) Bellman
+ *  target, MSE loss, |TD error| priorities. */
+class DqnHead final : public ValueHead
+{
+  public:
+    explicit DqnHead(const AgentConfig &cfg);
+
+    std::string name() const override { return "DQN"; }
+    FamilyTag family() const override { return FamilyTag::Dqn; }
+    Salts salts() const override { return {0xD62, 0x1219, 0x121A}; }
+    std::size_t outputWidth() const override { return numActions_; }
+    std::size_t targetWidth() const override { return 1; }
+    bool selectsWithTrainingNet() const override { return doubleDqn_; }
+
+    std::uint32_t greedy(const float *row, std::uint32_t mask,
+                         bool restricted) override;
+    double
+    actionValue(const float *row, std::uint32_t a) override
+    {
+        return row[a];
+    }
+    void target(const float *evalRow, const float *selRow, float reward,
+                float *out) override;
+    double loss(const float *outRow, std::uint32_t action,
+                const float *target, float weight, float *gradRow,
+                float &priority) override;
+    double valueDelta(double loss, double prevLoss) const override;
+
+  private:
+    std::uint32_t numActions_;
+    float gamma_;
+    bool doubleDqn_;
+};
+
 /** The plain-DQN agent (uses the shared AgentConfig). */
-class DqnAgent final : public Agent
+class DqnAgent final : public ValueAgent
 {
   public:
     explicit DqnAgent(const AgentConfig &cfg);
-    ~DqnAgent() override;
-
-    std::string name() const override { return "DQN"; }
-
-    std::uint32_t selectAction(const ml::Vector &state) override;
-
-    /** Batched-decision phases (see Agent): Begin makes the RNG draws,
-     *  FromRow decodes the greedy action from an inference-network
-     *  output row produced elsewhere (inferRow or ml::inferRowBatch). */
-    bool selectActionBegin(const ml::Vector &state,
-                           std::uint32_t &action) override;
-    std::uint32_t selectActionFromRow(const float *row) override;
-    ml::Network *batchNetwork() override { return inferenceNet_.get(); }
-
-    std::uint32_t greedyAction(const ml::Vector &state) override;
-    std::vector<double> qValues(const ml::Vector &state) override;
-    void observe(Experience e) override;
-    void observeTransition(const ml::Vector &state, std::uint32_t action,
-                           float reward,
-                           const ml::Vector &nextState) override;
-    double trainRound() override;
-
-    /** Async-training hooks (see Agent / AgentConfig::asyncTraining). */
-    void setTrainingExecutor(TrainingExecutor exec) override;
-    void finishTraining() override;
-
-    const AgentStats &stats() const override { return stats_; }
-
-    void
-    setEpsilon(double eps) override
-    {
-        cfg_.epsilon = eps;
-        explore_.overrideConstant(eps);
-    }
-
-    void setLearningRate(double lr) override;
-    std::size_t storageBytes() const override;
-
-    /** The exploration schedule in effect. */
-    const ExplorationSchedule &exploration() const { return explore_; }
-
-    /** Force a training-to-inference weight copy (for tests).
-     *  Invalidates the cached Bellman next-values. */
-    void syncWeights();
-
-    const AgentConfig &config() const { return cfg_; }
-    const ReplayBuffer &buffer() const { return buffer_; }
-    ml::Network &inferenceNetwork() { return *inferenceNet_; }
-    ml::Network &trainingNetwork() { return *trainingNet_; }
-    const ml::Network &inferenceNetwork() const { return *inferenceNet_; }
-    const ml::Network &trainingNetwork() const { return *trainingNet_; }
-
-  private:
-    /** Training-cadence/weight-sync bookkeeping shared by both
-     *  observe paths. */
-    void afterObserve();
-
-    /** One gradient step on a sampled batch; returns the mean loss. */
-    double trainBatch();
-
-    /** Batched path: whole minibatch per GEMM (cfg.batchedTraining). */
-    double trainBatchBatched(const std::vector<std::size_t> &indices);
-
-    /** Legacy per-sample path (baseline for the perf_train bench). */
-    double trainBatchPerSample(const std::vector<std::size_t> &indices);
-
-    /** Asynchronous-round lifecycle — identical protocol to
-     *  C51Agent (see its declarations for the determinism argument). */
-    void stageRound();
-    void commitStagedRound();
-    void runStagedRound();
-    double trainStagedBatch(std::size_t base, std::size_t batch);
-
-    AgentConfig cfg_;
-    ExplorationSchedule explore_;
-    Pcg32 rng_;
-    ReplayBuffer buffer_;
-    std::unique_ptr<ml::Network> inferenceNet_;
-    std::unique_ptr<ml::Network> trainingNet_;
-    std::unique_ptr<ml::Optimizer> optimizer_;
-    AgentStats stats_;
-    std::uint64_t observations_ = 0;
-
-    // Reused batch-assembly scratch (no steady-state allocation).
-    ml::Matrix stateBatch_;
-    ml::Matrix nextBatch_;
-    ml::Matrix gradOutM_;
-    ml::Vector nextValue_;
-
-    // Reused decision-path scratch (Boltzmann exploration needs the
-    // full Q vector; the default epsilon-greedy path never touches
-    // it).
-    std::vector<double> qScratch_;
-
-    // Per-replay-entry cache of max_a Q_frozen(s', a) (see
-    // AgentConfig::cacheNextValues). Slot-indexed alongside the ring;
-    // flags cleared on weight sync, single slots on overwrite.
-    std::vector<float> nextValCache_;
-    std::vector<std::uint8_t> nextValValid_;
-    std::vector<std::size_t> uncachedRows_; // gather scratch
-
-    // Duplicate-state folding scratch (see
-    // AgentConfig::foldDuplicateStates).
-    std::vector<std::uint64_t> foldKeys_; // 0 = empty slot
-    std::vector<std::uint32_t> foldVals_;
-    std::vector<std::uint32_t> rowToUnique_;
-    std::vector<std::size_t> uniqueIdx_;
-
-    // Asynchronous-round state (cfg.asyncTraining); staged/committed
-    // on the serving thread, executed wherever the executor runs the
-    // job — never touched from two threads at once.
-    TrainingExecutor trainExec_;
-    bool roundStaged_ = false;
-    std::future<void> stagedFuture_;
-    std::vector<std::vector<std::size_t>> stagedBatches_;
-    std::vector<Experience> stagedExp_; // snapshot, reused across rounds
-    std::unique_ptr<ml::Network> asyncTargetNet_;
-    double stagedLoss_ = 0.0;
-    std::uint64_t stagedGradSteps_ = 0;
 };
 
 } // namespace sibyl::rl

@@ -3,10 +3,9 @@
 #include <cmath>
 #include <sstream>
 
-#include "rl/c51_agent.hh"
 #include "rl/checkpoint.hh"
-#include "rl/dqn_agent.hh"
 #include "rl/q_table.hh"
+#include "rl/value_agent.hh"
 
 namespace sibyl::rl
 {
@@ -14,14 +13,8 @@ namespace sibyl::rl
 bool
 agentParamsFinite(const Agent &agent)
 {
-    if (const auto *c = dynamic_cast<const C51Agent *>(&agent)) {
-        for (float v : c->trainingNetwork().saveParams())
-            if (!std::isfinite(v))
-                return false;
-        return true;
-    }
-    if (const auto *d = dynamic_cast<const DqnAgent *>(&agent)) {
-        for (float v : d->trainingNetwork().saveParams())
+    if (const auto *va = dynamic_cast<const ValueAgent *>(&agent)) {
+        for (float v : va->trainingNetwork().saveParams())
             if (!std::isfinite(v))
                 return false;
         return true;

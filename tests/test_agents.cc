@@ -2,15 +2,24 @@
  * @file
  * Tests for the agent families behind the §4.1 ablation: the plain
  * DQN, tabular Q-learning, their learning behaviour on closed-form
- * problems, and agent-kind selection inside SibylPolicy.
+ * problems, agent-kind selection inside SibylPolicy, and the shared
+ * ValueAgent core (config validation, pinned checkpoint bytes per
+ * head and variant).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <stdexcept>
 
+#include "common/thread_pool.hh"
 #include "core/sibyl_policy.hh"
 #include "rl/c51_agent.hh"
+#include "rl/checkpoint.hh"
 #include "rl/dqn_agent.hh"
 #include "rl/q_table.hh"
 
@@ -287,6 +296,181 @@ TEST(AgentKindSelection, PerFlagReachesC51)
     cfg.prioritizedReplay = true;
     core::SibylPolicy p(cfg, 2);
     EXPECT_TRUE(p.c51().config().prioritizedReplay);
+}
+
+// ---------------------------------------------------------------------
+// Zero cadences: a zero weight-sync or training cadence would divide by
+// zero on the first observation; both heads reject it at construction.
+// ---------------------------------------------------------------------
+
+template <typename AgentT>
+void
+expectRejectsZeroCadence()
+{
+    AgentConfig noSync = smallConfig();
+    noSync.targetSyncEvery = 0;
+    try {
+        AgentT agent(noSync);
+        ADD_FAILURE() << "targetSyncEvery=0 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("targetSyncEvery"),
+                  std::string::npos);
+    }
+
+    AgentConfig noCadence = smallConfig();
+    noCadence.bufferCapacity = 0;
+    noCadence.trainEvery = 0;
+    try {
+        AgentT agent(noCadence);
+        ADD_FAILURE() << "bufferCapacity=0 with trainEvery=0 accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("bufferCapacity"),
+                  std::string::npos);
+    }
+
+    // An explicit training cadence makes a zero capacity legal (the
+    // buffer clamps it to one entry).
+    AgentConfig explicitCadence = noCadence;
+    explicitCadence.trainEvery = 4;
+    AgentT agent(explicitCadence);
+    for (int i = 0; i < 16; i++)
+        agent.observe(banditPull(1));
+    EXPECT_GT(agent.stats().trainingRounds, 0u);
+}
+
+TEST(ValueAgent, C51RejectsZeroCadence)
+{
+    expectRejectsZeroCadence<C51Agent>();
+}
+
+TEST(ValueAgent, DqnRejectsZeroCadence)
+{
+    expectRejectsZeroCadence<DqnAgent>();
+}
+
+// ---------------------------------------------------------------------
+// Pinned trained-agent checkpoints. Each row trains one head x variant
+// in a closed decision loop from a fixed seed and pins a digest of its
+// checkpoint bytes, so any change to a head's decode, target, loss,
+// exploration feedback or RNG use — or to the shared training core —
+// shows up as a bit difference that tolerance bands cannot hide.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** Train @p agent for @p steps decisions against a synthetic
+ *  environment whose reward depends on the chosen action, so the
+ *  decision path (exploration, masking) shapes what is learned. */
+std::string
+trainedCheckpoint(Agent &agent, std::uint32_t mask, std::size_t steps)
+{
+    Pcg32 env(0xD16E57);
+    const std::size_t dim = 4;
+    auto draw = [&](ml::Vector &s) {
+        // Coarse bins, as the real encoder produces: duplicate states
+        // exercise minibatch folding and replay dedup.
+        for (auto &v : s)
+            v = static_cast<float>(env.nextBounded(8)) / 8.0f;
+    };
+    ml::Vector prev(dim), cur(dim);
+    draw(prev);
+    if (mask)
+        agent.setActionMask(mask);
+    std::uint32_t action = agent.selectAction(prev);
+    for (std::size_t i = 0; i < steps; i++) {
+        draw(cur);
+        const float reward =
+            2.0f * prev[action % dim] + (action == 1 ? 0.5f : 0.0f);
+        agent.observeTransition(prev, action, reward, cur);
+        prev = cur;
+        action = agent.selectAction(prev);
+    }
+    agent.finishTraining();
+    std::ostringstream out(std::ios::binary);
+    saveCheckpoint(agent, out);
+    return out.str();
+}
+
+struct PinnedRow
+{
+    const char *name;
+    bool c51;
+    std::function<void(AgentConfig &)> tweak;
+    std::uint32_t mask;  ///< 0 = unrestricted
+    bool pooled;         ///< async rounds on a 2-thread pool
+    std::uint64_t digest;
+};
+
+TEST(ValueAgent, TrainedCheckpointBytesArePinned)
+{
+    auto none = [](AgentConfig &) {};
+    auto per = [](AgentConfig &c) { c.prioritizedReplay = true; };
+    auto boltzmann = [](AgentConfig &c) {
+        c.exploration.kind = ExplorationKind::Boltzmann;
+    };
+    auto vdbe = [](AgentConfig &c) {
+        c.exploration.kind = ExplorationKind::Vdbe;
+    };
+    auto async = [](AgentConfig &c) { c.asyncTraining = true; };
+    auto doubleDqn = [](AgentConfig &c) { c.doubleDqn = true; };
+
+    const PinnedRow rows[] = {
+        {"c51_plain", true, none, 0, false, 0xC5D5EF40BD474C66ULL},
+        {"c51_per", true, per, 0, false, 0x748E5504566BBF9FULL},
+        {"c51_boltzmann", true, boltzmann, 0, false, 0x2CC10B6960EB1F98ULL},
+        {"c51_vdbe", true, vdbe, 0, false, 0x23D1FDDB84F41390ULL},
+        {"c51_masked", true, none, 0b101, false, 0x81FD2DAFC7FC0512ULL},
+        {"c51_async_pool", true, async, 0, true, 0xC5D5EF40BD474C66ULL},
+        {"dqn_plain", false, none, 0, false, 0x2E0326A8316C0D89ULL},
+        {"dqn_double", false, doubleDqn, 0, false, 0xAFA68F017D3CE242ULL},
+        {"dqn_per", false, per, 0, false, 0x3A1C855CD67A00DEULL},
+        {"dqn_boltzmann", false, boltzmann, 0, false, 0x5E6F671999E939D3ULL},
+        {"dqn_vdbe", false, vdbe, 0, false, 0x84B3956119AE5476ULL},
+        {"dqn_masked", false, none, 0b101, false, 0xE75631D3A93B14B1ULL},
+        {"dqn_async_pool", false, async, 0, true, 0x2E0326A8316C0D89ULL},
+    };
+    for (const PinnedRow &row : rows) {
+        AgentConfig cfg;
+        cfg.stateDim = 4;
+        cfg.numActions = 3;
+        cfg.bufferCapacity = 200;
+        cfg.batchSize = 32;
+        cfg.batchesPerTraining = 2;
+        cfg.trainEvery = 50;
+        cfg.targetSyncEvery = 100;
+        cfg.epsilon = 0.1;
+        cfg.seed = 0x5EED;
+        row.tweak(cfg);
+
+        ThreadPool pool(2); // outlives the agent that submits to it
+        std::unique_ptr<Agent> agent;
+        if (row.c51)
+            agent = std::make_unique<C51Agent>(cfg);
+        else
+            agent = std::make_unique<DqnAgent>(cfg);
+        if (row.pooled) {
+            agent->setTrainingExecutor([&pool](std::function<void()> job) {
+                pool.submit(std::move(job));
+            });
+        }
+        const std::uint64_t digest =
+            fnv1a(trainedCheckpoint(*agent, row.mask, 1000));
+        EXPECT_GT(agent->stats().trainingRounds, 10u) << row.name;
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llX",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, row.digest)
+            << row.name << ": checkpoint digest is now " << hex;
+    }
 }
 
 } // namespace

@@ -317,6 +317,36 @@ TEST(ParallelRunner, FailedRunLeavesOtherRunsBitExact)
     expectIdentical({with[0], with[2]}, without);
 }
 
+TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
+{
+    // A zero weight-sync or training cadence used to divide by zero on
+    // the first observation and kill the whole process; now the agent
+    // rejects it at construction and the run fails in isolation.
+    ExperimentMatrix clean;
+    clean.policies = {"CDE"};
+    clean.workloads = {"prxy_1"};
+    clean.traceLen = 500;
+    ExperimentMatrix mixed = clean;
+    mixed.policies = {"CDE", "Sibyl{targetSyncEvery=0}",
+                      "Sibyl{agent=dqn,bufferCapacity=0,trainEvery=0}"};
+
+    ParallelConfig cfg;
+    cfg.numThreads = 2;
+    ParallelRunner a(cfg);
+    const auto without = a.runMatrix(clean);
+    ParallelRunner b(cfg);
+    const auto with = b.runMatrix(mixed);
+
+    ASSERT_EQ(with.size(), 3u);
+    ASSERT_TRUE(with[1].failed());
+    EXPECT_NE(with[1].error.find("targetSyncEvery"), std::string::npos)
+        << with[1].error;
+    ASSERT_TRUE(with[2].failed());
+    EXPECT_NE(with[2].error.find("bufferCapacity"), std::string::npos)
+        << with[2].error;
+    expectIdentical({with[0]}, without);
+}
+
 TEST(ParallelRunner, TransientFailureRetriedBitExact)
 {
     RunSpec s;
