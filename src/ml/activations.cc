@@ -369,6 +369,37 @@ softmaxScale(float *v, float sum, std::size_t n)
 
 } // namespace
 
+SIBYL_KERNEL_CLONES
+void
+softmaxLanes(float *v, std::size_t n)
+{
+    constexpr std::size_t L = kSoftmaxLanes;
+    if (n == 0)
+        return;
+    // std::max_element's first maximum, lane by lane: a later element
+    // replaces the running maximum only when strictly greater, so a
+    // leading NaN sticks and later NaNs are skipped.
+    float mx[L], sum[L];
+    for (std::size_t l = 0; l < L; l++)
+        mx[l] = v[l];
+    for (std::size_t i = 1; i < n; i++)
+        for (std::size_t l = 0; l < L; l++)
+            mx[l] = mx[l] < v[i * L + l] ? v[i * L + l] : mx[l];
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < L; l++)
+            v[i * L + l] = fastExpf(v[i * L + l] - mx[l]);
+    for (std::size_t l = 0; l < L; l++)
+        sum[l] = 0.0f;
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < L; l++)
+            sum[l] += v[i * L + l];
+    for (std::size_t l = 0; l < L; l++)
+        sum[l] = sum[l] <= 0.0f ? 1.0f : sum[l];
+    for (std::size_t i = 0; i < n; i++)
+        for (std::size_t l = 0; l < L; l++)
+            v[i * L + l] /= sum[l];
+}
+
 void
 softmax(float *v, std::size_t n)
 {

@@ -80,6 +80,19 @@ void softmax(Vector &v);
 /** In-place softmax over a raw span (batched C51 head groups). */
 void softmax(float *v, std::size_t n);
 
+/** Rows per softmaxLanes() call: one SIMD lane each. */
+constexpr std::size_t kSoftmaxLanes = 8;
+
+/**
+ * Softmax of kSoftmaxLanes rows of @p n elements at once, stored
+ * interleaved: element i of row l lives at v[i * kSoftmaxLanes + l].
+ * Each row runs softmax()'s exact sequence in its own SIMD lane — the
+ * first maximum, the same exp, the ascending sum, the division — so
+ * its result is bit-identical to softmax() on that row alone, while
+ * the serial max and sum chains of the eight rows overlap.
+ */
+void softmaxLanes(float *v, std::size_t n);
+
 /** Softmax over consecutive groups of @p groupSize elements (C51 heads). */
 void groupedSoftmax(Vector &v, std::size_t groupSize);
 

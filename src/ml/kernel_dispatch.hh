@@ -7,13 +7,20 @@
  * SSE lanes; an AVX2 clone of the same source doubles the lane count
  * on the machines CI actually runs on, resolved once at load time.
  *
- * This is safe for bit-exactness because the cloned loops accumulate
- * per output element in a fixed k-order — vector width changes how
- * many j-elements advance together, never the order of adds within
- * one element — and because target("avx2") does not enable FMA
- * contraction (the clone has no instruction that could fuse; the
- * whole repo additionally builds with -ffp-contract=off). Builds that
- * already target AVX2+ (-march=native) skip the clones entirely.
+ * This is safe for bit-exactness because SIMD lanes only ever hold
+ * independent outputs, each accumulated in a fixed order: vector
+ * width changes how many outputs advance together, never the order of
+ * operations within one. That covers both lane layouts in use — output
+ * columns across lanes (the GEMM j-sweeps, the wide weight-gradient
+ * tile, the C51 projection geometry over atoms) and output rows
+ * across lanes (the narrow weight-gradient tile, softmaxLanes). The
+ * explicit GCC vector types some kernels use are lane-wise IEEE
+ * operations too, lowered to SSE pairs on baseline x86-64. And
+ * target("avx2") does not enable FMA contraction (the clone has no
+ * instruction that could fuse; the whole repo additionally builds with
+ * -ffp-contract=off). Builds that already target AVX2+ (-march=native)
+ * skip the clones entirely; CI checks that native and portable builds
+ * produce byte-identical campaign output.
  *
  * Every kernel translation unit must use this one definition: the
  * predicate encodes the bit-exactness safety argument, and two copies

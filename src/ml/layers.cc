@@ -186,6 +186,16 @@ DenseLayer::backward(const Matrix &gradOut, Matrix &gradIn,
 }
 
 void
+DenseLayer::reserveBatch(std::size_t rows, bool backward)
+{
+    preActM_.reserve(rows, outSize());
+    if (backward) {
+        auxM_.reserve(rows, outSize());
+        deltaM_.reserve(rows, outSize());
+    }
+}
+
+void
 DenseLayer::clearGrads()
 {
     gradW_.fill(0.0f);

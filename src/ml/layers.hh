@@ -111,6 +111,11 @@ class DenseLayer
     /** Zero accumulated gradients. */
     void clearGrads();
 
+    /** Reserve the batched pre-activation scratch — and with
+     *  @p backward also the forward caches and backward scratch — for
+     *  batches of up to @p rows rows. */
+    void reserveBatch(std::size_t rows, bool backward);
+
     std::size_t inSize() const { return weights_.cols(); }
     std::size_t outSize() const { return weights_.rows(); }
     Activation activation() const { return act_; }

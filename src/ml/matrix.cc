@@ -427,58 +427,195 @@ Matrix::matmulTransposed(const Matrix &b, Matrix &out) const
 namespace
 {
 
-/** Body of transposedMatmulAdd() (see member doc); ISA-cloned free
- *  function like the forward kernels. */
+// Eight-lane float vector (GCC vector extension). Lane-wise IEEE
+// arithmetic, so an operation on a vector gives each lane exactly the
+// bits the scalar operation would; baseline x86-64 lowers it to SSE
+// pairs, AVX2 clones and -march=native builds to one ymm op. Loads and
+// stores go through the unaligned, aliasing twin.
+typedef float Vec8 __attribute__((vector_size(8 * sizeof(float))));
+typedef float Vec8u __attribute__((vector_size(8 * sizeof(float)),
+                                   aligned(alignof(float)), may_alias));
+constexpr std::size_t kLanes8 = 8;
+
+inline const Vec8u &
+vec8At(const float *p)
+{
+    return *reinterpret_cast<const Vec8u *>(p);
+}
+
+inline Vec8u &
+vec8At(float *p)
+{
+    return *reinterpret_cast<Vec8u *>(p);
+}
+
+/**
+ * General-path tile of transposedMatmulAdd() (n > 8): R output rows x
+ * J eight-lane j-vectors, held in registers across the whole batch.
+ * Each output element sees exactly the historical sequence — its
+ * initial value, then one add per r-group of four,
+ * (a0*b0 + a1*b1) + (a2*b2 + a3*b3), then one add per leftover row —
+ * so the tile only removes the per-group load/store of the output row.
+ * Vector v covers columns off[v] .. off[v] + 7; a tail vector may
+ * overlap its predecessor (see tmaWide), which is exact because both
+ * copies of an overlapped lane run identical operations on identical
+ * inputs.
+ */
+template <std::size_t R, std::size_t J>
+[[gnu::always_inline]] inline void
+tmaTile(const float *__restrict a, std::size_t cols,
+        const float *__restrict b, std::size_t n, float *__restrict out,
+        const std::size_t *off, std::size_t m, float scale)
+{
+    Vec8 acc[R][J];
+    for (std::size_t i = 0; i < R; i++)
+        for (std::size_t v = 0; v < J; v++)
+            acc[i][v] = vec8At(out + i * n + off[v]);
+    std::size_t r = 0;
+    for (; r + 4 <= m; r += 4) {
+        const float *ar = a + r * cols;
+        const float *b0 = b + r * n;
+        const float *b1 = b0 + n;
+        const float *b2 = b1 + n;
+        const float *b3 = b2 + n;
+        float a0[R], a1[R], a2[R], a3[R];
+        for (std::size_t i = 0; i < R; i++) {
+            a0[i] = ar[i] * scale;
+            a1[i] = ar[cols + i] * scale;
+            a2[i] = ar[2 * cols + i] * scale;
+            a3[i] = ar[3 * cols + i] * scale;
+        }
+        for (std::size_t v = 0; v < J; v++) {
+            const Vec8 v0 = vec8At(b0 + off[v]);
+            const Vec8 v1 = vec8At(b1 + off[v]);
+            const Vec8 v2 = vec8At(b2 + off[v]);
+            const Vec8 v3 = vec8At(b3 + off[v]);
+            for (std::size_t i = 0; i < R; i++)
+                acc[i][v] += (a0[i] * v0 + a1[i] * v1) +
+                             (a2[i] * v2 + a3[i] * v3);
+        }
+    }
+    for (; r < m; r++) {
+        const float *ar = a + r * cols;
+        const float *br = b + r * n;
+        for (std::size_t v = 0; v < J; v++) {
+            const Vec8 bv = vec8At(br + off[v]);
+            for (std::size_t i = 0; i < R; i++)
+                acc[i][v] += (ar[i] * scale) * bv;
+        }
+    }
+    for (std::size_t i = 0; i < R; i++)
+        for (std::size_t v = 0; v < J; v++)
+            vec8At(out + i * n + off[v]) = acc[i][v];
+}
+
+/** Run the R-row tile over the J (<= 4) j-vectors at @p off. */
+template <std::size_t R>
+[[gnu::always_inline]] inline void
+tmaTileJ(const float *a, std::size_t cols, const float *b, std::size_t n,
+         float *out, const std::size_t *off, std::size_t nv, std::size_t m,
+         float scale)
+{
+    switch (nv) {
+      case 1: tmaTile<R, 1>(a, cols, b, n, out, off, m, scale); break;
+      case 2: tmaTile<R, 2>(a, cols, b, n, out, off, m, scale); break;
+      case 3: tmaTile<R, 3>(a, cols, b, n, out, off, m, scale); break;
+      default: tmaTile<R, 4>(a, cols, b, n, out, off, m, scale); break;
+    }
+}
+
+/**
+ * transposedMatmulAdd() for n > 8. The n columns split into eight-lane
+ * vectors at 0, 8, 16, ...; a ragged tail becomes one more full vector
+ * ending at column n (overlapping its predecessor), so no lane reads
+ * or writes outside the row. Vectors go to tiles four at a time, and
+ * the last tile always takes at least two, so an overlapping tail
+ * shares a tile with the vector it overlaps: both load the output
+ * before either stores it.
+ */
 SIBYL_KERNEL_CLONES
 void
-transposedMatmulAddImpl(const float *__restrict adata,
-                        const float *__restrict bdata,
-                        float *__restrict odata, std::size_t m,
-                        std::size_t cols, std::size_t n, float scale)
+tmaWide(const float *__restrict adata, const float *__restrict bdata,
+        float *__restrict odata, std::size_t m, std::size_t cols,
+        std::size_t n, float scale)
 {
-    if (n <= 8) {
-        // Narrow inputs (e.g. the 6-feature state layer): hold the
-        // output row in register accumulators and stream the batch
-        // dimension instead of issuing per-r-group j-sweeps of under
-        // one vector each.
-        for (std::size_t c = 0; c < cols; c++) {
-            float *orow = odata + c * n;
-            float acc[8] = {};
-            for (std::size_t r = 0; r < m; r++) {
-                const float av = adata[r * cols + c] * scale;
-                const float *brow = bdata + r * n;
-                for (std::size_t j = 0; j < n; j++)
-                    acc[j] += av * brow[j];
-            }
-            for (std::size_t j = 0; j < n; j++)
-                orow[j] += acc[j];
-        }
-        return;
+    const std::size_t nvec = (n + kLanes8 - 1) / kLanes8;
+    for (std::size_t v0 = 0; v0 < nvec;) {
+        const std::size_t left = nvec - v0;
+        const std::size_t nv = left <= 4 ? left : (left == 5 ? 3 : 4);
+        std::size_t off[4];
+        for (std::size_t v = 0; v < nv; v++)
+            off[v] = std::min((v0 + v) * kLanes8, n - kLanes8);
+        std::size_t c = 0;
+        for (; c + 2 <= cols; c += 2)
+            tmaTileJ<2>(adata + c, cols, bdata, n, odata + c * n, off, nv,
+                        m, scale);
+        if (c < cols)
+            tmaTileJ<1>(adata + c, cols, bdata, n, odata + c * n, off, nv,
+                        m, scale);
+        v0 += nv;
     }
-    for (std::size_t c = 0; c < cols; c++) {
-        float *orow = odata + c * n;
-        std::size_t r = 0;
-        for (; r + 4 <= m; r += 4) {
-            const float a0 = adata[r * cols + c] * scale;
-            const float a1 = adata[(r + 1) * cols + c] * scale;
-            const float a2 = adata[(r + 2) * cols + c] * scale;
-            const float a3 = adata[(r + 3) * cols + c] * scale;
-            const float *b0 = bdata + r * n;
-            const float *b1 = b0 + n;
-            const float *b2 = b1 + n;
-            const float *b3 = b2 + n;
-#pragma GCC ivdep
-            for (std::size_t j = 0; j < n; j++)
-                orow[j] += (a0 * b0[j] + a1 * b1[j]) +
-                           (a2 * b2[j] + a3 * b3[j]);
+}
+
+/**
+ * transposedMatmulAdd() for n <= 8, N == n: output rows c go across the
+ * eight lanes (A's row r is contiguous in c) and the N columns j are N
+ * vector accumulators. Each element keeps its historical order: a
+ * zero-seeded sum over ascending r of (A[r, c] * scale) * B[r, j],
+ * added to the output once. A ragged tail of c reuses the last eight
+ * rows (cols >= 8; overlapped lanes are skipped on the way out) or
+ * gathers into a zero-padded vector (cols < 8).
+ */
+template <std::size_t N>
+[[gnu::always_inline]] inline void
+tmaNarrow(const float *__restrict adata, const float *__restrict bdata,
+          float *__restrict odata, std::size_t m, std::size_t cols,
+          float scale)
+{
+    for (std::size_t c0 = 0; c0 < cols; c0 += kLanes8) {
+        const bool full = c0 + kLanes8 <= cols;
+        const std::size_t base =
+            full || cols < kLanes8 ? c0 : cols - kLanes8;
+        const std::size_t skip = c0 - base;
+        const std::size_t lanes = std::min(kLanes8, cols - base);
+        Vec8 acc[N];
+        for (std::size_t j = 0; j < N; j++)
+            acc[j] = Vec8{};
+        for (std::size_t r = 0; r < m; r++) {
+            Vec8 av;
+            if (lanes == kLanes8) {
+                av = vec8At(adata + r * cols + base);
+            } else {
+                av = Vec8{};
+                for (std::size_t l = 0; l < lanes; l++)
+                    av[l] = adata[r * cols + base + l];
+            }
+            av *= scale;
+            const float *br = bdata + r * N;
+            for (std::size_t j = 0; j < N; j++)
+                acc[j] += av * br[j];
         }
-        for (; r < m; r++) {
-            const float av = adata[r * cols + c] * scale;
-            const float *brow = bdata + r * n;
-#pragma GCC ivdep
-            for (std::size_t j = 0; j < n; j++)
-                orow[j] += av * brow[j];
-        }
+        for (std::size_t l = skip; l < lanes; l++)
+            for (std::size_t j = 0; j < N; j++)
+                odata[(base + l) * N + j] += acc[j][l];
+    }
+}
+
+SIBYL_KERNEL_CLONES
+void
+tmaNarrowN(const float *__restrict adata, const float *__restrict bdata,
+           float *__restrict odata, std::size_t m, std::size_t cols,
+           std::size_t n, float scale)
+{
+    switch (n) {
+      case 1: tmaNarrow<1>(adata, bdata, odata, m, cols, scale); break;
+      case 2: tmaNarrow<2>(adata, bdata, odata, m, cols, scale); break;
+      case 3: tmaNarrow<3>(adata, bdata, odata, m, cols, scale); break;
+      case 4: tmaNarrow<4>(adata, bdata, odata, m, cols, scale); break;
+      case 5: tmaNarrow<5>(adata, bdata, odata, m, cols, scale); break;
+      case 6: tmaNarrow<6>(adata, bdata, odata, m, cols, scale); break;
+      case 7: tmaNarrow<7>(adata, bdata, odata, m, cols, scale); break;
+      default: tmaNarrow<8>(adata, bdata, odata, m, cols, scale); break;
     }
 }
 
@@ -490,15 +627,18 @@ Matrix::transposedMatmulAdd(const Matrix &b, Matrix &out, float scale) const
     assert(rows_ == b.rows_);
     assert(out.rows_ == cols_ && out.cols_ == b.cols_);
     assert(&out != this && &out != &b);
-    // out[c, j] += scale * sum_r A[r, c] * B[r, j]. c-outer with the
-    // batch dimension r unrolled by 4 keeps the j-inner writes
-    // contiguous in one output row while retiring 4 FMA streams per
-    // iteration; same restrict/ivdep treatment as matmul(). (No
-    // zero-skip here: column-major access to A makes per-element
-    // skips branchy and they defeat the unroll; the per-sample
-    // addOuter() path keeps its row skip.)
-    transposedMatmulAddImpl(data_.data(), b.data_.data(), out.data_.data(),
-                            rows_, cols_, b.cols_, scale);
+    // out[c, j] += scale * sum_r A[r, c] * B[r, j], with every output
+    // tile held in registers across the whole batch (see tmaWide and
+    // tmaNarrow for the layouts and the per-element order they keep).
+    const std::size_t n = b.cols_;
+    if (n == 0 || cols_ == 0)
+        return;
+    if (n <= kLanes8)
+        tmaNarrowN(data_.data(), b.data_.data(), out.data_.data(), rows_,
+                   cols_, n, scale);
+    else
+        tmaWide(data_.data(), b.data_.data(), out.data_.data(), rows_,
+                cols_, n, scale);
 }
 
 void

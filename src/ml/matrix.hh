@@ -52,6 +52,13 @@ class Matrix
      */
     void resize(std::size_t rows, std::size_t cols);
 
+    /** Reserve room for rows x cols without changing the shape, so
+     *  later resize() calls up to that size never allocate. */
+    void reserve(std::size_t rows, std::size_t cols)
+    {
+        data_.reserve(rows * cols);
+    }
+
     /** Pointer to the start of row @p r. */
     float *row(std::size_t r) { return data_.data() + r * cols_; }
     const float *row(std::size_t r) const { return data_.data() + r * cols_; }
@@ -88,6 +95,18 @@ class Matrix
      * out.rows == cols, out.cols == b.cols. This is the batched weight-
      * gradient kernel: delta^T (out x batch) times inputs (batch x in)
      * accumulated into gradW. @p out must not alias A or B.
+     *
+     * Each output element has one documented operation order, which
+     * the memcmp tests pin. With n = b.cols > 8: the element's initial
+     * value, then one add per r-group of four,
+     * (a0*b0 + a1*b1) + (a2*b2 + a3*b3) with a_i = A[r+i, c] * scale,
+     * then one add of (A[r, c] * scale) * B[r, j] per leftover row.
+     * With n <= 8: a zero-seeded sum over ascending r of
+     * (A[r, c] * scale) * B[r, j], added to the element once. The
+     * kernel holds output tiles in registers across the batch (two
+     * rows x up to four 8-lane column vectors when n > 8, eight rows
+     * across the lanes when n <= 8); the tiling never changes an
+     * element's order.
      */
     void transposedMatmulAdd(const Matrix &b, Matrix &out,
                              float scale) const;

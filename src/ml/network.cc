@@ -116,6 +116,21 @@ Network::backward(const Matrix &gradOut)
 }
 
 void
+Network::reserveBatch(std::size_t rows, bool backward)
+{
+    std::size_t widest = 0;
+    for (std::size_t i = 0; i < layers_.size(); i++) {
+        layers_[i].reserveBatch(rows, backward);
+        actsM_[i].reserve(rows, layers_[i].outSize());
+        widest = std::max(widest, layers_[i].inSize());
+    }
+    if (backward) {
+        gradScratchMA_.reserve(rows, widest);
+        gradScratchMB_.reserve(rows, widest);
+    }
+}
+
+void
 Network::clearGrads()
 {
     for (auto &l : layers_)

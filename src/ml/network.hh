@@ -99,6 +99,11 @@ class Network
     /** Zero all accumulated parameter gradients. */
     void clearGrads();
 
+    /** Reserve the batched infer() buffers — and with @p backward also
+     *  forward()'s caches and backward()'s scratch — for batches of up
+     *  to @p rows rows, so batches of varying size never allocate. */
+    void reserveBatch(std::size_t rows, bool backward);
+
     /** Copy the weights of @p other into this network (same topology).
      *  This is the "training network -> inference network" weight copy
      *  the paper performs every 1000 requests. */

@@ -1,9 +1,9 @@
 #include "rl/c51_agent.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "ml/activations.hh"
-#include "ml/loss.hh"
 
 namespace sibyl::rl
 {
@@ -14,6 +14,16 @@ C51Head::C51Head(const AgentConfig &cfg)
       gamma_(cfg.gamma),
       support_(cfg.vmin, cfg.vmax, cfg.atoms)
 {
+    // Full-batch loss scratch up front: the distinct-prediction count
+    // varies from batch to batch, and growing to each new high-water
+    // mark would allocate in training rounds long after warm-up.
+    const std::size_t rows = cfg.batchSize;
+    pairSlot_.reserve(rows * numActions_);
+    pairOf_.reserve(rows);
+    pairKey_.reserve(rows);
+    probs_.reserve(rows * atoms_);
+    logProbs_.reserve(rows * atoms_);
+    logDone_.reserve(rows * atoms_);
 }
 
 const ml::Vector &
@@ -56,47 +66,135 @@ C51Head::greedy(const float *row, std::uint32_t mask, bool restricted)
 }
 
 void
-C51Head::target(const float *evalRow, const float * /*selRow*/,
-                float reward, float *out)
+C51Head::target(const float *eval, const float * /*sel*/,
+                const float *rewards, std::size_t rows, float *out)
 {
-    // Greedy next action by distribution expectation. Softmax every
-    // action group once into one scratch buffer; the winner's
-    // distribution is then reused for the projection instead of
-    // being recomputed.
-    dists_.assign(evalRow, evalRow + numActions_ * atoms_);
-    std::uint32_t bestA = 0;
-    double bestQ = -1e30;
-    for (std::uint32_t a = 0; a < numActions_; a++) {
-        float *d = dists_.data() + a * atoms_;
-        ml::softmax(d, atoms_);
-        const double q = support_.expectation(d);
-        if (q > bestQ) {
-            bestQ = q;
-            bestA = a;
+    // Greedy next action by distribution expectation, then that
+    // action's distribution projected under (reward, gamma). Rows go
+    // kSoftmaxLanes at a time across SIMD lanes: every action group is
+    // softmaxed once, its expectation accumulated in ascending atom
+    // order, and the first maximum kept — each lane doing exactly its
+    // own row's sequence.
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    const std::size_t atoms = atoms_;
+    const std::size_t width = outputWidth();
+    lanes_.resize(numActions_ * atoms * L);
+    dist_.resize(atoms);
+    for (std::size_t r0 = 0; r0 < rows; r0 += L) {
+        const std::size_t live = std::min(L, rows - r0);
+        double bestQ[L];
+        std::uint32_t bestA[L];
+        for (std::size_t l = 0; l < L; l++) {
+            bestQ[l] = -1e30;
+            bestA[l] = 0;
+        }
+        for (std::uint32_t a = 0; a < numActions_; a++) {
+            float *t = lanes_.data() + a * atoms * L;
+            for (std::size_t l = 0; l < L; l++) {
+                const float *src =
+                    l < live ? eval + (r0 + l) * width + a * atoms : nullptr;
+                for (std::size_t i = 0; i < atoms; i++)
+                    t[i * L + l] = src ? src[i] : 0.0f;
+            }
+            ml::softmaxLanes(t, atoms);
+            double q[L] = {};
+            for (std::uint32_t i = 0; i < atoms; i++) {
+                const double z = support_.atomValue(i);
+                for (std::size_t l = 0; l < L; l++)
+                    q[l] += static_cast<double>(t[i * L + l]) * z;
+            }
+            for (std::size_t l = 0; l < L; l++) {
+                if (q[l] > bestQ[l]) {
+                    bestQ[l] = q[l];
+                    bestA[l] = a;
+                }
+            }
+        }
+        for (std::size_t l = 0; l < live; l++) {
+            const float *t = lanes_.data() + bestA[l] * atoms * L;
+            for (std::size_t i = 0; i < atoms; i++)
+                dist_[i] = t[i * L + l];
+            support_.project(dist_.data(), rewards[r0 + l], gamma_,
+                             out + (r0 + l) * atoms);
         }
     }
-    support_.project(dists_.data() + bestA * atoms_, reward, gamma_,
-                     target_);
-    std::copy(target_.begin(), target_.end(), out);
 }
 
-double
-C51Head::loss(const float *outRow, std::uint32_t action,
-              const float *target, float weight, float *gradRow,
-              float &priority)
+void
+C51Head::loss(const LossBatch &b)
 {
-    // Cross-entropy between the projected target and the training
-    // network's prediction for the taken action; gradient flows only
-    // through that action's atom group.
-    logits_.assign(outRow + action * atoms_, outRow + (action + 1) * atoms_);
-    target_.assign(target, target + atoms_);
-    const double loss =
-        ml::softmaxCrossEntropy(logits_, target_, gradLogits_);
-    priority = static_cast<float>(loss);
-    float *grow = gradRow + action * atoms_;
-    for (std::size_t k = 0; k < gradLogits_.size(); k++)
-        grow[k] += gradLogits_[k] * weight;
-    return loss;
+    // Cross-entropy between each row's projected target and the
+    // training network's prediction for the taken action; the gradient
+    // flows only through that action's atom group. Rows repeating an
+    // (output row, action) pair — folded duplicate states taking the
+    // same action — share one prediction, so its softmax and log-
+    // probabilities are computed once. The loss keeps the historical
+    // per-element form, NOT the cheaper log-softmax identity: the
+    // scalar feeds PER priorities, so changing its rounding would
+    // silently shift prioritized-replay trajectories.
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    const std::size_t atoms = atoms_;
+    pairSlot_.assign(b.outRows * numActions_, -1);
+    pairOf_.resize(b.rows);
+    pairKey_.clear();
+    for (std::size_t r = 0; r < b.rows; r++) {
+        const std::size_t row = b.outRow ? b.outRow[r] : r;
+        const std::size_t key = row * numActions_ + b.actions[r];
+        if (pairSlot_[key] < 0) {
+            pairSlot_[key] = static_cast<std::int32_t>(pairKey_.size());
+            pairKey_.push_back(static_cast<std::uint32_t>(key));
+        }
+        pairOf_[r] = static_cast<std::uint32_t>(pairSlot_[key]);
+    }
+
+    // Softmax of every distinct prediction, kSoftmaxLanes at a time.
+    // Pair key k's logits are output atoms [k * atoms, (k + 1) * atoms).
+    const std::size_t pairs = pairKey_.size();
+    probs_.resize(pairs * atoms);
+    lanes_.resize(atoms * L);
+    for (std::size_t p0 = 0; p0 < pairs; p0 += L) {
+        const std::size_t live = std::min(L, pairs - p0);
+        for (std::size_t l = 0; l < L; l++) {
+            const float *src =
+                l < live ? b.out + pairKey_[p0 + l] * atoms : nullptr;
+            for (std::size_t i = 0; i < atoms; i++)
+                lanes_[i * L + l] = src ? src[i] : 0.0f;
+        }
+        ml::softmaxLanes(lanes_.data(), atoms);
+        for (std::size_t l = 0; l < live; l++)
+            for (std::size_t i = 0; i < atoms; i++)
+                probs_[(p0 + l) * atoms + i] = lanes_[i * L + l];
+    }
+
+    logProbs_.resize(pairs * atoms);
+    logDone_.assign(pairs * atoms, 0);
+    for (std::size_t r = 0; r < b.rows; r++) {
+        const std::size_t pair = pairOf_[r];
+        const float *t = b.targets + r * atoms;
+        const float *p = probs_.data() + pair * atoms;
+        float *logP = logProbs_.data() + pair * atoms;
+        std::uint8_t *done = logDone_.data() + pair * atoms;
+        float loss = 0.0f;
+        for (std::size_t i = 0; i < atoms; i++) {
+            // "!= 0" and not "> 0": identical for valid (non-negative)
+            // targets, but a NaN target weight must reach the loss — a
+            // poisoned reward that silently zeroes its own loss term
+            // would corrupt the weights while reporting perfect health.
+            if (t[i] != 0.0f) {
+                if (!done[i]) {
+                    logP[i] = std::log(std::max(p[i], 1e-12f));
+                    done[i] = 1;
+                }
+                loss -= t[i] * logP[i];
+            }
+        }
+        b.losses[r] = loss;
+        b.priorities[r] = loss;
+        const float weight = b.weights ? b.weights[r] : 1.0f;
+        float *g = b.grad + pairKey_[pair] * atoms;
+        for (std::size_t i = 0; i < atoms; i++)
+            g[i] += (p[i] - t[i]) * weight;
+    }
 }
 
 double

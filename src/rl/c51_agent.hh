@@ -44,11 +44,9 @@ class C51Head final : public ValueHead
     std::uint32_t greedy(const float *row, std::uint32_t mask,
                          bool restricted) override;
     double actionValue(const float *row, std::uint32_t a) override;
-    void target(const float *evalRow, const float *selRow, float reward,
-                float *out) override;
-    double loss(const float *outRow, std::uint32_t action,
-                const float *target, float weight, float *gradRow,
-                float &priority) override;
+    void target(const float *eval, const float *sel, const float *rewards,
+                std::size_t rows, float *out) override;
+    void loss(const LossBatch &b) override;
     double valueDelta(double loss, double prevLoss) const override;
 
     const CategoricalSupport &support() const { return support_; }
@@ -65,8 +63,19 @@ class C51Head final : public ValueHead
 
     // Decision-side scratch: one action's softmaxed atom group.
     ml::Vector rowDist_;
+
     // Training-side scratch (see the ValueHead threading contract).
-    ml::Vector dists_, target_, logits_, gradLogits_;
+    // lanes_: atom groups interleaved ml::kSoftmaxLanes rows wide;
+    // dist_: one row's winning next-state distribution.
+    ml::Vector lanes_, dist_;
+    // loss(): the batch's distinct (output row, action) predictions —
+    // pairSlot_ maps row * numActions + action to a pair, pairOf_ each
+    // batch row to its pair — with their softmax, their log-
+    // probabilities (computed on first use) and the computed flags.
+    std::vector<std::int32_t> pairSlot_;
+    std::vector<std::uint32_t> pairOf_, pairKey_;
+    ml::Vector probs_, logProbs_;
+    std::vector<std::uint8_t> logDone_;
 };
 
 /** The C51 agent. */

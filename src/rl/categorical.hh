@@ -58,9 +58,10 @@ class CategoricalSupport
     void project(const ml::Vector &nextProbs, double reward, double gamma,
                  ml::Vector &target) const;
 
-    /** Span variant of project(): @p nextProbs points at atoms entries. */
+    /** Span variant of project(): @p nextProbs and @p target point at
+     *  atoms entries each. */
     void project(const float *nextProbs, double reward, double gamma,
-                 ml::Vector &target) const;
+                 float *target) const;
 
   private:
     double vmin_;

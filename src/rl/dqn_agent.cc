@@ -30,33 +30,40 @@ DqnHead::greedy(const float *row, std::uint32_t mask, bool restricted)
 }
 
 void
-DqnHead::target(const float *evalRow, const float *selRow, float reward,
-                float *out)
+DqnHead::target(const float *eval, const float *sel, const float *rewards,
+                std::size_t rows, float *out)
 {
     // With Double DQN the training network chooses the next action and
     // the frozen network scores it, decoupling selection from
     // evaluation (van Hasselt et al., 2016).
-    float nextValue;
-    if (selRow) {
-        const auto bestA = static_cast<std::size_t>(
-            std::max_element(selRow, selRow + numActions_) - selRow);
-        nextValue = evalRow[bestA];
-    } else {
-        nextValue = *std::max_element(evalRow, evalRow + numActions_);
+    for (std::size_t r = 0; r < rows; r++) {
+        const float *evalRow = eval + r * numActions_;
+        float nextValue;
+        if (sel) {
+            const float *selRow = sel + r * numActions_;
+            const auto bestA = static_cast<std::size_t>(
+                std::max_element(selRow, selRow + numActions_) - selRow);
+            nextValue = evalRow[bestA];
+        } else {
+            nextValue = *std::max_element(evalRow, evalRow + numActions_);
+        }
+        out[r] = rewards[r] + gamma_ * nextValue;
     }
-    out[0] = reward + gamma_ * nextValue;
 }
 
-double
-DqnHead::loss(const float *outRow, std::uint32_t action,
-              const float *target, float weight, float *gradRow,
-              float &priority)
+void
+DqnHead::loss(const LossBatch &b)
 {
     // MSE on the taken action's Q-value only.
-    const float diff = outRow[action] - target[0];
-    priority = std::abs(diff);
-    gradRow[action] += diff * weight;
-    return 0.5 * static_cast<double>(diff) * diff;
+    for (std::size_t r = 0; r < b.rows; r++) {
+        const std::size_t row = b.outRow ? b.outRow[r] : r;
+        const std::uint32_t action = b.actions[r];
+        const float diff = b.out[row * numActions_ + action] - b.targets[r];
+        const float weight = b.weights ? b.weights[r] : 1.0f;
+        b.priorities[r] = std::abs(diff);
+        b.grad[row * numActions_ + action] += diff * weight;
+        b.losses[r] = 0.5 * static_cast<double>(diff) * diff;
+    }
 }
 
 double

@@ -40,11 +40,9 @@ class DqnHead final : public ValueHead
     {
         return row[a];
     }
-    void target(const float *evalRow, const float *selRow, float reward,
-                float *out) override;
-    double loss(const float *outRow, std::uint32_t action,
-                const float *target, float weight, float *gradRow,
-                float &priority) override;
+    void target(const float *eval, const float *sel, const float *rewards,
+                std::size_t rows, float *out) override;
+    void loss(const LossBatch &b) override;
     double valueDelta(double loss, double prevLoss) const override;
 
   private:

@@ -115,9 +115,10 @@ class ReplayBuffer
     /** Uniformly sample @p n experiences (with replacement). */
     std::vector<const Experience *> sample(std::size_t n, Pcg32 &rng) const;
 
-    /** Uniformly sample @p n entry indices (with replacement). */
-    std::vector<std::size_t> sampleIndices(std::size_t n,
-                                           Pcg32 &rng) const;
+    /** Uniformly sample @p n entry indices (with replacement) into
+     *  @p out, reusing its capacity (empty for an empty buffer). */
+    void sampleIndices(std::size_t n, Pcg32 &rng,
+                       std::vector<std::size_t> &out) const;
 
     /**
      * Prioritized sampling (Schaul et al., 2016): entry i is drawn with
@@ -130,21 +131,10 @@ class ReplayBuffer
      *
      * @param n     Samples to draw (with replacement).
      * @param alpha Prioritization exponent (0 = uniform).
+     * @param out   Receives the draws, reusing its capacity.
      */
-    std::vector<std::size_t> samplePrioritizedIndices(std::size_t n,
-                                                      Pcg32 &rng,
-                                                      double alpha) const;
-
-    /**
-     * Reference prioritized sampler: rebuilds an O(N) prefix-sum array
-     * and draws by lower_bound, exactly as the pre-sum-tree
-     * implementation did. Kept for distribution-equivalence tests and
-     * the training microbenchmark's baseline; the hot path uses
-     * samplePrioritizedIndices().
-     */
-    std::vector<std::size_t>
-    samplePrioritizedIndicesPrefixSum(std::size_t n, Pcg32 &rng,
-                                      double alpha) const;
+    void samplePrioritizedIndices(std::size_t n, Pcg32 &rng, double alpha,
+                                  std::vector<std::size_t> &out) const;
 
     /** Priority of entry @p i (default: max priority at insert time). */
     float priority(std::size_t i) const { return priorities_.at(i); }
@@ -170,11 +160,12 @@ class ReplayBuffer
      * the distribution the batch was *sampled* from (i.e. before any
      * setPriority() refreshes — the Schaul et al. formulation). The
      * max-weight normalizer is hoisted out of the loop, so this costs
-     * one pow per element instead of importanceWeight()'s two.
+     * one pow per element instead of importanceWeight()'s two. Fills
+     * @p out (one weight per index), reusing its capacity.
      */
-    std::vector<double>
-    importanceWeights(const std::vector<std::size_t> &indices, double alpha,
-                      double beta) const;
+    void importanceWeights(const std::vector<std::size_t> &indices,
+                           double alpha, double beta,
+                           std::vector<double> &out) const;
 
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }

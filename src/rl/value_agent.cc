@@ -56,6 +56,19 @@ ValueAgent::ValueAgent(const AgentConfig &cfg,
         optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
     else
         optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
+
+    // Size the batch-shaped training scratch for a full batch up front.
+    // Cache misses, folded rows and distinct predictions vary from
+    // batch to batch; buffers grown to each new high-water mark would
+    // keep allocating in rounds long after warm-up.
+    const std::size_t batch = cfg_.batchSize;
+    trainingNet_->reserveBatch(batch, /*backward=*/true);
+    inferenceNet_->reserveBatch(batch, /*backward=*/false);
+    stateBatch_.reserve(batch, cfg_.stateDim);
+    nextBatch_.reserve(batch, cfg_.stateDim);
+    uncachedRows_.reserve(batch);
+    uniqueIdx_.reserve(batch);
+    rewards_.reserve(batch);
 }
 
 ValueAgent::~ValueAgent()
@@ -239,22 +252,23 @@ ValueAgent::foldRound(double lossSum)
 double
 ValueAgent::trainBatch()
 {
-    const auto indices = cfg_.prioritizedReplay
-        ? buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
-                                           cfg_.perAlpha)
-        : buffer_.sampleIndices(cfg_.batchSize, rng_);
-    if (indices.empty())
+    if (cfg_.prioritizedReplay)
+        buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
+                                         cfg_.perAlpha, sampled_);
+    else
+        buffer_.sampleIndices(cfg_.batchSize, rng_, sampled_);
+    if (sampled_.empty())
         return 0.0;
     double loss;
     if (cfg_.batchedTraining) {
-        batchRows_.resize(indices.size());
-        for (std::size_t r = 0; r < indices.size(); r++)
-            batchRows_[r] = &buffer_[indices[r]];
-        loss = trainMinibatch(&indices, *inferenceNet_);
+        batchRows_.resize(sampled_.size());
+        for (std::size_t r = 0; r < sampled_.size(); r++)
+            batchRows_[r] = &buffer_[sampled_[r]];
+        loss = trainMinibatch(&sampled_, *inferenceNet_);
     } else {
-        loss = trainPerSample(indices);
+        loss = trainPerSample(sampled_);
     }
-    stats_.gradientSteps += indices.size();
+    stats_.gradientSteps += sampled_.size();
     return loss;
 }
 
@@ -289,18 +303,18 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
     }
 
     // Bellman targets from the frozen target network: one batched
-    // forward per network instead of one matvec chain per sample.
+    // forward per network and one head call for the whole batch.
     if (useCache) {
         // The inference network is frozen between syncs and training
         // rounds resample the same ring heavily, so most rows' targets
         // were already computed this sync period. Evaluate only the
         // misses as one compact batch and scatter them into the
-        // slot-indexed cache; the batched row kernels make each row's
-        // result independent of batch composition, and reward and
-        // gamma are entry-fixed, so a cache hit is bit-identical to a
-        // fresh evaluation. Sized from the buffer's actual capacity
-        // (which clamps a zero config to 1), so slot indices always
-        // fit.
+        // slot-indexed cache; the batched row kernels and the head make
+        // each row's result independent of batch composition, and
+        // reward and gamma are entry-fixed, so a cache hit is
+        // bit-identical to a fresh evaluation. Sized from the buffer's
+        // actual capacity (which clamps a zero config to 1), so slot
+        // indices always fit.
         targetCache_.resize(buffer_.capacity(), width);
         targetValid_.resize(buffer_.capacity(), 0);
         uncachedRows_.clear();
@@ -310,27 +324,41 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
                 uncachedRows_.push_back(idx);
             }
         }
-        if (!uncachedRows_.empty()) {
-            nextBatch_.resize(uncachedRows_.size(), cfg_.stateDim);
-            for (std::size_t r = 0; r < uncachedRows_.size(); r++) {
+        const std::size_t misses = uncachedRows_.size();
+        if (misses) {
+            nextBatch_.resize(misses, cfg_.stateDim);
+            rewards_.resize(misses);
+            for (std::size_t r = 0; r < misses; r++) {
                 const Experience &e = buffer_[uncachedRows_[r]];
                 std::copy(e.nextState.begin(), e.nextState.end(),
                           nextBatch_.row(r));
+                rewards_[r] = e.reward;
             }
             const ml::Matrix &fresh = targetNet.infer(nextBatch_);
-            for (std::size_t r = 0; r < uncachedRows_.size(); r++) {
+            // targetBatch_ holds the misses' targets until they are
+            // scattered; the gather below then refills it by row.
+            targetBatch_.resize(misses, width);
+            head_->target(fresh.data(), nullptr, rewards_.data(), misses,
+                          targetBatch_.data());
+            for (std::size_t r = 0; r < misses; r++) {
                 const std::size_t idx = uncachedRows_[r];
-                head_->target(fresh.row(r), nullptr, buffer_[idx].reward,
-                              targetCache_.row(idx));
+                std::copy_n(targetBatch_.row(r), width,
+                            targetCache_.row(idx));
                 targetValid_[idx] = 1;
             }
         }
+        targetBatch_.resize(batch, width);
+        for (std::size_t r = 0; r < batch; r++)
+            std::copy_n(targetCache_.row((*slots)[r]), width,
+                        targetBatch_.row(r));
     } else {
         nextBatch_.resize(batch, cfg_.stateDim);
+        rewards_.resize(batch);
         for (std::size_t r = 0; r < batch; r++) {
             const Experience &e = *batchRows_[r];
             std::copy(e.nextState.begin(), e.nextState.end(),
                       nextBatch_.row(r));
+            rewards_[r] = e.reward;
         }
         // Double DQN selects the next action with the live training
         // network and scores it with the frozen one.
@@ -339,10 +367,8 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
             : nullptr;
         const ml::Matrix &eval = targetNet.infer(nextBatch_);
         targetBatch_.resize(batch, width);
-        for (std::size_t r = 0; r < batch; r++) {
-            head_->target(eval.row(r), sel ? sel->row(r) : nullptr,
-                          batchRows_[r]->reward, targetBatch_.row(r));
-        }
+        head_->target(eval.data(), sel ? sel->data() : nullptr,
+                      rewards_.data(), batch, targetBatch_.data());
     }
 
     // The state forward must come last so the training network's
@@ -353,24 +379,37 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
 
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
-    std::vector<double> perWeights;
-    if (per)
-        perWeights = buffer_.importanceWeights(*slots, cfg_.perAlpha,
-                                               cfg_.perBeta);
+    if (per) {
+        buffer_.importanceWeights(*slots, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
+        weights_.resize(batch);
+        for (std::size_t r = 0; r < batch; r++)
+            weights_[r] = static_cast<float>(perWeights_[r]);
+    }
+    actions_.resize(batch);
+    for (std::size_t r = 0; r < batch; r++)
+        actions_[r] = batchRows_[r]->action;
+    losses_.resize(batch);
+    priorities_.resize(batch);
 
+    head_->loss({.rows = batch,
+                 .out = out.data(),
+                 .outRows = uRows,
+                 .outRow = fold ? rowToUnique_.data() : nullptr,
+                 .actions = actions_.data(),
+                 .targets = targetBatch_.data(),
+                 .weights = per ? weights_.data() : nullptr,
+                 .grad = gradOutM_.data(),
+                 .losses = losses_.data(),
+                 .priorities = priorities_.data()});
+
+    // Row order, as a row-by-row loop would: the loss sum's rounding
+    // and the last write of a slot sampled twice depend on it.
     double totalLoss = 0.0;
     for (std::size_t r = 0; r < batch; r++) {
-        const std::size_t ui = fold ? rowToUnique_[r] : r;
-        const float *target = useCache ? targetCache_.row((*slots)[r])
-                                       : targetBatch_.row(r);
-        const float weight =
-            per ? static_cast<float>(perWeights[r]) : 1.0f;
-        float priority = 0.0f;
-        totalLoss += head_->loss(out.row(ui), batchRows_[r]->action,
-                                 target, weight, gradOutM_.row(ui),
-                                 priority);
+        totalLoss += losses_[r];
         if (per)
-            buffer_.setPriority((*slots)[r], priority);
+            buffer_.setPriority((*slots)[r], priorities_[r]);
     }
 
     trainingNet_->backward(gradOutM_);
@@ -383,10 +422,9 @@ ValueAgent::trainPerSample(const std::vector<std::size_t> &indices)
 {
     // Same sampling-time importance weights as the batched path, so
     // the two paths stay numerically equivalent.
-    std::vector<double> perWeights;
     if (cfg_.prioritizedReplay)
-        perWeights = buffer_.importanceWeights(indices, cfg_.perAlpha,
-                                               cfg_.perBeta);
+        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+                                  perWeights_);
 
     double totalLoss = 0.0;
     ml::Vector target(head_->targetWidth()), gradOut;
@@ -395,22 +433,32 @@ ValueAgent::trainPerSample(const std::vector<std::size_t> &indices)
         const Experience &e = buffer_[idx];
 
         // Bellman target from the frozen inference network (with the
-        // training network choosing the action for Double DQN).
+        // training network choosing the action for Double DQN), as a
+        // batch of one.
         const ml::Vector *sel = head_->selectsWithTrainingNet()
             ? &trainingNet_->forward(e.nextState)
             : nullptr;
         const ml::Vector &next = inferenceNet_->forward(e.nextState);
-        head_->target(next.data(), sel ? sel->data() : nullptr, e.reward,
-                      target.data());
+        head_->target(next.data(), sel ? sel->data() : nullptr, &e.reward,
+                      1, target.data());
 
         const ml::Vector &out = trainingNet_->forward(e.state);
         gradOut.assign(out.size(), 0.0f);
         const float weight = cfg_.prioritizedReplay
-            ? static_cast<float>(perWeights[k])
+            ? static_cast<float>(perWeights_[k])
             : 1.0f;
+        double loss = 0.0;
         float priority = 0.0f;
-        totalLoss += head_->loss(out.data(), e.action, target.data(),
-                                 weight, gradOut.data(), priority);
+        head_->loss({.rows = 1,
+                     .out = out.data(),
+                     .outRows = 1,
+                     .actions = &e.action,
+                     .targets = target.data(),
+                     .weights = &weight,
+                     .grad = gradOut.data(),
+                     .losses = &loss,
+                     .priorities = &priority});
+        totalLoss += loss;
         if (cfg_.prioritizedReplay)
             buffer_.setPriority(idx, priority);
         trainingNet_->backward(gradOut);
@@ -443,7 +491,7 @@ ValueAgent::stageRound()
     stagedBatches_.resize(cfg_.batchesPerTraining);
     std::size_t total = 0;
     for (auto &b : stagedBatches_) {
-        b = buffer_.sampleIndices(cfg_.batchSize, rng_);
+        buffer_.sampleIndices(cfg_.batchSize, rng_, b);
         total += b.size();
     }
     // Snapshot the sampled transitions: the ring keeps filling while

@@ -16,9 +16,13 @@
  * syncs, the per-entry Bellman-target cache, duplicate-state folding,
  * prioritized-replay weights, the staged asynchronous round, and one
  * minibatch trainer. A ValueHead owns only what differs: how an output
- * row decodes into per-action values and a greedy action, how a
- * next-state row becomes a Bellman target, and the per-row loss. A new
- * head is one small class (see C51Head and DqnHead).
+ * row decodes into per-action values and a greedy action, how
+ * next-state rows become Bellman targets, and the loss. The training
+ * side is minibatch-shaped: a head sees a whole batch at once, so it
+ * can share work across rows (C51 runs eight rows per SIMD lane group
+ * and computes each distinct prediction once); the per-sample
+ * reference trains through the same methods with batches of one. A
+ * new head is one small class (see C51Head and DqnHead).
  */
 
 #pragma once
@@ -86,20 +90,50 @@ class ValueHead
     /** Q-value estimate of action @p a from an output row. */
     virtual double actionValue(const float *row, std::uint32_t a) = 0;
 
-    /** Bellman target for one transition into @p out (targetWidth()
-     *  floats), from the target network's next-state row @p evalRow
-     *  and, for selectsWithTrainingNet() heads, the training network's
-     *  next-state row @p selRow (null otherwise). */
-    virtual void target(const float *evalRow, const float *selRow,
-                        float reward, float *out) = 0;
+    /**
+     * Bellman targets of @p rows transitions into @p out (rows x
+     * targetWidth(), row-major), from the target network's next-state
+     * rows @p eval (rows x outputWidth()), the @p rewards and, for
+     * selectsWithTrainingNet() heads, the training network's
+     * next-state rows @p sel (null otherwise). Row r's target is a
+     * function of row r's inputs alone, bit for bit, whatever the
+     * batch around it — which is what lets ValueAgent cache targets
+     * per replay slot and evaluate a single transition as a batch of
+     * one.
+     */
+    virtual void target(const float *eval, const float *sel,
+                        const float *rewards, std::size_t rows,
+                        float *out) = 0;
 
-    /** Loss of the training network's output row @p outRow for the
-     *  taken @p action against @p target. Accumulates the gradient
-     *  times @p weight into @p gradRow (the full output row) and
-     *  reports the transition's new replay @p priority. */
-    virtual double loss(const float *outRow, std::uint32_t action,
-                        const float *target, float weight, float *gradRow,
-                        float &priority) = 0;
+    /** One minibatch's loss inputs and outputs (see loss()). */
+    struct LossBatch
+    {
+        std::size_t rows = 0;
+        /** Training-network output rows (outRows x outputWidth()). */
+        const float *out = nullptr;
+        std::size_t outRows = 0;
+        /** Row r's output row; null means row r. Folded duplicate
+         *  states share one output row. */
+        const std::uint32_t *outRow = nullptr;
+        const std::uint32_t *actions = nullptr;
+        /** Bellman targets, rows x targetWidth(). */
+        const float *targets = nullptr;
+        /** Importance weights; null means 1 for every row. */
+        const float *weights = nullptr;
+        /** Output gradient, same shape as @p out (accumulated). */
+        float *grad = nullptr;
+        double *losses = nullptr;
+        float *priorities = nullptr;
+    };
+
+    /**
+     * Loss of each row's taken action against its target: losses[r],
+     * the transition's new replay priority priorities[r], and the
+     * gradient times the row's weight added into grad's output row.
+     * Gradients are added in ascending row order, so rows that share
+     * an output row sum exactly as a row-by-row loop would.
+     */
+    virtual void loss(const LossBatch &b) = 0;
 
     /** VDBE feedback from the round-to-round change in mean loss. */
     virtual double valueDelta(double loss, double prevLoss) const = 0;
@@ -252,12 +286,22 @@ class ValueAgent : public Agent
     AgentStats stats_;
     std::uint64_t observations_ = 0;
 
-    // Reused batch-assembly scratch (no steady-state allocation).
+    // Training-side scratch, reused across batches so a training round
+    // allocates nothing at steady state: the sampled slots, the batch
+    // rows and their inputs, the Bellman targets (rows x targetWidth),
+    // and the head's loss inputs and outputs (see ValueHead::loss).
+    std::vector<std::size_t> sampled_;
     std::vector<const Experience *> batchRows_;
     ml::Matrix stateBatch_;
     ml::Matrix nextBatch_;
     ml::Matrix targetBatch_;
     ml::Matrix gradOutM_;
+    std::vector<float> rewards_;
+    std::vector<double> perWeights_;
+    std::vector<float> weights_;
+    std::vector<std::uint32_t> actions_;
+    std::vector<double> losses_;
+    std::vector<float> priorities_;
 
     // Decision-path scratch: the full Q vector for Boltzmann draws.
     std::vector<double> qScratch_;

@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.hh"
 #include "ml/activations.hh"
 #include "ml/layers.hh"
+#include "ml/loss.hh"
 #include "ml/matrix.hh"
 #include "ml/network.hh"
 #include "rl/c51_agent.hh"
@@ -109,6 +113,96 @@ TEST(Matmul, TransposedAAccumulates)
                 acc += 0.5f * a(r, i) * b(r, j);
             expectClose(c(i, j), acc, "transposedMatmulAdd");
         }
+}
+
+/**
+ * Scalar reference for Matrix::transposedMatmulAdd() in its documented
+ * per-element order. n > 8: the initial output value, then one add per
+ * r-group of four, (a0*b0 + a1*b1) + (a2*b2 + a3*b3) with
+ * a_i = A[r+i, c] * scale, then one add per leftover row. n <= 8: a
+ * zero-seeded sum over ascending r of (A[r, c] * scale) * B[r, j],
+ * added once.
+ */
+void
+refTransposedMatmulAdd(const Matrix &a, const Matrix &b, Matrix &out,
+                       float scale)
+{
+    const std::size_t m = a.rows(), n = b.cols();
+    for (std::size_t c = 0; c < a.cols(); c++)
+        for (std::size_t j = 0; j < n; j++) {
+            if (n <= 8) {
+                float acc = 0.0f;
+                for (std::size_t r = 0; r < m; r++)
+                    acc += (a(r, c) * scale) * b(r, j);
+                out(c, j) += acc;
+                continue;
+            }
+            float o = out(c, j);
+            std::size_t r = 0;
+            for (; r + 4 <= m; r += 4) {
+                const float a0 = a(r, c) * scale;
+                const float a1 = a(r + 1, c) * scale;
+                const float a2 = a(r + 2, c) * scale;
+                const float a3 = a(r + 3, c) * scale;
+                o += (a0 * b(r, j) + a1 * b(r + 1, j)) +
+                     (a2 * b(r + 2, j) + a3 * b(r + 3, j));
+            }
+            for (; r < m; r++)
+                o += (a(r, c) * scale) * b(r, j);
+            out(c, j) = o;
+        }
+}
+
+/** Random matrix salted with the special values the kernels must carry
+ *  through unchanged: NaN, +-Inf, -0.0 and exact zeros. */
+Matrix
+specialMatrix(std::size_t rows, std::size_t cols, Pcg32 &rng)
+{
+    // All NaNs share the platform's default-NaN bits, so the comparison
+    // pins operation order, not which operand's NaN payload survives.
+    volatile float zero = 0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = inf * zero;
+    Matrix m = randomMatrix(rows, cols, rng);
+    for (std::size_t i = 0; i < m.size(); i++) {
+        switch (rng.nextBounded(40)) {
+          case 0: m.data()[i] = nan; break;
+          case 1: m.data()[i] = inf; break;
+          case 2: m.data()[i] = -inf; break;
+          case 3: m.data()[i] = -0.0f; break;
+          case 4: m.data()[i] = 0.0f; break;
+          default: break;
+        }
+    }
+    return m;
+}
+
+TEST(Matmul, TransposedAMatchesDocumentedOrderBitForBit)
+{
+    // Every tile path: narrow (n <= 8, including the gathered c-tail
+    // when cols < 8 and the overlapped one otherwise), wide with exact
+    // and overlapping j-tails, one and several tiles of j-vectors, odd
+    // output-row counts, and batches below, at and past one r-group.
+    Pcg32 rng(45);
+    for (const std::size_t n : {1, 2, 6, 8, 20, 30, 31, 102})
+        for (const std::size_t m : {1, 3, 4, 5, 97, 128})
+            for (const std::size_t cols : {1, 3, 8, 20, 30, 102}) {
+                Matrix a = specialMatrix(m, cols, rng);
+                // C51's delta is zero for every untaken action's atoms:
+                // whole zero columns of A.
+                for (std::size_t c = 1; c < cols; c += 3)
+                    for (std::size_t r = 0; r < m; r++)
+                        a(r, c) = 0.0f;
+                const Matrix b = specialMatrix(m, n, rng);
+                Matrix got = specialMatrix(cols, n, rng);
+                Matrix want = got;
+                a.transposedMatmulAdd(b, got, 0.375f);
+                refTransposedMatmulAdd(a, b, want, 0.375f);
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << "m=" << m << " cols=" << cols << " n=" << n;
+            }
 }
 
 // ---------------------------------------------------------------------
@@ -653,6 +747,231 @@ TEST(DuplicateFold, DqnWithinTolerance)
 TEST(DuplicateFold, C51WithinTolerance)
 {
     expectFoldWithinTolerance<C51Agent>();
+}
+
+// ---------------------------------------------------------------------
+// The minibatch C51 head against the scalar per-row formulas, bit for
+// bit: rows across SIMD lanes, the vectorized projection geometry and
+// the shared per-prediction softmax must not move a single bit.
+// ---------------------------------------------------------------------
+
+/** One transition's C51 Bellman target, row by row: softmax each
+ *  action group, keep the first maximum of the expectations, project
+ *  that distribution under (reward, gamma). */
+void
+refC51Target(const AgentConfig &cfg, const float *evalRow, float reward,
+             float *out)
+{
+    const std::size_t atoms = cfg.atoms;
+    const double delta = (cfg.vmax - cfg.vmin) / (atoms - 1);
+    std::vector<float> d(evalRow, evalRow + cfg.numActions * atoms);
+    std::uint32_t bestA = 0;
+    double bestQ = -1e30;
+    for (std::uint32_t a = 0; a < cfg.numActions; a++) {
+        ml::softmax(d.data() + a * atoms, atoms);
+        double q = 0.0;
+        for (std::size_t i = 0; i < atoms; i++)
+            q += static_cast<double>(d[a * atoms + i]) *
+                 (cfg.vmin + delta * static_cast<double>(i));
+        if (q > bestQ) {
+            bestQ = q;
+            bestA = a;
+        }
+    }
+    const float *p = d.data() + bestA * atoms;
+    if (!std::isfinite(static_cast<double>(reward))) {
+        std::fill_n(out, atoms, std::numeric_limits<float>::quiet_NaN());
+        return;
+    }
+    std::fill_n(out, atoms, 0.0f);
+    for (std::uint32_t i = 0; i < atoms; i++) {
+        const double pi = p[i];
+        if (pi <= 0.0)
+            continue;
+        const double z = cfg.vmin + delta * static_cast<double>(i);
+        const double tz = std::clamp(reward + cfg.gamma * z, cfg.vmin,
+                                     cfg.vmax);
+        const double b = (tz - cfg.vmin) / delta;
+        auto lo = static_cast<std::uint32_t>(std::floor(b));
+        auto hi = static_cast<std::uint32_t>(std::ceil(b));
+        lo = std::min(lo, cfg.atoms - 1);
+        hi = std::min(hi, cfg.atoms - 1);
+        if (lo == hi) {
+            out[lo] += static_cast<float>(pi);
+        } else {
+            out[lo] += static_cast<float>(pi * (hi - b));
+            out[hi] += static_cast<float>(pi * (b - lo));
+        }
+    }
+}
+
+/** One row's C51 loss: cross-entropy of the taken action's softmax
+ *  against the target, gradient times weight added into @p gradRow. */
+double
+refC51Loss(const AgentConfig &cfg, const float *outRow,
+           std::uint32_t action, const float *target, float weight,
+           float *gradRow, float &priority)
+{
+    const std::size_t atoms = cfg.atoms;
+    const ml::Vector logits(outRow + action * atoms,
+                            outRow + (action + 1) * atoms);
+    const ml::Vector t(target, target + atoms);
+    ml::Vector grad;
+    const double loss = ml::softmaxCrossEntropy(logits, t, grad);
+    priority = static_cast<float>(loss);
+    for (std::size_t i = 0; i < atoms; i++)
+        gradRow[action * atoms + i] += grad[i] * weight;
+    return loss;
+}
+
+TEST(C51HeadBatch, TargetsMatchPerRowFormulasBitForBit)
+{
+    AgentConfig cfg;
+    cfg.numActions = 3;
+    C51Head head(cfg);
+    const std::size_t width = head.outputWidth();
+    const std::size_t atoms = cfg.atoms;
+    // 21 rows: two full groups of SIMD lanes and a ragged tail.
+    const std::size_t rows = 21;
+    Pcg32 rng(91);
+    volatile float zero = 0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = inf * zero; // the platform's default NaN
+    std::vector<float> eval(rows * width), rewards(rows);
+    for (auto &v : eval)
+        v = static_cast<float>(rng.nextDouble(-4.0, 4.0));
+    for (auto &r : rewards)
+        r = static_cast<float>(rng.nextDouble(-3.0, 15.0)); // both clamps
+    std::fill_n(eval.data() + 2 * width, width, nan);     // NaN row
+    eval[5 * width + 7] = nan;                            // one NaN logit
+    eval[6 * width + atoms + 3] = inf;                    // inf logit
+    for (std::size_t i = 0; i < width; i++)               // underflow:
+        eval[9 * width + i] = i % 17 ? -150.0f : 0.0f;    // p ~ 1e-65
+    eval[11 * width + 4] = 80.0f; // one atom takes all the mass
+    // An exact tie of expectations between actions 0 and 1 (same peak;
+    // their saturated tails differ but add nothing to q): the first
+    // maximum wins, and the tails show which one was projected.
+    for (std::size_t i = 0; i < width; i++)
+        eval[12 * width + i] = i < atoms ? -80.0f : -100.0f;
+    eval[12 * width + 20] = 80.0f;
+    eval[12 * width + atoms + 20] = 80.0f;
+    eval[12 * width + 2 * atoms + 10] = 80.0f;
+    rewards[4] = nan;
+    rewards[13] = inf;
+    rewards[17] = -inf;
+    rewards[18] = 0.0f;
+    rewards[19] = -0.0f;
+
+    std::vector<float> got(rows * atoms, -1.0f), want(rows * atoms);
+    head.target(eval.data(), nullptr, rewards.data(), rows, got.data());
+    for (std::size_t r = 0; r < rows; r++)
+        refC51Target(cfg, eval.data() + r * width, rewards[r],
+                     want.data() + r * atoms);
+    for (std::size_t r = 0; r < rows; r++)
+        EXPECT_EQ(std::memcmp(got.data() + r * atoms,
+                              want.data() + r * atoms,
+                              atoms * sizeof(float)),
+                  0)
+            << "row " << r;
+
+    // A batch of one gives each row the same bits as inside a batch.
+    std::vector<float> one(atoms);
+    for (std::size_t r = 0; r < rows; r++) {
+        head.target(eval.data() + r * width, nullptr, &rewards[r], 1,
+                    one.data());
+        EXPECT_EQ(std::memcmp(one.data(), got.data() + r * atoms,
+                              atoms * sizeof(float)),
+                  0)
+            << "row " << r;
+    }
+}
+
+TEST(C51HeadBatch, LossMatchesPerRowFormulasBitForBit)
+{
+    AgentConfig cfg;
+    cfg.numActions = 2;
+    C51Head head(cfg);
+    const std::size_t width = head.outputWidth();
+    const std::size_t atoms = cfg.atoms;
+    Pcg32 rng(92);
+    volatile float zero = 0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = inf * zero;
+
+    // Six folded output rows; row 4 is NaN, row 5 underflows most
+    // atoms of action 1 to tiny probabilities (log clamps at 1e-12).
+    const std::size_t outRows = 6;
+    std::vector<float> out(outRows * width);
+    for (auto &v : out)
+        v = static_cast<float>(rng.nextDouble(-3.0, 3.0));
+    std::fill_n(out.data() + 4 * width, width, nan);
+    for (std::size_t i = 0; i < atoms; i++)
+        out[5 * width + atoms + i] = i == 20 ? 60.0f : -60.0f;
+
+    // 19 rows. Rows 0, 1 and 7 repeat the (output row 2, action 1)
+    // prediction with different targets; row 3's target is NaN (a
+    // non-finite reward); row 6's target is one-hot; targets come from
+    // the head itself so their zero/non-zero pattern is realistic.
+    const std::size_t rows = 19;
+    std::vector<std::uint32_t> outRow(rows), actions(rows);
+    std::vector<float> rewards(rows), weights(rows);
+    for (std::size_t r = 0; r < rows; r++) {
+        outRow[r] = rng.nextBounded(outRows);
+        actions[r] = rng.nextBounded(2);
+        rewards[r] = static_cast<float>(rng.nextDouble(-3.0, 15.0));
+        weights[r] = static_cast<float>(rng.nextDouble(0.05, 1.0));
+    }
+    outRow[0] = outRow[1] = outRow[7] = 2;
+    actions[0] = actions[1] = actions[7] = 1;
+    outRow[3] = 0; // keep NaN targets off the NaN output row
+    rewards[3] = nan;
+    outRow[5] = 5;
+    actions[5] = 1;
+    std::vector<float> next(rows * width);
+    for (auto &v : next)
+        v = static_cast<float>(rng.nextDouble(-3.0, 3.0));
+    std::vector<float> targets(rows * atoms);
+    head.target(next.data(), nullptr, rewards.data(), rows,
+                targets.data());
+    std::fill_n(targets.data() + 6 * atoms, atoms, 0.0f);
+    targets[6 * atoms + 10] = 1.0f;
+
+    for (const bool per : {false, true}) {
+        std::vector<float> grad(outRows * width, 0.0f);
+        std::vector<double> losses(rows);
+        std::vector<float> priorities(rows);
+        ValueHead::LossBatch b;
+        b.rows = rows;
+        b.out = out.data();
+        b.outRows = outRows;
+        b.outRow = outRow.data();
+        b.actions = actions.data();
+        b.targets = targets.data();
+        b.weights = per ? weights.data() : nullptr;
+        b.grad = grad.data();
+        b.losses = losses.data();
+        b.priorities = priorities.data();
+        head.loss(b);
+
+        std::vector<float> wantGrad(outRows * width, 0.0f);
+        for (std::size_t r = 0; r < rows; r++) {
+            float priority = 0.0f;
+            const double loss = refC51Loss(
+                cfg, out.data() + outRow[r] * width, actions[r],
+                targets.data() + r * atoms, per ? weights[r] : 1.0f,
+                wantGrad.data() + outRow[r] * width, priority);
+            EXPECT_EQ(std::memcmp(&losses[r], &loss, sizeof loss), 0)
+                << "row " << r << " per " << per;
+            EXPECT_EQ(std::memcmp(&priorities[r], &priority,
+                                  sizeof priority),
+                      0)
+                << "row " << r << " per " << per;
+        }
+        EXPECT_EQ(std::memcmp(grad.data(), wantGrad.data(),
+                              grad.size() * sizeof(float)),
+                  0)
+            << "per " << per;
+    }
 }
 
 } // namespace

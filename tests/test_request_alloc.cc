@@ -8,8 +8,9 @@
  * trace it has already warmed up on. After warm-up (scratch buffers
  * sized, replay ring full, page-metadata table grown to the working
  * set) a steady-state request must perform ZERO heap allocations.
- * Training rounds are excluded by cadence: they run batched GEMMs at
- * their own rhythm and are exercised/covered elsewhere.
+ * The request-path cases keep training rounds out by cadence; the
+ * training cases run synchronous rounds at the default cadence and
+ * hold them to the same zero.
  */
 
 #include <gtest/gtest.h>
@@ -184,6 +185,65 @@ INSTANTIATE_TEST_SUITE_P(Agents, RequestAllocTest,
                                  ? "DQN"
                                  : "C51";
                          });
+
+/** Agent family and replay flavour of a training-round case. */
+struct TrainingCase
+{
+    core::AgentKind kind;
+    bool prioritized;
+};
+
+class TrainingAllocTest : public ::testing::TestWithParam<TrainingCase>
+{
+};
+
+TEST_P(TrainingAllocTest, SteadyStateTrainingRoundsAllocateNothing)
+{
+#if !SIBYL_ALLOC_COUNTING_RELIABLE
+    GTEST_SKIP() << "sanitizer allocator interposes operator new";
+#endif
+    // Synchronous training at the default cadence (a round every 125
+    // requests, a weight sync every 500): sampling, target-cache
+    // refills, the batched forward/backward, the head's loss and the
+    // optimizer step all run inside the measured window.
+    trace::Trace t = trace::makeWorkload("prxy_1", 6000);
+    auto specs = hss::makeHssConfig("H&M", t.uniquePages());
+    hss::HybridSystem sys(std::move(specs), 42);
+    core::SibylConfig cfg;
+    cfg.agentKind = GetParam().kind;
+    cfg.prioritizedReplay = GetParam().prioritized;
+    core::SibylPolicy policy(cfg, sys.numDevices());
+
+    replay(t, sys, policy); // warm-up: fills the ring, sizes scratch
+    const std::uint64_t roundsBefore = policy.agent().stats().trainingRounds;
+    const std::uint64_t allocsBefore = gAllocs;
+    const std::uint64_t freesBefore = gFrees;
+    replay(t, sys, policy);
+    const std::uint64_t allocs = gAllocs - allocsBefore;
+    const std::uint64_t frees = gFrees - freesBefore;
+    const std::uint64_t rounds =
+        policy.agent().stats().trainingRounds - roundsBefore;
+
+    ASSERT_GE(rounds, 10u);
+    EXPECT_EQ(allocs, 0u) << "steady-state training performed " << allocs
+                          << " heap allocations over " << rounds
+                          << " rounds";
+    EXPECT_EQ(frees, 0u) << "steady-state training performed " << frees
+                         << " frees over " << rounds << " rounds";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Agents, TrainingAllocTest,
+    ::testing::Values(TrainingCase{core::AgentKind::C51, false},
+                      TrainingCase{core::AgentKind::C51, true},
+                      TrainingCase{core::AgentKind::Dqn, false},
+                      TrainingCase{core::AgentKind::Dqn, true}),
+    [](const auto &info) {
+        return std::string(info.param.kind == core::AgentKind::Dqn
+                               ? "DQN"
+                               : "C51") +
+            (info.param.prioritized ? "_PER" : "_uniform");
+    });
 
 TEST(RequestAllocTest, CounterSeesOrdinaryAllocations)
 {

@@ -17,6 +17,16 @@ namespace sibyl::rl
 namespace
 {
 
+/** Draw @p n prioritized samples into a fresh vector. */
+std::vector<std::size_t>
+drawPrioritized(const ReplayBuffer &buf, std::size_t n, Pcg32 &rng,
+                double alpha)
+{
+    std::vector<std::size_t> out;
+    buf.samplePrioritizedIndices(n, rng, alpha, out);
+    return out;
+}
+
 Experience
 exp1(float s, std::uint32_t a, float r, float ns)
 {
@@ -315,7 +325,7 @@ TEST(PrioritizedReplay, SamplingFollowsPriorities)
     buf.setPriority(2, 0.001f);
     buf.setPriority(3, 0.001f);
     Pcg32 rng(9);
-    const auto idx = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    const auto idx = drawPrioritized(buf, 2000, rng, 1.0);
     std::size_t hits = 0;
     for (auto i : idx)
         hits += i == 0 ? 1 : 0;
@@ -333,7 +343,7 @@ TEST(PrioritizedReplay, AlphaZeroIsUniform)
     }
     buf.setPriority(0, 1000.0f);
     Pcg32 rng(9);
-    const auto idx = buf.samplePrioritizedIndices(4000, rng, 0.0);
+    const auto idx = drawPrioritized(buf, 4000, rng, 0.0);
     std::vector<std::size_t> counts(4, 0);
     for (auto i : idx)
         counts[i]++;

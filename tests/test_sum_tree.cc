@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the sum-tree prioritized sampler: structural invariants,
- * distribution equivalence with the reference prefix-sum sampler
+ * distribution equivalence with a reference prefix-sum sampler
  * (chi-squared on a fixed seed), priority-update propagation, and the
  * O(1)-aggregate importance weights against a brute-force recompute.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -29,6 +30,42 @@ makeExp(float tag)
     e.action = 0;
     e.reward = tag;
     return e;
+}
+
+/** Draw @p n prioritized samples into a fresh vector. */
+std::vector<std::size_t>
+drawPrioritized(const ReplayBuffer &buf, std::size_t n, Pcg32 &rng,
+                double alpha)
+{
+    std::vector<std::size_t> out;
+    buf.samplePrioritizedIndices(n, rng, alpha, out);
+    return out;
+}
+
+/**
+ * Reference prioritized sampler: an O(N) prefix-sum array over the
+ * sampling mass priority(i)^alpha + 1e-8, drawn by lower_bound — the
+ * pre-sum-tree implementation, rebuilt from the public API.
+ */
+std::vector<std::size_t>
+drawPrefixSum(const ReplayBuffer &buf, std::size_t n, Pcg32 &rng,
+              double alpha)
+{
+    std::vector<std::size_t> out;
+    if (buf.size() == 0)
+        return out;
+    std::vector<double> cum(buf.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < buf.size(); i++) {
+        total += std::pow(static_cast<double>(buf.priority(i)), alpha) + 1e-8;
+        cum[i] = total;
+    }
+    for (std::size_t k = 0; k < n; k++) {
+        const double u = rng.nextDouble() * total;
+        const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+        out.push_back(static_cast<std::size_t>(it - cum.begin()));
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------
@@ -125,9 +162,8 @@ TEST(PrioritizedSumTree, MatchesPrefixSumDistribution)
     const std::size_t n = 40000;
     Pcg32 rngTree(2024);
     Pcg32 rngPrefix(2024);
-    const auto treeDraws = buf.samplePrioritizedIndices(n, rngTree, alpha);
-    const auto prefixDraws =
-        buf.samplePrioritizedIndicesPrefixSum(n, rngPrefix, alpha);
+    const auto treeDraws = drawPrioritized(buf, n, rngTree, alpha);
+    const auto prefixDraws = drawPrefixSum(buf, n, rngPrefix, alpha);
 
     // df = 7; chi² > 24.3 would reject at p = 0.001. Fixed seed, so
     // this is deterministic, not flaky.
@@ -151,9 +187,9 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 
     Pcg32 rng(7);
     // Prime the tree under alpha=1, then shift all mass to entry 3.
-    buf.samplePrioritizedIndices(10, rng, 1.0);
+    drawPrioritized(buf, 10, rng, 1.0);
     buf.setPriority(3, 1e6f);
-    const auto draws = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    const auto draws = drawPrioritized(buf, 2000, rng, 1.0);
     std::size_t hits = 0;
     for (std::size_t i : draws)
         hits += i == 3;
@@ -161,7 +197,7 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 
     // And back down again: the update must propagate both directions.
     buf.setPriority(3, 1e-6f);
-    const auto draws2 = buf.samplePrioritizedIndices(2000, rng, 1.0);
+    const auto draws2 = drawPrioritized(buf, 2000, rng, 1.0);
     std::size_t hits2 = 0;
     for (std::size_t i : draws2)
         hits2 += i == 3;
@@ -174,12 +210,12 @@ TEST(PrioritizedSumTree, RingOverwriteUpdatesTree)
     buf.add(makeExp(0.0f));
     buf.add(makeExp(1.0f));
     Pcg32 rng(9);
-    buf.samplePrioritizedIndices(1, rng, 1.0); // key the tree
+    drawPrioritized(buf, 1, rng, 1.0); // key the tree
     buf.setPriority(0, 1e-6f);
     buf.setPriority(1, 1e-6f);
     // Overwrites slot 0 with a fresh max-priority (1.0) entry.
     buf.add(makeExp(2.0f));
-    const auto draws = buf.samplePrioritizedIndices(1000, rng, 1.0);
+    const auto draws = drawPrioritized(buf, 1000, rng, 1.0);
     std::size_t hits = 0;
     for (std::size_t i : draws)
         hits += i == 0;
@@ -194,14 +230,14 @@ TEST(PrioritizedSumTree, AlphaSwitchRekeysTree)
     buf.setPriority(0, 100.0f);
 
     Pcg32 rng(11);
-    const auto skewed = buf.samplePrioritizedIndices(4000, rng, 1.0);
+    const auto skewed = drawPrioritized(buf, 4000, rng, 1.0);
     std::size_t hits = 0;
     for (std::size_t i : skewed)
         hits += i == 0;
     EXPECT_GT(hits, 3500u);
 
     // alpha = 0 flattens the distribution regardless of priorities.
-    const auto uniform = buf.samplePrioritizedIndices(4000, rng, 0.0);
+    const auto uniform = drawPrioritized(buf, 4000, rng, 0.0);
     std::vector<std::size_t> counts(4, 0);
     for (std::size_t i : uniform)
         counts[i]++;
