@@ -4,8 +4,9 @@
  * batched GEMM path vs. the legacy per-sample path for the DQN and
  * C51 agents at batchSize in {8, 32, 128}, with uniform and
  * prioritized (sum-tree) replay. Prints a table of gradient steps per
- * second and the batched/per-sample speedup, and emits the same
- * numbers to BENCH_train.json for regression tracking.
+ * second and the batched/per-sample speedup, then a table of GEMM
+ * kernel throughput (GMAC/s) on the C51 agent's own layer shapes, and
+ * emits the same numbers to BENCH_train.json for regression tracking.
  */
 
 #include <algorithm>
@@ -15,9 +16,11 @@
 #include <iostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_util.hh"
 #include "common/table.hh"
+#include "ml/matrix.hh"
 #include "rl/c51_agent.hh"
 #include "rl/dqn_agent.hh"
 
@@ -120,6 +123,98 @@ fmt2(double v)
     return buf;
 }
 
+ml::Matrix
+randomMatrix(std::size_t rows, std::size_t cols, Pcg32 &rng)
+{
+    ml::Matrix m(rows, cols);
+    for (std::size_t i = 0; i < m.size(); i++)
+        m.data()[i] = static_cast<float>(rng.nextDouble(-1.0, 1.0));
+    return m;
+}
+
+/**
+ * GMAC/s of one GEMM call on fixed operands: best of five windows of
+ * at least 20 ms each, repeating the call into the same output.
+ */
+template <typename Gemm>
+double
+gmacPerSec(std::size_t macs, Gemm &&gemm)
+{
+    using Clock = std::chrono::steady_clock;
+    gemm(); // warm up caches
+    double best = 0.0;
+    for (int t = 0; t < 5; t++) {
+        std::size_t calls = 0;
+        const auto start = Clock::now();
+        double elapsed = 0.0;
+        do {
+            gemm();
+            calls++;
+            elapsed = std::chrono::duration<double>(Clock::now() - start)
+                          .count();
+        } while (elapsed < 0.02);
+        best = std::max(best, static_cast<double>(calls * macs) / elapsed);
+    }
+    return best / 1e9;
+}
+
+/**
+ * Kernel section: the three GEMMs of a batched dense layer, timed on
+ * the default C51 agent's layers (stateDim -> hidden -> actions x
+ * atoms) at minibatch-sized row counts. forward is
+ * preAct += in * W^T and gradIn = delta * W (both Matrix::matmulAdd);
+ * gradW += delta^T * in is Matrix::transposedMatmulAdd. The first
+ * layer has no gradIn: the network never propagates into its input.
+ */
+void
+kernelSection(bench::BenchJson &json)
+{
+    const rl::AgentConfig cfg;
+    std::vector<std::size_t> widths = {cfg.stateDim};
+    widths.insert(widths.end(), cfg.hidden.begin(), cfg.hidden.end());
+    widths.push_back(std::size_t{cfg.numActions} * cfg.atoms);
+
+    TextTable tab;
+    tab.header({"rows", "layer", "forward GMAC/s", "gradIn GMAC/s",
+                "gradW GMAC/s"});
+    Pcg32 rng(0x6E33);
+    for (const std::size_t rows : {32, 96, 128}) {
+        for (std::size_t l = 0; l + 1 < widths.size(); l++) {
+            const std::size_t in = widths[l], out = widths[l + 1];
+            const ml::Matrix x = randomMatrix(rows, in, rng);
+            const ml::Matrix w = randomMatrix(out, in, rng);
+            const ml::Matrix wT = randomMatrix(in, out, rng);
+            const ml::Matrix delta = randomMatrix(rows, out, rng);
+            ml::Matrix preAct = randomMatrix(rows, out, rng);
+            ml::Matrix gradW = randomMatrix(out, in, rng);
+            ml::Matrix gradIn;
+            const std::size_t macs = rows * in * out;
+
+            const double fwd = gmacPerSec(
+                macs, [&] { x.matmulAdd(wT, preAct); });
+            const double gw = gmacPerSec(
+                macs, [&] { delta.transposedMatmulAdd(x, gradW, 1.0f); });
+            const double gi =
+                l == 0 ? 0.0
+                       : gmacPerSec(macs, [&] { delta.matmul(w, gradIn); });
+
+            const std::string layer =
+                std::to_string(in) + "x" + std::to_string(out);
+            tab.addRow({std::to_string(rows), layer, fmt2(fwd),
+                        l == 0 ? "-" : fmt2(gi), fmt2(gw)});
+            const std::string base =
+                "_r" + std::to_string(rows) + "_" + layer + "_gmac_per_sec";
+            json.add("kernel_forward" + base, fwd);
+            if (l != 0)
+                json.add("kernel_gradin" + base, gi);
+            json.add("kernel_gradw" + base, gw);
+        }
+    }
+    std::printf("\nGEMM kernels on the C51 agent's layer shapes "
+                "(best of 5 windows):\n");
+    tab.print(std::cout);
+}
+
 } // namespace
 
 int
@@ -167,6 +262,7 @@ main()
     }
 
     tab.print(std::cout);
+    kernelSection(json);
     if (json.writeTo("BENCH_train.json"))
         std::printf("\nwrote BENCH_train.json\n");
     else

@@ -64,31 +64,35 @@ class Matrix
     const float *row(std::size_t r) const { return data_.data() + r * cols_; }
 
     /**
-     * out = A * B. Requires cols == b.rows. Register-blocked (2 output
-     * rows x 4 reduction steps) with contiguous j-inner loops that
-     * compile to FMA vector code; tuned for this codebase's small,
-     * skinny operands. @p out must not alias A or B.
+     * out = A * B. Requires cols == b.rows. Zero-fills @p out, then
+     * runs matmulAdd(). @p out must not alias A or B.
      */
     void matmul(const Matrix &b, Matrix &out) const;
 
     /**
-     * out += A * B: same kernel as matmul() but accumulating into the
-     * caller-initialized @p out (already sized rows x b.cols). Lets the
-     * dense-layer forward seed the output with the broadcast bias and
-     * skip both the zero fill and a separate bias sweep.
+     * out += A * B: accumulates into the caller-initialized @p out
+     * (already sized rows x b.cols), which lets the dense-layer forward
+     * seed the output with the broadcast bias and skip both the zero
+     * fill and a separate bias sweep. @p out must not alias A or B.
+     *
+     * Each output element has one documented operation order, which
+     * the memcmp tests pin. With n = b.cols <= 4: the element's initial
+     * value, then one add of A[i, k] * B[k, j] per ascending k. With
+     * n >= 5: the initial value, then one add per k-group of eight,
+     * each group a zero-seeded sequential sum of its eight products;
+     * then one add per k-group of four,
+     * (a0*b0 + a1*b1) + (a2*b2 + a3*b3); then, for two or three
+     * leftover steps, one add of (a0*b0 + a1*b1) + a2*b2, where two
+     * steps use a2 = 0 and b2 = b1 (so an infinite or NaN b1 makes the
+     * term NaN); or, for one leftover step, one add of a*b. When
+     * n >= 5 the kernel holds output tiles in registers across the
+     * whole reduction (four rows, then single rows, x up to four
+     * native-width column vectors); the tiling never changes an
+     * element's order, so every row of a batch is summed alike and a
+     * row's result does not depend on the batch it came in (the
+     * agents' Bellman-target caches rely on this).
      */
     void matmulAdd(const Matrix &b, Matrix &out) const;
-
-    /**
-     * out = A * B^T. Requires cols == b.cols. General NT product whose
-     * inner loop runs over the shared contiguous dimension with a bank
-     * of independent accumulators so it vectorizes without -ffast-math.
-     * (The batched dense forward uses matmulAdd() against a cached
-     * W^T instead — the dot-product shape cannot fill vector lanes on
-     * this codebase's tiny fan-ins — but this kernel is the right one
-     * when both operands are row-major views of the same long axis.)
-     */
-    void matmulTransposed(const Matrix &b, Matrix &out) const;
 
     /**
      * out += scale * A^T * B. Requires rows == b.rows and
@@ -104,9 +108,9 @@ class Matrix
      * With n <= 8: a zero-seeded sum over ascending r of
      * (A[r, c] * scale) * B[r, j], added to the element once. The
      * kernel holds output tiles in registers across the batch (two
-     * rows x up to four 8-lane column vectors when n > 8, eight rows
-     * across the lanes when n <= 8); the tiling never changes an
-     * element's order.
+     * rows x up to four native-width column vectors when n > 8, one
+     * native vector of rows across the lanes when n <= 8); the tiling
+     * never changes an element's order.
      */
     void transposedMatmulAdd(const Matrix &b, Matrix &out,
                              float scale) const;
@@ -135,9 +139,6 @@ class Matrix
 
     /** A += scale * B (element-wise). */
     void addScaled(const Matrix &b, float scale);
-
-    /** Frobenius norm. */
-    float norm() const;
 
   private:
     std::size_t rows_ = 0;

@@ -74,29 +74,6 @@ TEST(Matmul, MatchesNaive)
     }
 }
 
-TEST(Matmul, TransposedBMatchesNaive)
-{
-    Pcg32 rng(43);
-    for (auto [m, k, n] : {std::array<std::size_t, 3>{3, 5, 7},
-                           {1, 9, 1},
-                           {13, 21, 11},
-                           {32, 6, 102}}) {
-        Matrix a = randomMatrix(m, k, rng);
-        Matrix b = randomMatrix(n, k, rng); // used as B^T
-        Matrix c;
-        a.matmulTransposed(b, c);
-        ASSERT_EQ(c.rows(), m);
-        ASSERT_EQ(c.cols(), n);
-        for (std::size_t i = 0; i < m; i++)
-            for (std::size_t j = 0; j < n; j++) {
-                float ref = 0.0f;
-                for (std::size_t kk = 0; kk < k; kk++)
-                    ref += a(i, kk) * b(j, kk);
-                expectClose(c(i, j), ref, "matmulTransposed");
-            }
-    }
-}
-
 TEST(Matmul, TransposedAAccumulates)
 {
     Pcg32 rng(44);
@@ -184,9 +161,10 @@ TEST(Matmul, TransposedAMatchesDocumentedOrderBitForBit)
     // and overlapping j-tails, one and several tiles of j-vectors, odd
     // output-row counts, and batches below, at and past one r-group.
     Pcg32 rng(45);
-    for (const std::size_t n : {1, 2, 6, 8, 20, 30, 31, 102})
+    for (const std::size_t n : {1, 2, 6, 8, 15, 16, 17, 20, 30, 31, 33, 102})
         for (const std::size_t m : {1, 3, 4, 5, 97, 128})
-            for (const std::size_t cols : {1, 3, 8, 20, 30, 102}) {
+            for (const std::size_t cols :
+                 {1, 3, 8, 15, 16, 17, 20, 30, 102}) {
                 Matrix a = specialMatrix(m, cols, rng);
                 // C51's delta is zero for every untaken action's atoms:
                 // whole zero columns of A.
@@ -202,6 +180,78 @@ TEST(Matmul, TransposedAMatchesDocumentedOrderBitForBit)
                                       got.size() * sizeof(float)),
                           0)
                     << "m=" << m << " cols=" << cols << " n=" << n;
+            }
+}
+
+/**
+ * Scalar reference for Matrix::matmulAdd() in its documented
+ * per-element order. n <= 4: the initial output value plus
+ * A[i, k] * B[k, j] over ascending k. n >= 5: the initial value, then
+ * one add per k-group of eight (a zero-seeded sequential partial sum),
+ * one add per k-group of four, (a0*b0 + a1*b1) + (a2*b2 + a3*b3), then
+ * (a0*b0 + a1*b1) + a2*b2 for two or three leftover steps (a2 = 0 and
+ * b2 = b1 when only two are left) or a*b for one.
+ */
+void
+refMatmulAdd(const Matrix &a, const Matrix &b, Matrix &out)
+{
+    const std::size_t k = a.cols(), n = b.cols();
+    for (std::size_t i = 0; i < a.rows(); i++)
+        for (std::size_t j = 0; j < n; j++) {
+            float o = out(i, j);
+            std::size_t kk = 0;
+            if (n <= 4) {
+                for (; kk < k; kk++)
+                    o += a(i, kk) * b(kk, j);
+                out(i, j) = o;
+                continue;
+            }
+            for (; kk + 8 <= k; kk += 8) {
+                float s = 0.0f;
+                for (std::size_t u = 0; u < 8; u++)
+                    s += a(i, kk + u) * b(kk + u, j);
+                o += s;
+            }
+            for (; kk + 4 <= k; kk += 4)
+                o += (a(i, kk) * b(kk, j) + a(i, kk + 1) * b(kk + 1, j)) +
+                     (a(i, kk + 2) * b(kk + 2, j) +
+                      a(i, kk + 3) * b(kk + 3, j));
+            if (kk + 2 <= k) {
+                const bool three = kk + 3 <= k;
+                const float a2 = three ? a(i, kk + 2) : 0.0f;
+                const float b2 = b(three ? kk + 2 : kk + 1, j);
+                o += (a(i, kk) * b(kk, j) + a(i, kk + 1) * b(kk + 1, j)) +
+                     a2 * b2;
+            } else if (kk < k) {
+                o += a(i, kk) * b(kk, j);
+            }
+            out(i, j) = o;
+        }
+}
+
+TEST(Matmul, AddMatchesDocumentedOrderBitForBit)
+{
+    // Both regimes (sequential n <= 4, grouped n >= 5), widths below,
+    // at and past one vector of every lane count with exact and
+    // overlapping j-tails, every k-leftover combination (including the
+    // 0.0f * b1 term of a two-step tail, which turns an infinite b1
+    // into NaN), and row counts below, at and past one row tile.
+    Pcg32 rng(46);
+    for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20, 30,
+                                31, 33, 102})
+        for (const std::size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 20,
+                                    30, 102})
+            for (const std::size_t m : {1, 2, 3, 4, 5, 7, 97, 128}) {
+                const Matrix a = specialMatrix(m, k, rng);
+                const Matrix b = specialMatrix(k, n, rng);
+                Matrix got = specialMatrix(m, n, rng);
+                Matrix want = got;
+                a.matmulAdd(b, got);
+                refMatmulAdd(a, b, want);
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(float)),
+                          0)
+                    << "m=" << m << " k=" << k << " n=" << n;
             }
 }
 
