@@ -1,12 +1,16 @@
 #include "ml/activations.hh"
 
 #include "ml/kernel_dispatch.hh"
+#include "ml/simd.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstdint>
+
+// The vector helpers and kernels below pass vectors only between
+// force-inlined functions, so GCC's vector ABI note for builds without
+// AVX does not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace sibyl::ml
 {
@@ -20,66 +24,9 @@ sigmoidf(float x)
     return 1.0f / (1.0f + std::exp(-x));
 }
 
-/**
- * Branch-free polynomial expf (Cephes-style, ~2e-7 relative error).
- * Every operation — the FMA chain, the magic-number round-to-nearest,
- * the integer exponent clamp, and the bit-cast 2^n scale — maps onto
- * baseline SSE2 instructions, so GCC auto-vectorizes the batched
- * activation sweeps that call it. libm's expf is branchy and keeps
- * those loops scalar, which capped the batched training engine's
- * speedup before this kernel existed. (A float-domain input clamp
- * would reintroduce control flow GCC refuses to if-convert without
- * -ffast-math, hence the clamp on the integer exponent instead:
- * out-of-range inputs saturate to ~2^-126 / ~2^127 rather than 0/inf,
- * which every consumer — sigmoid, swish, softmax — treats the same.
- * Inputs beyond |x| ~ 5.8e6 would overflow the rounding trick, far
- * outside any finite network pre-activation this code ever sees.)
- */
-inline float
-fastExpf(float x)
-{
-    constexpr float kLog2e = 1.44269504088896341f;
-    constexpr float kLn2Hi = 0.693359375f;
-    constexpr float kLn2Lo = -2.12194440e-4f;
-    constexpr float kRound = 12582912.0f; // 1.5 * 2^23
-    constexpr std::int32_t kRoundBits = 0x4B400000;
-
-    // Round x*log2(e) to the nearest integer n without cvt/floor: adding
-    // 1.5*2^23 pins the float's exponent so the mantissa's low bits ARE
-    // the integer, in round-to-nearest-even mode.
-    const float t = x * kLog2e + kRound;
-    const float n = t - kRound;
-    std::int32_t i = std::bit_cast<std::int32_t>(t) - kRoundBits;
-    i = i < -126 ? -126 : i;
-    i = i > 127 ? 127 : i;
-
-    // exp(x) = 2^n * exp(r), r = x - n*ln2 in [-ln2/2, ln2/2].
-    float r = x - n * kLn2Hi;
-    r -= n * kLn2Lo;
-    float p = 1.9875691500e-4f;
-    p = p * r + 1.3981999507e-3f;
-    p = p * r + 8.3334519073e-3f;
-    p = p * r + 4.1665795894e-2f;
-    p = p * r + 1.6666665459e-1f;
-    p = p * r + 5.0000001201e-1f;
-    p = p * r * r + r + 1.0f;
-
-    const float scale = std::bit_cast<float>((i + 127) << 23); // 2^n
-    return p * scale;
-}
-
-inline float
-fastSigmoidf(float x)
-{
-    return 1.0f / (1.0f + fastExpf(-x));
-}
-
-inline float
-fastTanhf(float x)
-{
-    // tanh(x) = 1 - 2/(e^(2x) + 1); ~2e-7 absolute error.
-    return 1.0f - 2.0f / (fastExpf(2.0f * x) + 1.0f);
-}
+using simd::fastExpf;
+using simd::fastSigmoidf;
+using simd::fastTanhf;
 
 } // namespace
 
@@ -367,38 +314,111 @@ softmaxScale(float *v, float sum, std::size_t n)
         v[i] /= sum;
 }
 
+/** Lane-wise first maximum: @p y replaces @p m only when strictly
+ *  greater, so a NaN in @p m sticks and a NaN in @p y is skipped. */
+template <typename V>
+[[gnu::always_inline]] inline V
+firstMax(V m, V y)
+{
+    return m < y ? y : m;
+}
+
+/** @p x repeated across W lanes (W a multiple of L). */
+template <std::size_t L, std::size_t W>
+[[gnu::always_inline]] inline simd::Vec<W>
+repeatLanes(simd::Vec<L> x)
+{
+    simd::Vec<W> r;
+    for (std::size_t j = 0; j < W; j++)
+        r[j] = x[j % L];
+    return r;
+}
+
+/** Fold the W / L lane groups of @p acc, each a running maximum of
+ *  the same L groups, into one L-lane maximum. */
+template <std::size_t L, std::size_t W>
+[[gnu::always_inline]] inline simd::Vec<L>
+foldMax(simd::Vec<W> acc)
+{
+    if constexpr (W == L) {
+        return acc;
+    } else {
+        constexpr std::size_t H = W / 2;
+        simd::Vec<H> lo, hi;
+        for (std::size_t j = 0; j < H; j++) {
+            lo[j] = acc[j];
+            hi[j] = acc[H + j];
+        }
+        return foldMax<L, H>(firstMax(lo, hi));
+    }
+}
+
+/**
+ * softmaxLanes() with the elementwise steps on W-lane vectors (W a
+ * multiple of L, n * L >= W): each W-lane vector holds W / L
+ * consecutive elements of all L groups. Only the sum is a serial chain
+ * per group, run on L lanes in ascending element order.
+ *
+ * The maximum is a tree over the W-lane vectors, seeded with every
+ * group's first element. That finds the first maximum's value: a
+ * group whose first element is NaN keeps that NaN in every partial
+ * maximum, and otherwise no partial maximum is ever NaN. Among equal
+ * values it may keep the other zero's sign, which changes no result:
+ * e - (+0) and e - (-0) differ only when e is a zero, and fastExpf
+ * maps both zeros to the same bits.
+ */
+template <std::size_t L, std::size_t W>
+[[gnu::always_inline]] inline void
+softmaxLanesBy(float *v, std::size_t n)
+{
+    using VL = simd::Vec<L>;
+    using VW = simd::Vec<W>;
+    using simd::vecAt;
+    const std::size_t total = n * L;
+    const std::size_t whole = total - total % W;
+
+    VW acc = repeatLanes<L, W>(vecAt<L>(v));
+    for (std::size_t i = 0; i < whole; i += W)
+        acc = firstMax(acc, VW(vecAt<W>(v + i)));
+    if (whole < total) // the last W elements, overlapping; read only
+        acc = firstMax(acc, VW(vecAt<W>(v + total - W)));
+    const VL mx = foldMax<L, W>(acc);
+
+    const VW mxW = repeatLanes<L, W>(mx);
+    for (std::size_t i = 0; i < whole; i += W)
+        vecAt<W>(v + i) = fastExpf(VW(vecAt<W>(v + i)) - mxW);
+    for (std::size_t i = whole; i < total; i += L)
+        vecAt<L>(v + i) = fastExpf(VL(vecAt<L>(v + i)) - mx);
+
+    VL sum = VL{};
+    for (std::size_t i = 0; i < total; i += L)
+        sum += vecAt<L>(v + i);
+    sum = sum <= VL{} ? VL{} + 1.0f : sum;
+
+    const VW sumW = repeatLanes<L, W>(sum);
+    for (std::size_t i = 0; i < whole; i += W)
+        vecAt<W>(v + i) /= sumW;
+    for (std::size_t i = whole; i < total; i += L)
+        vecAt<L>(v + i) /= sum;
+}
+
 } // namespace
 
-SIBYL_KERNEL_CLONES
-void
+template <std::size_t L>
+SIBYL_KERNEL_CLONES void
 softmaxLanes(float *v, std::size_t n)
 {
-    constexpr std::size_t L = kSoftmaxLanes;
-    if (n == 0)
-        return;
-    // std::max_element's first maximum, lane by lane: a later element
-    // replaces the running maximum only when strictly greater, so a
-    // leading NaN sticks and later NaNs are skipped.
-    float mx[L], sum[L];
-    for (std::size_t l = 0; l < L; l++)
-        mx[l] = v[l];
-    for (std::size_t i = 1; i < n; i++)
-        for (std::size_t l = 0; l < L; l++)
-            mx[l] = mx[l] < v[i * L + l] ? v[i * L + l] : mx[l];
-    for (std::size_t i = 0; i < n; i++)
-        for (std::size_t l = 0; l < L; l++)
-            v[i * L + l] = fastExpf(v[i * L + l] - mx[l]);
-    for (std::size_t l = 0; l < L; l++)
-        sum[l] = 0.0f;
-    for (std::size_t i = 0; i < n; i++)
-        for (std::size_t l = 0; l < L; l++)
-            sum[l] += v[i * L + l];
-    for (std::size_t l = 0; l < L; l++)
-        sum[l] = sum[l] <= 0.0f ? 1.0f : sum[l];
-    for (std::size_t i = 0; i < n; i++)
-        for (std::size_t l = 0; l < L; l++)
-            v[i * L + l] /= sum[l];
+    // Groups too short to fill one native vector (fewer than 8 atoms
+    // for 2 lanes) run on L-lane vectors throughout.
+    if (n * L >= simd::kLanes)
+        softmaxLanesBy<L, simd::kLanes>(v, n);
+    else if (n > 0)
+        softmaxLanesBy<L, L>(v, n);
 }
+
+template void softmaxLanes<2>(float *v, std::size_t n);
+template void softmaxLanes<4>(float *v, std::size_t n);
+template void softmaxLanes<8>(float *v, std::size_t n);
 
 void
 softmax(float *v, std::size_t n)

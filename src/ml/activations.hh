@@ -80,17 +80,23 @@ void softmax(Vector &v);
 /** In-place softmax over a raw span (batched C51 head groups). */
 void softmax(float *v, std::size_t n);
 
-/** Rows per softmaxLanes() call: one SIMD lane each. */
+/** Lane count of the training-side softmaxLanes() calls: eight rows
+ *  per call. */
 constexpr std::size_t kSoftmaxLanes = 8;
 
 /**
- * Softmax of kSoftmaxLanes rows of @p n elements at once, stored
- * interleaved: element i of row l lives at v[i * kSoftmaxLanes + l].
- * Each row runs softmax()'s exact sequence in its own SIMD lane — the
- * first maximum, the same exp, the ascending sum, the division — so
- * its result is bit-identical to softmax() on that row alone, while
- * the serial max and sum chains of the eight rows overlap.
+ * Softmax of L groups of @p n elements at once, stored interleaved:
+ * element i of group l lives at v[i * L + l]. Each group gets
+ * softmax()'s exact result bits — the first maximum's value, the same
+ * exp, the ascending sum, the division — while the serial sum chains
+ * of the L groups overlap in the lanes of one vector. The maximum, the
+ * exp and the division run on native-width vectors holding several
+ * elements of every group; the maximum is a tree, which finds the
+ * same value (see activations.cc). Instantiated for L = 2, 4 and 8:
+ * the C51 decision decode puts one row's actions across 2, 4 or 8
+ * lanes, the training head eight rows.
  */
+template <std::size_t L>
 void softmaxLanes(float *v, std::size_t n);
 
 /** Softmax over consecutive groups of @p groupSize elements (C51 heads). */

@@ -10,15 +10,17 @@
  * This is safe for bit-exactness because SIMD lanes only ever hold
  * independent outputs, each accumulated in a fixed order: vector
  * width changes how many outputs advance together, never the order of
- * operations within one. That covers both lane layouts in use — output
+ * operations within one. That covers every lane layout in use — output
  * columns across lanes (the matmulAdd register tile, the wide
- * weight-gradient tile, the row j-sweeps, the C51 projection geometry
- * over atoms) and output rows across lanes (the narrow weight-gradient
- * tile, softmaxLanes). The same argument fixes the lane count of both
- * GEMM tile families (matrix.cc's kLanes): one native vector of the
- * compile target, 16 when it has AVX-512F and 8 otherwise (portable
- * builds and their AVX2 clones); a row narrower than one vector runs
- * on 8 or 4 lanes instead. The
+ * weight-gradient tile, the fused row tile of Matrix::denseRow with its
+ * bias and activation, the C51 projection geometry over atoms), output
+ * rows across lanes (the narrow weight-gradient tile, the training-side
+ * softmaxLanes), and actions across lanes (the C51 decision decode's
+ * softmaxLanes and expectation, 2, 4 or 8 lanes by action count). The
+ * same argument fixes the lane count of the register tiles (simd.hh's
+ * kLanes): one native vector of the compile target, 16 when it has
+ * AVX-512F and 8 otherwise (portable builds and their AVX2 clones); a
+ * row narrower than one vector runs on 8 or 4 lanes instead. The
  * explicit GCC vector types some kernels use are lane-wise IEEE
  * operations too, lowered to SSE pairs on baseline x86-64. And
  * target("avx2") does not enable FMA contraction (the clone has no

@@ -38,44 +38,25 @@ DenseLayer::forward(const Vector &in, Vector &out)
     assert(in.size() == inSize());
     // assign() reuses lastIn_'s capacity; plain `lastIn_ = in` would too,
     // but be explicit that this path must not allocate at steady state.
+    // Reading the copy keeps in == out callers safe.
     lastIn_.assign(in.begin(), in.end());
-    // Zero-seeded sequential-order accumulate against the cached W^T,
-    // bias added last: bit-identical to the historical matvec form
-    // (same adds, same order per element), but SIMD across outputs.
     ensureWeightsT();
-    preAct_.assign(outSize(), 0.0f);
-    weightsT_.mulAddRow(in.data(), preAct_.data());
-    for (std::size_t i = 0; i < preAct_.size(); i++)
-        preAct_[i] += bias_[i];
-    activate(act_, preAct_, out);
+    preAct_.resize(outSize());
+    out.resize(outSize());
+    weightsT_.denseRow(lastIn_.data(), bias_.data(), act_, out.data(),
+                       preAct_.data());
 }
 
 void
 DenseLayer::inferRow(const float *in, float *out)
 {
-    // Same arithmetic, in the same per-element order, as
-    // forward(Vector) above — so routing selectAction through this
+    // The same fused kernel as forward(Vector) above, minus the
+    // pre-activation store, so routing selectAction through this
     // cache-free path changes no decision bit relative to the
     // historical per-sample forward the golden trajectories are
-    // pinned to. (The batched kernels sum in a k-grouped order and
-    // agree only to tolerance; batched rows remain composition-
-    // independent among themselves, which the training-target caches
-    // rely on.)
-    const std::size_t n = outSize();
-    rowPre_.resize(n);
-    inferRowPreAct(in, rowPre_.data());
-    activate(act_, rowPre_.data(), out, n);
-}
-
-void
-DenseLayer::inferRowPreAct(const float *in, float *out)
-{
+    // pinned to.
     ensureWeightsT();
-    const std::size_t n = outSize();
-    std::fill(out, out + n, 0.0f);
-    weightsT_.mulAddRow(in, out);
-    for (std::size_t j = 0; j < n; j++)
-        out[j] += bias_[j];
+    weightsT_.denseRow(in, bias_.data(), act_, out);
 }
 
 void

@@ -15,6 +15,11 @@ namespace sibyl::ml
 /**
  * Dense layer: out = f(W x + b).
  *
+ * Single-row paths (forward(Vector), inferRow) compute each output as
+ * a zero-seeded ascending-k sum, then + b, then f (Matrix::denseRow);
+ * batched paths seed the sum with b and add k-groups (see
+ * Matrix::matmulAdd), agreeing with the row paths to float tolerance.
+ *
  * The layer caches its last input and pre-activation so that backward()
  * can be called immediately after forward() on the same sample. Gradients
  * accumulate into gradW/gradB until the optimizer consumes and clears
@@ -38,33 +43,21 @@ class DenseLayer
     /**
      * Single-row inference: out[0..outSize) = f(W in + b) with no
      * backward caches and no effect on any pending per-sample or
-     * batched backward state (it uses its own pre-activation scratch).
-     * Bit-identical to forward(Vector) — the request path's decision
-     * kernel must not change any decision relative to the historical
-     * per-sample forward, because every golden RL trajectory is
-     * pinned to it. (The batched forwards sum in a k-grouped order
-     * and agree with this path to float tolerance; their rows are
-     * composition-independent among themselves, which the training
-     * caches rely on.)
+     * batched backward state. Bit-identical to forward(Vector): both
+     * run Matrix::denseRow() against the cached W^T, so each output is
+     * a zero-seeded sum of in[k] * W[j, k] over ascending k, then
+     * + b[j], then the activation — the per-sample order every golden
+     * RL trajectory is pinned to. (The batched forwards sum in a
+     * k-grouped order and agree with this path to float tolerance;
+     * their rows are composition-independent among themselves, which
+     * the training caches rely on.) Touches no member scratch, so the
+     * fleet's cross-tenant decision batches can run many networks'
+     * rows into one group matrix (see ml::inferRowBatch).
      *
      * @param in  inSize() floats.
      * @param out outSize() floats (may not alias @p in).
      */
     void inferRow(const float *in, float *out);
-
-    /**
-     * Pre-activation half of inferRow(): out[0..outSize) = W in + b
-     * via the same zero-seeded sequential-order accumulate (so a later
-     * elementwise activation sweep over @p out reproduces inferRow()
-     * bit-for-bit). Writes into caller storage and touches no member
-     * scratch — this is what lets the fleet's cross-tenant decision
-     * batches gather many networks' rows into one group matrix and
-     * activate them in a single pass (see ml::inferRowBatch).
-     *
-     * @param in  inSize() floats.
-     * @param out outSize() floats (may not alias @p in).
-     */
-    void inferRowPreAct(const float *in, float *out);
 
     /**
      * Backpropagate @p gradOut (dL/d out) through the cached sample,
@@ -153,9 +146,6 @@ class DenseLayer
     Vector lastIn_;
     Vector preAct_;
     Vector delta_; // per-sample backward scratch (reused, no per-call alloc)
-    Vector rowPre_; // inferRow() pre-activation scratch (independent of
-                    // preAct_ so inferRow never clobbers pending
-                    // backward state)
 
     // Batched-path caches and scratch (reused across training batches).
     const Matrix *lastInBatch_ = nullptr; // see forward(Matrix) warning

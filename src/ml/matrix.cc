@@ -1,10 +1,17 @@
 #include "ml/matrix.hh"
 
+#include "ml/activations.hh"
 #include "ml/kernel_dispatch.hh"
+#include "ml/simd.hh"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+
+// The vector helpers and kernels below pass vectors only between
+// force-inlined functions, so GCC's vector ABI note for builds without
+// AVX does not apply.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace sibyl::ml
 {
@@ -69,98 +76,10 @@ matmulAddNarrow4(const float *a, const float *b, float *c, std::size_t m,
     matmulAddNarrow<4>(a, b, c, m, k);
 }
 
-/**
- * Sequential-order row kernel: out[j] += sum_k x[k] * B(k, j), with
- * each output element accumulated in plain ascending-k order — the
- * exact per-element order of Matrix::matvec() against B^T. SIMD runs
- * ACROSS the independent output elements (j), never across k, so
- * vector width cannot change a bit. This is the decision-path matvec:
- * bit-compatible with the historical per-sample forward that the
- * golden RL trajectories are pinned to, but j-vectorized instead of
- * dot-product-serial.
- */
-SIBYL_KERNEL_CLONES
-void
-seqMulAddRow(const float *__restrict x, const float *__restrict bdata,
-             float *__restrict out, std::size_t kTot, std::size_t n)
-{
-    for (std::size_t k = 0; k < kTot; k++) {
-        const float xv = x[k];
-        const float *brow = bdata + k * n;
-#pragma GCC ivdep
-        for (std::size_t j = 0; j < n; j++)
-            out[j] += xv * brow[j];
-    }
-}
-
-/**
- * Lane count of both register-tiled GEMM families (matmulAdd's
- * mmaTile, transposedMatmulAdd's tmaTile and tmaNarrow): one native
- * vector of the compile target. Lanes only ever hold independent
- * outputs, so the width sets how many outputs advance together, never
- * the order of operations within one (see kernel_dispatch.hh).
- */
-#if defined(__AVX512F__)
-constexpr std::size_t kLanes = 16;
-#else
-constexpr std::size_t kLanes = 8;
-#endif
-
-/**
- * L-lane float vector (GCC vector extension). Lane-wise IEEE
- * arithmetic, so an operation on a vector gives each lane exactly the
- * bits the scalar operation would; a vector wider than the target's
- * registers is lowered to several narrower ops. Loads and stores go
- * through the unaligned, aliasing twin.
- */
-template <std::size_t L>
-struct VecOf
-{
-    typedef float Type __attribute__((vector_size(L * sizeof(float))));
-    typedef float Unaligned
-        __attribute__((vector_size(L * sizeof(float)),
-                       aligned(alignof(float)), may_alias));
-};
-
-template <std::size_t L>
-using Vec = typename VecOf<L>::Type;
-
-template <std::size_t L>
-inline const typename VecOf<L>::Unaligned &
-vecAt(const float *p)
-{
-    return *reinterpret_cast<const typename VecOf<L>::Unaligned *>(p);
-}
-
-template <std::size_t L>
-inline typename VecOf<L>::Unaligned &
-vecAt(float *p)
-{
-    return *reinterpret_cast<typename VecOf<L>::Unaligned *>(p);
-}
-
-/**
- * The next tile of at most J L-lane j-vectors over an n-wide row
- * (n >= L, J >= 2), starting at vector @p v0: writes their column
- * offsets to @p off and returns how many there are. Vectors sit at
- * columns 0, L, 2L, ...; a ragged tail becomes one more full vector
- * ending at column n (overlapping its predecessor), so no lane reads
- * or writes outside the row. The last tile always takes at least two
- * vectors, so an overlapping tail shares a tile with the vector it
- * overlaps: both load the output before either stores it, and both
- * copies of an overlapped lane run identical operations on identical
- * inputs.
- */
-template <std::size_t L, std::size_t J>
-[[gnu::always_inline]] inline std::size_t
-nextVectorTile(std::size_t v0, std::size_t n, std::size_t *off)
-{
-    const std::size_t left = (n + L - 1) / L - v0;
-    const std::size_t nv = left <= J ? left : (left == J + 1 ? J - 1 : J);
-    for (std::size_t v = 0; v < nv; v++)
-        off[v] = std::min((v0 + v) * L, n - L);
-    return nv;
-}
+using simd::kLanes;
+using simd::nextVectorTile;
+using simd::Vec;
+using simd::vecAt;
 
 /**
  * Register tile of matmulAdd() for n >= 5: R output rows x J L-lane
@@ -459,6 +378,163 @@ transposedMatmulAddTiled(const float *__restrict adata,
     }
 }
 
+/**
+ * The activation of the fused row kernel on J L-lane accumulators:
+ * per lane, the bits the activation sweeps (activations.cc) give the
+ * same float, through the same fastExpf. Swish spells out what the
+ * sweeps give a NaN input — its sigmoid's NaN, whose sign the
+ * negation flipped — because which NaN operand of x * s survives
+ * depends on the operand order the compiler picks for the multiply.
+ */
+template <std::size_t L, std::size_t J>
+[[gnu::always_inline]] inline void
+activateTile(Activation act, Vec<L> (&acc)[J])
+{
+    using V = Vec<L>;
+    const V zero = V{};
+    switch (act) {
+      case Activation::Identity:
+        break;
+      case Activation::ReLU:
+        for (std::size_t v = 0; v < J; v++)
+            acc[v] = acc[v] > zero ? acc[v] : zero;
+        break;
+      case Activation::Sigmoid:
+        for (std::size_t v = 0; v < J; v++)
+            acc[v] = simd::fastSigmoidf(acc[v]);
+        break;
+      case Activation::Tanh:
+        for (std::size_t v = 0; v < J; v++)
+            acc[v] = simd::fastTanhf(acc[v]);
+        break;
+      case Activation::Swish:
+        for (std::size_t v = 0; v < J; v++) {
+            const V s = simd::fastSigmoidf(acc[v]);
+            acc[v] = acc[v] == acc[v] ? acc[v] * s : s;
+        }
+        break;
+    }
+}
+
+/**
+ * Fused row tile of denseRow(): J L-lane output vectors at columns
+ * off[0..J) held in registers across the whole fan-in, each element a
+ * zero-seeded sum of x[k] * W^T[k, j] over ascending k, then + bias,
+ * then the activation, stored once (the pre-activation too, when
+ * @p pre is set). An overlapping tail vector recomputes its shared
+ * lanes with identical operations, so both stores write equal bits.
+ */
+template <std::size_t L, std::size_t J>
+[[gnu::always_inline]] inline void
+rowTile(const float *__restrict x, std::size_t k, const float *__restrict w,
+        std::size_t n, const float *__restrict bias, Activation act,
+        float *__restrict out, float *__restrict pre, const std::size_t *off)
+{
+    using V = Vec<L>;
+    V acc[J];
+    for (std::size_t v = 0; v < J; v++)
+        acc[v] = V{};
+    for (std::size_t kk = 0; kk < k; kk++) {
+        const float xk = x[kk];
+        const float *wk = w + kk * n;
+        for (std::size_t v = 0; v < J; v++)
+            acc[v] += xk * vecAt<L>(wk + off[v]);
+    }
+    for (std::size_t v = 0; v < J; v++)
+        acc[v] += vecAt<L>(bias + off[v]);
+    if (pre)
+        for (std::size_t v = 0; v < J; v++)
+            vecAt<L>(pre + off[v]) = acc[v];
+    activateTile<L>(act, acc);
+    for (std::size_t v = 0; v < J; v++)
+        vecAt<L>(out + off[v]) = acc[v];
+}
+
+/** rowTile<L, J> for J = @p nv, the tile's vector count
+ *  (1 <= nv <= JMax). */
+template <std::size_t L, std::size_t JMax, std::size_t J = 1>
+[[gnu::always_inline]] inline void
+rowTileOf(std::size_t nv, const float *x, std::size_t k, const float *w,
+          std::size_t n, const float *bias, Activation act, float *out,
+          float *pre, const std::size_t *off)
+{
+    if constexpr (J < JMax) {
+        if (nv > J) {
+            rowTileOf<L, JMax, J + 1>(nv, x, k, w, n, bias, act, out, pre,
+                                      off);
+            return;
+        }
+    }
+    rowTile<L, J>(x, k, w, n, bias, act, out, pre, off);
+}
+
+/** denseRow() over L-lane vectors (n >= L), at most JMax (>= 2)
+ *  vectors per tile. */
+template <std::size_t L, std::size_t JMax>
+[[gnu::always_inline]] inline void
+rowWide(const float *x, std::size_t k, const float *w, std::size_t n,
+        const float *bias, Activation act, float *out, float *pre)
+{
+    std::size_t off[JMax];
+    for (std::size_t v0 = 0, nv = 0; v0 * L < n; v0 += nv) {
+        nv = nextVectorTile<L, JMax>(v0, n, off);
+        rowTileOf<L, JMax>(nv, x, k, w, n, bias, act, out, pre, off);
+    }
+}
+
+/** denseRow() for n = N <= 3 (the DQN head): N scalar accumulators in
+ *  the same order as the vector tiles, activated in one 4-lane vector. */
+template <std::size_t N>
+[[gnu::always_inline]] inline void
+rowNarrow(const float *__restrict x, std::size_t k, const float *__restrict w,
+          const float *__restrict bias, Activation act,
+          float *__restrict out, float *__restrict pre)
+{
+    float acc[N];
+    for (std::size_t j = 0; j < N; j++)
+        acc[j] = 0.0f;
+    for (std::size_t kk = 0; kk < k; kk++) {
+        const float xk = x[kk];
+        for (std::size_t j = 0; j < N; j++)
+            acc[j] += xk * w[kk * N + j];
+    }
+    Vec<4> y[1] = {};
+    for (std::size_t j = 0; j < N; j++) {
+        acc[j] += bias[j];
+        y[0][j] = acc[j];
+    }
+    if (pre)
+        for (std::size_t j = 0; j < N; j++)
+            pre[j] = acc[j];
+    activateTile<4>(act, y);
+    for (std::size_t j = 0; j < N; j++)
+        out[j] = y[0][j];
+}
+
+/** denseRow() on the widest vector (native, 8 or 4 lanes) that fits in
+ *  the row, or on scalars below four outputs. */
+SIBYL_KERNEL_CLONES
+void
+denseRowTiled(const float *x, std::size_t k, const float *w, std::size_t n,
+              const float *bias, Activation act, float *out, float *pre)
+{
+    // Up to eight native vectors per tile (the 102 C51 outputs are one
+    // tile of seven 16-lane vectors); a row narrower than one native
+    // vector needs at most two of its 8- or 4-lane vectors.
+    if (n >= kLanes)
+        rowWide<kLanes, 8>(x, k, w, n, bias, act, out, pre);
+    else if (n >= 8)
+        rowWide<8, 2>(x, k, w, n, bias, act, out, pre);
+    else if (n >= 4)
+        rowWide<4, 2>(x, k, w, n, bias, act, out, pre);
+    else if (n == 3)
+        rowNarrow<3>(x, k, w, bias, act, out, pre);
+    else if (n == 2)
+        rowNarrow<2>(x, k, w, bias, act, out, pre);
+    else if (n == 1)
+        rowNarrow<1>(x, k, w, bias, act, out, pre);
+}
+
 } // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
@@ -523,9 +599,10 @@ Matrix::matmulAdd(const Matrix &b, Matrix &out) const
 }
 
 void
-Matrix::mulAddRow(const float *x, float *out) const
+Matrix::denseRow(const float *x, const float *bias, Activation act,
+                 float *out, float *pre) const
 {
-    seqMulAddRow(x, data_.data(), out, rows_, cols_);
+    denseRowTiled(x, rows_, data_.data(), cols_, bias, act, out, pre);
 }
 
 void

@@ -19,6 +19,8 @@ namespace sibyl::ml
 
 using Vector = std::vector<float>;
 
+enum class Activation; // ml/activations.hh
+
 /** Row-major dense matrix of float32. */
 class Matrix
 {
@@ -116,17 +118,27 @@ class Matrix
                              float scale) const;
 
     /**
-     * Single-row accumulate: out[0..cols) += x[0..rows) * A, where A
-     * is this matrix (reduction over rows), each output element
-     * summed in plain ascending-k order — bit-identical per element
-     * to matvec() on A^T, but vectorized across the independent
-     * outputs. This is the request path's inference matvec
-     * (DenseLayer::inferRow / forward(Vector)) against the cached
-     * W^T; the golden RL trajectories are pinned to this per-sample
-     * summation order, which is why it deliberately does NOT share
-     * the k-grouped order of the batched matmulAdd() kernels.
+     * Fused single-row dense step against this matrix as W^T (rows =
+     * fan-in k, cols = outputs n): out[j] = f(s_j + bias[j]) for j in
+     * [0, n), where s_j is a zero-seeded sum of x[k] * A[k, j] over
+     * ascending k. Each output element has exactly this order — the
+     * sum, then one add of the bias (never a bias-seeded sum), then
+     * the activation f — which is the per-sample order the golden RL
+     * trajectories are pinned to, and deliberately NOT the k-grouped
+     * order of the batched matmulAdd(). The kernel holds the outputs
+     * in registers across the whole reduction (native-width vectors,
+     * 8 or 4 lanes on narrower rows, scalars below four outputs) and
+     * applies the bias and the activation there, so every output is
+     * stored once; the layout never changes an element's order. With
+     * @p pre set, the pre-activation s_j + bias[j] is stored there too.
+     *
+     * @param x    rows() floats.
+     * @param bias cols() floats.
+     * @param out  cols() floats; must not alias @p x, @p bias or @p pre.
+     * @param pre  cols() floats, or null.
      */
-    void mulAddRow(const float *x, float *out) const;
+    void denseRow(const float *x, const float *bias, Activation act,
+                  float *out, float *pre = nullptr) const;
 
     /** y = A * x. Requires x.size() == cols. */
     void matvec(const Vector &x, Vector &y) const;

@@ -218,18 +218,13 @@ inferRowBatch(Network *const *nets, const float *const *ins, std::size_t n,
     Matrix *src = &scratchA;
     Matrix *dst = &scratchB;
     for (std::size_t li = 0; li < numLayers; li++) {
-        const std::size_t width = nets[0]->layers()[li].outSize();
-        dst->resize(n, width);
+        dst->resize(n, nets[0]->layers()[li].outSize());
+        // Each row runs its own network's fused row step, so the group
+        // is bit-identical to the serial kernel whatever its make-up.
         for (std::size_t r = 0; r < n; r++) {
             const float *in = li == 0 ? ins[r] : src->row(r);
-            nets[r]->layers()[li].inferRowPreAct(in, dst->row(r));
+            nets[r]->layers()[li].inferRow(in, dst->row(r));
         }
-        // One elementwise sweep over the whole group: per element the
-        // same function application inferRow performs per row, so the
-        // batch stays bit-identical to the serial kernel. In-place is
-        // fine (activate may alias).
-        activate(nets[0]->layers()[li].activation(), dst->data(),
-                 dst->data(), n * width);
         std::swap(src, dst);
     }
     return *src;

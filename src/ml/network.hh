@@ -157,11 +157,9 @@ class Network
  * return the matrix holding one output row per slot, rows in input
  * order. This is the fleet's cross-tenant decision kernel: every
  * tenant owns private weights, so a single batched GEMM cannot serve
- * the group — instead each layer runs the per-row zero-seeded
- * accumulate (DenseLayer::inferRowPreAct) against its own network's
- * cached W^T into a shared group matrix, then one elementwise
- * activation sweep covers the whole group. Because the activation is
- * elementwise, every output row is bit-identical to
+ * the group — instead each layer runs every row through its own
+ * network's fused row step (DenseLayer::inferRow) into a shared group
+ * matrix. Every output row is therefore bit-identical to
  * nets[r]->inferRow(ins[r]) — batching cannot perturb any tenant's
  * trajectory, whatever the group composition.
  *

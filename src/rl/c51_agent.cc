@@ -1,6 +1,7 @@
 #include "rl/c51_agent.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "ml/activations.hh"
@@ -12,7 +13,9 @@ C51Head::C51Head(const AgentConfig &cfg)
     : numActions_(cfg.numActions),
       atoms_(cfg.atoms),
       gamma_(cfg.gamma),
-      support_(cfg.vmin, cfg.vmax, cfg.atoms)
+      support_(cfg.vmin, cfg.vmax, cfg.atoms),
+      decodeBuf_(static_cast<std::size_t>(cfg.atoms) * kDecodeLanes),
+      decodeQ_(cfg.numActions)
 {
     // Full-batch loss scratch up front: the distinct-prediction count
     // varies from batch to batch, and growing to each new high-water
@@ -26,39 +29,100 @@ C51Head::C51Head(const AgentConfig &cfg)
     logDone_.reserve(rows * atoms_);
 }
 
-const ml::Vector &
-C51Head::actionDist(const float *row, std::uint32_t action)
+namespace
 {
-    rowDist_.assign(row + action * atoms_, row + (action + 1) * atoms_);
-    ml::softmax(rowDist_);
-    return rowDist_;
+
+/** First-max start of every C51 decode: below any finite expectation,
+ *  so the decision and the training target pick the same winner on
+ *  any support. */
+constexpr double kNoValue = -1e300;
+
+/** Gather L atom groups into SIMD lanes: t[i * L + l] = src[l][i]. */
+template <std::size_t L>
+void
+interleave(const float *const *src, std::size_t atoms, float *t)
+{
+    for (std::size_t i = 0; i < atoms; i++)
+        for (std::size_t l = 0; l < L; l++)
+            t[i * L + l] = src[l][i];
 }
 
-double
-C51Head::actionValue(const float *row, std::uint32_t a)
+/**
+ * The one C51 decode step: gather the L atom groups @p src into the
+ * lanes of @p t, softmax them (ml::softmaxLanes) and write each lane's
+ * expectation over the support, summed in double in ascending atom
+ * order, to q[0..L). Lanes hold actions of one row on the decision
+ * side and rows of one action in the training target; each lane runs
+ * exactly softmax() and CategoricalSupport::expectation() of its own
+ * group.
+ */
+template <std::size_t L>
+void
+laneValues(const float *const *src, std::size_t atoms,
+           const CategoricalSupport &support, float *t, double *q)
 {
-    return support_.expectation(actionDist(row, a));
+    interleave<L>(src, atoms, t);
+    ml::softmaxLanes<L>(t, atoms);
+    for (std::size_t l = 0; l < L; l++)
+        q[l] = 0.0;
+    for (std::uint32_t i = 0; i < atoms; i++) {
+        const double z = support.atomValue(i);
+        for (std::size_t l = 0; l < L; l++)
+            q[l] += static_cast<double>(t[i * L + l]) * z;
+    }
+}
+
+} // namespace
+
+template <std::size_t L>
+void
+C51Head::decodeLanes(const float *row, double *q)
+{
+    const std::size_t atoms = atoms_;
+    for (std::uint32_t a0 = 0; a0 < numActions_; a0 += L) {
+        // Lanes past the last action repeat the group's first action.
+        const std::size_t live = std::min<std::size_t>(L, numActions_ - a0);
+        const float *src[L];
+        for (std::size_t l = 0; l < L; l++)
+            src[l] = row + (a0 + (l < live ? l : 0)) * atoms;
+        double ql[L];
+        laneValues<L>(src, atoms, support_, decodeBuf_.data(), ql);
+        for (std::size_t l = 0; l < live; l++)
+            q[a0 + l] = ql[l];
+    }
+}
+
+void
+C51Head::values(const float *row, double *q)
+{
+    // Actions across SIMD lanes: as many lanes as the action count
+    // fills (an 8-lane decode of 2 actions measured slower than the
+    // serial per-action chains), groups of eight beyond eight actions.
+    if (numActions_ <= 2)
+        decodeLanes<2>(row, q);
+    else if (numActions_ <= 4)
+        decodeLanes<4>(row, q);
+    else
+        decodeLanes<kDecodeLanes>(row, q);
 }
 
 std::uint32_t
 C51Head::greedy(const float *row, std::uint32_t mask, bool restricted)
 {
-    // Per-row categorical expectation in reused scratch: softmax each
-    // action's atom group, take its expectation over the support, and
-    // keep the first maximum — the same winner std::max_element picks
-    // over a materialized Q vector, without materializing one. With a
+    // Every action's expectation, then the first maximum — the same
+    // winner std::max_element picks over the Q vector. With a
     // restricting action mask, masked actions are skipped; the allowed
     // actions keep the exact same expectations and tie-break order.
+    values(row, decodeQ_.data());
     std::uint32_t bestA =
         restricted ? static_cast<std::uint32_t>(std::countr_zero(mask))
                    : 0;
-    double bestQ = -1e300;
+    double bestQ = kNoValue;
     for (std::uint32_t a = 0; a < numActions_; a++) {
         if (restricted && !(mask >> a & 1u))
             continue;
-        const double q = actionValue(row, a);
-        if (q > bestQ) {
-            bestQ = q;
+        if (decodeQ_[a] > bestQ) {
+            bestQ = decodeQ_[a];
             bestA = a;
         }
     }
@@ -71,10 +135,9 @@ C51Head::target(const float *eval, const float * /*sel*/,
 {
     // Greedy next action by distribution expectation, then that
     // action's distribution projected under (reward, gamma). Rows go
-    // kSoftmaxLanes at a time across SIMD lanes: every action group is
-    // softmaxed once, its expectation accumulated in ascending atom
-    // order, and the first maximum kept — each lane doing exactly its
-    // own row's sequence.
+    // kSoftmaxLanes at a time across SIMD lanes through the same
+    // decode step and first-max rule as greedy(), each lane doing
+    // exactly its own row's sequence.
     constexpr std::size_t L = ml::kSoftmaxLanes;
     const std::size_t atoms = atoms_;
     const std::size_t width = outputWidth();
@@ -85,24 +148,17 @@ C51Head::target(const float *eval, const float * /*sel*/,
         double bestQ[L];
         std::uint32_t bestA[L];
         for (std::size_t l = 0; l < L; l++) {
-            bestQ[l] = -1e30;
+            bestQ[l] = kNoValue;
             bestA[l] = 0;
         }
         for (std::uint32_t a = 0; a < numActions_; a++) {
-            float *t = lanes_.data() + a * atoms * L;
-            for (std::size_t l = 0; l < L; l++) {
-                const float *src =
-                    l < live ? eval + (r0 + l) * width + a * atoms : nullptr;
-                for (std::size_t i = 0; i < atoms; i++)
-                    t[i * L + l] = src ? src[i] : 0.0f;
-            }
-            ml::softmaxLanes(t, atoms);
-            double q[L] = {};
-            for (std::uint32_t i = 0; i < atoms; i++) {
-                const double z = support_.atomValue(i);
-                for (std::size_t l = 0; l < L; l++)
-                    q[l] += static_cast<double>(t[i * L + l]) * z;
-            }
+            // Lanes past the last row repeat the group's first row.
+            const float *src[L];
+            for (std::size_t l = 0; l < L; l++)
+                src[l] = eval + (r0 + (l < live ? l : 0)) * width + a * atoms;
+            double q[L];
+            laneValues<L>(src, atoms, support_,
+                          lanes_.data() + a * atoms * L, q);
             for (std::size_t l = 0; l < L; l++) {
                 if (q[l] > bestQ[l]) {
                     bestQ[l] = q[l];
@@ -154,13 +210,11 @@ C51Head::loss(const LossBatch &b)
     lanes_.resize(atoms * L);
     for (std::size_t p0 = 0; p0 < pairs; p0 += L) {
         const std::size_t live = std::min(L, pairs - p0);
-        for (std::size_t l = 0; l < L; l++) {
-            const float *src =
-                l < live ? b.out + pairKey_[p0 + l] * atoms : nullptr;
-            for (std::size_t i = 0; i < atoms; i++)
-                lanes_[i * L + l] = src ? src[i] : 0.0f;
-        }
-        ml::softmaxLanes(lanes_.data(), atoms);
+        const float *src[L];
+        for (std::size_t l = 0; l < L; l++)
+            src[l] = b.out + pairKey_[p0 + (l < live ? l : 0)] * atoms;
+        interleave<L>(src, atoms, lanes_.data());
+        ml::softmaxLanes<L>(lanes_.data(), atoms);
         for (std::size_t l = 0; l < live; l++)
             for (std::size_t i = 0; i < atoms; i++)
                 probs_[(p0 + l) * atoms + i] = lanes_[i * L + l];

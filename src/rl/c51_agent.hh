@@ -43,7 +43,7 @@ class C51Head final : public ValueHead
 
     std::uint32_t greedy(const float *row, std::uint32_t mask,
                          bool restricted) override;
-    double actionValue(const float *row, std::uint32_t a) override;
+    void values(const float *row, double *q) override;
     void target(const float *eval, const float *sel, const float *rewards,
                 std::size_t rows, float *out) override;
     void loss(const LossBatch &b) override;
@@ -52,17 +52,22 @@ class C51Head final : public ValueHead
     const CategoricalSupport &support() const { return support_; }
 
   private:
-    /** Softmaxed distribution of @p action from an output row, into
-     *  the decision-side scratch. */
-    const ml::Vector &actionDist(const float *row, std::uint32_t action);
+    /** Widest decision decode; more actions loop over groups. */
+    static constexpr std::size_t kDecodeLanes = 8;
+
+    /** values() with the actions in groups of L SIMD lanes. */
+    template <std::size_t L>
+    void decodeLanes(const float *row, double *q);
 
     std::uint32_t numActions_;
     std::uint32_t atoms_;
     double gamma_;
     CategoricalSupport support_;
 
-    // Decision-side scratch: one action's softmaxed atom group.
-    ml::Vector rowDist_;
+    // Decision-side scratch: one group of actions' atoms interleaved
+    // across up to kDecodeLanes lanes, and greedy()'s Q vector.
+    ml::Vector decodeBuf_;
+    std::vector<double> decodeQ_;
 
     // Training-side scratch (see the ValueHead threading contract).
     // lanes_: atom groups interleaved ml::kSoftmaxLanes rows wide;

@@ -35,10 +35,11 @@ class DqnHead final : public ValueHead
 
     std::uint32_t greedy(const float *row, std::uint32_t mask,
                          bool restricted) override;
-    double
-    actionValue(const float *row, std::uint32_t a) override
+    void
+    values(const float *row, double *q) override
     {
-        return row[a];
+        for (std::uint32_t a = 0; a < numActions_; a++)
+            q[a] = row[a];
     }
     void target(const float *eval, const float *sel, const float *rewards,
                 std::size_t rows, float *out) override;

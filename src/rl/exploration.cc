@@ -85,6 +85,12 @@ ExplorationSchedule::observeValueDelta(double magnitude)
     vdbeEpsilon_ = cfg_.vdbeDelta * f + (1.0 - cfg_.vdbeDelta) * vdbeEpsilon_;
 }
 
+double
+ExplorationSchedule::boltzmannWeight(double q, double qmax) const
+{
+    return std::exp((q - qmax) / cfg_.temperature);
+}
+
 std::vector<double>
 ExplorationSchedule::boltzmannProbabilities(const std::vector<double> &q) const
 {
@@ -93,7 +99,7 @@ ExplorationSchedule::boltzmannProbabilities(const std::vector<double> &q) const
     std::vector<double> p(q.size());
     double sum = 0.0;
     for (std::size_t a = 0; a < q.size(); a++) {
-        p[a] = std::exp((q[a] - qmax) / cfg_.temperature);
+        p[a] = boltzmannWeight(q[a], qmax);
         sum += p[a];
     }
     for (double &v : p)
@@ -105,14 +111,21 @@ std::uint32_t
 ExplorationSchedule::sampleBoltzmann(const std::vector<double> &q,
                                      Pcg32 &rng) const
 {
-    const std::vector<double> p = boltzmannProbabilities(q);
+    // boltzmannProbabilities() without its vector, so a decision
+    // allocates nothing: each probability is recomputed from the same
+    // weight (a pure function of its inputs) over the same sum.
+    const double qmax = *std::max_element(q.begin(), q.end());
+    double sum = 0.0;
+    for (const double v : q)
+        sum += boltzmannWeight(v, qmax);
     double u = rng.nextDouble();
-    for (std::size_t a = 0; a + 1 < p.size(); a++) {
-        if (u < p[a])
+    for (std::size_t a = 0; a + 1 < q.size(); a++) {
+        const double p = boltzmannWeight(q[a], qmax) / sum;
+        if (u < p)
             return static_cast<std::uint32_t>(a);
-        u -= p[a];
+        u -= p;
     }
-    return static_cast<std::uint32_t>(p.size() - 1);
+    return static_cast<std::uint32_t>(q.size() - 1);
 }
 
 void

@@ -151,6 +151,9 @@ class ExplorationSchedule
     const ExplorationConfig &config() const { return cfg_; }
 
   private:
+    /** Unnormalized Boltzmann weight exp((q - qmax) / T). */
+    double boltzmannWeight(double q, double qmax) const;
+
     ExplorationConfig cfg_;
 
     /** Vdbe running epsilon (starts at epsilonStart). */

@@ -92,8 +92,7 @@ ValueAgent::qValues(const ml::Vector &state)
 {
     const float *out = inferenceNet_->inferRow(state);
     std::vector<double> q(cfg_.numActions);
-    for (std::uint32_t a = 0; a < cfg_.numActions; a++)
-        q[a] = head_->actionValue(out, a);
+    head_->values(out, q.data());
     return q;
 }
 
@@ -113,15 +112,17 @@ ValueAgent::selectActionBegin(const ml::Vector &state,
         // The Boltzmann draw's arguments depend on the Q row, so this
         // path cannot defer the network evaluation; resolve inline.
         const float *out = inferenceNet_->inferRow(state);
+        qScratch_.resize(cfg_.numActions);
+        head_->values(out, qScratch_.data());
         if (restricted) {
-            // Compact the allowed actions, sample over them, map the
+            // Compact the allowed actions (in place: the i-th allowed
+            // action is never left of i), sample over them, map the
             // sampled index back to an action id.
             const auto allowed = static_cast<std::uint32_t>(
                 std::popcount(actionMask_));
-            qScratch_.resize(allowed);
             for (std::uint32_t i = 0; i < allowed; i++)
-                qScratch_[i] =
-                    head_->actionValue(out, nthSetBit(actionMask_, i));
+                qScratch_[i] = qScratch_[nthSetBit(actionMask_, i)];
+            qScratch_.resize(allowed);
             const auto greedy = static_cast<std::uint32_t>(
                 std::max_element(qScratch_.begin(), qScratch_.end()) -
                 qScratch_.begin());
@@ -132,9 +133,6 @@ ValueAgent::selectActionBegin(const ml::Vector &state,
             action = nthSetBit(actionMask_, idx);
             return true;
         }
-        qScratch_.resize(cfg_.numActions);
-        for (std::uint32_t a = 0; a < cfg_.numActions; a++)
-            qScratch_[a] = head_->actionValue(out, a);
         const auto greedy = static_cast<std::uint32_t>(
             std::max_element(qScratch_.begin(), qScratch_.end()) -
             qScratch_.begin());

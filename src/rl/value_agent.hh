@@ -44,7 +44,7 @@ namespace sibyl::rl
 /**
  * What one value-learning variant contributes to ValueAgent.
  *
- * Threading contract: the decision-side methods (greedy, actionValue)
+ * Threading contract: the decision-side methods (greedy, values)
  * run on the serving thread; the training-side methods (target, loss)
  * run wherever the training round executes, which for an asynchronous
  * round is another thread while decisions continue. A head must keep
@@ -87,8 +87,10 @@ class ValueHead
     virtual std::uint32_t greedy(const float *row, std::uint32_t mask,
                                  bool restricted) = 0;
 
-    /** Q-value estimate of action @p a from an output row. */
-    virtual double actionValue(const float *row, std::uint32_t a) = 0;
+    /** Q-value estimates of every action from an output row, into
+     *  q[0..numActions). greedy() picks the first maximum of exactly
+     *  these values. */
+    virtual void values(const float *row, double *q) = 0;
 
     /**
      * Bellman targets of @p rows transitions into @p out (rows x

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -252,6 +253,63 @@ TEST(Matmul, AddMatchesDocumentedOrderBitForBit)
                                       got.size() * sizeof(float)),
                           0)
                     << "m=" << m << " k=" << k << " n=" << n;
+            }
+}
+
+/**
+ * Scalar reference for one dense row in the documented single-row
+ * order: a zero-seeded sum of x[k] * W[j, k] over ascending k, then
+ * + bias[j], then the activation applied to that one element.
+ */
+void
+refDenseRow(const DenseLayer &layer, const float *x, float *out)
+{
+    const Matrix &w = layer.weights();
+    for (std::size_t j = 0; j < layer.outSize(); j++) {
+        float s = 0.0f;
+        for (std::size_t kk = 0; kk < layer.inSize(); kk++)
+            s += x[kk] * w(j, kk);
+        s += layer.bias()[j];
+        activate(layer.activation(), &s, &out[j], 1);
+    }
+}
+
+TEST(InferRow, MatchesDocumentedOrderBitForBit)
+{
+    // Output widths below, at and past one vector of every lane count
+    // (scalar n <= 3, 4- and 8-lane rows, native tiles with exact and
+    // overlapping tails, more vectors than one tile holds), fan-ins
+    // around every unroll boundary, and every activation, with NaN,
+    // +-Inf, -0.0 and zeros in the weights, biases and inputs.
+    Pcg32 rng(47);
+    for (const Activation act :
+         {Activation::Identity, Activation::ReLU, Activation::Sigmoid,
+          Activation::Tanh, Activation::Swish})
+        for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20,
+                                    30, 31, 33, 102, 103})
+            for (const std::size_t k : {1, 2, 3, 6, 7, 8, 9, 20, 30, 33}) {
+                Network net(k, {{n, act}}, rng);
+                DenseLayer &layer = net.layers()[0];
+                layer.weights() = specialMatrix(n, k, rng);
+                const Matrix b = specialMatrix(1, n, rng);
+                std::copy(b.data(), b.data() + n, layer.bias().begin());
+                const Matrix x = specialMatrix(1, k, rng);
+                const Vector xv(x.data(), x.data() + k);
+
+                Vector want(n);
+                refDenseRow(layer, x.data(), want.data());
+                const float *row = net.inferRow(xv);
+                ASSERT_EQ(std::memcmp(row, want.data(), n * sizeof(float)),
+                          0)
+                    << "inferRow act=" << activationName(act)
+                    << " n=" << n << " k=" << k;
+                const Vector &fwd = net.forward(xv);
+                ASSERT_EQ(fwd.size(), n);
+                ASSERT_EQ(
+                    std::memcmp(fwd.data(), want.data(), n * sizeof(float)),
+                    0)
+                    << "forward act=" << activationName(act) << " n=" << n
+                    << " k=" << k;
             }
 }
 
@@ -797,6 +855,183 @@ TEST(DuplicateFold, DqnWithinTolerance)
 TEST(DuplicateFold, C51WithinTolerance)
 {
     expectFoldWithinTolerance<C51Agent>();
+}
+
+// ---------------------------------------------------------------------
+// The C51 decision decode against the legacy per-action form, bit for
+// bit: each action's own softmax and ascending-atom expectation, then
+// the first maximum over the allowed actions from a -1e300 start.
+// ---------------------------------------------------------------------
+
+/** Each action's expectation, one action at a time. */
+std::vector<double>
+refC51Values(const AgentConfig &cfg, const float *row)
+{
+    const std::size_t atoms = cfg.atoms;
+    const CategoricalSupport support(cfg.vmin, cfg.vmax, cfg.atoms);
+    std::vector<double> q(cfg.numActions);
+    for (std::uint32_t a = 0; a < cfg.numActions; a++) {
+        ml::Vector dist(row + a * atoms, row + (a + 1) * atoms);
+        ml::softmax(dist);
+        q[a] = support.expectation(dist);
+    }
+    return q;
+}
+
+/** First maximum of @p q over the actions @p mask allows. */
+std::uint32_t
+refFirstMax(const std::vector<double> &q, std::uint32_t mask,
+            bool restricted)
+{
+    std::uint32_t best =
+        restricted ? static_cast<std::uint32_t>(std::countr_zero(mask)) : 0;
+    double bestQ = -1e300;
+    for (std::uint32_t a = 0; a < q.size(); a++) {
+        if (restricted && !(mask >> a & 1u))
+            continue;
+        if (q[a] > bestQ) {
+            bestQ = q[a];
+            best = a;
+        }
+    }
+    return best;
+}
+
+TEST(C51Decode, MatchesPerActionReferenceBitForBit)
+{
+    Pcg32 rng(93);
+    volatile float zero = 0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = inf * zero; // the platform's default NaN
+    for (const std::uint32_t numActions : {2u, 3u, 4u, 5u, 8u, 9u})
+        for (const std::uint32_t atoms : {2u, 3u, 51u}) {
+            AgentConfig cfg;
+            cfg.numActions = numActions;
+            cfg.atoms = atoms;
+            C51Head head(cfg);
+            const std::size_t width = head.outputWidth();
+            const std::uint32_t full = (1u << numActions) - 1u;
+
+            // Head level: greedy on rows salted with special logits and
+            // exact cross-action ties, unrestricted and under masks.
+            std::vector<float> row(width);
+            for (int trial = 0; trial < 48; trial++) {
+                for (auto &v : row)
+                    v = static_cast<float>(rng.nextDouble(-4.0, 4.0));
+                const std::uint32_t a = rng.nextBounded(numActions);
+                const std::uint32_t b = (a + 1) % numActions;
+                switch (trial % 8) {
+                  case 1: row[rng.nextBounded(width)] = nan; break;
+                  case 2: row[rng.nextBounded(width)] = inf; break;
+                  case 3: row[rng.nextBounded(width)] = -inf; break;
+                  case 4: // two actions tie exactly
+                    std::copy_n(row.data() + a * atoms, atoms,
+                                row.data() + b * atoms);
+                    break;
+                  case 5: // every action ties
+                    for (std::uint32_t c = 1; c < numActions; c++)
+                        std::copy_n(row.data(), atoms,
+                                    row.data() + c * atoms);
+                    break;
+                  case 6: // one atom takes all of an action's mass
+                    row[a * atoms + rng.nextBounded(atoms)] = 90.0f;
+                    break;
+                  case 7:
+                    row[rng.nextBounded(width)] = -0.0f;
+                    row[rng.nextBounded(width)] = 0.0f;
+                    row[b * atoms] = nan; // a leading NaN sticks
+                    break;
+                  default: break;
+                }
+                const std::vector<double> q = refC51Values(cfg, row.data());
+                ASSERT_EQ(head.greedy(row.data(), full, false),
+                          refFirstMax(q, full, false))
+                    << "A=" << numActions << " atoms=" << atoms
+                    << " trial " << trial;
+                // Every restricting mask for three actions; a few
+                // random ones otherwise.
+                for (std::uint32_t m = 1; m < full; m++) {
+                    const std::uint32_t mask =
+                        numActions == 3 ? m : (rng.nextU32() & full);
+                    if (mask == 0 || mask == full)
+                        continue;
+                    ASSERT_EQ(head.greedy(row.data(), mask, true),
+                              refFirstMax(q, mask, true))
+                        << "A=" << numActions << " atoms=" << atoms
+                        << " mask=" << mask << " trial " << trial;
+                    if (m >= 6)
+                        break;
+                }
+            }
+
+            // Agent level: qValues and greedyAction on inference rows
+            // whose head layer carries special biases and a tie.
+            C51Agent agent(cfg);
+            ml::DenseLayer &headLayer =
+                agent.inferenceNetwork().layers().back();
+            if (numActions > 2)
+                for (std::size_t i = 0; i < atoms; i++) {
+                    for (std::size_t c = 0; c < headLayer.inSize(); c++)
+                        headLayer.weights()(2 * atoms + i, c) =
+                            headLayer.weights()(atoms + i, c);
+                    headLayer.bias()[2 * atoms + i] =
+                        headLayer.bias()[atoms + i];
+                }
+            headLayer.bias()[rng.nextBounded(atoms)] = nan;
+            if (numActions > 3)
+                headLayer.bias()[3 * atoms + 1] = inf;
+            if (numActions > 4)
+                headLayer.bias()[4 * atoms] = -inf;
+            for (int i = 0; i < 20; i++) {
+                ml::Vector s(cfg.stateDim);
+                for (auto &v : s)
+                    v = static_cast<float>(rng.nextDouble(0.0, 1.0));
+                const ml::Vector out = agent.inferenceNetwork().forward(s);
+                const std::vector<double> want =
+                    refC51Values(cfg, out.data());
+                const std::vector<double> got = agent.qValues(s);
+                ASSERT_EQ(got.size(), want.size());
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      want.size() * sizeof(double)),
+                          0)
+                    << "qValues A=" << numActions << " atoms=" << atoms;
+                ASSERT_EQ(agent.greedyAction(s),
+                          refFirstMax(want, full, false))
+                    << "A=" << numActions << " atoms=" << atoms;
+            }
+        }
+}
+
+TEST(C51Decode, TargetAndGreedyAgreeBelowMinus1e30)
+{
+    // A finite support entirely below -1e30 (an accepted
+    // Sibyl{vmin=-1e40,vmax=-1e35} scenario): every expectation lies
+    // below -1e30, so a first-max that started there would never move
+    // off action 0. The training target must pick the action the
+    // decision picks.
+    AgentConfig cfg;
+    cfg.vmin = -1e40;
+    cfg.vmax = -1e35;
+    C51Head head(cfg);
+    const std::size_t atoms = cfg.atoms;
+    Pcg32 rng(94);
+    std::vector<float> row(head.outputWidth());
+    for (auto &v : row)
+        v = static_cast<float>(rng.nextDouble(-2.0, 2.0));
+    row[atoms + atoms - 1] = 40.0f; // action 1: mass on the top atom
+    const std::uint32_t full = (1u << cfg.numActions) - 1u;
+    const std::uint32_t greedy = head.greedy(row.data(), full, false);
+    ASSERT_EQ(greedy, 1u);
+
+    const float reward = 1.0f;
+    std::vector<float> got(atoms), want(atoms);
+    head.target(row.data(), nullptr, &reward, 1, got.data());
+    ml::Vector dist(row.data() + greedy * atoms,
+                    row.data() + (greedy + 1) * atoms);
+    ml::softmax(dist);
+    head.support().project(dist.data(), reward, cfg.gamma, want.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), atoms * sizeof(float)),
+              0);
 }
 
 // ---------------------------------------------------------------------

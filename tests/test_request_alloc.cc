@@ -177,6 +177,72 @@ TEST_P(RequestAllocTest, SteadyStateRequestsAllocateNothing)
         << " frees over " << t.size() << " requests";
 }
 
+TEST_P(RequestAllocTest, WeightSyncsAllocateNothing)
+{
+#if !SIBYL_ALLOC_COUNTING_RELIABLE
+    GTEST_SKIP() << "sanitizer allocator interposes operator new";
+#endif
+    // A weight sync every 250 requests inside the measured window: each
+    // copies the training weights into the inference network, so the
+    // next decision rebuilds every layer's cached W^T.
+    trace::Trace t = trace::makeWorkload("prxy_1", 6000);
+    auto specs = hss::makeHssConfig("H&M", t.uniquePages());
+    hss::HybridSystem sys(std::move(specs), 42);
+    core::SibylConfig cfg = requestPathConfig(GetParam());
+    cfg.targetSyncEvery = 250;
+    core::SibylPolicy policy(cfg, sys.numDevices());
+
+    replay(t, sys, policy);
+    policy.agent().trainRound(); // syncs publish only after a round
+    const std::uint64_t syncsBefore = policy.agent().stats().weightSyncs;
+    const std::uint64_t allocsBefore = gAllocs;
+    const std::uint64_t freesBefore = gFrees;
+    replay(t, sys, policy);
+    const std::uint64_t allocs = gAllocs - allocsBefore;
+    const std::uint64_t frees = gFrees - freesBefore;
+    const std::uint64_t syncs =
+        policy.agent().stats().weightSyncs - syncsBefore;
+
+    ASSERT_GE(syncs, 20u);
+    EXPECT_EQ(allocs, 0u) << "weight syncs and W^T rebuilds performed "
+                          << allocs << " heap allocations over " << syncs
+                          << " syncs";
+    EXPECT_EQ(frees, 0u) << "weight syncs and W^T rebuilds performed "
+                         << frees << " frees over " << syncs << " syncs";
+}
+
+TEST_P(RequestAllocTest, BoltzmannDecisionsAllocateNothing)
+{
+#if !SIBYL_ALLOC_COUNTING_RELIABLE
+    GTEST_SKIP() << "sanitizer allocator interposes operator new";
+#endif
+    // Boltzmann exploration decodes every action's value (the qValues
+    // decode) and samples from their softmax on every decision.
+    trace::Trace t = trace::makeWorkload("prxy_1", 6000);
+    auto specs = hss::makeHssConfig("H&M", t.uniquePages());
+    hss::HybridSystem sys(std::move(specs), 42);
+    core::SibylConfig cfg = requestPathConfig(GetParam());
+    cfg.exploration.kind = rl::ExplorationKind::Boltzmann;
+    core::SibylPolicy policy(cfg, sys.numDevices());
+
+    replay(t, sys, policy);
+    const std::uint64_t decisionsBefore = policy.agent().stats().decisions;
+    const std::uint64_t allocsBefore = gAllocs;
+    const std::uint64_t freesBefore = gFrees;
+    replay(t, sys, policy);
+    const std::uint64_t allocs = gAllocs - allocsBefore;
+    const std::uint64_t frees = gFrees - freesBefore;
+    const std::uint64_t decisions =
+        policy.agent().stats().decisions - decisionsBefore;
+
+    ASSERT_EQ(decisions, t.size());
+    EXPECT_EQ(allocs, 0u) << "Boltzmann decisions performed " << allocs
+                          << " heap allocations over " << decisions
+                          << " decisions";
+    EXPECT_EQ(frees, 0u) << "Boltzmann decisions performed " << frees
+                         << " frees over " << decisions << " decisions";
+}
+
 INSTANTIATE_TEST_SUITE_P(Agents, RequestAllocTest,
                          ::testing::Values(core::AgentKind::Dqn,
                                            core::AgentKind::C51),
