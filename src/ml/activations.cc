@@ -417,7 +417,6 @@ softmaxLanes(float *v, std::size_t n)
 }
 
 template void softmaxLanes<2>(float *v, std::size_t n);
-template void softmaxLanes<4>(float *v, std::size_t n);
 template void softmaxLanes<8>(float *v, std::size_t n);
 
 void

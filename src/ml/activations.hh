@@ -92,9 +92,9 @@ constexpr std::size_t kSoftmaxLanes = 8;
  * of the L groups overlap in the lanes of one vector. The maximum, the
  * exp and the division run on native-width vectors holding several
  * elements of every group; the maximum is a tree, which finds the
- * same value (see activations.cc). Instantiated for L = 2, 4 and 8:
- * the C51 decision decode puts one row's actions across 2, 4 or 8
- * lanes, the training head eight rows.
+ * same value (see activations.cc). Instantiated for L = 2 and 8: the
+ * C51 decision decode puts one row's actions across 2 lanes, the
+ * training head eight rows.
  */
 template <std::size_t L>
 void softmaxLanes(float *v, std::size_t n);

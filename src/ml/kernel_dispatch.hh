@@ -16,7 +16,7 @@
  * bias and activation, the C51 projection geometry over atoms), output
  * rows across lanes (the narrow weight-gradient tile, the training-side
  * softmaxLanes), and actions across lanes (the C51 decision decode's
- * softmaxLanes and expectation, 2, 4 or 8 lanes by action count). The
+ * softmaxLanes and expectation, two actions at a time). The
  * same argument fixes the lane count of the register tiles (simd.hh's
  * kLanes): one native vector of the compile target, 16 when it has
  * AVX-512F and 8 otherwise (portable builds and their AVX2 clones); a

@@ -14,7 +14,7 @@ C51Head::C51Head(const AgentConfig &cfg)
       atoms_(cfg.atoms),
       gamma_(cfg.gamma),
       support_(cfg.vmin, cfg.vmax, cfg.atoms),
-      decodeBuf_(static_cast<std::size_t>(cfg.atoms) * kDecodeLanes),
+      decodeBuf_(static_cast<std::size_t>(cfg.atoms) * 2),
       decodeQ_(cfg.numActions)
 {
     // Full-batch loss scratch up front: the distinct-prediction count
@@ -74,13 +74,15 @@ laneValues(const float *const *src, std::size_t atoms,
 
 } // namespace
 
-template <std::size_t L>
 void
-C51Head::decodeLanes(const float *row, double *q)
+C51Head::values(const float *row, double *q)
 {
+    // Actions two at a time across SIMD lanes (an 8-lane decode of the
+    // default 2 actions measured slower than the serial per-action
+    // chains); a lone last action fills both lanes.
+    constexpr std::size_t L = 2;
     const std::size_t atoms = atoms_;
     for (std::uint32_t a0 = 0; a0 < numActions_; a0 += L) {
-        // Lanes past the last action repeat the group's first action.
         const std::size_t live = std::min<std::size_t>(L, numActions_ - a0);
         const float *src[L];
         for (std::size_t l = 0; l < L; l++)
@@ -90,20 +92,6 @@ C51Head::decodeLanes(const float *row, double *q)
         for (std::size_t l = 0; l < live; l++)
             q[a0 + l] = ql[l];
     }
-}
-
-void
-C51Head::values(const float *row, double *q)
-{
-    // Actions across SIMD lanes: as many lanes as the action count
-    // fills (an 8-lane decode of 2 actions measured slower than the
-    // serial per-action chains), groups of eight beyond eight actions.
-    if (numActions_ <= 2)
-        decodeLanes<2>(row, q);
-    else if (numActions_ <= 4)
-        decodeLanes<4>(row, q);
-    else
-        decodeLanes<kDecodeLanes>(row, q);
 }
 
 std::uint32_t

@@ -52,20 +52,13 @@ class C51Head final : public ValueHead
     const CategoricalSupport &support() const { return support_; }
 
   private:
-    /** Widest decision decode; more actions loop over groups. */
-    static constexpr std::size_t kDecodeLanes = 8;
-
-    /** values() with the actions in groups of L SIMD lanes. */
-    template <std::size_t L>
-    void decodeLanes(const float *row, double *q);
-
     std::uint32_t numActions_;
     std::uint32_t atoms_;
     double gamma_;
     CategoricalSupport support_;
 
-    // Decision-side scratch: one group of actions' atoms interleaved
-    // across up to kDecodeLanes lanes, and greedy()'s Q vector.
+    // Decision-side scratch: one pair of actions' atoms interleaved
+    // across two lanes, and greedy()'s Q vector.
     ml::Vector decodeBuf_;
     std::vector<double> decodeQ_;
 

@@ -85,47 +85,35 @@ ExplorationSchedule::observeValueDelta(double magnitude)
     vdbeEpsilon_ = cfg_.vdbeDelta * f + (1.0 - cfg_.vdbeDelta) * vdbeEpsilon_;
 }
 
-double
-ExplorationSchedule::boltzmannWeight(double q, double qmax) const
-{
-    return std::exp((q - qmax) / cfg_.temperature);
-}
-
-std::vector<double>
-ExplorationSchedule::boltzmannProbabilities(const std::vector<double> &q) const
+void
+ExplorationSchedule::boltzmannProbabilities(const std::vector<double> &q,
+                                            std::vector<double> &p) const
 {
     // Stable softmax of q / T: subtract the max before exponentiating.
     const double qmax = *std::max_element(q.begin(), q.end());
-    std::vector<double> p(q.size());
+    p.resize(q.size());
     double sum = 0.0;
     for (std::size_t a = 0; a < q.size(); a++) {
-        p[a] = boltzmannWeight(q[a], qmax);
+        p[a] = std::exp((q[a] - qmax) / cfg_.temperature);
         sum += p[a];
     }
     for (double &v : p)
         v /= sum;
-    return p;
 }
 
 std::uint32_t
 ExplorationSchedule::sampleBoltzmann(const std::vector<double> &q,
+                                     std::vector<double> &p,
                                      Pcg32 &rng) const
 {
-    // boltzmannProbabilities() without its vector, so a decision
-    // allocates nothing: each probability is recomputed from the same
-    // weight (a pure function of its inputs) over the same sum.
-    const double qmax = *std::max_element(q.begin(), q.end());
-    double sum = 0.0;
-    for (const double v : q)
-        sum += boltzmannWeight(v, qmax);
+    boltzmannProbabilities(q, p);
     double u = rng.nextDouble();
-    for (std::size_t a = 0; a + 1 < q.size(); a++) {
-        const double p = boltzmannWeight(q[a], qmax) / sum;
-        if (u < p)
+    for (std::size_t a = 0; a + 1 < p.size(); a++) {
+        if (u < p[a])
             return static_cast<std::uint32_t>(a);
-        u -= p;
+        u -= p[a];
     }
-    return static_cast<std::uint32_t>(q.size() - 1);
+    return static_cast<std::uint32_t>(p.size() - 1);
 }
 
 void

@@ -129,17 +129,20 @@ class ExplorationSchedule
      * Draw an action from softmax(q / temperature).
      *
      * @param q   Q-value estimate per action (size >= 1).
+     * @param p   Caller-owned scratch; receives
+     *            boltzmannProbabilities(q), so a warm buffer makes the
+     *            draw allocation-free.
      * @param rng Agent RNG.
      */
     std::uint32_t sampleBoltzmann(const std::vector<double> &q,
-                                  Pcg32 &rng) const;
+                                  std::vector<double> &p, Pcg32 &rng) const;
 
     /**
-     * Softmax action probabilities at the configured temperature —
-     * exposed for tests and the exploration bench.
+     * Softmax action probabilities of @p q at the configured
+     * temperature into @p p (resized to q.size()).
      */
-    std::vector<double>
-    boltzmannProbabilities(const std::vector<double> &q) const;
+    void boltzmannProbabilities(const std::vector<double> &q,
+                                std::vector<double> &p) const;
 
     /**
      * Re-pin the schedule to a constant epsilon. Implements the
@@ -151,9 +154,6 @@ class ExplorationSchedule
     const ExplorationConfig &config() const { return cfg_; }
 
   private:
-    /** Unnormalized Boltzmann weight exp((q - qmax) / T). */
-    double boltzmannWeight(double q, double qmax) const;
-
     ExplorationConfig cfg_;
 
     /** Vdbe running epsilon (starts at epsilonStart). */

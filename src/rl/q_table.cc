@@ -77,6 +77,7 @@ QTableAgent::selectAction(const ml::Vector &state)
     const bool restricted = !maskCoversAll(actionMask_, cfg_.numActions);
     if (explore_.isBoltzmann()) {
         const auto q = qValues(state);
+        std::vector<double> probs;
         if (restricted) {
             // Compact the allowed actions, sample over them, map the
             // sampled index back to an action id.
@@ -89,14 +90,14 @@ QTableAgent::selectAction(const ml::Vector &state)
                 std::max_element(qAllowed.begin(), qAllowed.end()) -
                 qAllowed.begin());
             const std::uint32_t idx =
-                explore_.sampleBoltzmann(qAllowed, rng_);
+                explore_.sampleBoltzmann(qAllowed, probs, rng_);
             if (idx != greedy)
                 stats_.randomActions++;
             return nthSetBit(actionMask_, idx);
         }
         const auto greedy = static_cast<std::uint32_t>(
             std::max_element(q.begin(), q.end()) - q.begin());
-        const std::uint32_t a = explore_.sampleBoltzmann(q, rng_);
+        const std::uint32_t a = explore_.sampleBoltzmann(q, probs, rng_);
         if (a != greedy)
             stats_.randomActions++;
         return a;

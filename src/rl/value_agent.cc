@@ -127,7 +127,7 @@ ValueAgent::selectActionBegin(const ml::Vector &state,
                 std::max_element(qScratch_.begin(), qScratch_.end()) -
                 qScratch_.begin());
             const std::uint32_t idx =
-                explore_.sampleBoltzmann(qScratch_, rng_);
+                explore_.sampleBoltzmann(qScratch_, probScratch_, rng_);
             if (idx != greedy)
                 stats_.randomActions++;
             action = nthSetBit(actionMask_, idx);
@@ -136,7 +136,7 @@ ValueAgent::selectActionBegin(const ml::Vector &state,
         const auto greedy = static_cast<std::uint32_t>(
             std::max_element(qScratch_.begin(), qScratch_.end()) -
             qScratch_.begin());
-        action = explore_.sampleBoltzmann(qScratch_, rng_);
+        action = explore_.sampleBoltzmann(qScratch_, probScratch_, rng_);
         if (action != greedy)
             stats_.randomActions++;
         return true;

@@ -305,8 +305,9 @@ class ValueAgent : public Agent
     std::vector<double> losses_;
     std::vector<float> priorities_;
 
-    // Decision-path scratch: the full Q vector for Boltzmann draws.
-    std::vector<double> qScratch_;
+    // Decision-path scratch for Boltzmann draws: the Q vector and its
+    // action probabilities.
+    std::vector<double> qScratch_, probScratch_;
 
     // Per-replay-entry cache of the Bellman target (reward and gamma
     // are entry-fixed, the inference net is frozen between syncs — see

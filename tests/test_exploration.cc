@@ -110,7 +110,8 @@ TEST(ExplorationSchedule, BoltzmannEpsilonIsZero)
 TEST(ExplorationSchedule, BoltzmannProbabilitiesSumToOne)
 {
     ExplorationSchedule s(makeCfg(ExplorationKind::Boltzmann));
-    const auto p = s.boltzmannProbabilities({1.0, 2.0, 0.5, 2.0});
+    std::vector<double> p;
+    s.boltzmannProbabilities({1.0, 2.0, 0.5, 2.0}, p);
     ASSERT_EQ(p.size(), 4u);
     double sum = 0.0;
     for (double v : p) {
@@ -123,14 +124,16 @@ TEST(ExplorationSchedule, BoltzmannProbabilitiesSumToOne)
 TEST(ExplorationSchedule, BoltzmannPrefersHigherQ)
 {
     ExplorationSchedule s(makeCfg(ExplorationKind::Boltzmann));
-    const auto p = s.boltzmannProbabilities({0.2, 0.9});
+    std::vector<double> p;
+    s.boltzmannProbabilities({0.2, 0.9}, p);
     EXPECT_GT(p[1], p[0]);
 }
 
 TEST(ExplorationSchedule, BoltzmannEqualQIsUniform)
 {
     ExplorationSchedule s(makeCfg(ExplorationKind::Boltzmann));
-    const auto p = s.boltzmannProbabilities({3.0, 3.0, 3.0});
+    std::vector<double> p;
+    s.boltzmannProbabilities({3.0, 3.0, 3.0}, p);
     for (double v : p)
         EXPECT_NEAR(v, 1.0 / 3.0, 1e-12);
 }
@@ -140,7 +143,8 @@ TEST(ExplorationSchedule, BoltzmannLowTemperatureIsNearGreedy)
     auto cfg = makeCfg(ExplorationKind::Boltzmann);
     cfg.temperature = 1e-3;
     ExplorationSchedule s(cfg);
-    const auto p = s.boltzmannProbabilities({0.2, 0.9, 0.5});
+    std::vector<double> p;
+    s.boltzmannProbabilities({0.2, 0.9, 0.5}, p);
     EXPECT_GT(p[1], 0.999);
 }
 
@@ -149,7 +153,8 @@ TEST(ExplorationSchedule, BoltzmannHighTemperatureIsNearUniform)
     auto cfg = makeCfg(ExplorationKind::Boltzmann);
     cfg.temperature = 1e3;
     ExplorationSchedule s(cfg);
-    const auto p = s.boltzmannProbabilities({0.2, 0.9, 0.5});
+    std::vector<double> p;
+    s.boltzmannProbabilities({0.2, 0.9, 0.5}, p);
     for (double v : p)
         EXPECT_NEAR(v, 1.0 / 3.0, 1e-3);
 }
@@ -158,7 +163,8 @@ TEST(ExplorationSchedule, BoltzmannLargeQValuesAreStable)
 {
     // The stable-softmax shift must keep huge Q-values finite.
     ExplorationSchedule s(makeCfg(ExplorationKind::Boltzmann));
-    const auto p = s.boltzmannProbabilities({1e8, 1e8 + 0.05});
+    std::vector<double> p;
+    s.boltzmannProbabilities({1e8, 1e8 + 0.05}, p);
     EXPECT_TRUE(std::isfinite(p[0]));
     EXPECT_TRUE(std::isfinite(p[1]));
     EXPECT_GT(p[1], p[0]);
@@ -169,12 +175,14 @@ TEST(ExplorationSchedule, BoltzmannSampleMatchesProbabilities)
 {
     ExplorationSchedule s(makeCfg(ExplorationKind::Boltzmann));
     const std::vector<double> q = {0.3, 0.8};
-    const auto p = s.boltzmannProbabilities(q);
+    std::vector<double> p;
+    s.boltzmannProbabilities(q, p);
     Pcg32 rng(99);
+    std::vector<double> scratch;
     const int n = 20000;
     int hits = 0;
     for (int i = 0; i < n; i++)
-        hits += s.sampleBoltzmann(q, rng) == 1 ? 1 : 0;
+        hits += s.sampleBoltzmann(q, scratch, rng) == 1 ? 1 : 0;
     const double freq = static_cast<double>(hits) / n;
     EXPECT_NEAR(freq, p[1], 0.02);
 }

@@ -278,7 +278,9 @@ TEST(InferRow, MatchesDocumentedOrderBitForBit)
 {
     // Output widths below, at and past one vector of every lane count
     // (scalar n <= 3, 4- and 8-lane rows, native tiles with exact and
-    // overlapping tails, more vectors than one tile holds), fan-ins
+    // overlapping tails, more vectors than one tile holds — at 16 lanes
+    // too, up to the 153- and 204-wide C51 heads of the tri- and
+    // quad-hybrid configs, with tails across a tile boundary), fan-ins
     // around every unroll boundary, and every activation, with NaN,
     // +-Inf, -0.0 and zeros in the weights, biases and inputs.
     Pcg32 rng(47);
@@ -286,7 +288,8 @@ TEST(InferRow, MatchesDocumentedOrderBitForBit)
          {Activation::Identity, Activation::ReLU, Activation::Sigmoid,
           Activation::Tanh, Activation::Swish})
         for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20,
-                                    30, 31, 33, 102, 103})
+                                    30, 31, 33, 102, 103, 129, 144, 145,
+                                    153, 204})
             for (const std::size_t k : {1, 2, 3, 6, 7, 8, 9, 20, 30, 33}) {
                 Network net(k, {{n, act}}, rng);
                 DenseLayer &layer = net.layers()[0];
