@@ -26,15 +26,20 @@
  *   sibyl_cli --list-policies
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/table.hh"
@@ -137,6 +142,35 @@ usage(const char *prog)
         prog);
 }
 
+/** Parse the value of numeric flag @p flag strictly: the whole string
+ *  must be a finite number (floating @p T) or a non-negative integer
+ *  that fits @p T. Prints an error naming the flag otherwise. */
+template <typename T>
+bool
+parseNumber(const std::string &flag, const char *v, T &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    bool ok = false;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double x = std::strtod(v, &end);
+        ok = std::isfinite(x);
+        out = x;
+    } else {
+        const unsigned long long x = std::strtoull(v, &end, 10);
+        ok = std::isdigit(static_cast<unsigned char>(v[0])) &&
+             errno != ERANGE && x <= std::numeric_limits<T>::max();
+        out = static_cast<T>(x);
+    }
+    if (ok && end != v && *end == '\0')
+        return true;
+    std::fprintf(stderr, "%s wants %s, got \"%s\"\n", flag.c_str(),
+                 std::is_floating_point_v<T> ? "a finite number"
+                                             : "a non-negative integer",
+                 v);
+    return false;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -146,6 +180,11 @@ parseArgs(int argc, char **argv, Options &opt)
             return nullptr;
         }
         return argv[++i];
+    };
+    auto number = [&](int &i, auto &out) {
+        const std::string flag = argv[i];
+        const char *v = need(i);
+        return v && parseNumber(flag, v, out);
     };
     for (int i = 1; i < argc; i++) {
         const std::string a = argv[i];
@@ -170,37 +209,31 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             opt.policies.push_back(v);
         } else if (a == "--requests") {
-            if (!(v = need(i)))
+            if (!number(i, opt.requests))
                 return false;
-            opt.requests = std::strtoull(v, nullptr, 10);
         } else if (a == "--fast-frac") {
-            if (!(v = need(i)))
+            if (!number(i, opt.fastFrac))
                 return false;
-            opt.fastFrac = std::strtod(v, nullptr);
         } else if (a == "--lr") {
-            if (!(v = need(i)))
+            if (!number(i, opt.learningRate))
                 return false;
-            opt.learningRate = std::strtod(v, nullptr);
         } else if (a == "--epsilon") {
-            if (!(v = need(i)))
+            if (!number(i, opt.epsilon))
                 return false;
-            opt.epsilon = std::strtod(v, nullptr);
         } else if (a == "--exploration") {
             if (!(v = need(i)))
                 return false;
             opt.exploration = v;
         } else if (a == "--temperature") {
-            if (!(v = need(i)))
+            if (!number(i, opt.temperature))
                 return false;
-            opt.temperature = std::strtod(v, nullptr);
         } else if (a == "--degrade-fast") {
             if (!(v = need(i)))
                 return false;
             opt.degradeFast = v;
         } else if (a == "--seed") {
-            if (!(v = need(i)))
+            if (!number(i, opt.seed))
                 return false;
-            opt.seed = std::strtoull(v, nullptr, 10);
         } else if (a == "--save-agent") {
             if (!(v = need(i)))
                 return false;
@@ -210,9 +243,8 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             opt.loadAgent = v;
         } else if (a == "--threads") {
-            if (!(v = need(i)))
+            if (!number(i, opt.threads))
                 return false;
-            opt.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
             opt.threadsSet = true;
         } else if (a == "--scenario") {
             if (!(v = need(i)))

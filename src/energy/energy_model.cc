@@ -1,8 +1,7 @@
 #include "energy/energy_model.hh"
 
 #include <algorithm>
-
-#include "common/logging.hh"
+#include <stdexcept>
 
 namespace sibyl::energy
 {
@@ -23,7 +22,8 @@ powerPreset(const std::string &shorthand)
         return PowerSpec{5.3, 6.0, 3.4};
     if (shorthand == "L_SSD")
         return PowerSpec{1.2, 1.8, 0.55};
-    fatal("powerPreset: unknown device shorthand '" + shorthand + "'");
+    throw std::invalid_argument("power: unknown device shorthand '" +
+                                shorthand + "' (want H, M, L or L_SSD)");
 }
 
 EnergyBreakdown

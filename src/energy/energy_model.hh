@@ -37,7 +37,7 @@ struct PowerSpec
  * ("H", "M", "L", "L_SSD"). Values approximate the vendor active/idle
  * envelopes: Optane P4800X draws the most active power, the HDD's
  * spindle dominates its idle draw, and the DRAM-less SU630 is the
- * most frugal.
+ * most frugal. Throws std::invalid_argument for any other shorthand.
  */
 PowerSpec powerPreset(const std::string &shorthand);
 

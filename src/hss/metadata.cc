@@ -5,124 +5,6 @@
 namespace sibyl::hss
 {
 
-// ------------------------------------------------------------------
-// LegacyPageMetaTable
-// ------------------------------------------------------------------
-
-LegacyPageMetaTable::LegacyPageMetaTable(std::uint32_t numDevices)
-    : numDevices_(numDevices), lru_(numDevices)
-{
-    if (numDevices == 0)
-        fatal("PageMetaTable: need at least one device");
-}
-
-bool
-LegacyPageMetaTable::isMapped(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it != meta_.end() && it->second.placement != kNoDevice;
-}
-
-DeviceId
-LegacyPageMetaTable::placement(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it == meta_.end() ? kNoDevice : it->second.placement;
-}
-
-std::uint64_t
-LegacyPageMetaTable::accessCount(PageId page) const
-{
-    auto it = meta_.find(page);
-    return it == meta_.end() ? 0 : it->second.accessCount;
-}
-
-std::uint64_t
-LegacyPageMetaTable::accessInterval(PageId page) const
-{
-    auto it = meta_.find(page);
-    if (it == meta_.end() || it->second.accessCount == 0)
-        return tick_;
-    return tick_ - it->second.lastAccessTick;
-}
-
-void
-LegacyPageMetaTable::recordAccess(PageId page)
-{
-    tick_++;
-    auto &m = meta_[page];
-    m.accessCount++;
-    m.lastAccessTick = tick_;
-    if (m.placement != kNoDevice) {
-        // Refresh recency: move to MRU position.
-        auto &list = lru_[m.placement];
-        list.erase(m.lruIt);
-        list.push_front(page);
-        m.lruIt = list.begin();
-    }
-}
-
-void
-LegacyPageMetaTable::map(PageId page, DeviceId dev)
-{
-    if (dev >= numDevices_)
-        panic("PageMetaTable::map: bad device id");
-    auto &m = meta_[page];
-    if (m.placement != kNoDevice)
-        panic("PageMetaTable::map: page already mapped");
-    m.placement = dev;
-    lru_[dev].push_front(page);
-    m.lruIt = lru_[dev].begin();
-}
-
-void
-LegacyPageMetaTable::remap(PageId page, DeviceId dev)
-{
-    if (dev >= numDevices_)
-        panic("PageMetaTable::remap: bad device id");
-    auto it = meta_.find(page);
-    if (it == meta_.end() || it->second.placement == kNoDevice)
-        panic("PageMetaTable::remap: page not mapped");
-    auto &m = it->second;
-    lru_[m.placement].erase(m.lruIt);
-    m.placement = dev;
-    lru_[dev].push_front(page);
-    m.lruIt = lru_[dev].begin();
-}
-
-PageId
-LegacyPageMetaTable::lruVictim(DeviceId dev) const
-{
-    const auto &list = lru_.at(dev);
-    return list.empty() ? kInvalidPage : list.back();
-}
-
-std::uint64_t
-LegacyPageMetaTable::pagesOn(DeviceId dev) const
-{
-    return lru_.at(dev).size();
-}
-
-std::vector<PageId>
-LegacyPageMetaTable::residency(DeviceId dev) const
-{
-    const auto &list = lru_.at(dev);
-    return std::vector<PageId>(list.rbegin(), list.rend());
-}
-
-void
-LegacyPageMetaTable::reset()
-{
-    tick_ = 0;
-    meta_.clear();
-    for (auto &l : lru_)
-        l.clear();
-}
-
-// ------------------------------------------------------------------
-// FlatPageMetaTable
-// ------------------------------------------------------------------
-
 namespace
 {
 

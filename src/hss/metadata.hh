@@ -8,30 +8,20 @@
  * vector (Table 1) — plus an LRU ordering per device used for default
  * eviction-victim selection.
  *
- * Two implementations share one interface:
- *
- *  - FlatPageMetaTable (the default): a single open-addressed slot
- *    array. Each slot embeds the page's counters *and* its LRU links as
- *    `uint32_t` slot indices, so one probe answers every per-request
- *    metadata query with at most one cache miss, and an LRU refresh is
- *    three index stores instead of a list-node splice. Pages are never
- *    erased individually (only remapped or bulk reset), so the probe
- *    sequences need no tombstones.
- *  - LegacyPageMetaTable: the original unordered_map + per-device
- *    std::list structure, kept only as the reference for the
- *    differential test and the metadata microbenchmark; the simulator
- *    always uses FlatPageMetaTable.
- *
- * Both preserve identical observable behaviour — eviction (LRU) order,
- * tick semantics, counters — which tests/test_hss.cc enforces with a
- * randomized differential stream.
+ * FlatPageMetaTable is a single open-addressed slot array. Each slot
+ * embeds the page's counters *and* its LRU links as `uint32_t` slot
+ * indices, so one probe answers every per-request metadata query with
+ * at most one cache miss, and an LRU refresh is three index stores
+ * instead of a list-node splice. Pages are never erased individually
+ * (only remapped or bulk reset), so the probe sequences need no
+ * tombstones. tests/test_hss.cc checks every observable — eviction
+ * (LRU) order, tick semantics, counters — against a map+list reference
+ * with a randomized differential stream.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -39,27 +29,32 @@
 namespace sibyl::hss
 {
 
-/** Metadata kept for each mapped logical page (legacy table). */
-struct PageMeta
-{
-    DeviceId placement = kNoDevice;
-    std::uint64_t accessCount = 0;
-    std::uint64_t lastAccessTick = 0;
-    /** Position in the owning device's LRU list. */
-    std::list<PageId>::iterator lruIt;
-};
-
 /**
- * Mapping table plus recency bookkeeping (legacy implementation).
+ * Flat open-addressed mapping table with an intrusive, index-linked
+ * LRU per device (see file header).
  *
  * The global tick increments once per *page access*; the paper defines
  * the access interval of a page as the number of page accesses between
  * two consecutive references to it.
  */
-class LegacyPageMetaTable
+class FlatPageMetaTable
 {
   public:
-    explicit LegacyPageMetaTable(std::uint32_t numDevices);
+    /** Capacity/rehash knobs. */
+    struct Config
+    {
+        /** Initial slot count (rounded up to a power of two). The
+         *  default comfortably holds the scaled-down traces this
+         *  repository replays without rehashing mid-run. */
+        std::uint64_t initialCapacity = 1 << 13;
+
+        /** Occupancy fraction that triggers doubling. Probe clusters
+         *  stay short below ~0.7 for linear probing. */
+        double maxLoadFactor = 0.60;
+    };
+
+    explicit FlatPageMetaTable(std::uint32_t numDevices);
+    FlatPageMetaTable(std::uint32_t numDevices, const Config &cfg);
 
     /** True if the page has ever been mapped. */
     bool isMapped(PageId page) const;
@@ -89,56 +84,6 @@ class LegacyPageMetaTable
     PageId lruVictim(DeviceId dev) const;
 
     /** Number of pages mapped to @p dev. */
-    std::uint64_t pagesOn(DeviceId dev) const;
-
-    /** Pages currently resident on @p dev, LRU order (cold first). */
-    std::vector<PageId> residency(DeviceId dev) const;
-
-    std::uint64_t tick() const { return tick_; }
-    std::uint64_t mappedPages() const { return meta_.size(); }
-
-    void reset();
-
-  private:
-    std::uint32_t numDevices_;
-    std::uint64_t tick_ = 0;
-    std::unordered_map<PageId, PageMeta> meta_;
-    /** Per-device recency lists: front = MRU, back = LRU. */
-    std::vector<std::list<PageId>> lru_;
-};
-
-/**
- * Flat open-addressed mapping table with an intrusive, index-linked
- * LRU per device (see file header). Same observable semantics as
- * LegacyPageMetaTable; this is the request-path default.
- */
-class FlatPageMetaTable
-{
-  public:
-    /** Capacity/rehash knobs. */
-    struct Config
-    {
-        /** Initial slot count (rounded up to a power of two). The
-         *  default comfortably holds the scaled-down traces this
-         *  repository replays without rehashing mid-run. */
-        std::uint64_t initialCapacity = 1 << 13;
-
-        /** Occupancy fraction that triggers doubling. Probe clusters
-         *  stay short below ~0.7 for linear probing. */
-        double maxLoadFactor = 0.60;
-    };
-
-    explicit FlatPageMetaTable(std::uint32_t numDevices);
-    FlatPageMetaTable(std::uint32_t numDevices, const Config &cfg);
-
-    bool isMapped(PageId page) const;
-    DeviceId placement(PageId page) const;
-    std::uint64_t accessCount(PageId page) const;
-    std::uint64_t accessInterval(PageId page) const;
-    void recordAccess(PageId page);
-    void map(PageId page, DeviceId dev);
-    void remap(PageId page, DeviceId dev);
-    PageId lruVictim(DeviceId dev) const;
     std::uint64_t pagesOn(DeviceId dev) const;
 
     /** Pages currently resident on @p dev, LRU order (cold first).
@@ -209,10 +154,5 @@ class FlatPageMetaTable
 };
 
 using PageMetaTable = FlatPageMetaTable;
-
-/** Feature probe for sources built against both pre- and post-flat
- *  versions of this header (bench/perf_request.cc measures its own
- *  baseline by compiling against the parent commit's library). */
-#define SIBYL_HAS_FLAT_METADATA 1
 
 } // namespace sibyl::hss

@@ -98,38 +98,27 @@ struct AgentConfig
     bool useAdam = true;
 
     /**
-     * Train each minibatch through the batched GEMM engine (3 batched
-     * forwards + 1 batched backward per batch) instead of looping
-     * per-sample matvec passes. Same math up to float summation order;
-     * `false` selects the legacy per-sample path, kept as the
-     * microbenchmark baseline and for A/B numerics tests.
-     */
-    bool batchedTraining = true;
-
-    /**
      * Cache per-replay-entry Bellman targets computed from the frozen
-     * inference network (batched training path only). Entries are
-     * invalidated on ring overwrite and on every weight sync, so the
-     * cached value always equals what a fresh evaluation would
-     * produce — bit for bit, because the batched row kernels make
-     * each row's result independent of batch composition. Resampling
-     * rates here are high (each training round draws batchSize x
-     * batchesPerTraining from a bufferCapacity ring), so most target
-     * evaluations between syncs are repeats. Disabled automatically
-     * for Double DQN, whose action selection tracks the training
-     * network.
+     * inference network. Entries are invalidated on ring overwrite and
+     * on every weight sync, so the cached value always equals what a
+     * fresh evaluation would produce — bit for bit, because the
+     * batched row kernels make each row's result independent of batch
+     * composition. Resampling rates here are high (each training round
+     * draws batchSize x batchesPerTraining from a bufferCapacity ring),
+     * so most target evaluations between syncs are repeats. Disabled
+     * automatically for Double DQN, whose action selection tracks the
+     * training network.
      */
     bool cacheNextValues = true;
 
     /**
-     * Fold duplicate state rows inside each training minibatch
-     * (batched path only): rows with byte-identical observations run
-     * the forward and backward passes once, with their output
-     * gradients summed first. Observations are coarsely binned
-     * (Table 1), so sampled batches carry ~30% duplicate rows on real
-     * traces. The folded gradient equals the unfolded one up to float
-     * summation order (gradients are linear in the output gradient
-     * for a fixed input row).
+     * Fold duplicate state rows inside each training minibatch: rows
+     * with byte-identical observations run the forward and backward
+     * passes once, with their output gradients summed first.
+     * Observations are coarsely binned (Table 1), so sampled batches
+     * carry ~30% duplicate rows on real traces. The folded gradient
+     * equals the unfolded one up to float summation order (gradients
+     * are linear in the output gradient for a fixed input row).
      */
     bool foldDuplicateStates = true;
 

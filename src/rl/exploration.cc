@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/logging.hh"
+#include <stdexcept>
+#include <string>
 
 namespace sibyl::rl
 {
@@ -29,17 +29,24 @@ explorationKindName(ExplorationKind kind)
 ExplorationSchedule::ExplorationSchedule(ExplorationConfig cfg)
     : cfg_(cfg), vdbeEpsilon_(cfg.epsilonStart)
 {
-    if (cfg_.epsilon < 0.0 || cfg_.epsilon > 1.0)
-        fatal("ExplorationSchedule: epsilon must be in [0,1]");
-    if (cfg_.epsilonStart < 0.0 || cfg_.epsilonStart > 1.0)
-        fatal("ExplorationSchedule: epsilonStart must be in [0,1]");
-    if (cfg_.kind == ExplorationKind::Boltzmann && cfg_.temperature <= 0.0)
-        fatal("ExplorationSchedule: Boltzmann temperature must be > 0");
-    if (cfg_.kind == ExplorationKind::Vdbe &&
-        (cfg_.vdbeSigma <= 0.0 || cfg_.vdbeDelta <= 0.0 ||
-         cfg_.vdbeDelta > 1.0))
-        fatal("ExplorationSchedule: VDBE wants sigma > 0 and delta in "
-              "(0,1]");
+    // Thrown, not fatal: a bad descriptor value fails its own run and
+    // the runner records it, leaving the other runs of a batch intact.
+    auto reject = [](const std::string &what) {
+        throw std::invalid_argument("ExplorationSchedule: " + what);
+    };
+    if (!(cfg_.epsilon >= 0.0 && cfg_.epsilon <= 1.0))
+        reject("epsilon must be in [0,1]");
+    if (!(cfg_.epsilonStart >= 0.0 && cfg_.epsilonStart <= 1.0))
+        reject("epsilonStart must be in [0,1]");
+    if (cfg_.kind == ExplorationKind::Boltzmann &&
+        !(cfg_.temperature > 0.0))
+        reject("Boltzmann temperature must be > 0");
+    if (cfg_.kind == ExplorationKind::Vdbe) {
+        if (!(cfg_.vdbeSigma > 0.0))
+            reject("vdbeSigma must be > 0");
+        if (!(cfg_.vdbeDelta > 0.0 && cfg_.vdbeDelta <= 1.0))
+            reject("vdbeDelta must be in (0,1]");
+    }
 }
 
 double

@@ -230,10 +230,31 @@ ValueAgent::afterObserve()
 double
 ValueAgent::trainRound()
 {
+    return runRound(&ValueAgent::trainBatch);
+}
+
+double
+ValueAgent::trainRoundPerSample()
+{
+    return runRound(&ValueAgent::trainPerSample);
+}
+
+double
+ValueAgent::runRound(double (ValueAgent::*trainOne)())
+{
     commitStagedRound(); // tests may force a round mid-flight
     double loss = 0.0;
-    for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++)
-        loss += trainBatch();
+    for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++) {
+        if (cfg_.prioritizedReplay)
+            buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
+                                             cfg_.perAlpha, sampled_);
+        else
+            buffer_.sampleIndices(cfg_.batchSize, rng_, sampled_);
+        if (sampled_.empty())
+            continue;
+        loss += (this->*trainOne)();
+        stats_.gradientSteps += sampled_.size();
+    }
     foldRound(loss);
     return stats_.lastLoss;
 }
@@ -250,24 +271,10 @@ ValueAgent::foldRound(double lossSum)
 double
 ValueAgent::trainBatch()
 {
-    if (cfg_.prioritizedReplay)
-        buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
-                                         cfg_.perAlpha, sampled_);
-    else
-        buffer_.sampleIndices(cfg_.batchSize, rng_, sampled_);
-    if (sampled_.empty())
-        return 0.0;
-    double loss;
-    if (cfg_.batchedTraining) {
-        batchRows_.resize(sampled_.size());
-        for (std::size_t r = 0; r < sampled_.size(); r++)
-            batchRows_[r] = &buffer_[sampled_[r]];
-        loss = trainMinibatch(&sampled_, *inferenceNet_);
-    } else {
-        loss = trainPerSample(sampled_);
-    }
-    stats_.gradientSteps += sampled_.size();
-    return loss;
+    batchRows_.resize(sampled_.size());
+    for (std::size_t r = 0; r < sampled_.size(); r++)
+        batchRows_[r] = &buffer_[sampled_[r]];
+    return trainMinibatch(&sampled_, *inferenceNet_);
 }
 
 double
@@ -416,8 +423,9 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
 }
 
 double
-ValueAgent::trainPerSample(const std::vector<std::size_t> &indices)
+ValueAgent::trainPerSample()
 {
+    const std::vector<std::size_t> &indices = sampled_;
     // Same sampling-time importance weights as the batched path, so
     // the two paths stay numerically equivalent.
     if (cfg_.prioritizedReplay)

@@ -195,6 +195,12 @@ class ValueAgent : public Agent
      *  asynchronous round first. */
     double trainRound() override;
 
+    /** trainRound() through the per-sample reference trainer: the same
+     *  sampled indices and counters, one forward/backward chain per
+     *  row instead of the batched GEMM engine (for the twin-agent
+     *  numerics tests). */
+    double trainRoundPerSample();
+
     /** Async-training hooks (see Agent / AgentConfig::asyncTraining). */
     void setTrainingExecutor(TrainingExecutor exec) override;
     void finishTraining() override;
@@ -235,8 +241,12 @@ class ValueAgent : public Agent
      *  observe paths. */
     void afterObserve();
 
-    /** Sample one minibatch from the ring and take one gradient step
-     *  on it; returns the mean loss. */
+    /** One training round: per batch, sample sampled_ from the ring
+     *  and hand it to @p trainOne, which takes one gradient step on it
+     *  and returns the mean loss. */
+    double runRound(double (ValueAgent::*trainOne)());
+
+    /** Train the sampled minibatch through trainMinibatch. */
     double trainBatch();
 
     /**
@@ -250,10 +260,9 @@ class ValueAgent : public Agent
     double trainMinibatch(const std::vector<std::size_t> *slots,
                           ml::Network &targetNet);
 
-    /** Per-sample reference for trainMinibatch (batchedTraining=false):
-     *  one forward/backward chain per sampled row. Kept as the baseline
-     *  for the training microbenchmark and the A/B numerics tests. */
-    double trainPerSample(const std::vector<std::size_t> &indices);
+    /** Per-sample reference for trainBatch: one forward/backward chain
+     *  per sampled row (see trainRoundPerSample). */
+    double trainPerSample();
 
     /** Stage an asynchronous round at a training tick: pre-sample the
      *  minibatch indices with the decision-path RNG (the exact draws

@@ -11,7 +11,9 @@
 #include "hss/hybrid_system.hh"
 #include "hss/metadata.hh"
 
+#include <list>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace sibyl::hss
 {
@@ -284,6 +286,107 @@ TEST(HybridSystem, FreeFractionTracksOccupancy)
 }
 
 // ------------------- Flat vs legacy metadata table -------------------
+
+/**
+ * The original unordered_map + per-device std::list metadata table,
+ * kept here as the reference the flat table is checked against. Same
+ * interface and semantics: the tick advances once per page access, an
+ * access refreshes the page's recency, and each device's list runs
+ * MRU (front) to LRU (back).
+ */
+class LegacyPageMetaTable
+{
+  public:
+    explicit LegacyPageMetaTable(std::uint32_t numDevices)
+        : lru_(numDevices)
+    {
+    }
+
+    DeviceId placement(PageId page) const
+    {
+        auto it = meta_.find(page);
+        return it == meta_.end() ? kNoDevice : it->second.placement;
+    }
+
+    std::uint64_t accessCount(PageId page) const
+    {
+        auto it = meta_.find(page);
+        return it == meta_.end() ? 0 : it->second.accessCount;
+    }
+
+    std::uint64_t accessInterval(PageId page) const
+    {
+        auto it = meta_.find(page);
+        if (it == meta_.end() || it->second.accessCount == 0)
+            return tick_;
+        return tick_ - it->second.lastAccessTick;
+    }
+
+    void recordAccess(PageId page)
+    {
+        tick_++;
+        auto &m = meta_[page];
+        m.accessCount++;
+        m.lastAccessTick = tick_;
+        if (m.placement != kNoDevice)
+            moveToFront(m, m.placement);
+    }
+
+    void map(PageId page, DeviceId dev)
+    {
+        auto &m = meta_[page];
+        ASSERT_EQ(m.placement, kNoDevice) << "page already mapped";
+        m.placement = dev;
+        lru_[dev].push_front(page);
+        m.lruIt = lru_[dev].begin();
+    }
+
+    void remap(PageId page, DeviceId dev)
+    {
+        auto &m = meta_.at(page);
+        ASSERT_NE(m.placement, kNoDevice) << "page not mapped";
+        moveToFront(m, dev);
+    }
+
+    PageId lruVictim(DeviceId dev) const
+    {
+        return lru_[dev].empty() ? kInvalidPage : lru_[dev].back();
+    }
+
+    std::uint64_t pagesOn(DeviceId dev) const { return lru_[dev].size(); }
+
+    std::vector<PageId> residency(DeviceId dev) const
+    {
+        return {lru_[dev].rbegin(), lru_[dev].rend()};
+    }
+
+    std::uint64_t tick() const { return tick_; }
+    std::uint64_t mappedPages() const { return meta_.size(); }
+
+  private:
+    struct PageMeta
+    {
+        DeviceId placement = kNoDevice;
+        std::uint64_t accessCount = 0;
+        std::uint64_t lastAccessTick = 0;
+        std::list<PageId>::iterator lruIt;
+    };
+
+    /** Unlink @p m from its device's list and push it at @p dev's MRU
+     *  end (an access refresh when @p dev is the same device). */
+    void moveToFront(PageMeta &m, DeviceId dev)
+    {
+        const PageId page = *m.lruIt;
+        lru_[m.placement].erase(m.lruIt);
+        m.placement = dev;
+        lru_[dev].push_front(page);
+        m.lruIt = lru_[dev].begin();
+    }
+
+    std::uint64_t tick_ = 0;
+    std::unordered_map<PageId, PageMeta> meta_;
+    std::vector<std::list<PageId>> lru_;
+};
 
 /**
  * Randomized differential test: the flat open-addressed table and the

@@ -495,17 +495,13 @@ expectTwinTrainingMatches(AgentConfig cfg, double tol)
     cfg.trainEvery = 10 * cfg.bufferCapacity;
     cfg.targetSyncEvery = 10 * cfg.bufferCapacity;
 
-    AgentConfig perSampleCfg = cfg;
-    perSampleCfg.batchedTraining = false;
-    cfg.batchedTraining = true;
-
     AgentT batched(cfg);
-    AgentT scalar(perSampleCfg);
+    AgentT scalar(cfg);
     fillBuffer(batched, cfg, 77);
-    fillBuffer(scalar, perSampleCfg, 77);
+    fillBuffer(scalar, cfg, 77);
 
     const double lossB = batched.trainRound();
-    const double lossS = scalar.trainRound();
+    const double lossS = scalar.trainRoundPerSample();
     EXPECT_NEAR(lossB, lossS, tol * std::max(1.0, std::abs(lossS)));
 
     const auto pb = batched.trainingNetwork().saveParams();
