@@ -52,6 +52,9 @@ class ArchivistPolicy : public PlacementPolicy
 
     void reset() override;
 
+    /** The classifier (for checkpoint digests in tests). */
+    const ml::Network &network() const { return *net_; }
+
   private:
     /** Request features: size, type, access count, access interval. */
     ml::Vector makeFeatures(const hss::HybridSystem &sys,

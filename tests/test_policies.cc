@@ -151,6 +151,52 @@ TEST(Archivist, LearnsHotnessAcrossEpochs)
     EXPECT_GT(fastDecisions, 50u);
 }
 
+std::uint64_t
+fnv1a(const void *bytes, std::size_t n,
+      std::uint64_t h = 1469598103934665603ULL)
+{
+    const auto *c = static_cast<const unsigned char *>(bytes);
+    for (std::size_t i = 0; i < n; i++) {
+        h ^= c[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+// Pins Archivist's bits: 12 epochs of training on a fixed trace, then
+// digests of the classifier's parameters and of every placement
+// decision. Many of its dead-ReLU moment estimates sit at subnormal
+// fixed points, so this also pins the optimizer on those values.
+TEST(Archivist, TrainedBitsArePinned)
+{
+    const trace::Trace t = trace::makeWorkload("prxy_1", 6500, 7);
+    hss::HybridSystem sys(config(256, t.addressSpacePages() + 64));
+    ArchivistConfig cfg;
+    cfg.epochLength = 500;
+    ArchivistPolicy arch(cfg);
+    std::uint64_t decisions = fnv1a(nullptr, 0);
+    std::uint64_t fast = 0;
+    for (std::size_t i = 0; i < t.size(); i++) {
+        const DeviceId d = arch.selectPlacement(sys, t[i], i);
+        sys.serve(t[i].timestamp, t[i], d);
+        decisions = fnv1a(&d, sizeof(d), decisions);
+        fast += d == 0;
+    }
+    const std::vector<float> params = arch.network().saveParams();
+    const std::uint64_t paramDigest =
+        fnv1a(params.data(), params.size() * sizeof(float));
+    EXPECT_GT(fast, 0u);
+    EXPECT_LT(fast, t.size());
+    char hex[64];
+    std::snprintf(hex, sizeof(hex), "0x%016llX 0x%016llX",
+                  static_cast<unsigned long long>(paramDigest),
+                  static_cast<unsigned long long>(decisions));
+    EXPECT_EQ(paramDigest, 0xAF23C28DFF608389ULL)
+        << "digests are now " << hex;
+    EXPECT_EQ(decisions, 0xB0A981F0B37E95A3ULL)
+        << "digests are now " << hex;
+}
+
 TEST(RnnHss, UntrainedStaysSlow)
 {
     hss::HybridSystem sys(config());
