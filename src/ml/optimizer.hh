@@ -45,6 +45,10 @@ class Sgd : public Optimizer
     double learningRate() const override { return lr_; }
     void setLearningRate(double lr) override { lr_ = lr; }
 
+    /** Per-layer velocity, [weights..., bias...] each; empty until the
+     *  first step() sizes it (tests preset it). */
+    std::vector<std::vector<float>> &velocities() { return velocity_; }
+
   private:
     double lr_;
     double momentum_;
@@ -52,7 +56,15 @@ class Sgd : public Optimizer
     std::vector<std::vector<float>> velocity_;
 };
 
-/** Adam (Kingma & Ba, 2015). */
+/**
+ * Adam (Kingma & Ba, 2015).
+ *
+ * Like Sgd's, its element update gives exactly the bits of the plain
+ * float expressions, but never hands a subnormal to a multiply, divide
+ * or square root: moment estimates of units that only see zero
+ * gradients sit at subnormal fixed points of m <- b1 * m, where x86
+ * would take a microcode assist on every step (see optimizer.cc).
+ */
 class Adam : public Optimizer
 {
   public:
@@ -62,6 +74,12 @@ class Adam : public Optimizer
     void step(Network &net, std::size_t batchSize) override;
     double learningRate() const override { return lr_; }
     void setLearningRate(double lr) override { lr_ = lr; }
+
+    /** Per-layer first and second moment estimates, [weights...,
+     *  bias...] each; empty until the first step() sizes them (tests
+     *  preset them). */
+    std::vector<std::vector<float>> &firstMoments() { return m_; }
+    std::vector<std::vector<float>> &secondMoments() { return v_; }
 
   private:
     double lr_;

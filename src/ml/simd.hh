@@ -17,9 +17,7 @@
 #include "ml/kernel_dispatch.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
-#include <climits>
 #include <cstdint>
 #include <type_traits>
 
@@ -141,7 +139,7 @@ fastExpf(F x)
     // the integer, in round-to-nearest-even mode.
     const F t = x * kLog2e + kRound;
     const F n = t - kRound;
-    I i = std::bit_cast<I>(t) - kRoundBits;
+    I i = __builtin_bit_cast(I, t) - kRoundBits;
     const I lo = I{} - 126, hi = I{} + 127;
     i = i < lo ? lo : i;
     i = i > hi ? hi : i;
@@ -157,28 +155,25 @@ fastExpf(F x)
     p = p * r + 5.0000001201e-1f;
     p = p * r * r + r + 1.0f;
 
-    const F scale = std::bit_cast<F>((i + 127) << 23); // 2^n
+    const F scale = __builtin_bit_cast(F, (i + 127) << 23); // 2^n
     return p * scale;
 }
 
 /**
- * -x for the sigmoid's exp argument. The float form is the plain
- * negation the activation sweeps have always been compiled from. The
- * vector form flips the sign bit of the integer view instead: GCC
- * folds a vector negation into the multiply that consumes it (-x * c
- * as x * -c), which keeps a NaN's sign where the float sweeps flip it.
- * The bit flip gives each lane the float sweeps' bits, NaNs included.
+ * -x for the sigmoid's exp argument, as 0 - x: a NaN passes through
+ * whole, and GCC cannot fold the subtraction into the multiply that
+ * consumes it (0 - 0 is +0, not -0), so -O0 and optimized builds, float
+ * and vector forms, all agree. (Where the plain negation was folded, a
+ * NaN kept its sign; where not, it flipped.) The only other difference
+ * from -x, +0 for x = +0, gives fastExpf the same bits. Keeping the NaN
+ * whole makes sigmoid(NaN) that same NaN, so swish's x * sigmoid(x) has
+ * the same bits whichever operand of the multiply comes first.
  */
 template <typename F>
 [[gnu::always_inline]] inline F
 negate(F x)
 {
-    if constexpr (std::is_same_v<F, float>) {
-        return -x;
-    } else {
-        using I = IntLanes<F>;
-        return std::bit_cast<F>(std::bit_cast<I>(x) ^ (I{} + INT32_MIN));
-    }
+    return 0.0f - x;
 }
 
 template <typename F>

@@ -30,7 +30,7 @@ namespace sibyl::policies
 /** Tunables of the Archivist baseline. */
 struct ArchivistConfig
 {
-    std::size_t epochLength = 2000;
+    std::size_t epochLength = 2000;     ///< requests per epoch (>= 1)
     std::uint64_t hotThreshold = 2;     ///< epoch accesses to label hot
     std::uint32_t hiddenNeurons = 16;
     std::uint32_t trainPasses = 2;      ///< passes over the epoch samples
@@ -42,6 +42,7 @@ struct ArchivistConfig
 class ArchivistPolicy : public PlacementPolicy
 {
   public:
+    /** @throws std::invalid_argument if epochLength is 0. */
     explicit ArchivistPolicy(const ArchivistConfig &cfg = ArchivistConfig());
 
     std::string name() const override { return "Archivist"; }
@@ -56,27 +57,33 @@ class ArchivistPolicy : public PlacementPolicy
     const ml::Network &network() const { return *net_; }
 
   private:
-    /** Request features: size, type, access count, access interval. */
-    ml::Vector makeFeatures(const hss::HybridSystem &sys,
-                            const trace::Request &req) const;
+    static constexpr std::size_t kFeatures = 4;
+
+    /** Fresh classifier and optimizer, seeded from the config. */
+    void buildClassifier();
+
+    /** Append the request's features (size, type, access count, access
+     *  interval) to the epoch's feature buffer. */
+    void appendFeatures(const hss::HybridSystem &sys,
+                        const trace::Request &req);
 
     /** Train the classifier on the recorded epoch and clear it. */
     void rotateEpoch();
 
-    struct Sample
-    {
-        ml::Vector features;
-        PageId page;
-    };
-
     ArchivistConfig cfg_;
-    Pcg32 rng_;
     std::unique_ptr<ml::Network> net_;
     std::unique_ptr<ml::Optimizer> opt_;
     bool trained_ = false;
 
-    std::vector<Sample> epochSamples_;
+    // The epoch's requests: kFeatures floats each, and their pages.
+    std::vector<float> epochFeatures_;
+    std::vector<PageId> epochPages_;
     std::unordered_map<PageId, std::uint64_t> epochCount_;
+
+    // Reused per-sample buffers.
+    ml::Vector input_;
+    ml::Vector gradOut_;
+    std::vector<float> labels_;
 };
 
 } // namespace sibyl::policies

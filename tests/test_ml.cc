@@ -7,7 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#endif
 
 #include "common/rng.hh"
 #include "ml/activations.hh"
@@ -315,6 +323,427 @@ TEST(Optimizer, StepClearsGradients)
     opt.step(net, 1);
     EXPECT_FLOAT_EQ(net.layers()[0].gradWeights()(0, 0), 0.0f);
 }
+
+// ---------------------------------------------------------------------
+// The optimizers' element updates, pinned bit for bit. The oracles are
+// plain scalar float loops of the update expressions; every array after
+// step() must match them byte for byte on subnormal, boundary,
+// signed-zero, infinite and NaN inputs, whichever of the optimizers'
+// plain float and exact double forms ran for a block.
+// ---------------------------------------------------------------------
+
+/** One layer's optimizer state, flat as [weights..., bias...]. */
+struct OptState
+{
+    std::vector<float> p, g, m, v; // v unused by SGD; m is its velocity
+};
+
+void
+adamOracle(OptState &s, std::size_t batchSize, double lr, std::uint64_t t)
+{
+    const double beta1 = 0.9, beta2 = 0.999, epsD = 1e-8;
+    float scale = 1.0f / static_cast<float>(batchSize);
+    double corr1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    double corr2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    const float stepSize = static_cast<float>(lr * std::sqrt(corr2) / corr1);
+    const float b1 = static_cast<float>(beta1);
+    const float b1c = static_cast<float>(1.0 - beta1);
+    const float b2 = static_cast<float>(beta2);
+    const float b2c = static_cast<float>(1.0 - beta2);
+    const float eps = static_cast<float>(epsD);
+    float *p = s.p.data(), *g = s.g.data(), *m = s.m.data(), *v = s.v.data();
+    for (std::size_t i = 0; i < s.p.size(); i++) {
+        const float grad = g[i] * scale;
+        g[i] = 0.0f;
+        m[i] = b1 * m[i] + b1c * grad;
+        v[i] = b2 * v[i] + b2c * grad * grad;
+        p[i] -= stepSize * m[i] / (std::sqrt(v[i]) + eps);
+    }
+}
+
+void
+sgdOracle(OptState &s, std::size_t batchSize, double lrD, double momD)
+{
+    const float scale = 1.0f / static_cast<float>(batchSize);
+    const float lr = static_cast<float>(lrD);
+    const float mom = static_cast<float>(momD);
+    float *p = s.p.data(), *g = s.g.data(), *v = s.m.data();
+    for (std::size_t i = 0; i < s.p.size(); i++) {
+        if (momD > 0.0) {
+            v[i] = mom * v[i] + g[i] * scale;
+            g[i] = 0.0f;
+            p[i] -= lr * v[i];
+        } else {
+            p[i] -= lr * (g[i] * scale);
+            g[i] = 0.0f;
+        }
+    }
+}
+
+/** A one-layer network of n = nIn * nOut + nOut parameters. */
+struct OneLayer
+{
+    Pcg32 rng{3};
+    Network net;
+    OneLayer(std::size_t nIn, std::size_t nOut)
+        : net(nIn, {{nOut, Activation::Identity}}, rng)
+    {
+    }
+
+    DenseLayer &layer() { return net.layers()[0]; }
+
+    void load(const OptState &s)
+    {
+        const std::size_t nw = layer().weights().size();
+        std::copy(s.p.begin(), s.p.begin() + nw, layer().weights().data());
+        std::copy(s.p.begin() + nw, s.p.end(), layer().bias().data());
+        std::copy(s.g.begin(), s.g.begin() + nw,
+                  layer().gradWeights().data());
+        std::copy(s.g.begin() + nw, s.g.end(), layer().gradBias().data());
+    }
+
+    void store(OptState &s)
+    {
+        const std::size_t nw = layer().weights().size();
+        const float *w = layer().weights().data();
+        const float *gw = layer().gradWeights().data();
+        std::copy(w, w + nw, s.p.begin());
+        std::copy(layer().bias().data(),
+                  layer().bias().data() + layer().bias().size(),
+                  s.p.begin() + nw);
+        std::copy(gw, gw + nw, s.g.begin());
+        std::copy(layer().gradBias().data(),
+                  layer().gradBias().data() + layer().gradBias().size(),
+                  s.g.begin() + nw);
+    }
+};
+
+std::uint32_t
+bitsOf(float x)
+{
+    return std::bit_cast<std::uint32_t>(x);
+}
+
+float
+fromBits(std::uint32_t b)
+{
+    return std::bit_cast<float>(b);
+}
+
+void
+expectSameBits(const std::vector<float> &got,
+               const std::vector<float> &want, const char *what,
+               const OptState &in)
+{
+    ASSERT_EQ(got.size(), want.size());
+    if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) ==
+        0)
+        return;
+    std::size_t i = 0;
+    while (bitsOf(got[i]) == bitsOf(want[i]))
+        i++;
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "%s[%zu]: got %08x want %08x (p %08x g %08x m %08x "
+                  "v %08x)",
+                  what, i, bitsOf(got[i]), bitsOf(want[i]), bitsOf(in.p[i]),
+                  bitsOf(in.g[i]), bitsOf(in.m[i]), bitsOf(in.v[i]));
+    ADD_FAILURE() << msg;
+}
+
+/** Run Adam::step @p steps times from @p in (the gradients reloaded
+ *  before each step) and compare every array with the oracle. */
+void
+expectAdamMatchesOracle(const OptState &in, std::size_t nIn,
+                        std::size_t nOut, std::size_t batchSize, double lr,
+                        int steps = 1)
+{
+    ASSERT_EQ(in.p.size(), nIn * nOut + nOut);
+    OneLayer one(nIn, nOut);
+    Adam opt(lr);
+    opt.firstMoments() = {in.m};
+    opt.secondMoments() = {in.v};
+    OptState got = in, want = in;
+    for (int t = 1; t <= steps; t++) {
+        got.g = in.g;
+        one.load(got);
+        opt.step(one.net, batchSize);
+        one.store(got);
+        want.g = in.g;
+        adamOracle(want, batchSize, lr, static_cast<std::uint64_t>(t));
+    }
+    got.m = opt.firstMoments()[0];
+    got.v = opt.secondMoments()[0];
+    expectSameBits(got.p, want.p, "p", in);
+    expectSameBits(got.g, want.g, "g", in);
+    expectSameBits(got.m, want.m, "m", in);
+    expectSameBits(got.v, want.v, "v", in);
+}
+
+void
+expectSgdMatchesOracle(const OptState &in, std::size_t nIn, std::size_t nOut,
+                       std::size_t batchSize, double lr, double momentum)
+{
+    OneLayer one(nIn, nOut);
+    Sgd opt(lr, momentum);
+    opt.velocities() = {in.m};
+    OptState got = in, want = in;
+    one.load(got);
+    opt.step(one.net, batchSize);
+    one.store(got);
+    got.m = opt.velocities()[0];
+    sgdOracle(want, batchSize, lr, momentum);
+    expectSameBits(got.p, want.p, "p", in);
+    expectSameBits(got.g, want.g, "g", in);
+    expectSameBits(got.m, want.m, "velocity", in);
+}
+
+constexpr float kMinNormal = FLT_MIN;                  // 2^-126
+constexpr float kDenormMin = 1.40129846e-45f;          // 2^-149
+
+/**
+ * Values near every magnitude at which one of the updates' products,
+ * quotients or square roots crosses 2^-126 (with either sign, a few
+ * ulps each side), plus subnormals, zeros, infinities, NaN and
+ * ordinary values. There is one NaN: which payload an add of two
+ * different NaNs returns is up to the compiler's operand order (IEEE
+ * 754 leaves it open), in the oracle and the optimizers alike.
+ */
+std::vector<float>
+edgeValues(double stepSize)
+{
+    const double centers[] = {
+        0x1p-126,                        // the boundary itself
+        0x1p-126 / 0.9,                  // b1 * m
+        0x1p-126 / 0.1,                  // (1 - b1) * grad
+        0x1p-126 / 0.999,                // b2 * v
+        0x1p-126 / 0.001,                // (1 - b2) * grad
+        std::sqrt(0x1p-126 / 0.001),     // (1 - b2) * grad * grad
+        0x1p-126 / stepSize,             // stepSize * m
+        0x1p-126 * 128.0,                // grad = g / 128
+        0x1p-126 * 1e-8 / stepSize,      // quotient over eps
+        1.0e-30, 1.0e-20, 1.0e-8, 1.0, 1.0e10, 1.0e30, 0x1p-100,
+    };
+    std::vector<float> out;
+    for (double c : centers) {
+        const std::uint32_t b = bitsOf(static_cast<float>(c));
+        for (int d = -3; d <= 3; d++) {
+            if (static_cast<int>(b) + d < 0)
+                continue;
+            out.push_back(fromBits(b + d));
+            out.push_back(-fromBits(b + d));
+        }
+    }
+    for (std::uint32_t k : {1u, 2u, 3u, 4u, 5u, 499u, 500u, 501u,
+                            0x400000u, 0x7fffffu})
+        for (float sign : {1.0f, -1.0f})
+            out.push_back(sign * fromBits(k));
+    const float inf = std::numeric_limits<float>::infinity();
+    for (float x : {0.0f, -0.0f, inf, -inf,
+                    std::numeric_limits<float>::quiet_NaN()})
+        out.push_back(x);
+    return out;
+}
+
+/** @p n lanes drawing p, g, m and v independently from @p pool. */
+OptState
+randomState(const std::vector<float> &pool, std::size_t n,
+            std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    OptState s;
+    for (auto *a : {&s.p, &s.g, &s.m, &s.v}) {
+        a->resize(n);
+        for (float &x : *a)
+            x = pool[rng.nextBounded(static_cast<std::uint32_t>(pool.size()))];
+    }
+    return s;
+}
+
+TEST(OptimizerBits, AdamEverySubnormalFirstMoment)
+{
+    // Every +-subnormal m (and +-0) with g = +-0, in chunks of 2^20.
+    const std::size_t nIn = 1023, nOut = 1024, n = nIn * nOut + nOut;
+    const float vs[] = {0.0f, 7 * kDenormMin, 300 * kDenormMin, 1e-20f,
+                        1.0f};
+    for (std::uint32_t sign : {0u, 0x80000000u}) {
+        for (std::uint32_t chunk = 0; chunk < 8; chunk++) {
+            OptState s;
+            s.p.resize(n);
+            s.g.resize(n);
+            s.m.resize(n);
+            s.v.resize(n);
+            for (std::size_t i = 0; i < n; i++) {
+                s.m[i] = fromBits(sign | (chunk << 20 | i));
+                s.g[i] = i & 1 ? -0.0f : 0.0f;
+                s.v[i] = vs[i % 5];
+                s.p[i] = static_cast<float>(static_cast<int>(i % 7) - 3) *
+                         0.25f;
+            }
+            expectAdamMatchesOracle(s, nIn, nOut, 1, 1e-2);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(OptimizerBits, AdamStuckFixedPoints)
+{
+    // With g = 0, m = k * 2^-149 is a fixed point of m <- 0.9f * m for
+    // k <= 4, and v = k * 2^-149 one of v <- 0.999f * v for k < 500.
+    const std::size_t nIn = 7, nOut = 150, n = nIn * nOut + nOut; // 1200
+    OptState s;
+    for (std::size_t i = 0; i < n; i++) {
+        const std::uint32_t k = static_cast<std::uint32_t>(i % 600) + 1;
+        s.m.push_back((i / 600 ? -1.0f : 1.0f) * fromBits(k % 9));
+        s.v.push_back(fromBits(k));
+        s.g.push_back(0.0f);
+        s.p.push_back(0.5f);
+    }
+    expectAdamMatchesOracle(s, nIn, nOut, 1, 1e-2);
+
+    OneLayer one(nIn, nOut);
+    Adam opt(1e-2);
+    opt.firstMoments() = {s.m};
+    opt.secondMoments() = {s.v};
+    one.load(s);
+    opt.step(one.net, 1);
+    for (std::size_t i = 0; i < n; i++) {
+        const std::uint32_t k = static_cast<std::uint32_t>(i % 600) + 1;
+        if (k % 9 >= 1 && k % 9 <= 4) {
+            EXPECT_EQ(bitsOf(opt.firstMoments()[0][i]), bitsOf(s.m[i]))
+                << i;
+        }
+        if (k < 500) {
+            EXPECT_EQ(bitsOf(opt.secondMoments()[0][i]), bitsOf(s.v[i]))
+                << i;
+        }
+    }
+}
+
+TEST(OptimizerBits, AdamEdgeValues)
+{
+    // lr 10 puts stepSize above 1 at t = 1; batch 128 scales gradients
+    // down by 2^-7. 37 x 3 weights plus 3 biases leave ragged tails.
+    for (double lr : {1e-2, 10.0}) {
+        const double stepSize = lr * std::sqrt(1.0 - 0.999) / (1.0 - 0.9);
+        const std::vector<float> pool = edgeValues(stepSize);
+        for (std::size_t batch : {1u, 128u}) {
+            SCOPED_TRACE(testing::Message() << "lr " << lr << " batch "
+                                            << batch);
+            expectAdamMatchesOracle(randomState(pool, 114, 1), 37, 3,
+                                    batch, lr);
+            expectAdamMatchesOracle(randomState(pool, 1 << 18, 2), 511, 512,
+                                    batch, lr);
+            expectAdamMatchesOracle(randomState(pool, 4160, 3), 64, 64,
+                                    batch, lr, 3);
+        }
+    }
+}
+
+TEST(OptimizerBits, AdamSpecialValuesCrossProduct)
+{
+    // Every combination of +-0, +-Inf, NaN and a subnormal over
+    // (p, g, m, v): 6^4 = 1296 lanes.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float vals[] = {0.0f, -0.0f, inf, -inf,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          3 * kDenormMin};
+    OptState s;
+    for (float p : vals)
+        for (float g : vals)
+            for (float m : vals)
+                for (float v : vals) {
+                    s.p.push_back(p);
+                    s.g.push_back(g);
+                    s.m.push_back(m);
+                    s.v.push_back(v);
+                }
+    for (std::size_t batch : {1u, 128u})
+        expectAdamMatchesOracle(s, 35, 36, batch, 1e-2);
+}
+
+TEST(OptimizerBits, SgdMatchesOracle)
+{
+    for (double lr : {1e-2, 10.0}) {
+        std::vector<float> pool = edgeValues(lr);
+        for (double c : {0x1p-126 / lr, 0x1p-126 / 0.9})
+            for (int d = -2; d <= 2; d++)
+                pool.push_back(fromBits(bitsOf(static_cast<float>(c)) + d));
+        for (double momentum : {0.0, 0.9})
+            for (std::size_t batch : {1u, 128u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "lr " << lr << " momentum " << momentum
+                             << " batch " << batch);
+                expectSgdMatchesOracle(randomState(pool, 114, 4), 37, 3,
+                                       batch, lr, momentum);
+                expectSgdMatchesOracle(randomState(pool, 1 << 18, 5), 511,
+                                       512, batch, lr, momentum);
+            }
+    }
+    // Stuck velocities: v = k * 2^-149 is a fixed point of
+    // v <- 0.9f * v for k <= 4.
+    OptState s;
+    for (std::uint32_t k = 0; k < 1200; k++) {
+        s.m.push_back((k & 1 ? -1.0f : 1.0f) * fromBits(k % 300));
+        s.v.push_back(0.0f);
+        s.g.push_back(k & 2 ? -0.0f : 0.0f);
+        s.p.push_back(0.5f);
+    }
+    expectSgdMatchesOracle(s, 7, 150, 1, 1e-2, 0.9);
+}
+
+
+#if defined(__x86_64__) || defined(__i386__)
+/** Whether @p fn set MXCSR's denormal-operand flag: an instruction read
+ *  a subnormal float, which is what costs a microcode assist. */
+template <typename Fn>
+bool
+readsSubnormal(Fn &&fn)
+{
+    _mm_setcsr(_mm_getcsr() & ~_MM_EXCEPT_MASK);
+    fn();
+    const bool denormal = _mm_getcsr() & _MM_EXCEPT_DENORM;
+    _mm_setcsr(_mm_getcsr() & ~_MM_EXCEPT_MASK);
+    return denormal;
+}
+
+TEST(OptimizerBits, StuckSubnormalStateReadsNoSubnormal)
+{
+    // Dead units: zero gradients over moments stuck at subnormal fixed
+    // points. The plain float loop reads subnormals on every step; the
+    // optimizers must not (the deterministic form of their speed).
+    const std::size_t nIn = 15, nOut = 16, n = nIn * nOut + nOut;
+    OptState s;
+    for (std::size_t i = 0; i < n; i++) {
+        s.m.push_back((i & 1 ? -1.0f : 1.0f) *
+                      fromBits(static_cast<std::uint32_t>(i % 4) + 1));
+        s.v.push_back(fromBits(static_cast<std::uint32_t>(i % 400) + 1));
+        s.g.push_back(0.0f);
+        s.p.push_back(i % 3 ? 0.25f : -0.5f);
+    }
+    OptState oracle = s;
+    EXPECT_TRUE(readsSubnormal([&] { adamOracle(oracle, 1, 1e-2, 1); }));
+
+    OneLayer one(nIn, nOut);
+    Adam adam(1e-2);
+    adam.firstMoments() = {s.m};
+    adam.secondMoments() = {s.v};
+    one.load(s);
+    EXPECT_FALSE(readsSubnormal([&] {
+        for (int t = 0; t < 5; t++)
+            adam.step(one.net, 1);
+    }));
+
+    Sgd sgd(1e-2, 0.9);
+    sgd.velocities() = {s.m};
+    one.load(s);
+    EXPECT_FALSE(readsSubnormal([&] {
+        for (int t = 0; t < 5; t++)
+            sgd.step(one.net, 1);
+    }));
+}
+#endif
 
 } // namespace
 } // namespace sibyl::ml

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "hss/hybrid_system.hh"
 #include "policies/archivist.hh"
 #include "policies/cde.hh"
@@ -117,6 +120,22 @@ TEST(Archivist, ConservativeBeforeFirstEpoch)
     hss::HybridSystem sys(config());
     ArchivistPolicy arch;
     EXPECT_EQ(arch.selectPlacement(sys, req(1, 1, OpType::Read), 0), 1u);
+}
+
+TEST(Archivist, RejectsZeroEpochLength)
+{
+    // Used to reach reqIndex % 0 in selectPlacement() and kill the
+    // process with SIGFPE.
+    ArchivistConfig cfg;
+    cfg.epochLength = 0;
+    try {
+        ArchivistPolicy arch(cfg);
+        FAIL() << "epochLength = 0 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("epochLength"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Archivist, LearnsHotnessAcrossEpochs)
