@@ -381,10 +381,7 @@ transposedMatmulAddTiled(const float *__restrict adata,
 /**
  * The activation of the fused row kernel on J L-lane accumulators:
  * per lane, the bits the activation sweeps (activations.cc) give the
- * same float, through the same fastExpf. Swish spells out what the
- * sweeps give a NaN input — its sigmoid's NaN, whose sign the
- * negation flipped — because which NaN operand of x * s survives
- * depends on the operand order the compiler picks for the multiply.
+ * same float, through the same fastExpf.
  */
 template <std::size_t L, std::size_t J>
 [[gnu::always_inline]] inline void
@@ -408,10 +405,8 @@ activateTile(Activation act, Vec<L> (&acc)[J])
             acc[v] = simd::fastTanhf(acc[v]);
         break;
       case Activation::Swish:
-        for (std::size_t v = 0; v < J; v++) {
-            const V s = simd::fastSigmoidf(acc[v]);
-            acc[v] = acc[v] == acc[v] ? acc[v] * s : s;
-        }
+        for (std::size_t v = 0; v < J; v++)
+            acc[v] = acc[v] * simd::fastSigmoidf(acc[v]);
         break;
     }
 }

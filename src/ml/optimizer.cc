@@ -7,8 +7,10 @@
 
 #include "ml/simd.hh"
 
-// Vector-typed parameters and returns below never cross a call: every
-// helper is force-inlined into the sweep that uses it.
+// Vector-typed parameters and returns below never cross a translation
+// unit: every helper has internal linkage, so the vector ABI warning
+// (which concerns calls between objects built for different targets)
+// does not apply.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpsabi"
 
@@ -38,14 +40,14 @@ forEachParamSpan(DenseLayer &layer, Fn &&fn)
 //
 // On x86 a multiply, divide or square root whose operand or result is
 // a float subnormal takes a microcode assist that costs about as much
-// as a hundred ordinary operations. Moment estimates of units whose
-// gradient is always zero decay into subnormal fixed points of
+// as a hundred ordinary operations. Adam's moment estimates of units
+// whose gradient is always zero decay into subnormal fixed points of
 // m <- 0.9f * m (and v <- 0.999f * v) and stay there, so a plain float
 // sweep would pay those assists on every step for the rest of a run.
 //
-// The sweeps run L elements at a time. A block whose inputs are all
-// zero or comfortably normal (each caller states the magnitude its
-// update needs per input) runs the plain float expressions. Any other
+// The sweep runs L elements at a time. A block whose inputs are all
+// zero or comfortably normal (Adam::step derives the magnitude each
+// input needs from its constants) runs the plain float expressions. Any other
 // block runs them operation by operation, and an operation that has a
 // lane which could read or produce a subnormal runs in double instead:
 //
@@ -73,7 +75,7 @@ forEachParamSpan(DenseLayer &layer, Fn &&fn)
 // ---------------------------------------------------------------------
 
 /**
- * Lanes per block: eight whatever the target. The sweeps are bound by
+ * Lanes per block: eight whatever the target. The sweep is bound by
  * the divider, and GCC lowers a 16-lane square root to two halves
  * through the stack, so wider blocks only run slower.
  */
@@ -402,55 +404,27 @@ laneSweep(float *const (&arrays)[K], std::size_t n,
 
 } // namespace
 
-Sgd::Sgd(double lr, double momentum) : lr_(lr), momentum_(momentum) {}
+Sgd::Sgd(double lr) : lr_(lr) {}
 
 void
 Sgd::step(Network &net, std::size_t batchSize)
 {
     if (batchSize == 0)
         batchSize = 1;
-    const float scaleF = 1.0f / static_cast<float>(batchSize);
-    const float lrF = static_cast<float>(lr_);
-    const float momF = static_cast<float>(momentum_);
-    const Factor scale(scaleF), lr(lrF), mom(momF);
-    // v = mom * v + g * scale feeds lr * v.
-    const double lrShrink = shrinkOf(lrF);
-    const std::uint32_t gradLimit[1] = {
-        limitBits(kHeadroom / lrShrink / scaleF)};
-    const std::uint32_t momentumLimits[2] = {
-        gradLimit[0], limitBits(kHeadroom / lrShrink / shrinkOf(momF))};
-    auto &layers = net.layers();
-    if (velocity_.size() != layers.size()) {
-        velocity_.assign(layers.size(), {});
-        for (std::size_t i = 0; i < layers.size(); i++)
-            velocity_[i].assign(layers[i].paramCount(), 0.0f);
-    }
-    for (std::size_t li = 0; li < layers.size(); li++) {
-        float *vel = velocity_[li].data();
-        forEachParamSpan(
-            layers[li],
-            [&](float *p, float *g, std::size_t n, std::size_t base) {
-                // Consuming the gradient (g = 0) inside the update fuses
-                // clearGrads() into this sweep.
-                if (momentum_ > 0.0) {
-                    laneSweep({g, vel + base, p}, n, momentumLimits,
-                              [&](auto &ops, auto &x) {
-                                  auto &[gv, vv, pv] = x;
-                                  vv = ops.add(ops.mul(vv, mom),
-                                               ops.mul(gv, scale));
-                                  gv = decltype(gv){};
-                                  pv = ops.sub(pv, ops.mul(vv, lr));
-                              });
-                } else {
-                    laneSweep({g, p}, n, gradLimit,
-                              [&](auto &ops, auto &x) {
-                                  auto &[gv, pv] = x;
-                                  pv = ops.sub(
-                                      pv, ops.mul(ops.mul(gv, scale), lr));
-                                  gv = decltype(gv){};
-                              });
-                }
-            });
+    const float scale = 1.0f / static_cast<float>(batchSize);
+    const float lr = static_cast<float>(lr_);
+    for (DenseLayer &layer : net.layers()) {
+        forEachParamSpan(layer, [&](float *__restrict p, float *__restrict g,
+                                    std::size_t n, std::size_t) {
+            // Consuming the gradient (g[i] = 0) inside the update fuses
+            // clearGrads() into this sweep. SGD keeps no state, so no
+            // value can stick at a subnormal from step to step.
+#pragma GCC ivdep
+            for (std::size_t i = 0; i < n; i++) {
+                p[i] -= lr * (g[i] * scale);
+                g[i] = 0.0f;
+            }
+        });
     }
 }
 

@@ -3,10 +3,9 @@
  * Gradient-descent optimizers.
  *
  * The paper trains Sibyl's training network with stochastic gradient
- * descent (Algorithm 1, line 18); we provide plain SGD (with optional
- * momentum) plus Adam, which the TF-Agents C51 implementation uses by
- * default. SibylConfig selects Adam by default and exposes SGD for
- * ablation.
+ * descent (Algorithm 1, line 18); we provide plain SGD plus Adam, which
+ * the TF-Agents C51 implementation uses by default. SibylConfig selects
+ * Adam by default and exposes SGD for ablation.
  */
 
 #pragma once
@@ -35,33 +34,26 @@ class Optimizer
     virtual void setLearningRate(double lr) = 0;
 };
 
-/** Plain SGD with optional classical momentum. */
+/** Plain SGD. */
 class Sgd : public Optimizer
 {
   public:
-    explicit Sgd(double lr, double momentum = 0.0);
+    explicit Sgd(double lr);
 
     void step(Network &net, std::size_t batchSize) override;
     double learningRate() const override { return lr_; }
     void setLearningRate(double lr) override { lr_ = lr; }
 
-    /** Per-layer velocity, [weights..., bias...] each; empty until the
-     *  first step() sizes it (tests preset it). */
-    std::vector<std::vector<float>> &velocities() { return velocity_; }
-
   private:
     double lr_;
-    double momentum_;
-    // One velocity buffer per layer: [weights..., bias...].
-    std::vector<std::vector<float>> velocity_;
 };
 
 /**
  * Adam (Kingma & Ba, 2015).
  *
- * Like Sgd's, its element update gives exactly the bits of the plain
- * float expressions, but never hands a subnormal to a multiply, divide
- * or square root: moment estimates of units that only see zero
+ * Its element update gives exactly the bits of the plain float
+ * expressions, but never hands a subnormal to a multiply, divide or
+ * square root: moment estimates of units that only see zero
  * gradients sit at subnormal fixed points of m <- b1 * m, where x86
  * would take a microcode assist on every step (see optimizer.cc).
  */

@@ -325,17 +325,17 @@ TEST(Optimizer, StepClearsGradients)
 }
 
 // ---------------------------------------------------------------------
-// The optimizers' element updates, pinned bit for bit. The oracles are
-// plain scalar float loops of the update expressions; every array after
-// step() must match them byte for byte on subnormal, boundary,
-// signed-zero, infinite and NaN inputs, whichever of the optimizers'
-// plain float and exact double forms ran for a block.
+// Adam's element update, pinned bit for bit. The oracle is the plain
+// scalar float loop of the update expressions; every array after
+// step() must match it byte for byte on subnormal, boundary,
+// signed-zero, infinite and NaN inputs, whichever of Adam's plain
+// float and exact double forms ran for a block.
 // ---------------------------------------------------------------------
 
 /** One layer's optimizer state, flat as [weights..., bias...]. */
 struct OptState
 {
-    std::vector<float> p, g, m, v; // v unused by SGD; m is its velocity
+    std::vector<float> p, g, m, v;
 };
 
 void
@@ -358,25 +358,6 @@ adamOracle(OptState &s, std::size_t batchSize, double lr, std::uint64_t t)
         m[i] = b1 * m[i] + b1c * grad;
         v[i] = b2 * v[i] + b2c * grad * grad;
         p[i] -= stepSize * m[i] / (std::sqrt(v[i]) + eps);
-    }
-}
-
-void
-sgdOracle(OptState &s, std::size_t batchSize, double lrD, double momD)
-{
-    const float scale = 1.0f / static_cast<float>(batchSize);
-    const float lr = static_cast<float>(lrD);
-    const float mom = static_cast<float>(momD);
-    float *p = s.p.data(), *g = s.g.data(), *v = s.m.data();
-    for (std::size_t i = 0; i < s.p.size(); i++) {
-        if (momD > 0.0) {
-            v[i] = mom * v[i] + g[i] * scale;
-            g[i] = 0.0f;
-            p[i] -= lr * v[i];
-        } else {
-            p[i] -= lr * (g[i] * scale);
-            g[i] = 0.0f;
-        }
     }
 }
 
@@ -480,24 +461,6 @@ expectAdamMatchesOracle(const OptState &in, std::size_t nIn,
     expectSameBits(got.v, want.v, "v", in);
 }
 
-void
-expectSgdMatchesOracle(const OptState &in, std::size_t nIn, std::size_t nOut,
-                       std::size_t batchSize, double lr, double momentum)
-{
-    OneLayer one(nIn, nOut);
-    Sgd opt(lr, momentum);
-    opt.velocities() = {in.m};
-    OptState got = in, want = in;
-    one.load(got);
-    opt.step(one.net, batchSize);
-    one.store(got);
-    got.m = opt.velocities()[0];
-    sgdOracle(want, batchSize, lr, momentum);
-    expectSameBits(got.p, want.p, "p", in);
-    expectSameBits(got.g, want.g, "g", in);
-    expectSameBits(got.m, want.m, "velocity", in);
-}
-
 constexpr float kMinNormal = FLT_MIN;                  // 2^-126
 constexpr float kDenormMin = 1.40129846e-45f;          // 2^-149
 
@@ -507,7 +470,7 @@ constexpr float kDenormMin = 1.40129846e-45f;          // 2^-149
  * ulps each side), plus subnormals, zeros, infinities, NaN and
  * ordinary values. There is one NaN: which payload an add of two
  * different NaNs returns is up to the compiler's operand order (IEEE
- * 754 leaves it open), in the oracle and the optimizers alike.
+ * 754 leaves it open), in the oracle and Adam alike.
  */
 std::vector<float>
 edgeValues(double stepSize)
@@ -663,37 +626,6 @@ TEST(OptimizerBits, AdamSpecialValuesCrossProduct)
         expectAdamMatchesOracle(s, 35, 36, batch, 1e-2);
 }
 
-TEST(OptimizerBits, SgdMatchesOracle)
-{
-    for (double lr : {1e-2, 10.0}) {
-        std::vector<float> pool = edgeValues(lr);
-        for (double c : {0x1p-126 / lr, 0x1p-126 / 0.9})
-            for (int d = -2; d <= 2; d++)
-                pool.push_back(fromBits(bitsOf(static_cast<float>(c)) + d));
-        for (double momentum : {0.0, 0.9})
-            for (std::size_t batch : {1u, 128u}) {
-                SCOPED_TRACE(testing::Message()
-                             << "lr " << lr << " momentum " << momentum
-                             << " batch " << batch);
-                expectSgdMatchesOracle(randomState(pool, 114, 4), 37, 3,
-                                       batch, lr, momentum);
-                expectSgdMatchesOracle(randomState(pool, 1 << 18, 5), 511,
-                                       512, batch, lr, momentum);
-            }
-    }
-    // Stuck velocities: v = k * 2^-149 is a fixed point of
-    // v <- 0.9f * v for k <= 4.
-    OptState s;
-    for (std::uint32_t k = 0; k < 1200; k++) {
-        s.m.push_back((k & 1 ? -1.0f : 1.0f) * fromBits(k % 300));
-        s.v.push_back(0.0f);
-        s.g.push_back(k & 2 ? -0.0f : 0.0f);
-        s.p.push_back(0.5f);
-    }
-    expectSgdMatchesOracle(s, 7, 150, 1, 1e-2, 0.9);
-}
-
-
 #if defined(__x86_64__) || defined(__i386__)
 /** Whether @p fn set MXCSR's denormal-operand flag: an instruction read
  *  a subnormal float, which is what costs a microcode assist. */
@@ -711,8 +643,8 @@ readsSubnormal(Fn &&fn)
 TEST(OptimizerBits, StuckSubnormalStateReadsNoSubnormal)
 {
     // Dead units: zero gradients over moments stuck at subnormal fixed
-    // points. The plain float loop reads subnormals on every step; the
-    // optimizers must not (the deterministic form of their speed).
+    // points. The plain float loop reads subnormals on every step; Adam
+    // must not (the deterministic form of its speed).
     const std::size_t nIn = 15, nOut = 16, n = nIn * nOut + nOut;
     OptState s;
     for (std::size_t i = 0; i < n; i++) {
@@ -733,14 +665,6 @@ TEST(OptimizerBits, StuckSubnormalStateReadsNoSubnormal)
     EXPECT_FALSE(readsSubnormal([&] {
         for (int t = 0; t < 5; t++)
             adam.step(one.net, 1);
-    }));
-
-    Sgd sgd(1e-2, 0.9);
-    sgd.velocities() = {s.m};
-    one.load(s);
-    EXPECT_FALSE(readsSubnormal([&] {
-        for (int t = 0; t < 5; t++)
-            sgd.step(one.net, 1);
     }));
 }
 #endif
