@@ -90,6 +90,8 @@ struct FlashGeometry
  * @param exportedPages User-visible capacity in pages (> 0).
  * @param overprovision Requested spare fraction in [0, 0.5].
  * @param pagesPerBlock Pages per erase block (>= 2).
+ * @throws std::invalid_argument naming the field when exportedPages is 0
+ *         or pagesPerBlock is below 2.
  */
 FlashGeometry makeGeometry(std::uint64_t exportedPages,
                            double overprovision = 0.07,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -32,10 +34,15 @@ FlashGeometry
 makeGeometry(std::uint64_t exportedPages, double overprovision,
              std::uint32_t pagesPerBlock)
 {
+    // Config errors: a scenario's device override reaches here, so the
+    // run fails in isolation instead of the process.
     if (exportedPages == 0)
-        fatal("makeGeometry: exportedPages must be > 0");
+        throw std::invalid_argument(
+            "makeGeometry: exportedPages must be > 0");
     if (pagesPerBlock < 2)
-        fatal("makeGeometry: pagesPerBlock must be >= 2");
+        throw std::invalid_argument(
+            "makeGeometry: pagesPerBlock must be >= 2 (got " +
+            std::to_string(pagesPerBlock) + ")");
     overprovision = std::clamp(overprovision, 0.0, 0.5);
 
     FlashGeometry geo;

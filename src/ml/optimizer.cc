@@ -45,11 +45,24 @@ forEachParamSpan(DenseLayer &layer, Fn &&fn)
 // m <- 0.9f * m (and v <- 0.999f * v) and stay there, so a plain float
 // sweep would pay those assists on every step for the rest of a run.
 //
-// The sweep runs L elements at a time. A block whose inputs are all
-// zero or comfortably normal (Adam::step derives the magnitude each
-// input needs from its constants) runs the plain float expressions. Any other
-// block runs them operation by operation, and an operation that has a
-// lane which could read or produce a subnormal runs in double instead:
+// The sweep runs L elements at a time, and each block takes one of
+// three ways (AdamStep derives every threshold from the step's
+// constants):
+//
+//   1. Clean: every g, m and v is zero or comfortably normal. The block
+//      runs the plain float expressions (a lane can still meet a
+//      subnormal through a rare cancellation; that only costs an
+//      assist).
+//   2. Zero-gradient: every other lane has g = +-0 and an m small
+//      enough that p provably does not move (a dead unit, m decaying
+//      toward or stuck at a fixed point). The block runs the plain float
+//      expressions with those lanes' m read as +0, which leaves their g,
+//      v and p exactly as the update would, and then writes their
+//      m' = b1 * m exactly: rounded from m's bits below 2^-125
+//      (mulTiny), in float above it. Stuck fixed points thus keep m.
+//   3. Checked: any other block runs the expressions operation by
+//      operation, and an operation that has a lane which could read or
+//      produce a subnormal runs in double instead:
 //
 //   * a float subnormal is widened through its integer bits (a
 //     conversion instruction would assist);
@@ -61,17 +74,15 @@ forEachParamSpan(DenseLayer &layer, Fn &&fn)
 //     2^-126, and otherwise is rounded to a multiple of 2^-149 in
 //     double (round to nearest even) and its float bits are built.
 //
-// Two cases that stuck moments hit on every step take a shortcut with
-// the same result: a subnormal times a constant below 1 is rounded from
-// its mantissa (CheckedOps::mul), and a subnormal plus a signed zero is
-// the subnormal (CheckedOps::add).
+// A multiply whose only risky lanes are subnormals times a constant
+// below 1 takes mulTiny instead of the double form.
 //
 // So every lane gets exactly the bits of the float expression whichever
 // way it ran; the way only decides the cost. Adds and subtracts never
 // assist, but they take the double form too when an operand is
-// subnormal, so no instruction of a screened-out block reads a float
-// subnormal and MXCSR's denormal flag stays clear (tests check it). No
-// FTZ/DAZ mode is involved.
+// subnormal, so no instruction of a zero-gradient or checked block
+// reads a float subnormal and MXCSR's denormal flag stays clear (tests
+// check it). No FTZ/DAZ mode is involved.
 // ---------------------------------------------------------------------
 
 /**
@@ -261,6 +272,30 @@ struct Factor
     }
 };
 
+/**
+ * c * x without a float multiply, exact on lanes where |x| < 2^-125 and
+ * |c| < 1 (other lanes get garbage). Such an x is k * 2^-149 for its
+ * magnitude bits k (a subnormal, or a normal of the lowest binade), and
+ * the product is below 2^-125, where floats are the multiples of
+ * 2^-149, so it is the nearest-even integer to k * |c| times 2^-149:
+ * k * |c| is exact in double, and adding 2^52 leaves the rounded
+ * integer in the low bits, which are the product's float bits.
+ */
+[[gnu::always_inline]] inline F
+mulTiny(F x, const Factor &c)
+{
+    typedef double DL __attribute__((vector_size(L * 8)));
+    typedef std::uint64_t UL __attribute__((vector_size(L * 8)));
+    const U b = __builtin_bit_cast(U, x);
+    const DL k =
+        __builtin_convertvector(__builtin_bit_cast(I, b & 0x7fffffffu), DL) *
+            c.magnitude +
+        0x1p52;
+    const U bits = __builtin_convertvector(__builtin_bit_cast(UL, k), U) |
+                   ((b ^ c.sign) & 0x80000000u);
+    return __builtin_bit_cast(F, bits);
+}
+
 /** The plain float expressions, for blocks whose inputs passed the
  *  screen. */
 struct FloatOps
@@ -284,27 +319,10 @@ struct CheckedOps
         const I risky = nonzeroBelow(x, c.riskBelow);
         if (!anyLane(risky))
             return c.value * x;
+        // The common stuck case: only subnormal lanes are risky.
         const I sub = subnormal(x);
-        if (c.belowOne && !anyLane(risky & ~sub)) {
-            // The common stuck case: only subnormal lanes, and |c| < 1
-            // keeps their products below 2^-126. Such an x is k * 2^-149
-            // for its mantissa k, and the product is the nearest-even
-            // integer to k * |c| times 2^-149: k * |c| is exact in
-            // double, and adding 2^52 leaves the rounded integer in the
-            // low bits, which are the product's float bits.
-            typedef double DL __attribute__((vector_size(L * 8)));
-            typedef std::uint64_t UL __attribute__((vector_size(L * 8)));
-            const U b = __builtin_bit_cast(U, x);
-            const DL k = __builtin_convertvector(
-                             __builtin_bit_cast(I, b & 0x007fffffu), DL) *
-                             c.magnitude +
-                         0x1p52;
-            const U bits =
-                __builtin_convertvector(__builtin_bit_cast(UL, k), U) |
-                ((b ^ c.sign) & 0x80000000u);
-            return sub ? __builtin_bit_cast(F, bits)
-                       : c.value * (sub ? F{} : x);
-        }
+        if (c.belowOne && !anyLane(risky & ~sub))
+            return sub ? mulTiny(x, c) : c.value * (sub ? F{} : x);
         return exact(c.value, x, [](D a, D b) { return a * b; });
     }
     F mul(F x, F y)
@@ -333,18 +351,9 @@ struct CheckedOps
     }
     F add(F x, F y)
     {
-        const I sx = subnormal(x), sy = subnormal(y);
-        if (!anyLane(sx | sy))
-            return x + y;
-        // The common stuck case: a subnormal plus a signed zero is the
-        // subnormal itself.
-        const I zx = absBits(x) == 0u, zy = absBits(y) == 0u;
-        if (!anyLane((sx & ~zy) | (sy & ~zx))) {
-            const I either = sx | sy;
-            const F sum = (either ? F{} : x) + (either ? F{} : y);
-            return sx ? x : sy ? y : sum;
-        }
-        return exact(x, y, [](D a, D b) { return a + b; });
+        if (anyLane(subnormal(x) | subnormal(y)))
+            return exact(x, y, [](D a, D b) { return a + b; });
+        return x + y;
     }
     F sub(F x, F y)
     {
@@ -355,50 +364,204 @@ struct CheckedOps
 };
 
 /**
- * Apply @p update to n elements of the K arrays in @p arrays, L at a
- * time (a ragged tail as one zero-padded block). update(ops, lanes)
- * rewrites lanes[k], the block of arrays[k], doing every arithmetic
- * operation through ops. The first S arrays are screened: a block runs
- * the plain float expressions when each of its lanes of arrays[s] is
- * zero or at least the float whose bits are limits[s], and operation
- * by operation otherwise. Lanes that pass can still meet a subnormal
- * through a rare cancellation; that only costs an assist.
+ * One step's constants, and the thresholds that sort its blocks.
+ *
+ * The screens: a lane of g, m or v is risky when it is nonzero and
+ * below the float whose bits are gradBelow, momentBelow or
+ * varianceBelow.
+ *
+ * The zero-gradient class: a risky lane whose g is +-0, whose v is not
+ * risky and lies in [+0, +Inf], and whose p is normal gets
+ * m' = b1 * m + (+-0) = b1 * m (nonzero for 0.5 < b1 < 1),
+ * v' = b2 * v >= 0, g' = +0 and p' = p - q with
+ * q = stepSize * m' / (sqrt(v') + eps). As |m'| <= |m|, the divisor is
+ * at least eps, rounding is monotone and fl(y) <= y (1 + 2^-23) +
+ * 2^-149 for y >= 0,
+ *
+ *   |q| <= fl(fl(|stepSize| |m|) / eps) <= |stepSize| |m| (1 + 2^-21) /
+ *          eps + a,   a = 2^-149 ((1 + 2^-23) / eps + 1).
+ *
+ * p' = p once |q| is below half of p's spacing toward zero, h =
+ * 2^(e - 152), where e is p's biased exponent plus one when p is not a
+ * power of two. With p's biased exponent at least stillMinBits >> 23,
+ * h >= 2^20 a, so that holds when |m| < h * rho, rho = eps (1 - 2^-19) /
+ * (|stepSize| (1 + 2^-21)) (the extra 2^-20 covers rho's own rounding).
+ * The largest float not above h * rho has the bits (e << 23) +
+ * stillOffset while it is normal; below that the same bits undercount
+ * it, so |m|'s bits below (e << 23) + stillOffset (a signed compare)
+ * prove p' = p.
  */
-template <std::size_t S, std::size_t K, typename Update>
-void
-laneSweep(float *const (&arrays)[K], std::size_t n,
-          const std::uint32_t (&limits)[S], Update &&update)
+struct AdamStep
 {
-    auto block = [&](F (&x)[K]) {
-        I screened = nonzeroBelow(x[0], limits[0]);
-        for (std::size_t s = 1; s < S; s++)
-            screened |= nonzeroBelow(x[s], limits[s]);
-        if (anyLane(screened)) {
-            CheckedOps ops;
-            update(ops, x);
-        } else {
-            FloatOps ops;
-            update(ops, x);
-        }
-    };
+    Factor scale, stepSize, b1, b1c, b2, b2c, eps;
+    std::uint32_t gradBelow, momentBelow, varianceBelow;
+    std::uint32_t stillOffset = 0x80000000u; ///< no lane
+    std::uint32_t stillMinBits = 254u << 23;
+
+    AdamStep(float scaleF, float stepF, float b1F, float b1cF, float b2F,
+             float b2cF, float epsF)
+        : scale(scaleF), stepSize(stepF), b1(b1F), b1c(b1cF), b2(b2F),
+          b2c(b2cF), eps(epsF)
+    {
+        // m = b1 * m + b1c * grad feeds stepSize * m; grad also feeds
+        // b2c * grad * grad; v feeds b2 * v and its square root.
+        const double stepShrink = shrinkOf(stepF);
+        const double gradMin = std::max(
+            {kHeadroom / stepShrink / shrinkOf(b1cF), normalOver(b2cF),
+             std::sqrt(normalOver(b2cF))});
+        gradBelow = limitBits(gradMin / scaleF);
+        momentBelow = limitBits(kHeadroom / stepShrink / shrinkOf(b1F));
+        varianceBelow = limitBits(normalOver(b2F));
+
+        const bool constantsHold =
+            b1F > 0.5f && b1F < 1.0f && std::isfinite(b1cF) && b2F > 0.0f &&
+            std::isfinite(b2F) && std::isfinite(b2cF) &&
+            std::isfinite(stepF) && stepF != 0.0f && std::isfinite(epsF) &&
+            epsF > 0.0f;
+        if (!constantsHold)
+            return;
+        // Both doubles are positive and normal, so their bits give the
+        // exponent (bits >> 52, biased by 1023) and, shifted right by
+        // 29, a float-like pattern of rho rounded down whose exponent is
+        // biased by 1023 instead of 127.
+        const double epsD = epsF;
+        const auto bitsOf = [](double x) {
+            std::uint64_t b;
+            std::memcpy(&b, &x, sizeof(b));
+            return static_cast<std::int64_t>(b);
+        };
+        // 173 + floor(log2 a).
+        const std::int64_t minExp =
+            173 +
+            (bitsOf(0x1p-149 * ((1.0 + 0x1p-23) / epsD + 1.0)) >> 52) - 1023;
+        // Bits of h * rho for e = 0: rho * 2^-152, rebiased.
+        const std::int64_t offset =
+            (bitsOf(epsD * (1.0 - 0x1p-19) /
+                    (std::fabs(double{stepF}) * (1.0 + 0x1p-21))) >>
+             29) -
+            (std::int64_t{1023 + 152 - 127} << 23);
+        if (minExp > 254 || offset < INT32_MIN)
+            return;
+        // (e << 23) + stillOffset must not pass INT32_MAX for e <= 255;
+        // a lower offset only admits fewer lanes.
+        stillOffset = static_cast<std::uint32_t>(
+            std::min<std::int64_t>(offset, INT32_MAX - (255 << 23)));
+        stillMinBits = static_cast<std::uint32_t>(std::max<std::int64_t>(
+                           minExp, 1))
+                       << 23;
+    }
+};
+
+/** One block: L elements of each array. */
+struct Block
+{
+    F g, m, v, p;
+};
+
+/** The update's float expressions, every operation through @p ops. */
+template <typename Ops>
+[[gnu::always_inline]] inline void
+update(Ops &ops, const AdamStep &k, Block &b)
+{
+    const F grad = ops.mul(b.g, k.scale);
+    b.g = F{};
+    b.m = ops.add(ops.mul(b.m, k.b1), ops.mul(grad, k.b1c));
+    b.v = ops.add(ops.mul(b.v, k.b2), ops.mul(ops.mul(grad, k.b2c), grad));
+    b.p = ops.sub(b.p, ops.div(ops.mul(b.m, k.stepSize),
+                               ops.add(ops.sqrt(b.v), ops.constant(k.eps))));
+}
+
+/** Lanes of the zero-gradient class (see AdamStep), given their v is
+ *  not risky. */
+[[gnu::always_inline]] inline I
+zeroGradientLanes(const AdamStep &k, const Block &b)
+{
+    const U pb = absBits(b.p);
+    // e << 23 (see AdamStep): p's exponent field, one higher unless p
+    // is a power of two.
+    const U eBits = (pb + 0x007fffffu) & 0x7f800000u;
+    const I mBelow = __builtin_bit_cast(I, absBits(b.m)) <
+                     __builtin_bit_cast(I, eBits + k.stillOffset);
+    // v in [+0, +Inf]; p normal with its exponent bits at least
+    // stillMinBits.
+    return (absBits(b.g) == 0u) & (__builtin_bit_cast(U, b.v) <= 0x7f800000u) &
+           (pb - k.stillMinBits < 0x7f800000u - k.stillMinBits) & mBelow;
+}
+
+/** The rare block with a risky lane outside the zero-gradient class,
+ *  kept out of line. */
+[[gnu::noinline]] Block
+checkedBlock(const AdamStep &k, Block b)
+{
+    CheckedOps ops;
+    update(ops, k, b);
+    return b;
+}
+
+/**
+ * One block of the update, the way its lanes allow: the plain float
+ * expressions when no lane is risky; the same with the zero-gradient
+ * lanes' m read as +0 (which leaves their g, v and p exactly as the
+ * update would) and then m' = b1 * m written exactly, when every risky
+ * lane is one of those; operation by operation otherwise.
+ */
+[[gnu::always_inline]] inline Block
+adamBlock(const AdamStep &k, Block b)
+{
+    const I riskyM = nonzeroBelow(b.m, k.momentBelow);
+    const I riskyV = nonzeroBelow(b.v, k.varianceBelow);
+    const I risky = nonzeroBelow(b.g, k.gradBelow) | riskyM | riskyV;
+    FloatOps plain;
+    if (!anyLane(risky)) {
+        update(plain, k, b);
+        return b;
+    }
+    const I still = riskyM & ~riskyV & zeroGradientLanes(k, b);
+    if (anyLane(risky & ~still))
+        return checkedBlock(k, b);
+    // b1 * m, exact: below 2^-125 from m's bits, above it in float,
+    // where 0.5 < b1 keeps the product normal. Every risky lane is in
+    // the class, so still is riskyM.
+    const I low = absBits(b.m) < 0x01000000u; // |m| < 2^-125
+    const F decayed =
+        low ? mulTiny(b.m, k.b1) : k.b1.value * (low ? F{} : b.m);
+    b.m = riskyM ? F{} : b.m;
+    update(plain, k, b);
+    b.m = riskyM ? decayed : b.m;
+    return b;
+}
+
+/** The update over n elements, L at a time (a ragged tail as one
+ *  zero-padded block). */
+void
+adamSweep(const AdamStep &k, float *g, float *m, float *v, float *p,
+          std::size_t n)
+{
     std::size_t i = 0;
     for (; i + L <= n; i += L) {
-        F x[K];
-        for (std::size_t k = 0; k < K; k++)
-            x[k] = simd::vecAt<L>(arrays[k] + i);
-        block(x);
-        for (std::size_t k = 0; k < K; k++)
-            simd::vecAt<L>(arrays[k] + i) = x[k];
+        const Block b =
+            adamBlock(k, {simd::vecAt<L>(g + i), simd::vecAt<L>(m + i),
+                          simd::vecAt<L>(v + i), simd::vecAt<L>(p + i)});
+        simd::vecAt<L>(g + i) = b.g;
+        simd::vecAt<L>(m + i) = b.m;
+        simd::vecAt<L>(v + i) = b.v;
+        simd::vecAt<L>(p + i) = b.p;
     }
     if (i < n) {
-        F x[K] = {};
-        for (std::size_t k = 0; k < K; k++)
-            for (std::size_t j = i; j < n; j++)
-                x[k][j - i] = arrays[k][j];
-        block(x);
-        for (std::size_t k = 0; k < K; k++)
-            for (std::size_t j = i; j < n; j++)
-                arrays[k][j] = x[k][j - i];
+        Block b{};
+        for (std::size_t j = i; j < n; j++) {
+            b.g[j - i] = g[j];
+            b.m[j - i] = m[j];
+            b.v[j - i] = v[j];
+            b.p[j - i] = p[j];
+        }
+        b = adamBlock(k, b);
+        for (std::size_t j = i; j < n; j++) {
+            g[j] = b.g[j - i];
+            m[j] = b.m[j - i];
+            v[j] = b.v[j - i];
+            p[j] = b.p[j - i];
+        }
     }
 }
 
@@ -452,45 +615,19 @@ Adam::step(Network &net, std::size_t batchSize)
     double corr1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
     double corr2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
     const float stepF = static_cast<float>(lr_ * std::sqrt(corr2) / corr1);
-    const float b1F = static_cast<float>(beta1_);
-    const float b1cF = static_cast<float>(1.0 - beta1_);
-    const float b2F = static_cast<float>(beta2_);
-    const float b2cF = static_cast<float>(1.0 - beta2_);
-    const Factor scale(scaleF), stepSize(stepF), b1(b1F), b1c(b1cF), b2(b2F),
-        b2c(b2cF), eps(static_cast<float>(eps_));
-    // m = b1 * m + b1c * grad feeds stepSize * m; grad also feeds
-    // b2c * grad * grad; v feeds b2 * v and its square root.
-    const double stepShrink = shrinkOf(stepF);
-    const double gradMin =
-        std::max({kHeadroom / stepShrink / shrinkOf(b1cF), normalOver(b2cF),
-                  std::sqrt(normalOver(b2cF))});
-    const std::uint32_t limits[3] = {
-        limitBits(gradMin / scaleF),
-        limitBits(kHeadroom / stepShrink / shrinkOf(b1F)),
-        limitBits(normalOver(b2F))};
-
+    const AdamStep k(scaleF, stepF, static_cast<float>(beta1_),
+                     static_cast<float>(1.0 - beta1_),
+                     static_cast<float>(beta2_),
+                     static_cast<float>(1.0 - beta2_),
+                     static_cast<float>(eps_));
     for (std::size_t li = 0; li < layers.size(); li++) {
         float *mBase = m_[li].data();
         float *vBase = v_[li].data();
-        forEachParamSpan(
-            layers[li],
-            [&](float *p, float *g, std::size_t n, std::size_t base) {
-                // g = 0 fuses clearGrads() into this single sweep.
-                laneSweep(
-                    {g, mBase + base, vBase + base, p}, n, limits,
-                    [&](auto &ops, auto &x) {
-                        auto &[gv, mv, vv, pv] = x;
-                        const auto grad = ops.mul(gv, scale);
-                        gv = decltype(gv){};
-                        mv = ops.add(ops.mul(mv, b1), ops.mul(grad, b1c));
-                        vv = ops.add(ops.mul(vv, b2),
-                                     ops.mul(ops.mul(grad, b2c), grad));
-                        pv = ops.sub(pv,
-                                     ops.div(ops.mul(mv, stepSize),
-                                             ops.add(ops.sqrt(vv),
-                                                     ops.constant(eps))));
-                    });
-            });
+        // g = 0 fuses clearGrads() into this single sweep.
+        forEachParamSpan(layers[li], [&](float *p, float *g, std::size_t n,
+                                         std::size_t base) {
+            adamSweep(k, g, mBase + base, vBase + base, p, n);
+        });
     }
 }
 

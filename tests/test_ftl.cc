@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -52,6 +55,22 @@ TEST(FlashGeometry, ZeroOverprovisionClampStillValid)
 {
     const FlashGeometry g = makeGeometry(1000, 0.0, 64);
     EXPECT_TRUE(g.valid());
+}
+
+TEST(FlashGeometry, MakeGeometryRejectsBadConfigByName)
+{
+    for (const auto &[exported, ppb, field] :
+         {std::tuple{std::uint64_t{0}, 64u, "exportedPages"},
+          std::tuple{std::uint64_t{1000}, 1u, "pagesPerBlock"},
+          std::tuple{std::uint64_t{1000}, 0u, "pagesPerBlock"}}) {
+        try {
+            makeGeometry(exported, 0.07, ppb);
+            ADD_FAILURE() << field << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(FlashGeometry, InvalidGeometryDetected)

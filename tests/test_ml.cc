@@ -339,9 +339,10 @@ struct OptState
 };
 
 void
-adamOracle(OptState &s, std::size_t batchSize, double lr, std::uint64_t t)
+adamOracle(OptState &s, std::size_t batchSize, double lr, std::uint64_t t,
+           double beta1 = 0.9)
 {
-    const double beta1 = 0.9, beta2 = 0.999, epsD = 1e-8;
+    const double beta2 = 0.999, epsD = 1e-8;
     float scale = 1.0f / static_cast<float>(batchSize);
     double corr1 = 1.0 - std::pow(beta1, static_cast<double>(t));
     double corr2 = 1.0 - std::pow(beta2, static_cast<double>(t));
@@ -437,11 +438,11 @@ expectSameBits(const std::vector<float> &got,
 void
 expectAdamMatchesOracle(const OptState &in, std::size_t nIn,
                         std::size_t nOut, std::size_t batchSize, double lr,
-                        int steps = 1)
+                        int steps = 1, double beta1 = 0.9)
 {
     ASSERT_EQ(in.p.size(), nIn * nOut + nOut);
     OneLayer one(nIn, nOut);
-    Adam opt(lr);
+    Adam opt(lr, beta1);
     opt.firstMoments() = {in.m};
     opt.secondMoments() = {in.v};
     OptState got = in, want = in;
@@ -451,7 +452,8 @@ expectAdamMatchesOracle(const OptState &in, std::size_t nIn,
         opt.step(one.net, batchSize);
         one.store(got);
         want.g = in.g;
-        adamOracle(want, batchSize, lr, static_cast<std::uint64_t>(t));
+        adamOracle(want, batchSize, lr, static_cast<std::uint64_t>(t),
+                   beta1);
     }
     got.m = opt.firstMoments()[0];
     got.v = opt.secondMoments()[0];
@@ -626,6 +628,100 @@ TEST(OptimizerBits, AdamSpecialValuesCrossProduct)
         expectAdamMatchesOracle(s, 35, 36, batch, 1e-2);
 }
 
+/**
+ * Dead units beside live ones: blocks of eight lanes, two with live
+ * gradients and six with g = +-0 and a decaying m; a block's dead
+ * lanes share |m| and p's exponent, signs vary per lane (so q pulls
+ * some p toward zero and some away), and most have v = 0, which makes
+ * the divisor eps, where the bound below which p cannot move is nearly
+ * tight. Even blocks start m anywhere from 1 to 2^-149, so it decays
+ * from a normal through the screen band, [2^-126, 2^-126 / 0.9) and the
+ * subnormals to the fixed points of m <- 0.9f * m. Odd blocks put
+ * |p| in [2^-82, 2^-34], where the bound falls in m's screen band, with
+ * m either on both sides of the bound at the first step (powers of two,
+ * whose spacing toward zero is half, and non-powers) or 2^6 to 2^15
+ * above it, crossing it later; the smallest p never pass the bound's
+ * floor. Every fifth block also holds a subnormal v and every seventh a
+ * p of +-0, a subnormal, +-Inf or NaN; neither is a zero-gradient lane.
+ */
+OptState
+deadUnitState(std::size_t n)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float mStarts[] = {
+        1.0f, 0.3f, 1e-5f, 1e-12f, 1e-20f, 1e-30f, 0x1p-100f, 0x1p-120f,
+        0x1.08p-126f, kMinNormal, 0x1.fffffep-126f, fromBits(0x400000u),
+        fromBits(1000u), fromBits(6u), fromBits(5u), fromBits(4u),
+        kDenormMin};
+    const float specialP[] = {0.0f, -0.0f, 3 * kDenormMin, inf, -inf,
+                              std::numeric_limits<float>::quiet_NaN()};
+    OptState s;
+    for (std::size_t i = 0; i < n; i++) {
+        const std::size_t b = i / 8, j = i % 8;
+        const float sign = (i * 5 + b) % 3 ? 1.0f : -1.0f;
+        if (j < 2) {
+            // Live: ordinary gradient, moments and weight.
+            s.g.push_back(sign * (j ? 0.5f : 1e-3f));
+            s.m.push_back(-sign * 1e-3f);
+            s.v.push_back(1e-4f);
+            s.p.push_back(0.25f * static_cast<float>(b % 5) - 0.5f);
+            continue;
+        }
+        // At t = 1, q = stepSize m' / eps reaches half of p's spacing,
+        // 2^(e - 25), where |m| = 2^(e - 44) * 1.84; a bound twice as
+        // loose would pass |m| up to 2^(e - 44) * 3.3.
+        const int e = b % 2 ? -34 - static_cast<int>(b * 13 % 49)
+                            : static_cast<int>(b * 29 % 171) - 110;
+        const float m =
+            b % 4 == 1 ? std::ldexp(1.5f + 0.25f * (b / 4 % 8), e - 44)
+            : b % 4 == 3 ? std::ldexp(1.0f, e - 37 + b / 4 % 10)
+                         : mStarts[b / 2 % std::size(mStarts)];
+        const float p = std::ldexp(j % 2 ? 1.5f : 1.0f, e);
+        s.g.push_back(j % 2 ? -0.0f : 0.0f);
+        s.m.push_back(sign * m);
+        s.v.push_back(b % 5 == 4 && j == 3 ? fromBits(300u)
+                      : j == 6             ? 1e-4f
+                      : j == 7             ? 1.0f
+                                           : 0.0f);
+        s.p.push_back(b % 7 == 3 && j == 7
+                          ? specialP[(b / 7) % std::size(specialP)]
+                          : (i / 3) % 2 ? p : -p);
+    }
+    return s;
+}
+
+TEST(OptimizerBits, AdamZeroGradientLanes)
+{
+    // 35 x 36 weights and 36 biases: both spans end in a ragged block.
+    const OptState s = deadUnitState(35 * 36 + 36);
+    for (std::size_t batch : {1u, 128u}) {
+        SCOPED_TRACE(testing::Message() << "batch " << batch);
+        expectAdamMatchesOracle(s, 35, 36, batch, 1e-2, 1500);
+    }
+}
+
+TEST(OptimizerBits, AdamZeroGradientLanesOtherBeta1)
+{
+    // Dead lanes with every subnormal mantissa k up to 600 under other
+    // first-moment decays. The fixed points m = k * 2^-149 of
+    // m <- b1 * m end at k = 1 for 0.6, at the tie k (1 - b1) = 1/2 for
+    // 0.75 (k = 2, which rounds back to itself, to even), at k = 50 for
+    // 0.99f and beyond 600 for 0.9999.
+    const std::size_t nIn = 15, nOut = 40, n = nIn * nOut + nOut; // 640
+    OptState s;
+    for (std::size_t i = 0; i < n; i++) {
+        const std::uint32_t k = static_cast<std::uint32_t>(i % 600) + 1;
+        s.m.push_back((i / 600 ? -1.0f : 1.0f) * fromBits(k));
+        s.v.push_back(i % 3 ? 1e-4f : 0.0f);
+        s.g.push_back(i % 2 ? -0.0f : 0.0f);
+        s.p.push_back(i % 5 ? 0.5f : -1.5f);
+    }
+    for (double beta1 : {0.6, 0.75, 0.99, 0.9999}) {
+        SCOPED_TRACE(testing::Message() << "beta1 " << beta1);
+        expectAdamMatchesOracle(s, nIn, nOut, 1, 1e-2, 40, beta1);
+    }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 /** Whether @p fn set MXCSR's denormal-operand flag: an instruction read
  *  a subnormal float, which is what costs a microcode assist. */
@@ -666,6 +762,32 @@ TEST(OptimizerBits, StuckSubnormalStateReadsNoSubnormal)
         for (int t = 0; t < 5; t++)
             adam.step(one.net, 1);
     }));
+
+    // Dead units still on their way down: m from 2^-100 through the
+    // screen band, [2^-126, 2^-126 / 0.9) and the subnormals to the
+    // fixed points, 200 steps.
+    OptState d;
+    for (std::size_t i = 0; i < n; i++) {
+        const float m0 = std::ldexp(1.0f, -100 - static_cast<int>(i % 27));
+        d.m.push_back((i & 1 ? -1.0f : 1.0f) *
+                      (i % 9 == 4 ? 0x1.08p-126f : m0));
+        d.v.push_back(i % 4 ? 1e-4f : 0.0f);
+        d.g.push_back(i & 2 ? -0.0f : 0.0f);
+        d.p.push_back(i % 3 ? 0.25f : -0.5f);
+    }
+    Adam decaying(1e-2);
+    decaying.firstMoments() = {d.m};
+    decaying.secondMoments() = {d.v};
+    one.load(d);
+    EXPECT_FALSE(readsSubnormal([&] {
+        for (int t = 0; t < 200; t++)
+            decaying.step(one.net, 1);
+    }));
+    // They did reach the subnormals (from 2^-100) and the fixed points
+    // (from 2^-126).
+    const std::vector<float> &m = decaying.firstMoments()[0];
+    EXPECT_LT(bitsOf(m[0]), bitsOf(kMinNormal));
+    EXPECT_LE(bitsOf(m[26]) & 0x7fffffffu, 4u);
 }
 #endif
 

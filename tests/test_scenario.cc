@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -712,6 +713,44 @@ TEST(ScenarioRun, ScenarioMatchesHandBuiltMatrixBitForBit)
         EXPECT_EQ(viaScenario[i].result.metrics.placements,
                   viaMatrix[i].result.metrics.placements);
     }
+}
+
+TEST(ScenarioRun, BadFtlOverrideFailsOnlyItsRuns)
+{
+    // ftlPagesPerBlock = 1 used to abort the whole process from
+    // makeGeometry. Only flash devices build an FTL: device 1 is the
+    // flash SSD M under H&M and the HDD L under H&L, so the H&M runs
+    // must fail in isolation, naming the field, and the H&L runs must
+    // serialize exactly as in a scenario without H&M.
+    const ScenarioSpec mixed = parseScenarioJson(R"({
+        "name": "bad-ftl", "policies": ["CDE", "Archivist"],
+        "workloads": ["prxy_1"], "hssConfigs": ["H&M", "H&L"],
+        "traceLen": 500,
+        "deviceOverrides": [
+            {"device": 1, "detailedFtl": true, "ftlPagesPerBlock": 1}]})");
+    ScenarioSpec clean = mixed;
+    clean.hssConfigs = {"H&L"};
+
+    const auto with = runScenario(mixed);
+    const auto without = runScenario(clean);
+    ASSERT_EQ(with.size(), 4u);
+    ASSERT_EQ(without.size(), 2u);
+    std::vector<sim::RunRecord> cleanRuns;
+    for (const auto &r : with) {
+        SCOPED_TRACE(r.spec.policy + " / " + r.spec.hssConfig);
+        if (r.spec.hssConfig == "H&M") {
+            ASSERT_TRUE(r.failed());
+            EXPECT_NE(r.error.find("pagesPerBlock"), std::string::npos)
+                << r.error;
+        } else {
+            EXPECT_FALSE(r.failed()) << r.error;
+            cleanRuns.push_back(r);
+        }
+    }
+    std::ostringstream got, want;
+    sim::writeResultsJson(got, cleanRuns);
+    sim::writeResultsJson(want, without);
+    EXPECT_EQ(got.str(), want.str());
 }
 
 } // namespace
