@@ -504,12 +504,12 @@ main(int argc, char **argv)
         const auto t = externalTrace
             ? externalTrace
             : runner.traceCache().get(proto.traceKey());
+        const std::uint64_t pages = t->uniquePages();
         std::printf("workload %s: %zu requests, %llu unique pages "
                     "(%.1f MiB working set)\n",
                     t->name().c_str(), t->size(),
-                    static_cast<unsigned long long>(t->uniquePages()),
-                    static_cast<double>(t->workingSetBytes()) /
-                        (1 << 20));
+                    static_cast<unsigned long long>(pages),
+                    static_cast<double>(pages * kPageSize) / (1 << 20));
     }
 
     if (!opt.degradeFast.empty()) {

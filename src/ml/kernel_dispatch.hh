@@ -37,8 +37,13 @@
 
 #pragma once
 
+// ThreadSanitizer builds take the baseline kernels only: the
+// target_clones IFUNC resolvers run during relocation, before the TSan
+// runtime is initialised, and the instrumented resolvers crash every
+// binary at startup. The clones compute the same bits (the
+// native-vs-portable identity check pins that), so nothing is lost.
 #if defined(__x86_64__) && !defined(__AVX2__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define SIBYL_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define SIBYL_KERNEL_CLONES

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/thread_pool.hh"
+#include "core/sibyl_policy.hh"
 #include "energy/energy_model.hh"
 #include "hss/hybrid_system.hh"
 #include "ml/network.hh"
+#include "policies/archivist.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/trace_cache.hh"
 #include "trace/trace_mux.hh"
@@ -51,6 +54,41 @@ tenantSpec(const RunSpec &fleet, const FleetTenant &t, std::size_t index)
         s.variantTag += ";fault@" + std::to_string(t.faultDevice) + "=" +
                         device::faultConfigCanonical(t.faults);
     return s;
+}
+
+/**
+ * Estimated host cost of serving one tenant, in nanoseconds: a
+ * per-request weight for its policy family plus a per-distinct-page
+ * weight (metadata, eviction and device state grow with the working
+ * set). Only the sharded path's dispatch order reads it, so it can
+ * never move a result; without the per-policy term the order was no
+ * better than tenant index. The weights are rounded from single-tenant
+ * 200k-request H&M runs on prxy_0 (few distinct pages), usr_0 and
+ * mds_0, Release build on a 4-core x86-64 host. Training cadence is
+ * not modelled: Sibyl at the default cadence costs ~3 us a request,
+ * at trainEvery=100 four to five times that. Every other policy
+ * takes the heuristics' weight.
+ */
+std::uint64_t
+tenantCostNs(const policies::PlacementPolicy &policy,
+             std::uint64_t requests, std::uint64_t distinctPages)
+{
+    constexpr std::uint64_t kC51Ns = 3000;        // Sibyl (C51 head)
+    constexpr std::uint64_t kDqnNs = 1000;        // Sibyl-DQN
+    constexpr std::uint64_t kArchivistNs = 12000; // epoch-trained NN
+    constexpr std::uint64_t kOtherNs = 200;       // CDE, HPS, static, ...
+    constexpr std::uint64_t kPageNs = 1000;       // per distinct page
+
+    std::uint64_t perRequest = kOtherNs;
+    if (const auto *s = dynamic_cast<const core::SibylPolicy *>(&policy)) {
+        if (s->config().agentKind == core::AgentKind::C51)
+            perRequest = kC51Ns;
+        else if (s->config().agentKind == core::AgentKind::Dqn)
+            perRequest = kDqnNs;
+    } else if (dynamic_cast<const policies::ArchivistPolicy *>(&policy)) {
+        perRequest = kArchivistNs;
+    }
+    return requests * perRequest + distinctPages * kPageNs;
 }
 
 } // namespace
@@ -113,6 +151,7 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         std::unique_ptr<hss::HybridSystem> sys;
         std::unique_ptr<policies::PlacementPolicy> policy;
         std::unique_ptr<RequestStepper> stepper;
+        std::uint64_t costNs = 0; // dispatch-order estimate only
     };
     // The training pool is declared before the tenant state on purpose:
     // agent destructors join any staged training round, so the pool the
@@ -130,8 +169,8 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         st.key = ParallelRunner::runKey(ts);
         st.trace = traces.get(ts.traceKey());
 
-        auto specs = hss::makeHssConfig(spec.hssConfig,
-                                        st.trace->uniquePages(),
+        const std::uint64_t distinctPages = st.trace->uniquePages();
+        auto specs = hss::makeHssConfig(spec.hssConfig, distinctPages,
                                         spec.fastCapacityFrac);
         if (spec.specTweak)
             spec.specTweak(specs);
@@ -181,6 +220,8 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
 
         st.stepper = std::make_unique<RequestStepper>(
             *st.sys, *st.policy, spec.sim, st.trace->size());
+        st.costNs =
+            tenantCostNs(*st.policy, st.trace->size(), distinctPages);
     }
 
     if (serving.batched) {
@@ -337,12 +378,22 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         // Sharded path: one task per tenant, each walking its own
         // requests in the same per-tenant order the multiplexed
         // schedule preserves. Tenants share no mutable state, so this
-        // is bit-identical to the oracle. (parallelFor detects
-        // re-entrancy — a fleet run inside a ParallelRunner worker —
-        // and runs inline rather than oversubscribing.)
+        // is bit-identical to the oracle whatever order tasks start
+        // in. They start longest first (Graham's LPT rule): descending
+        // tenantCostNs, ties by tenant index, so the costliest tenant
+        // never starts last on an otherwise idle pool. (parallelFor
+        // detects re-entrancy — a fleet run inside a ParallelRunner
+        // worker — and runs inline rather than oversubscribing.)
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return state[a].costNs > state[b].costNs;
+                         });
         ThreadPool::parallelFor(
             n,
-            [&](std::size_t t) {
+            [&](std::size_t k) {
+                const std::size_t t = order[k];
                 const trace::Trace &tr = *state[t].trace;
                 RequestStepper &stepper = *state[t].stepper;
                 for (std::size_t i = 0; i < tr.size(); i++)

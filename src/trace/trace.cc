@@ -1,7 +1,8 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <unordered_map>
 
 namespace sibyl::trace
 {
@@ -9,11 +10,54 @@ namespace sibyl::trace
 std::uint64_t
 Trace::uniquePages() const
 {
-    std::unordered_set<PageId> pages;
-    for (const auto &r : requests_)
-        for (PageId p = r.page; p < r.endPage(); p++)
-            pages.insert(p);
-    return pages.size();
+    // Sparse two-level bitmap: each 2^15-page chunk (128 MiB of address
+    // space) that any request touches gets one 4 KiB block of bits,
+    // found through a small chunk -> block map. Dense synthetic ids and
+    // sparse MSRC ids (byte offset / 4096) take the same path; memory
+    // is one block per touched chunk, at most the address space / 8
+    // bytes. A page is counted when its bit goes from 0 to 1.
+    constexpr unsigned kChunkShift = 15;
+    constexpr std::size_t kWordsPerChunk =
+        (std::size_t{1} << kChunkShift) / 64;
+    std::unordered_map<PageId, std::size_t> blockOf; // chunk -> first word
+    std::vector<std::uint64_t> bits;
+    PageId lastChunk = 0;
+    std::uint64_t *lastBlock = nullptr;
+    std::uint64_t count = 0;
+
+    for (const auto &r : requests_) {
+        // A span whose end wraps past 2^64 covers no page (end <= page).
+        const PageId end = r.endPage();
+        for (PageId p = r.page; p < end;) {
+            const PageId chunk = p >> kChunkShift;
+            if (!lastBlock || chunk != lastChunk) {
+                const auto [it, added] =
+                    blockOf.try_emplace(chunk, bits.size());
+                if (added)
+                    bits.resize(bits.size() + kWordsPerChunk, 0);
+                lastChunk = chunk;
+                lastBlock = bits.data() + it->second;
+            }
+            // This chunk's part of the span, one 64-bit word at a time.
+            const PageId chunkEnd = (chunk + 1) << kChunkShift;
+            const PageId stop =
+                chunkEnd != 0 && chunkEnd < end ? chunkEnd : end;
+            while (p < stop) {
+                const unsigned bit = static_cast<unsigned>(p & 63);
+                const PageId n = std::min<PageId>(64 - bit, stop - p);
+                const std::uint64_t mask =
+                    (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1)
+                    << bit;
+                std::uint64_t &word =
+                    lastBlock[(p >> 6) & (kWordsPerChunk - 1)];
+                count += static_cast<std::uint64_t>(
+                    std::popcount(mask & ~word));
+                word |= mask;
+                p += n;
+            }
+        }
+    }
+    return count;
 }
 
 std::uint64_t

@@ -193,6 +193,42 @@ TEST(Fleet, BitIdenticalAcrossThreadCounts)
     EXPECT_LE(serial.metrics.p50LatencyUs, serial.metrics.p99LatencyUs);
     EXPECT_LE(serial.metrics.p99LatencyUs, serial.metrics.p999LatencyUs);
     EXPECT_LE(serial.metrics.p999LatencyUs, serial.metrics.maxLatencyUs);
+
+    // Second lineup: more tenants than threads, so the sharded path's
+    // longest-first dispatch order decides which tenants share a
+    // worker. The costliest estimate (a C51 tenant with four times the
+    // requests) is last in index order and so starts first; the
+    // serialized results must still equal the 1-thread oracle's.
+    auto tenant = [](const char *policy, const char *workload,
+                     std::size_t len) {
+        sim::FleetTenant t;
+        t.policy = policy;
+        t.workload = workload;
+        t.traceLen = len;
+        return t;
+    };
+    const std::vector<sim::RunSpec> lineup = {fleetSpecOf(
+        {tenant("CDE", "mds_0", 0), tenant("HPS", "rsrch_0", 0),
+         tenant("Sibyl-DQN{trainEvery=50}", "prxy_1", 0),
+         tenant("CDE", "prn_1", 0), tenant("HPS", "hm_1", 0),
+         tenant("Sibyl{trainEvery=100}", "prxy_1", 1200)},
+        300)};
+    std::string json[3];
+    const unsigned lineupThreads[3] = {1, 2, 3};
+    for (int i = 0; i < 3; i++) {
+        sim::ParallelConfig cfg;
+        cfg.numThreads = lineupThreads[i];
+        sim::ParallelRunner runner(cfg);
+        const auto records = runner.runAll(lineup);
+        ASSERT_EQ(records.size(), 1u);
+        ASSERT_TRUE(records[0].status == "ok") << records[0].error;
+        EXPECT_EQ(records[0].result.metrics.requests, 5u * 300u + 1200u);
+        std::ostringstream os;
+        sim::writeResultsJson(os, records);
+        json[i] = os.str();
+    }
+    EXPECT_EQ(json[0], json[1]);
+    EXPECT_EQ(json[0], json[2]);
 }
 
 TEST(Fleet, ResultsJsonBitExactThroughRunner)

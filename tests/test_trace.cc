@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <unordered_set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "sim/experiment.hh"
@@ -30,12 +32,71 @@ tinyTrace()
     return t;
 }
 
+/** Distinct pages by brute force: every page of every span into a
+ *  hash set (a span whose end wraps past 2^64 covers nothing). */
+std::uint64_t
+referenceUniquePages(const Trace &t)
+{
+    std::unordered_set<PageId> pages;
+    for (const auto &r : t)
+        for (PageId p = r.page; p < r.endPage(); p++)
+            pages.insert(p);
+    return pages.size();
+}
+
 TEST(Trace, UniquePagesCountsSpans)
 {
     Trace t = tinyTrace();
     EXPECT_EQ(t.uniquePages(), 6u); // 10,11,20,21,22,23
     EXPECT_EQ(t.workingSetBytes(), 6u * kPageSize);
     EXPECT_EQ(t.addressSpacePages(), 24u);
+
+    // Every synthetic profile, at two seeds.
+    std::vector<WorkloadProfile> profiles = msrcProfiles();
+    profiles.insert(profiles.end(), filebenchProfiles().begin(),
+                    filebenchProfiles().end());
+    for (const WorkloadProfile &prof : profiles)
+        for (std::uint64_t seed : {1u, 2u}) {
+            const Trace w = makeWorkload(prof, 4000, seed);
+            EXPECT_EQ(w.uniquePages(), referenceUniquePages(w))
+                << prof.name << " seed " << seed;
+        }
+
+    // Sparse ids at and above 2^40, as MSRC byte offsets / 4096 give.
+    constexpr PageId kChunk = PageId{1} << 15; // one bitmap block
+    Trace sparse("sparse");
+    for (PageId base : {PageId{1} << 40, (PageId{1} << 40) + 3 * kChunk,
+                        PageId{1} << 52, (PageId{1} << 63) + 7})
+        for (std::uint32_t k = 0; k < 5; k++)
+            sparse.add({0.0, base + 97 * k, 1 + 9 * k, OpType::Read});
+    sparse.add({0.0, ~PageId{0} - 4, 4, OpType::Write}); // ends at 2^64 - 1
+    EXPECT_EQ(sparse.uniquePages(), referenceUniquePages(sparse));
+
+    // Spans crossing chunk boundaries, one of them several chunks long,
+    // then repeated and overlapping spans.
+    Trace cross("cross");
+    cross.add({0.0, kChunk - 3, 7, OpType::Read});
+    cross.add({0.0, 5 * kChunk - 70,
+               static_cast<std::uint32_t>(2 * kChunk + 140), OpType::Write});
+    cross.add({0.0, (PageId{1} << 40) - 1, 2, OpType::Read});
+    for (int rep = 0; rep < 3; rep++) {
+        cross.add({0.0, kChunk - 3, 7, OpType::Read});
+        cross.add({0.0, 9 * kChunk + 11, 200, OpType::Read});
+        cross.add({0.0, 9 * kChunk + 100, 64, OpType::Write});
+    }
+    EXPECT_EQ(cross.uniquePages(), referenceUniquePages(cross));
+    EXPECT_EQ(cross.uniquePages(), 7u + 2 * kChunk + 140 + 2 + 200);
+
+    EXPECT_EQ(Trace("empty").uniquePages(), 0u);
+
+    // A request whose page + sizePages wraps past 2^64 counts no page.
+    Trace wrap("wrap");
+    wrap.add({0.0, ~PageId{0} - 1, 5, OpType::Read});
+    wrap.add({0.0, ~PageId{0}, 1, OpType::Read});
+    EXPECT_EQ(wrap.uniquePages(), referenceUniquePages(wrap));
+    EXPECT_EQ(wrap.uniquePages(), 0u);
+    wrap.add({0.0, 42, 3, OpType::Read});
+    EXPECT_EQ(wrap.uniquePages(), 3u);
 }
 
 TEST(Trace, PrefixTruncates)
