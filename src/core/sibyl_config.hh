@@ -159,13 +159,6 @@ struct SibylConfig
     std::uint32_t targetSyncEvery = 500;  ///< weight-copy cadence
     std::uint32_t trainEvery = 125;       ///< training cadence
 
-    /** Run training rounds on the shadow network off the decision
-     *  thread, staged and committed at the same deterministic tick
-     *  counts as synchronous training — results are bit-identical
-     *  either way (see rl::AgentConfig::asyncTraining). Pure execution
-     *  strategy: stripped from policy identity and the run key. */
-    bool asyncTraining = false;
-
     std::uint32_t atoms = 51; ///< C51 atoms
     double vmin = 0.0;
     double vmax = 10.0; ///< ~ max reward / (1 - gamma)

@@ -47,7 +47,6 @@ makeAgentConfig(const SibylConfig &cfg, std::uint32_t stateDim,
     ac.bufferCapacity = cfg.bufferCapacity;
     ac.targetSyncEvery = cfg.targetSyncEvery;
     ac.trainEvery = cfg.trainEvery;
-    ac.asyncTraining = cfg.asyncTraining;
     ac.hidden = cfg.hidden;
     ac.prioritizedReplay = cfg.prioritizedReplay;
     ac.doubleDqn = cfg.doubleDqn;
@@ -95,11 +94,6 @@ SibylPolicy::SibylPolicy(const SibylConfig &cfg, std::uint32_t numDevices,
       encoder_(cfg.features, numDevices),
       reward_(cfg.reward)
 {
-    if (cfg_.asyncTraining && cfg_.guardrail.enabled)
-        throw std::invalid_argument(
-            "SibylPolicy: asyncTraining is incompatible with the "
-            "guardrail (its loss monitor reads training stats that "
-            "async rounds publish only at their commit points)");
     agent_ = makeAgent(cfg_, encoder_.dimension(), numDevices_);
     if (cfg_.guardrail.enabled) {
         guardrail_ = std::make_unique<rl::Guardrail>(cfg_.guardrail);
@@ -213,20 +207,6 @@ SibylPolicy::selectPlacement(const hss::HybridSystem &sys,
 }
 
 void
-SibylPolicy::setTrainingExecutor(
-    std::function<void(std::function<void()>)> exec)
-{
-    trainExec_ = std::move(exec);
-    agent_->setTrainingExecutor(trainExec_);
-}
-
-void
-SibylPolicy::finishTraining()
-{
-    agent_->finishTraining();
-}
-
-void
 SibylPolicy::tripGuardrail(const std::string &reason)
 {
     // Freeze-and-restore: the poisoned agent (weights, optimizer
@@ -267,8 +247,6 @@ SibylPolicy::reset()
     pendingValid_ = false;
     completedTransitions_ = 0;
     agent_ = makeAgent(cfg_, encoder_.dimension(), numDevices_);
-    if (trainExec_)
-        agent_->setTrainingExecutor(trainExec_);
     if (cfg_.guardrail.enabled) {
         guardrail_ = std::make_unique<rl::Guardrail>(cfg_.guardrail);
         fallback_ = makeFallbackPolicy(cfg_.guardrail.fallback);

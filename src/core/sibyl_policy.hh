@@ -44,7 +44,7 @@ class SibylPolicy : public policies::PlacementPolicy
                              const trace::Request &req,
                              std::size_t reqIndex) override;
 
-    /** Batched-decision phases (see PlacementPolicy): Begin runs the
+    /** Split-decision phases (see PlacementPolicy): Begin runs the
      *  guardrail/encode/observe/exploration steps, FromRow decodes the
      *  greedy action from the inference network's output row. */
     ml::Network *selectPlacementBegin(const hss::HybridSystem &sys,
@@ -53,11 +53,6 @@ class SibylPolicy : public policies::PlacementPolicy
                                       DeviceId &action,
                                       const float **obsRow) override;
     DeviceId selectPlacementFromRow(const float *row) override;
-
-    /** Async-training plumbing, forwarded to the agent. */
-    void setTrainingExecutor(
-        std::function<void(std::function<void()>)> exec) override;
-    void finishTraining() override;
 
     void observeOutcome(const hss::HybridSystem &sys,
                         const trace::Request &req, DeviceId action,
@@ -110,9 +105,6 @@ class SibylPolicy : public policies::PlacementPolicy
     std::unique_ptr<rl::Guardrail> guardrail_;
     std::unique_ptr<policies::PlacementPolicy> fallback_;
     std::uint64_t completedTransitions_ = 0;
-
-    // Kept so agent rebuilds (reset()) re-inject the executor.
-    std::function<void(std::function<void()>)> trainExec_;
 };
 
 } // namespace sibyl::core

@@ -50,9 +50,8 @@ class DenseLayer
      * RL trajectory is pinned to. (The batched forwards sum in a
      * k-grouped order and agree with this path to float tolerance;
      * their rows are composition-independent among themselves, which
-     * the training caches rely on.) Touches no member scratch, so the
-     * fleet's cross-tenant decision batches can run many networks'
-     * rows into one group matrix (see ml::inferRowBatch).
+     * the training caches rely on.) Touches no member scratch: the
+     * caller owns both rows.
      *
      * @param in  inSize() floats.
      * @param out outSize() floats (may not alias @p in).

@@ -192,42 +192,4 @@ Network::outputSize() const
     return layers_.back().outSize();
 }
 
-std::string
-Network::topologyKey() const
-{
-    std::string key = std::to_string(inputSize_);
-    for (const auto &l : layers_) {
-        key += '|';
-        key += std::to_string(l.outSize());
-        key += static_cast<char>('a' + static_cast<int>(l.activation()));
-    }
-    return key;
-}
-
-const Matrix &
-inferRowBatch(Network *const *nets, const float *const *ins, std::size_t n,
-              Matrix &scratchA, Matrix &scratchB)
-{
-    assert(n > 0);
-    const std::size_t numLayers = nets[0]->layers().size();
-#ifndef NDEBUG
-    for (std::size_t r = 1; r < n; r++)
-        assert(nets[r]->topologyKey() == nets[0]->topologyKey() &&
-               "inferRowBatch: mixed topologies in one group");
-#endif
-    Matrix *src = &scratchA;
-    Matrix *dst = &scratchB;
-    for (std::size_t li = 0; li < numLayers; li++) {
-        dst->resize(n, nets[0]->layers()[li].outSize());
-        // Each row runs its own network's fused row step, so the group
-        // is bit-identical to the serial kernel whatever its make-up.
-        for (std::size_t r = 0; r < n; r++) {
-            const float *in = li == 0 ? ins[r] : src->row(r);
-            nets[r]->layers()[li].inferRow(in, dst->row(r));
-        }
-        std::swap(src, dst);
-    }
-    return *src;
-}
-
 } // namespace sibyl::ml

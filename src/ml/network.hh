@@ -9,7 +9,6 @@
 
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -123,15 +122,6 @@ class Network
     std::vector<DenseLayer> &layers() { return layers_; }
     const std::vector<DenseLayer> &layers() const { return layers_; }
 
-    /**
-     * Stable architecture key: input width plus each layer's width and
-     * activation (e.g. "6|20s|30s|102i"). Networks with equal keys have
-     * identical topology, which is the grouping predicate the fleet's
-     * cross-tenant decision batches use (inferRowBatch requires every
-     * network in a group to share layer shapes and activations).
-     */
-    std::string topologyKey() const;
-
   private:
     std::size_t inputSize_;
     std::vector<DenseLayer> layers_;
@@ -150,29 +140,5 @@ class Network
     Vector rowBufA_;
     Vector rowBufB_;
 };
-
-/**
- * Multi-network row-batched inference: evaluate one input row per
- * network, all sharing a topology (equal Network::topologyKey()), and
- * return the matrix holding one output row per slot, rows in input
- * order. This is the fleet's cross-tenant decision kernel: every
- * tenant owns private weights, so a single batched GEMM cannot serve
- * the group — instead each layer runs every row through its own
- * network's fused row step (DenseLayer::inferRow) into a shared group
- * matrix. Every output row is therefore bit-identical to
- * nets[r]->inferRow(ins[r]) — batching cannot perturb any tenant's
- * trajectory, whatever the group composition.
- *
- * @param nets     n networks with identical topology (asserted).
- * @param ins      n pointers to inputSize() floats each.
- * @param n        group size (> 0).
- * @param scratchA Caller-owned ping-pong scratch, reused across calls
- * @param scratchB so steady-state windows never allocate.
- * @return Reference to whichever scratch matrix holds the outputs
- *         (n x outputSize()), valid until either scratch is reused.
- */
-const Matrix &inferRowBatch(Network *const *nets, const float *const *ins,
-                            std::size_t n, Matrix &scratchA,
-                            Matrix &scratchB);
 
 } // namespace sibyl::ml

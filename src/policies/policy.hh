@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "hss/hybrid_system.hh"
@@ -46,16 +45,17 @@ class PlacementPolicy
                                      std::size_t reqIndex) = 0;
 
     /**
-     * Batched decision, phase 1 (the fleet's cross-tenant decision
-     * windows). Performs everything selectPlacement() would up to —
-     * but not including — the greedy network evaluation, in the same
-     * order. Returns nullptr when the decision completed inline
-     * (@p action is set); otherwise returns the network whose output
-     * row for *@p obsRow (which must stay untouched until the row is
-     * evaluated) finishes the decision via selectPlacementFromRow().
-     * selectPlacement() == Begin + inferRow + FromRow by construction.
-     * The default resolves inline, which keeps heuristics and wrapper
-     * policies correct — they simply don't batch.
+     * Split decision, phase 1. Performs everything selectPlacement()
+     * would up to — but not including — the greedy network evaluation,
+     * in the same order. Returns nullptr when the decision completed
+     * inline (@p action is set); otherwise returns the network whose
+     * output row for *@p obsRow (which must stay untouched until the
+     * row is evaluated) finishes the decision via
+     * selectPlacementFromRow(). selectPlacement() == Begin + inferRow +
+     * FromRow by construction, so timing the phases apart (as the
+     * repository benchmark does) cannot move a decision. The default
+     * resolves inline, which keeps heuristics and wrapper policies
+     * correct.
      */
     virtual ml::Network *
     selectPlacementBegin(const hss::HybridSystem &sys,
@@ -67,7 +67,7 @@ class PlacementPolicy
         return nullptr;
     }
 
-    /** Batched decision, phase 2: finish the pending Begin with the
+    /** Split decision, phase 2: finish the pending Begin with the
      *  network's output row. Only called after Begin returned a net. */
     virtual DeviceId
     selectPlacementFromRow(const float *row)
@@ -76,18 +76,11 @@ class PlacementPolicy
         return static_cast<DeviceId>(0); // unreachable for inline Begins
     }
 
-    /** Inject the executor asynchronous training rounds run on (see
-     *  rl::Agent::setTrainingExecutor). Default: no training, no-op. */
-    virtual void
-    setTrainingExecutor(std::function<void(std::function<void()>)> exec)
-    {
-        (void)exec;
-    }
-
-    /** Commit any in-flight asynchronous training work (join + stats
-     *  fold) — call before reading final results or checkpointing.
-     *  Default: no training, no-op. */
-    virtual void finishTraining() {}
+    /** No-op: every policy trains synchronously inside its own calls,
+     *  so nothing is in flight when a run ends. Kept only because the
+     *  repository benchmark (benchmark/units.cc) calls it after each
+     *  pass, and that harness does not change with the simulator. */
+    void finishTraining() {}
 
     /**
      * System-level feedback after the request completed. Default: ignore

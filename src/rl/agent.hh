@@ -18,7 +18,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,31 +64,6 @@ struct AgentConfig
      *  cadence). Smaller values train more often — useful on the
      *  scaled-down traces this repository replays. */
     std::uint32_t trainEvery = 0;
-
-    /**
-     * Decouple training from serving (neural agents): at each training
-     * tick the agent *stages* a round — pre-sampling the minibatch
-     * indices with the decision-path RNG (the same draws the
-     * synchronous path makes), snapshotting the sampled transitions,
-     * and freezing a private copy of the inference network as the
-     * Bellman-target net — then executes it on the shadow training
-     * network via the injected executor (setTrainingExecutor) while
-     * serving continues. The round *commits* (join + stats fold) at
-     * the next deterministic handoff point: the following training
-     * tick, any weight-sync tick (always before the training network
-     * is published to the inference network), finishTraining(), or
-     * destruction. Decisions read only the inference network, which
-     * changes only at sync ticks after every staged round has
-     * committed — so results are bit-identical to synchronous
-     * training at any thread count, with no executor at all (rounds
-     * then run inline at their commit points), and to PR 7 serving.
-     * Incompatible with prioritizedReplay (priority updates between
-     * batches would change the pre-sampled draws) and VDBE exploration
-     * (its epsilon consumes training-loss feedback at the tick);
-     * agents reject those combinations at construction. Ignored by the
-     * tabular agent, which learns per-observation.
-     */
-    bool asyncTraining = false;
 
     /** Hidden topology (paper: 20 and 30 swish neurons). */
     std::vector<std::size_t> hidden = {20, 30};
@@ -180,11 +154,9 @@ hashObservation(const ml::Vector &v)
  * the batch; hash hits are verified by comparing the vectors, so a
  * collision can only fail to fold, never mis-fold. Used by
  * ValueAgent's minibatch trainer. @p stateOf maps a sampled row number
- * to its observation (the live replay ring for synchronous rounds,
- * the staged snapshot for asynchronous ones — identical bytes, so
- * identical folds). Returns the unique-row count; rowToUnique[r] maps
- * each sampled row to its unique row, and uniqueIdx lists the sampled
- * row number each unique row came from.
+ * to its observation in the replay ring. Returns the unique-row count;
+ * rowToUnique[r] maps each sampled row to its unique row, and
+ * uniqueIdx lists the sampled row number each unique row came from.
  */
 template <typename StateOf>
 inline std::size_t
@@ -253,17 +225,16 @@ class Agent
     virtual std::uint32_t selectAction(const ml::Vector &state) = 0;
 
     /**
-     * Phase 1 of a batched decision. Performs every RNG draw and
+     * Phase 1 of a split decision. Performs every RNG draw and
      * bookkeeping step selectAction() would (in the same order), and
      * returns true when the action was fully decided without a greedy
      * network evaluation (exploration fired, or the agent family has
-     * no batchable network). Returns false when the caller must
-     * evaluate batchNetwork() on @p state — alone via inferRow, or
-     * gathered with other agents' rows via ml::inferRowBatch — and
-     * finish with selectActionFromRow(). selectAction() ==
-     * selectActionBegin() + inferRow + selectActionFromRow() by
-     * construction, so batching can never perturb a decision. The
-     * default covers non-batchable agents by resolving inline.
+     * no decision network). Returns false when the caller must
+     * evaluate batchNetwork() on @p state via inferRow and finish with
+     * selectActionFromRow(). selectAction() == selectActionBegin() +
+     * inferRow + selectActionFromRow() by construction, so the split
+     * can never perturb a decision. The default covers agents without
+     * a decision network by resolving inline.
      */
     virtual bool
     selectActionBegin(const ml::Vector &state, std::uint32_t &action)
@@ -284,7 +255,7 @@ class Agent
 
     /** The network whose output row selectActionFromRow() consumes
      *  (the frozen inference net), or nullptr for agent families with
-     *  no batchable network (tabular). */
+     *  no decision network (tabular). */
     virtual ml::Network *batchNetwork() { return nullptr; }
 
     /** Greedy action (no exploration) — used by evaluation probes. */
@@ -318,22 +289,6 @@ class Agent
 
     /** Force one training round (for tests); returns the mean loss. */
     virtual double trainRound() = 0;
-
-    /** Executor for AgentConfig::asyncTraining rounds: invoked with a
-     *  self-contained job to run on some other thread (e.g. a
-     *  ThreadPool::submit wrapper). */
-    using TrainingExecutor = std::function<void(std::function<void()>)>;
-
-    /** Inject the executor asynchronous training rounds run on. With
-     *  none injected, staged rounds execute inline at their commit
-     *  points — the single-threaded oracle. No-op for synchronous
-     *  agents (the default). */
-    virtual void setTrainingExecutor(TrainingExecutor exec) { (void)exec; }
-
-    /** Commit any staged asynchronous training round (join + stats
-     *  fold). Call before reading final stats, checkpointing, or
-     *  comparing weights; no-op for synchronous agents. */
-    virtual void finishTraining() {}
 
     /** Behaviour counters. */
     virtual const AgentStats &stats() const = 0;

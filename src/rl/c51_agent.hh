@@ -62,7 +62,7 @@ class C51Head final : public ValueHead
     ml::Vector decodeBuf_;
     std::vector<double> decodeQ_;
 
-    // Training-side scratch (see the ValueHead threading contract).
+    // Training-side scratch (target() and loss()).
     // lanes_: atom groups interleaved ml::kSoftmaxLanes rows wide;
     // dist_: one row's winning next-state distribution.
     ml::Vector lanes_, dist_;

@@ -1,7 +1,6 @@
 #include "rl/value_agent.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace sibyl::rl
@@ -26,17 +25,6 @@ ValueAgent::ValueAgent(const AgentConfig &cfg,
         throw std::invalid_argument(
             who + "bufferCapacity must be >= 1 when trainEvery is 0 (the "
                   "training cadence is then one buffer fill)");
-    if (cfg_.asyncTraining && cfg_.prioritizedReplay)
-        throw std::invalid_argument(
-            who + "asyncTraining is incompatible with prioritizedReplay "
-                  "(priority updates between batches would change the "
-                  "pre-sampled draws)");
-    if (cfg_.asyncTraining &&
-        cfg_.exploration.kind == ExplorationKind::Vdbe)
-        throw std::invalid_argument(
-            who + "asyncTraining is incompatible with VDBE exploration "
-                  "(its epsilon consumes training-loss feedback at the "
-                  "tick)");
 
     std::vector<ml::LayerSpec> layers;
     for (auto h : cfg_.hidden)
@@ -69,15 +57,6 @@ ValueAgent::ValueAgent(const AgentConfig &cfg,
     uncachedRows_.reserve(batch);
     uniqueIdx_.reserve(batch);
     rewards_.reserve(batch);
-}
-
-ValueAgent::~ValueAgent()
-{
-    // A dispatched round references this agent's training-side state;
-    // join it before members destruct (wait, not get: a throwing round
-    // must not escalate to std::terminate from a destructor).
-    if (roundStaged_ && stagedFuture_.valid())
-        stagedFuture_.wait();
 }
 
 void
@@ -197,34 +176,15 @@ ValueAgent::afterObserve()
 
     // Train once the buffer has filled, then at every cadence boundary
     // (Algorithm 1, line 16; the paper's cadence is one buffer fill).
-    // Asynchronous mode stages the round here (after committing its
-    // predecessor) and lets it execute off-thread; both the staging
-    // and the commit happen at these same deterministic tick counts,
-    // so where the round actually runs can never change a result.
-    // Without an executor there is nothing to overlap with, so the
-    // round just runs synchronously — same draws, same weights, none
-    // of the snapshot/recompute overhead staging pays for thread
-    // safety.
     const std::uint64_t cadence =
         cfg_.trainEvery ? cfg_.trainEvery : cfg_.bufferCapacity;
-    if (buffer_.full() && observations_ % cadence == 0) {
-        if (cfg_.asyncTraining && trainExec_) {
-            commitStagedRound();
-            stageRound();
-        } else {
-            trainRound();
-        }
-    }
+    if (buffer_.full() && observations_ % cadence == 0)
+        trainRound();
     // Copy training -> inference weights every targetSyncEvery requests
-    // (§6.2.2: every 1000 requests). Every staged round commits first:
-    // the published weights always include all training staged so far,
-    // exactly as in synchronous mode.
-    if (observations_ % cfg_.targetSyncEvery == 0) {
-        if (cfg_.asyncTraining)
-            commitStagedRound();
-        if (stats_.trainingRounds > 0)
-            syncWeights();
-    }
+    // (§6.2.2: every 1000 requests).
+    if (observations_ % cfg_.targetSyncEvery == 0 &&
+        stats_.trainingRounds > 0)
+        syncWeights();
 }
 
 double
@@ -242,7 +202,6 @@ ValueAgent::trainRoundPerSample()
 double
 ValueAgent::runRound(double (ValueAgent::*trainOne)())
 {
-    commitStagedRound(); // tests may force a round mid-flight
     double loss = 0.0;
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++) {
         if (cfg_.prioritizedReplay)
@@ -255,38 +214,23 @@ ValueAgent::runRound(double (ValueAgent::*trainOne)())
         loss += (this->*trainOne)();
         stats_.gradientSteps += sampled_.size();
     }
-    foldRound(loss);
-    return stats_.lastLoss;
-}
-
-void
-ValueAgent::foldRound(double lossSum)
-{
     stats_.trainingRounds++;
     const double prev = stats_.lastLoss;
-    stats_.lastLoss = lossSum / std::max(1u, cfg_.batchesPerTraining);
+    stats_.lastLoss = loss / std::max(1u, cfg_.batchesPerTraining);
+    // VDBE feedback from the round-to-round change in mean loss.
     explore_.observeValueDelta(head_->valueDelta(stats_.lastLoss, prev));
+    return stats_.lastLoss;
 }
 
 double
 ValueAgent::trainBatch()
 {
-    batchRows_.resize(sampled_.size());
-    for (std::size_t r = 0; r < sampled_.size(); r++)
-        batchRows_[r] = &buffer_[sampled_[r]];
-    return trainMinibatch(&sampled_, *inferenceNet_);
-}
-
-double
-ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
-                           ml::Network &targetNet)
-{
-    const std::size_t batch = batchRows_.size();
+    const std::size_t batch = sampled_.size();
     const std::size_t width = head_->targetWidth();
     const bool fold = cfg_.foldDuplicateStates;
-    const bool useCache = slots && cfg_.cacheNextValues &&
-                          !head_->selectsWithTrainingNet();
-    const bool per = slots && cfg_.prioritizedReplay;
+    const bool useCache =
+        cfg_.cacheNextValues && !head_->selectsWithTrainingNet();
+    const bool per = cfg_.prioritizedReplay;
 
     // Duplicate-state folding: observations are coarsely binned, so a
     // sampled batch repeats rows; byte-identical states share one
@@ -297,17 +241,17 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
     if (fold) {
         uRows = buildStateFoldMapRows(
             [&](std::size_t r) -> const ml::Vector & {
-                return batchRows_[r]->state;
+                return buffer_[sampled_[r]].state;
             },
             batch, foldKeys_, foldVals_, rowToUnique_, uniqueIdx_);
     }
     stateBatch_.resize(uRows, cfg_.stateDim);
     for (std::size_t r = 0; r < uRows; r++) {
-        const Experience &e = *batchRows_[fold ? uniqueIdx_[r] : r];
+        const Experience &e = buffer_[sampled_[fold ? uniqueIdx_[r] : r]];
         std::copy(e.state.begin(), e.state.end(), stateBatch_.row(r));
     }
 
-    // Bellman targets from the frozen target network: one batched
+    // Bellman targets from the frozen inference network: one batched
     // forward per network and one head call for the whole batch.
     if (useCache) {
         // The inference network is frozen between syncs and training
@@ -323,7 +267,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
         targetCache_.resize(buffer_.capacity(), width);
         targetValid_.resize(buffer_.capacity(), 0);
         uncachedRows_.clear();
-        for (const std::size_t idx : *slots) {
+        for (const std::size_t idx : sampled_) {
             if (!targetValid_[idx]) {
                 targetValid_[idx] = 2; // queued this batch
                 uncachedRows_.push_back(idx);
@@ -339,7 +283,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
                           nextBatch_.row(r));
                 rewards_[r] = e.reward;
             }
-            const ml::Matrix &fresh = targetNet.infer(nextBatch_);
+            const ml::Matrix &fresh = inferenceNet_->infer(nextBatch_);
             // targetBatch_ holds the misses' targets until they are
             // scattered; the gather below then refills it by row.
             targetBatch_.resize(misses, width);
@@ -354,13 +298,13 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
         }
         targetBatch_.resize(batch, width);
         for (std::size_t r = 0; r < batch; r++)
-            std::copy_n(targetCache_.row((*slots)[r]), width,
+            std::copy_n(targetCache_.row(sampled_[r]), width,
                         targetBatch_.row(r));
     } else {
         nextBatch_.resize(batch, cfg_.stateDim);
         rewards_.resize(batch);
         for (std::size_t r = 0; r < batch; r++) {
-            const Experience &e = *batchRows_[r];
+            const Experience &e = buffer_[sampled_[r]];
             std::copy(e.nextState.begin(), e.nextState.end(),
                       nextBatch_.row(r));
             rewards_[r] = e.reward;
@@ -370,7 +314,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
         const ml::Matrix *sel = head_->selectsWithTrainingNet()
             ? &trainingNet_->infer(nextBatch_)
             : nullptr;
-        const ml::Matrix &eval = targetNet.infer(nextBatch_);
+        const ml::Matrix &eval = inferenceNet_->infer(nextBatch_);
         targetBatch_.resize(batch, width);
         head_->target(eval.data(), sel ? sel->data() : nullptr,
                       rewards_.data(), batch, targetBatch_.data());
@@ -385,7 +329,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
     if (per) {
-        buffer_.importanceWeights(*slots, cfg_.perAlpha, cfg_.perBeta,
+        buffer_.importanceWeights(sampled_, cfg_.perAlpha, cfg_.perBeta,
                                   perWeights_);
         weights_.resize(batch);
         for (std::size_t r = 0; r < batch; r++)
@@ -393,7 +337,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
     }
     actions_.resize(batch);
     for (std::size_t r = 0; r < batch; r++)
-        actions_[r] = batchRows_[r]->action;
+        actions_[r] = buffer_[sampled_[r]].action;
     losses_.resize(batch);
     priorities_.resize(batch);
 
@@ -414,7 +358,7 @@ ValueAgent::trainMinibatch(const std::vector<std::size_t> *slots,
     for (std::size_t r = 0; r < batch; r++) {
         totalLoss += losses_[r];
         if (per)
-            buffer_.setPriority((*slots)[r], priorities_[r]);
+            buffer_.setPriority(sampled_[r], priorities_[r]);
     }
 
     trainingNet_->backward(gradOutM_);
@@ -471,112 +415,6 @@ ValueAgent::trainPerSample()
     }
     optimizer_->step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
-}
-
-void
-ValueAgent::setTrainingExecutor(TrainingExecutor exec)
-{
-    commitStagedRound(); // never leave a round on a retiring executor
-    trainExec_ = std::move(exec);
-}
-
-void
-ValueAgent::finishTraining()
-{
-    commitStagedRound();
-}
-
-void
-ValueAgent::stageRound()
-{
-    assert(!roundStaged_);
-    // Pre-sample every batch of the round with the decision-path RNG —
-    // the exact draws the synchronous trainRound() makes at this tick
-    // (the minibatch trainer itself draws nothing) — so the serving
-    // RNG stream is independent of where the round executes.
-    stagedBatches_.resize(cfg_.batchesPerTraining);
-    std::size_t total = 0;
-    for (auto &b : stagedBatches_) {
-        buffer_.sampleIndices(cfg_.batchSize, rng_, b);
-        total += b.size();
-    }
-    // Snapshot the sampled transitions: the ring keeps filling while
-    // the round is in flight, so the round must read frozen copies.
-    // Element-wise assigns reuse each slot's capacity across rounds.
-    if (stagedExp_.size() < total)
-        stagedExp_.resize(total);
-    std::size_t pos = 0;
-    for (const auto &b : stagedBatches_) {
-        for (const std::size_t idx : b) {
-            const Experience &e = buffer_[idx];
-            Experience &s = stagedExp_[pos++];
-            s.state.assign(e.state.begin(), e.state.end());
-            s.action = e.action;
-            s.reward = e.reward;
-            s.nextState.assign(e.nextState.begin(), e.nextState.end());
-        }
-    }
-    // Freeze the Bellman-target weights. The inference network cannot
-    // change before this round commits (sync ticks commit first), so
-    // the private copy equals what the synchronous round would read.
-    if (!asyncTargetNet_)
-        asyncTargetNet_ = std::make_unique<ml::Network>(*inferenceNet_);
-    else
-        asyncTargetNet_->copyWeightsFrom(*inferenceNet_);
-
-    roundStaged_ = true;
-    if (trainExec_) {
-        auto task = std::make_shared<std::packaged_task<void()>>(
-            [this] { runStagedRound(); });
-        stagedFuture_ = task->get_future();
-        trainExec_([task] { (*task)(); });
-    } else {
-        stagedFuture_ = std::future<void>(); // run inline at commit
-    }
-}
-
-void
-ValueAgent::commitStagedRound()
-{
-    if (!roundStaged_)
-        return;
-    if (stagedFuture_.valid())
-        stagedFuture_.get();
-    else
-        runStagedRound();
-    roundStaged_ = false;
-    // Fold exactly as trainRound() does.
-    stats_.gradientSteps += stagedGradSteps_;
-    foldRound(stagedLoss_);
-}
-
-void
-ValueAgent::runStagedRound()
-{
-    // Targets are recomputed for every row from the frozen private
-    // target net (the cache-off shape of the synchronous round).
-    // Because the batched row kernels make each row independent of
-    // batch composition and asyncTargetNet_ carries the weights the
-    // synchronous round's cache was filled under, every target is
-    // bit-identical to the synchronous path's. Double DQN keeps
-    // selecting with the live training network, whose weights at this
-    // point in the committed round sequence equal the synchronous
-    // path's.
-    double loss = 0.0;
-    std::uint64_t steps = 0;
-    std::size_t base = 0;
-    for (const auto &b : stagedBatches_) {
-        if (!b.empty()) {
-            batchRows_.resize(b.size());
-            for (std::size_t r = 0; r < b.size(); r++)
-                batchRows_[r] = &stagedExp_[base + r];
-            loss += trainMinibatch(nullptr, *asyncTargetNet_);
-            steps += b.size();
-        }
-        base += b.size();
-    }
-    stagedLoss_ = loss;
-    stagedGradSteps_ = steps;
 }
 
 void

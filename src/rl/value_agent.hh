@@ -14,8 +14,7 @@
  * ValueAgent owns everything the variants share: exploration and
  * action masking, the replay buffer and training cadence, weight
  * syncs, the per-entry Bellman-target cache, duplicate-state folding,
- * prioritized-replay weights, the staged asynchronous round, and one
- * minibatch trainer. A ValueHead owns only what differs: how an output
+ * prioritized-replay weights, and one minibatch trainer. A ValueHead owns only what differs: how an output
  * row decodes into per-action values and a greedy action, how
  * next-state rows become Bellman targets, and the loss. The training
  * side is minibatch-shaped: a head sees a whole batch at once, so it
@@ -27,7 +26,6 @@
 
 #pragma once
 
-#include <future>
 #include <memory>
 #include <string>
 
@@ -41,15 +39,7 @@
 namespace sibyl::rl
 {
 
-/**
- * What one value-learning variant contributes to ValueAgent.
- *
- * Threading contract: the decision-side methods (greedy, values)
- * run on the serving thread; the training-side methods (target, loss)
- * run wherever the training round executes, which for an asynchronous
- * round is another thread while decisions continue. A head must keep
- * separate scratch for the two sides.
- */
+/** What one value-learning variant contributes to ValueAgent. */
 class ValueHead
 {
   public:
@@ -150,22 +140,17 @@ class ValueAgent : public Agent
 {
   public:
     /** @throws std::invalid_argument for a zero sync or training
-     *  cadence, and for asyncTraining combined with prioritized replay
-     *  or VDBE exploration. */
+     *  cadence. */
     ValueAgent(const AgentConfig &cfg, std::unique_ptr<ValueHead> head);
-    ~ValueAgent() override;
-    // A staged round's task holds `this`.
-    ValueAgent(const ValueAgent &) = delete;
-    ValueAgent &operator=(const ValueAgent &) = delete;
 
     std::string name() const override { return head_->name(); }
 
     /** Epsilon-greedy action for @p state using the inference network. */
     std::uint32_t selectAction(const ml::Vector &state) override;
 
-    /** Batched-decision phases (see Agent): Begin makes the RNG draws,
-     *  FromRow decodes the greedy action from an inference-network
-     *  output row produced elsewhere (inferRow or ml::inferRowBatch). */
+    /** Split-decision phases (see Agent): Begin makes the RNG draws,
+     *  FromRow decodes the greedy action from the inference network's
+     *  output row, which the caller evaluates with inferRow. */
     bool selectActionBegin(const ml::Vector &state,
                            std::uint32_t &action) override;
     std::uint32_t selectActionFromRow(const float *row) override;
@@ -191,8 +176,7 @@ class ValueAgent : public Agent
                            float reward,
                            const ml::Vector &nextState) override;
 
-    /** Force one training round (for tests). Commits any staged
-     *  asynchronous round first. */
+    /** Force one training round (for tests). */
     double trainRound() override;
 
     /** trainRound() through the per-sample reference trainer: the same
@@ -200,10 +184,6 @@ class ValueAgent : public Agent
      *  row instead of the batched GEMM engine (for the twin-agent
      *  numerics tests). */
     double trainRoundPerSample();
-
-    /** Async-training hooks (see Agent / AgentConfig::asyncTraining). */
-    void setTrainingExecutor(TrainingExecutor exec) override;
-    void finishTraining() override;
 
     /** Force a training-to-inference weight copy (for tests).
      *  Invalidates the cached Bellman targets. */
@@ -246,45 +226,14 @@ class ValueAgent : public Agent
      *  and returns the mean loss. */
     double runRound(double (ValueAgent::*trainOne)());
 
-    /** Train the sampled minibatch through trainMinibatch. */
+    /** The minibatch trainer: one gradient step over the ring entries
+     *  in sampled_, with Bellman targets from the inference network and
+     *  the target cache and prioritized replay as configured. */
     double trainBatch();
-
-    /**
-     * The minibatch trainer: one gradient step over batchRows_. With
-     * @p slots (the rows' replay-ring indices) the rows are live ring
-     * entries: the Bellman-target cache and prioritized replay apply
-     * as configured. Without, the rows are a staged snapshot and every
-     * target is recomputed from @p targetNet. Touches only
-     * training-side state, so a staged round may run it off-thread.
-     */
-    double trainMinibatch(const std::vector<std::size_t> *slots,
-                          ml::Network &targetNet);
 
     /** Per-sample reference for trainBatch: one forward/backward chain
      *  per sampled row (see trainRoundPerSample). */
     double trainPerSample();
-
-    /** Stage an asynchronous round at a training tick: pre-sample the
-     *  minibatch indices with the decision-path RNG (the exact draws
-     *  the synchronous round would make), snapshot the sampled
-     *  transitions, freeze a private copy of the inference network as
-     *  the Bellman-target net, and dispatch via the executor. */
-    void stageRound();
-
-    /** Commit the staged round: join (or run inline), then fold loss
-     *  and counters into stats_ exactly as trainRound() does. Runs at
-     *  the next training tick, any sync tick (before weights publish),
-     *  finishTraining(), and destruction. */
-    void commitStagedRound();
-
-    /** Round body; may execute on the executor thread. Touches only
-     *  training-side state (trainingNet_, optimizer_, batch scratch,
-     *  the staged snapshot) — never the serving side. */
-    void runStagedRound();
-
-    /** Fold one finished round's summed loss into stats_ and feed the
-     *  head's VDBE delta to the exploration schedule. */
-    void foldRound(double lossSum);
 
     AgentConfig cfg_;
     std::unique_ptr<ValueHead> head_;
@@ -299,10 +248,9 @@ class ValueAgent : public Agent
 
     // Training-side scratch, reused across batches so a training round
     // allocates nothing at steady state: the sampled slots, the batch
-    // rows and their inputs, the Bellman targets (rows x targetWidth),
+    // inputs, the Bellman targets (rows x targetWidth),
     // and the head's loss inputs and outputs (see ValueHead::loss).
     std::vector<std::size_t> sampled_;
-    std::vector<const Experience *> batchRows_;
     ml::Matrix stateBatch_;
     ml::Matrix nextBatch_;
     ml::Matrix targetBatch_;
@@ -334,19 +282,6 @@ class ValueAgent : public Agent
     std::vector<std::uint32_t> foldVals_;
     std::vector<std::uint32_t> rowToUnique_;
     std::vector<std::size_t> uniqueIdx_;
-
-    // Asynchronous-round state (cfg.asyncTraining). Staged on the
-    // serving thread, executed wherever the executor runs the job,
-    // joined back on the serving thread at the commit points — so no
-    // field here is ever touched from two threads at once.
-    TrainingExecutor trainExec_;
-    bool roundStaged_ = false;
-    std::future<void> stagedFuture_;
-    std::vector<std::vector<std::size_t>> stagedBatches_;
-    std::vector<Experience> stagedExp_; // snapshot, reused across rounds
-    std::unique_ptr<ml::Network> asyncTargetNet_;
-    double stagedLoss_ = 0.0;
-    std::uint64_t stagedGradSteps_ = 0;
 };
 
 } // namespace sibyl::rl

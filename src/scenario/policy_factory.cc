@@ -204,8 +204,6 @@ applySibylParams(core::SibylConfig &cfg, const PolicyDesc &desc)
             cfg.targetSyncEvery = toU32(desc, key, value);
         } else if (key == "trainEvery") {
             cfg.trainEvery = toU32(desc, key, value);
-        } else if (key == "asyncTraining") {
-            cfg.asyncTraining = toBool(desc, key, value);
         } else if (key == "atoms") {
             cfg.atoms = toU32(desc, key, value);
         } else if (key == "vmin") {
@@ -339,7 +337,7 @@ applySibylParams(core::SibylConfig &cfg, const PolicyDesc &desc)
                 "unknown Sibyl parameter \"" + key +
                     "\" (valid: gamma lr epsilon batchSize "
                     "batchesPerTraining bufferCapacity targetSyncEvery "
-                    "trainEvery asyncTraining atoms vmin vmax seed "
+                    "trainEvery atoms vmin vmax seed "
                     "hidden agent per "
                     "doubleDqn features wearFeatures sizeBins "
                     "intervalBins countBins "

@@ -64,7 +64,6 @@ ScenarioSpec::operator==(const ScenarioSpec &o) const
 {
     return name == o.name && policies == o.policies &&
            workloads == o.workloads && fleetTenants == o.fleetTenants &&
-           fleetServing == o.fleetServing &&
            hssConfigs == o.hssConfigs &&
            seeds == o.seeds && mixedWorkloads == o.mixedWorkloads &&
            fastCapacityFrac == o.fastCapacityFrac &&
@@ -139,57 +138,6 @@ ScenarioSpec::expand() const
                 "scenario \"" + name + "\": fleet tenant \"" +
                 t.workload + "\": timeCompress must be >= 1");
     }
-    if (fleetServing.asyncTraining) {
-        // Lowering-time validation of the async-training conflicts
-        // (the agent and policy constructors enforce the same rules,
-        // but a scenario author should learn *which field* of *their
-        // file* is at fault, not get a construction error mid-run).
-        // Async rounds pre-sample their batches with the shared RNG
-        // and publish training stats only at commit points, which
-        // prioritized replay (priority-dependent sampling), VDBE
-        // exploration (per-round value-delta feedback), and the
-        // guardrail (live loss monitoring) cannot tolerate.
-        auto truthy = [](const std::string &v) {
-            return !(v == "0" || v == "false");
-        };
-        auto conflict = [this](const std::string &where,
-                               const std::string &field) {
-            throw std::invalid_argument(
-                "scenario \"" + name + "\": fleetServing.asyncTraining "
-                "is incompatible with " + where + " \"" + field + "\"");
-        };
-        for (const char *k : {"per", "prioritizedReplay", "guardrail"})
-            if (sibylParams.count(k) && truthy(sibylParams.at(k)))
-                conflict("sibylParams", k);
-        if (sibylParams.count("explore") &&
-            sibylParams.at("explore") == "vdbe")
-            conflict("sibylParams", "explore=vdbe");
-        for (const auto &t : fleetTenants) {
-            const auto open = t.policy.find('{');
-            if (open == std::string::npos || t.policy.back() != '}')
-                continue;
-            const std::string body =
-                t.policy.substr(open + 1, t.policy.size() - open - 2);
-            const std::string where =
-                "tenant \"" + t.workload + "\" policy param";
-            for (std::size_t pos = 0; pos < body.size();) {
-                std::size_t comma = body.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = body.size();
-                const std::string param = body.substr(pos, comma - pos);
-                pos = comma + 1;
-                const std::size_t eq = param.find('=');
-                const std::string pk = param.substr(0, eq);
-                const std::string pv =
-                    eq == std::string::npos ? "" : param.substr(eq + 1);
-                if ((pk == "per" || pk == "prioritizedReplay" ||
-                     pk == "guardrail") && truthy(pv))
-                    conflict(where, pk);
-                if (pk == "explore" && pv == "vdbe")
-                    conflict(where, "explore=vdbe");
-            }
-        }
-    }
     for (const auto &ov : deviceOverrides) {
         for (const auto &cfg : hssConfigs) {
             const std::uint32_t n =
@@ -225,7 +173,6 @@ ScenarioSpec::expand() const
         const sim::ExperimentMatrix m = toMatrix();
         auto fleet = std::make_shared<sim::FleetSpec>();
         fleet->tenants = fleetTenants;
-        fleet->serving = fleetServing;
         std::string fleetWorkload = "fleet:";
         for (std::size_t i = 0; i < fleetTenants.size(); i++) {
             if (i)
@@ -489,7 +436,6 @@ parseScenarioJson(const std::string &text)
 
     ScenarioSpec s;
     bool sawPolicies = false, sawWorkloads = false;
-    bool sawFleetServing = false;
     for (const auto &[key, v] : doc.asObject()) {
         if (key == "name") {
             s.name = v.asString();
@@ -505,20 +451,6 @@ parseScenarioJson(const std::string &text)
                     parseFleetTenant(e, s.fleetTenants.size()));
             if (s.fleetTenants.empty())
                 specError("\"fleet\" must name at least one tenant");
-        } else if (key == "fleetServing") {
-            sawFleetServing = true;
-            for (const auto &[fk, fv] : v.asObject()) {
-                if (fk == "batched")
-                    s.fleetServing.batched = fv.asBool();
-                else if (fk == "decisionWindow")
-                    s.fleetServing.decisionWindow = fv.asUint();
-                else if (fk == "asyncTraining")
-                    s.fleetServing.asyncTraining = fv.asBool();
-                else
-                    specError("unknown fleetServing key \"" + fk +
-                              "\" (valid: batched decisionWindow "
-                              "asyncTraining)");
-            }
         } else if (key == "hssConfigs") {
             s.hssConfigs = stringList(v, "hssConfigs");
         } else if (key == "seeds") {
@@ -550,7 +482,7 @@ parseScenarioJson(const std::string &text)
         } else {
             specError("unknown key \"" + key +
                       "\" (valid: name policies workloads fleet "
-                      "fleetServing hssConfigs seeds mixedWorkloads "
+                      "hssConfigs seeds mixedWorkloads "
                       "fastCapacityFrac traceLen traceSeed timeCompress "
                       "queueDepth recordPerRequest sibylParams "
                       "deviceOverrides numThreads)");
@@ -563,9 +495,6 @@ parseScenarioJson(const std::string &text)
         if (sawPolicies || sawWorkloads)
             specError("\"fleet\" excludes \"policies\"/\"workloads\" "
                       "(tenants carry their own)");
-    } else if (sawFleetServing) {
-        specError("\"fleetServing\" requires \"fleet\" (it configures "
-                  "the fleet's decision/training execution)");
     } else {
         if (!sawPolicies || s.policies.empty())
             specError("\"policies\" must name at least one policy");
@@ -607,18 +536,6 @@ emitScenarioJson(const ScenarioSpec &s)
             fleet.push(tv);
         }
         doc.set("fleet", fleet);
-        // Emitted only when non-default, so pre-fleetServing scenario
-        // files round-trip byte-identically.
-        if (!(s.fleetServing == sim::FleetServing{})) {
-            JsonValue fs = JsonValue::object();
-            fs.set("batched", JsonValue::of(s.fleetServing.batched));
-            fs.set("decisionWindow",
-                   JsonValue::of(
-                       std::uint64_t{s.fleetServing.decisionWindow}));
-            fs.set("asyncTraining",
-                   JsonValue::of(s.fleetServing.asyncTraining));
-            doc.set("fleetServing", fs);
-        }
     }
     doc.set("hssConfigs", stringArray(s.hssConfigs));
     JsonValue seeds = JsonValue::array();

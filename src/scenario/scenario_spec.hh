@@ -120,14 +120,6 @@ struct ScenarioSpec
      *  tenant. */
     std::vector<sim::FleetTenant> fleetTenants;
 
-    /** Fleet decision/training execution strategy (JSON key
-     *  "fleetServing", only valid alongside "fleet"). Pure execution
-     *  strategy: results and run keys are identical with any setting —
-     *  expand() validates that asyncTraining is not combined with
-     *  features it cannot serve (prioritized replay, VDBE exploration,
-     *  the guardrail) and names the offending field. */
-    sim::FleetServing fleetServing;
-
     std::vector<std::string> hssConfigs = {"H&M"};
     std::vector<std::uint64_t> seeds = {42};
 

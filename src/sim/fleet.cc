@@ -9,7 +9,6 @@
 #include "core/sibyl_policy.hh"
 #include "energy/energy_model.hh"
 #include "hss/hybrid_system.hh"
-#include "ml/network.hh"
 #include "policies/archivist.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/trace_cache.hh"
@@ -141,7 +140,6 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
     if (!spec.fleet || spec.fleet->tenants.empty())
         throw std::invalid_argument("runFleetExperiment: no tenants");
     const auto &tenants = spec.fleet->tenants;
-    const FleetServing &serving = spec.fleet->serving;
     const std::size_t n = tenants.size();
 
     struct TenantState
@@ -153,12 +151,6 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         std::unique_ptr<RequestStepper> stepper;
         std::uint64_t costNs = 0; // dispatch-order estimate only
     };
-    // The training pool is declared before the tenant state on purpose:
-    // agent destructors join any staged training round, so the pool the
-    // round runs on must be destroyed after them.
-    std::unique_ptr<ThreadPool> trainPool;
-    if (serving.asyncTraining && numThreads > 1)
-        trainPool = std::make_unique<ThreadPool>(numThreads);
     std::vector<TenantState> state(n);
 
     // Deterministic construction, in tenant order: every seed is a
@@ -202,19 +194,9 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         core::SibylConfig scfg = spec.sibylCfg;
         if (deriveRunSeeds)
             scfg.seed = ParallelRunner::deriveStream(st.key, kAgentSalt);
-        // Execution strategy, not identity: the async cadence protocol
-        // is bit-identical to synchronous training, so flipping it here
-        // moves no RNG stream and no run key.
-        if (serving.asyncTraining)
-            scfg.asyncTraining = true;
         st.policy = makePolicy(
             tenants[i].policy,
             numHssDevices(spec.hssConfig, spec.fastCapacityFrac), scfg);
-        if (trainPool)
-            st.policy->setTrainingExecutor([pool = trainPool.get()](
-                                               std::function<void()> job) {
-                pool->submit(std::move(job));
-            });
         if (!spec.sim.skipPrepare)
             st.policy->prepare(*st.trace, *st.sys);
 
@@ -224,147 +206,7 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
             tenantCostNs(*st.policy, st.trace->size(), distinctPages);
     }
 
-    if (serving.batched) {
-        // Batched cross-tenant decision path. Tenants are sharded
-        // round-robin (tenant t -> shard t % shards, a pure function
-        // of tenant id and thread count, never of scheduling); each
-        // shard drains its own multiplexed schedule into bounded
-        // decision windows. Per window: (1) every slot runs its
-        // decision prologue in schedule order, (2) the greedy slots'
-        // observation rows are gathered per agent topology and pushed
-        // through one row-batched inference pass (ml::inferRowBatch,
-        // bit-identical per row to inferRow), (3) actions scatter back
-        // and every slot serves in schedule order. At most one request
-        // per tenant per window, so each tenant's observe-then-decide
-        // interleaving is exactly the serial oracle's.
-        const std::size_t shards =
-            numThreads <= 1 ? std::size_t{1}
-                            : std::min<std::size_t>(numThreads, n);
-        ThreadPool::parallelFor(
-            shards,
-            [&](std::size_t s) {
-                // local tenant id (mux index) -> global tenant id
-                std::vector<std::uint32_t> shardTenant;
-                std::vector<const trace::Trace *> shardViews;
-                for (std::size_t t = s; t < n; t += shards) {
-                    shardTenant.push_back(static_cast<std::uint32_t>(t));
-                    shardViews.push_back(state[t].trace.get());
-                }
-                const trace::TraceMultiplexer mux(shardViews);
-
-                const std::size_t windowCap = serving.decisionWindow
-                    ? std::min(serving.decisionWindow, shardTenant.size())
-                    : shardTenant.size();
-
-                struct Slot
-                {
-                    std::size_t muxIndex;
-                    std::uint32_t local;  // shard-local tenant id
-                    std::uint32_t tenant; // global id
-                    SimTime arrival;
-                    DeviceId action;
-                    const float *row;
-                    ml::Network *net;
-                };
-                std::vector<Slot> window;
-                window.reserve(windowCap);
-                std::vector<std::uint64_t> stamp(shardTenant.size(), 0);
-                std::uint64_t windowId = 0;
-
-                // A tenant's agent topology is fixed for the whole
-                // run, so the per-topology grouping resolves each
-                // tenant to a small integer once (first time its Begin
-                // yields a network) instead of rebuilding string keys
-                // per window.
-                std::vector<int> groupOf(shardTenant.size(), -1);
-                std::vector<std::string> groupKeys;
-                std::vector<std::vector<std::size_t>> groupSlots;
-                std::vector<ml::Network *> nets;
-                std::vector<const float *> rows;
-                ml::Matrix scratchA, scratchB;
-
-                std::size_t i = 0;
-                while (i < mux.size()) {
-                    // Carve the next window: consecutive schedule slots
-                    // until the cap, or a tenant would repeat.
-                    windowId++;
-                    window.clear();
-                    while (i < mux.size() && window.size() < windowCap) {
-                        const auto &e = mux[i];
-                        if (stamp[e.tenant] == windowId)
-                            break;
-                        stamp[e.tenant] = windowId;
-                        window.push_back({i, e.tenant,
-                                          shardTenant[e.tenant], 0.0,
-                                          DeviceId{}, nullptr, nullptr});
-                        i++;
-                    }
-
-                    // Phase 1: decision prologues, in schedule order.
-                    for (Slot &sl : window)
-                        sl.net = state[sl.tenant].stepper->stepBegin(
-                            mux.request(sl.muxIndex), sl.arrival,
-                            sl.action, &sl.row);
-
-                    // Phase 2: batched greedy inference. Slots whose
-                    // Begin returned a network are grouped by topology
-                    // (window order preserved within a group) and each
-                    // group runs one multi-network row-batched pass.
-                    for (auto &g : groupSlots)
-                        g.clear();
-                    for (std::size_t w = 0; w < window.size(); w++) {
-                        if (!window[w].net)
-                            continue;
-                        int &gid = groupOf[window[w].local];
-                        if (gid < 0) {
-                            const std::string key =
-                                window[w].net->topologyKey();
-                            for (std::size_t k = 0; k < groupKeys.size();
-                                 k++)
-                                if (groupKeys[k] == key)
-                                    gid = static_cast<int>(k);
-                            if (gid < 0) {
-                                gid = static_cast<int>(groupKeys.size());
-                                groupKeys.push_back(key);
-                                groupSlots.emplace_back();
-                            }
-                        }
-                        groupSlots[static_cast<std::size_t>(gid)]
-                            .push_back(w);
-                    }
-                    for (const auto &g : groupSlots) {
-                        if (g.empty())
-                            continue;
-                        nets.clear();
-                        rows.clear();
-                        for (std::size_t w : g) {
-                            nets.push_back(window[w].net);
-                            rows.push_back(window[w].row);
-                        }
-                        const ml::Matrix &out = ml::inferRowBatch(
-                            nets.data(), rows.data(), g.size(),
-                            scratchA, scratchB);
-                        for (std::size_t r = 0; r < g.size(); r++) {
-                            Slot &sl = window[g[r]];
-                            sl.action =
-                                state[sl.tenant]
-                                    .stepper->policy()
-                                    .selectPlacementFromRow(out.row(r));
-                        }
-                    }
-
-                    // Phase 3: serve + outcome feedback, in schedule
-                    // order. Tenants share no mutable state, so
-                    // deferring every serve behind every Begin changes
-                    // nothing each tenant can observe.
-                    for (Slot &sl : window)
-                        state[sl.tenant].stepper->stepFinish(
-                            mux.request(sl.muxIndex), sl.arrival,
-                            sl.action);
-                }
-            },
-            numThreads);
-    } else if (numThreads == 1) {
+    if (numThreads == 1) {
         // Serial oracle: one thread walks the multiplexed schedule,
         // serving the fleet in global arrival order.
         std::vector<const trace::Trace *> views;
@@ -401,11 +243,6 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
             },
             numThreads);
     }
-
-    // Commit any in-flight asynchronous training before reading
-    // results (no-op for synchronous policies).
-    for (TenantState &st : state)
-        st.policy->finishTraining();
 
     // Aggregate.
     PolicyResult r;

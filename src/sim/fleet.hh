@@ -3,11 +3,10 @@
  * Multi-tenant fleet serving.
  *
  * The paper evaluates one trace against one HSS instance per run; the
- * fleet runner scales that shape toward the ROADMAP's "heavy traffic
- * from millions of users" north star: one run hosts N tenants, each
- * with its own device stack, its own placement policy (and RL agent),
- * and its own trace, interleaved by a trace::TraceMultiplexer into one
- * global arrival schedule.
+ * fleet runner scales that shape to many tenants: one run hosts N
+ * tenants, each with its own device stack, its own placement policy
+ * (and RL agent), and its own trace, interleaved by a
+ * trace::TraceMultiplexer into one global arrival schedule.
  *
  * ## Tenant RNG-derivation rule
  *
@@ -96,53 +95,10 @@ struct FleetTenant
     }
 };
 
-/**
- * Execution knobs for the fleet's decision and training paths. Pure
- * execution strategy: every combination produces results bit-identical
- * to the defaults (the serial per-tenant path), so these are excluded
- * from FleetSpec::canonical() and therefore from the run key — a
- * batched run keeps the unbatched run's key, snapshots, and streams.
- */
-struct FleetServing
-{
-    /** Batched cross-tenant decision path: drain the multiplexed
-     *  schedule into bounded decision windows, gather the window's
-     *  encoded observations into one matrix per agent topology, run a
-     *  single row-batched inference pass, and scatter actions back in
-     *  schedule order. Bit-identical to per-tenant inferRow serving by
-     *  construction (ml::inferRowBatch). */
-    bool batched = false;
-
-    /** Decisions per batched window (0 = one per tenant in the shard).
-     *  A window also closes early when a tenant would appear twice:
-     *  one request per tenant per window keeps each tenant's
-     *  observe-then-decide ordering exact. */
-    std::size_t decisionWindow = 0;
-
-    /** Double-buffered asynchronous training: agents stage training
-     *  rounds onto a shadow network, run them on a training pool, and
-     *  commit weights at the same deterministic tick counts as
-     *  synchronous training — bit-identical at any thread count (see
-     *  rl::AgentConfig::asyncTraining). */
-    bool asyncTraining = false;
-
-    bool operator==(const FleetServing &o) const
-    {
-        return batched == o.batched &&
-               decisionWindow == o.decisionWindow &&
-               asyncTraining == o.asyncTraining;
-    }
-};
-
 /** Immutable description of a fleet run's tenant set. */
 struct FleetSpec
 {
     std::vector<FleetTenant> tenants;
-
-    /** Decision/training execution strategy (NOT part of canonical():
-     *  results are bit-identical with any setting, and keeping the run
-     *  key stable is what lets the campaign gate prove it in CI). */
-    FleetServing serving;
 
     /** Canonical composition string folded into the fleet run key:
      *  per-tenant "policyIdentity|traceKeyCanonical" joined with ';'.
@@ -157,9 +113,10 @@ struct FleetSpec
  * Each tenant is constructed deterministically (trace via @p traces,
  * system + policy seeded per the tenant RNG-derivation rule above),
  * then all tenants are stepped through their requests: serially in
- * multiplexer order when @p numThreads <= 1 (the oracle), or sharded
- * one-tenant-per-task via ThreadPool::parallelFor otherwise. Tenants
- * share no mutable state, so both paths produce bit-identical results.
+ * multiplexer order when @p numThreads == 1 (the oracle), or sharded
+ * one-tenant-per-task, longest first, via ThreadPool::parallelFor
+ * otherwise. Tenants share no mutable state, so both paths produce
+ * bit-identical results.
  *
  * The returned PolicyResult carries fleet aggregates in `metrics`
  * (latency stats merged across tenants, IOPS over the fleet-wide

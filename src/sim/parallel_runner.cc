@@ -84,9 +84,7 @@ canonicalRunString(const RunSpec &spec)
  * which is what makes "zero behavior change when not tripped" a
  * testable bit-identity claim rather than a hope — and lets a
  * NaN-injection arm share its pre-trip trajectory with the healthy
- * arm it is compared against. `asyncTraining` is stripped for the
- * same reason: the staged/committed training cadence is bit-identical
- * to synchronous training, so it is execution strategy, not identity.
+ * arm it is compared against.
  * `wearFeatures` is stripped so a wear-feature ablation arm shares its
  * run key (and thus its derived device/agent streams) with the plain
  * arm it is compared against — the feature's effect is then isolated
@@ -107,7 +105,6 @@ policyIdentity(const std::string &policy)
             comma = body.size();
         const std::string param = body.substr(pos, comma - pos);
         if (param.rfind("guardrail", 0) != 0 &&
-            param.rfind("asyncTraining", 0) != 0 &&
             param.rfind("wearFeatures", 0) != 0) {
             if (!kept.empty())
                 kept += ',';
@@ -291,9 +288,6 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
     phase = "simulate";
     rec.result = runPolicyExperiment(ecfg, *trace, *policy, *baseline);
     phase = "finish";
-    // Commit any staged asynchronous training round before the finish
-    // hook reads the policy (checkpoint saves must see final weights).
-    policy->finishTraining();
     if (spec.policyFinish)
         spec.policyFinish(*policy);
 }

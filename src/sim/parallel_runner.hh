@@ -71,7 +71,7 @@ inline constexpr std::uint64_t kAgentSalt = 0xA9E27A11ULL;
 struct FleetSpec; // sim/fleet.hh
 
 /** Policy descriptor with the run-supervision (guardrail*) and
- *  execution-strategy (asyncTraining) params stripped — the identity
+ *  wear-feature ablation (wearFeatures) params stripped — the identity
  *  string hashed into run keys (see the derivation-rule comment
  *  above). */
 std::string policyIdentity(const std::string &policy);

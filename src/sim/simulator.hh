@@ -68,29 +68,6 @@ class RequestStepper
     /** Replay one request (must be called in trace order). */
     void step(const trace::Request &req);
 
-    /**
-     * Phase-split replay for the fleet's batched decision windows:
-     * step() == stepBegin + (net ? FromRow(net->inferRow(row)) : action)
-     * + stepFinish, by construction.
-     *
-     * stepBegin computes the arrival gate and runs the policy's
-     * decision prologue (selectPlacementBegin). When it returns a
-     * network, the caller evaluates *@p obsRow on it (possibly batched
-     * with other tenants' rows), decodes the action via
-     * policy().selectPlacementFromRow(), and hands the result to
-     * stepFinish together with the arrival it was given. When it
-     * returns nullptr the decision completed inline and @p action is
-     * already set. Exactly one stepFinish must follow each stepBegin
-     * before the next stepBegin on this stepper.
-     */
-    ml::Network *stepBegin(const trace::Request &req, SimTime &arrival,
-                           DeviceId &action, const float **obsRow);
-    void stepFinish(const trace::Request &req, SimTime arrival,
-                    DeviceId action);
-
-    /** The policy this stepper drives (for selectPlacementFromRow). */
-    policies::PlacementPolicy &policy() { return policy_; }
-
     /** Requests stepped so far. */
     std::uint64_t requests() const { return count_; }
 
@@ -109,6 +86,21 @@ class RequestStepper
     const Histogram &latencyHistogram() const { return latencyHist_; }
 
   private:
+    /**
+     * The two halves of step(): step() == stepBegin + (net ?
+     * FromRow(net->inferRow(row)) : action) + stepFinish.
+     *
+     * stepBegin computes the arrival gate and runs the policy's
+     * decision prologue (selectPlacementBegin). When it returns a
+     * network, step() evaluates *@p obsRow on it and decodes the action
+     * via selectPlacementFromRow(); when it returns nullptr the
+     * decision completed inline and @p action is already set.
+     */
+    ml::Network *stepBegin(const trace::Request &req, SimTime &arrival,
+                           DeviceId &action, const float **obsRow);
+    void stepFinish(const trace::Request &req, SimTime arrival,
+                    DeviceId action);
+
     hss::HybridSystem &sys_;
     policies::PlacementPolicy &policy_;
     SimConfig cfg_;

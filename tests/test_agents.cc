@@ -16,7 +16,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/thread_pool.hh"
 #include "core/sibyl_policy.hh"
 #include "rl/c51_agent.hh"
 #include "rl/checkpoint.hh"
@@ -394,7 +393,6 @@ trainedCheckpoint(Agent &agent, std::uint32_t mask, std::size_t steps)
         prev = cur;
         action = agent.selectAction(prev);
     }
-    agent.finishTraining();
     std::ostringstream out(std::ios::binary);
     saveCheckpoint(agent, out);
     return out.str();
@@ -405,8 +403,7 @@ struct PinnedRow
     const char *name;
     bool c51;
     std::function<void(AgentConfig &)> tweak;
-    std::uint32_t mask;  ///< 0 = unrestricted
-    bool pooled;         ///< async rounds on a 2-thread pool
+    std::uint32_t mask; ///< 0 = unrestricted
     std::uint64_t digest;
 };
 
@@ -420,23 +417,20 @@ TEST(ValueAgent, TrainedCheckpointBytesArePinned)
     auto vdbe = [](AgentConfig &c) {
         c.exploration.kind = ExplorationKind::Vdbe;
     };
-    auto async = [](AgentConfig &c) { c.asyncTraining = true; };
     auto doubleDqn = [](AgentConfig &c) { c.doubleDqn = true; };
 
     const PinnedRow rows[] = {
-        {"c51_plain", true, none, 0, false, 0xC5D5EF40BD474C66ULL},
-        {"c51_per", true, per, 0, false, 0x748E5504566BBF9FULL},
-        {"c51_boltzmann", true, boltzmann, 0, false, 0x2CC10B6960EB1F98ULL},
-        {"c51_vdbe", true, vdbe, 0, false, 0x23D1FDDB84F41390ULL},
-        {"c51_masked", true, none, 0b101, false, 0x81FD2DAFC7FC0512ULL},
-        {"c51_async_pool", true, async, 0, true, 0xC5D5EF40BD474C66ULL},
-        {"dqn_plain", false, none, 0, false, 0x2E0326A8316C0D89ULL},
-        {"dqn_double", false, doubleDqn, 0, false, 0xAFA68F017D3CE242ULL},
-        {"dqn_per", false, per, 0, false, 0x3A1C855CD67A00DEULL},
-        {"dqn_boltzmann", false, boltzmann, 0, false, 0x5E6F671999E939D3ULL},
-        {"dqn_vdbe", false, vdbe, 0, false, 0x84B3956119AE5476ULL},
-        {"dqn_masked", false, none, 0b101, false, 0xE75631D3A93B14B1ULL},
-        {"dqn_async_pool", false, async, 0, true, 0x2E0326A8316C0D89ULL},
+        {"c51_plain", true, none, 0, 0xC5D5EF40BD474C66ULL},
+        {"c51_per", true, per, 0, 0x748E5504566BBF9FULL},
+        {"c51_boltzmann", true, boltzmann, 0, 0x2CC10B6960EB1F98ULL},
+        {"c51_vdbe", true, vdbe, 0, 0x23D1FDDB84F41390ULL},
+        {"c51_masked", true, none, 0b101, 0x81FD2DAFC7FC0512ULL},
+        {"dqn_plain", false, none, 0, 0x2E0326A8316C0D89ULL},
+        {"dqn_double", false, doubleDqn, 0, 0xAFA68F017D3CE242ULL},
+        {"dqn_per", false, per, 0, 0x3A1C855CD67A00DEULL},
+        {"dqn_boltzmann", false, boltzmann, 0, 0x5E6F671999E939D3ULL},
+        {"dqn_vdbe", false, vdbe, 0, 0x84B3956119AE5476ULL},
+        {"dqn_masked", false, none, 0b101, 0xE75631D3A93B14B1ULL},
     };
     for (const PinnedRow &row : rows) {
         AgentConfig cfg;
@@ -451,17 +445,11 @@ TEST(ValueAgent, TrainedCheckpointBytesArePinned)
         cfg.seed = 0x5EED;
         row.tweak(cfg);
 
-        ThreadPool pool(2); // outlives the agent that submits to it
         std::unique_ptr<Agent> agent;
         if (row.c51)
             agent = std::make_unique<C51Agent>(cfg);
         else
             agent = std::make_unique<DqnAgent>(cfg);
-        if (row.pooled) {
-            agent->setTrainingExecutor([&pool](std::function<void()> job) {
-                pool.submit(std::move(job));
-            });
-        }
         const std::uint64_t digest =
             fnv1a(trainedCheckpoint(*agent, row.mask, 1000));
         EXPECT_GT(agent->stats().trainingRounds, 10u) << row.name;

@@ -800,8 +800,9 @@ TEST_P(FtlPropertyTest, RandomOpsPreserveInvariants)
             f.trim(p);
             live.erase(p);
         }
-        if (i % 1000 == 0)
+        if (i % 1000 == 0) {
             ASSERT_EQ(f.checkInvariants(), "") << "iteration " << i;
+        }
     }
     EXPECT_EQ(f.mappedPages(), live.size());
     EXPECT_EQ(f.checkInvariants(), "");
@@ -967,7 +968,7 @@ TEST(FtlDeviceIntegration, RetiredBlocksDegradeHealth)
 TEST(FtlDeviceIntegration, WearFeaturesStrippedFromPolicyIdentity)
 {
     // wearFeatures is an observation knob, stripped from the canonical
-    // run string like the guardrail/asyncTraining knobs — an armed run
+    // run string like the guardrail knobs — an armed run
     // shares the unarmed run's key (and hence its RNG streams), so the
     // feature's effect is isolated to agent decisions.
     EXPECT_EQ(sim::policyIdentity("Sibyl{wearFeatures=1}"), "Sibyl");

@@ -159,6 +159,16 @@ TEST(PolicyFactory, ErrorsAreDiagnosable)
     }
     EXPECT_THROW(f.make("Sibyl{noSuchKnob=1}", 2),
                  std::invalid_argument);
+    // Training has one, synchronous cadence: asyncTraining is an
+    // unknown parameter, and the error names it.
+    try {
+        f.make("Sibyl{asyncTraining=1}", 2);
+        ADD_FAILURE() << "Sibyl{asyncTraining=1} was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("asyncTraining"),
+                  std::string::npos)
+            << e.what();
+    }
     EXPECT_THROW(f.make("Sibyl{gamma=abc}", 2), std::invalid_argument);
     EXPECT_THROW(f.make("CDE{gamma=0.5}", 2), std::invalid_argument);
     EXPECT_THROW(f.make("Oracle{x=1}", 2), std::invalid_argument);
@@ -421,9 +431,11 @@ TEST(PolicyFactoryProperty, DuplicateRegistrationReplacesWithoutDuplicates)
                 return std::make_unique<policies::SlowOnlyPolicy>();
             });
     EXPECT_EQ(countOf("Test-Dup"), 1u);
-    for (const auto &info : f.policies())
-        if (info.name == "Test-Dup")
+    for (const auto &info : f.policies()) {
+        if (info.name == "Test-Dup") {
             EXPECT_EQ(info.description, "round 2");
+        }
+    }
 }
 
 // --------------------------- ScenarioSpec -----------------------------
@@ -684,8 +696,9 @@ TEST(ScenarioRun, Fig8SweepBitExactAtOneVsManyThreads)
                   b[i].result.metrics.placements);
         // Distinct sweep points must have produced distinct agents:
         // the descriptor is part of the run key.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_NE(a[i].runKey, a[0].runKey);
+        }
     }
 }
 

@@ -69,9 +69,10 @@ TEST(Simulator, PerRequestRecordingMatchesAggregates)
         sum += m.perRequestLatencyUs[i];
         fast += m.perRequestAction[i] == 0 ? 1 : 0;
         ASSERT_LT(m.perRequestAction[i], 2);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(m.perRequestArrivalUs[i],
                       m.perRequestArrivalUs[i - 1] - 1e-9);
+        }
     }
     EXPECT_NEAR(sum / static_cast<double>(t.size()), m.avgLatencyUs,
                 1e-6);
@@ -142,13 +143,15 @@ TEST(Simulator, QueueDepthBackPressureInvariant)
             EXPECT_GE(m.perRequestFinishUs[i],
                       m.perRequestArrivalUs[i] - 1e-9);
             // ...and never issued before request i - qd completed.
-            if (i >= qd)
+            if (i >= qd) {
                 EXPECT_GE(m.perRequestArrivalUs[i],
                           m.perRequestFinishUs[i - qd] - 1e-9);
+            }
             // qd = 1: one request in flight, completions monotone.
-            if (qd == 1 && i > 0)
+            if (qd == 1 && i > 0) {
                 EXPECT_GE(m.perRequestFinishUs[i],
                           m.perRequestFinishUs[i - 1] - 1e-9);
+            }
         }
     }
 }
