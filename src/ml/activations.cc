@@ -6,11 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-
-// The vector helpers and kernels below pass vectors only between
-// force-inlined functions, so GCC's vector ABI note for builds without
-// AVX does not apply.
-#pragma GCC diagnostic ignored "-Wpsabi"
+#include <cstring>
 
 namespace sibyl::ml
 {
@@ -434,6 +430,123 @@ softmax(float *v, std::size_t n)
     if (sum <= 0.0f)
         sum = 1.0f;
     softmaxScale(v, sum, n);
+}
+
+namespace
+{
+
+// glibc's logf (glibc >= 2.28; Arm optimized-routines), transcribed.
+// x = 2^k z with z in [0.7, 1.4) (bits 0x3f330000 up to one binade
+// higher), and log(x) = k ln2 + log(c) + log1p(z/c - 1) for the c near
+// z among 16 table points. The table, the constants and the operation
+// order are glibc's, all in double with one rounding to float at the
+// end. glibc picks an FMA or a plain build of it at load time; both
+// round every float alike (checked over all positive floats), so this
+// one, without FMA (-ffp-contract=off), matches either.
+constexpr std::uint32_t kLogOff = 0x3f330000u;
+alignas(64) constexpr double kLogInvc[16] = {
+    0x1.661ec79f8f3bep+0, 0x1.571ed4aaf883dp+0, 0x1.49539f0f010bp+0,
+    0x1.3c995b0b80385p+0, 0x1.30d190c8864a5p+0, 0x1.25e227b0b8eap+0,
+    0x1.1bb4a4a1a343fp+0, 0x1.12358f08ae5bap+0, 0x1.0953f419900a7p+0,
+    0x1p+0,               0x1.e608cfd9a47acp-1, 0x1.ca4b31f026aap-1,
+    0x1.b2036576afce6p-1, 0x1.9c2d163a1aa2dp-1, 0x1.886e6037841edp-1,
+    0x1.767dcf5534862p-1,
+};
+alignas(64) constexpr double kLogLogc[16] = {
+    -0x1.57bf7808caadep-2, -0x1.2bef0a7c06ddbp-2, -0x1.01eae7f513a67p-2,
+    -0x1.b31d8a68224e9p-3, -0x1.6574f0ac07758p-3, -0x1.1aa2bc79c81p-3,
+    -0x1.a4e76ce8c0e5ep-4, -0x1.1973c5a611cccp-4, -0x1.252f438e10c1ep-5,
+    0x0p+0,                0x1.aa5aa5df25984p-5,  0x1.c5e53aa362eb4p-4,
+    0x1.526e57720db08p-3,  0x1.bc2860d22477p-3,   0x1.1058bc8a07ee1p-2,
+    0x1.4043057b6ee09p-2,
+};
+constexpr double kLogLn2 = 0x1.62e42fefa39efp-1;
+constexpr double kLogA0 = -0x1.00ea348b88334p-2;
+constexpr double kLogA1 = 0x1.5575b0be00b6ap-2;
+constexpr double kLogA2 = -0x1.ffffef20a4123p-2;
+
+/** Lanes of one logSpan() step. */
+constexpr std::size_t kLogLanes = 8;
+using LogF = simd::Vec<kLogLanes>;
+using LogI = simd::VecOf<kLogLanes>::Int;
+typedef std::uint32_t LogU
+    __attribute__((vector_size(kLogLanes * sizeof(float))));
+typedef double LogD __attribute__((vector_size(kLogLanes * sizeof(double))));
+
+/** Table entry @p idx of each lane. With AVX-512 the 16 entries fill
+ *  two registers and one two-source permute (vpermt2pd) picks them;
+ *  otherwise each lane loads its own. */
+[[gnu::always_inline]] inline LogD
+logTable(const double *tab, LogU idx)
+{
+#if defined(__AVX512F__)
+    typedef std::int64_t Idx
+        __attribute__((vector_size(kLogLanes * sizeof(double))));
+    LogD lo, hi;
+    std::memcpy(&lo, tab, sizeof(lo));
+    std::memcpy(&hi, tab + kLogLanes, sizeof(hi));
+    return __builtin_shuffle(lo, hi, __builtin_convertvector(idx, Idx));
+#else
+    LogD r;
+    for (std::size_t l = 0; l < kLogLanes; l++)
+        r[l] = tab[idx[l]];
+    return r;
+#endif
+}
+
+/** logf of each lane that is a positive normal finite float; other
+ *  lanes get garbage. */
+[[gnu::always_inline]] inline LogF
+logfLanes(LogF x)
+{
+    const LogU ix = __builtin_bit_cast(LogU, x);
+    const LogU tmp = ix - kLogOff;
+    const LogU idx = (tmp >> 19) & 15u;
+    const LogI k = __builtin_bit_cast(LogI, tmp) >> 23; // arithmetic
+    const LogU iz = ix - (tmp & 0xff800000u);
+    const LogD z = __builtin_convertvector(__builtin_bit_cast(LogF, iz), LogD);
+    const LogD r = z * logTable(kLogInvc, idx) - 1.0;
+    const LogD y0 =
+        logTable(kLogLogc, idx) + __builtin_convertvector(k, LogD) * kLogLn2;
+    const LogD r2 = r * r;
+    LogD y = kLogA1 * r + kLogA2;
+    y = kLogA0 * r2 + y;
+    y = y * r2 + (y0 + r);
+    return __builtin_convertvector(y, LogF);
+}
+
+/** One kLogLanes step of logSpan(): lanes that are not positive normal
+ *  finite floats (zeros, negatives, subnormals, Inf, NaN) take libm's
+ *  own logf, so their bits — NaN payloads included — are libm's. */
+[[gnu::always_inline]] inline LogF
+logStep(LogF x)
+{
+    LogF y = logfLanes(x);
+    const LogI special =
+        __builtin_bit_cast(LogU, x) - 0x00800000u >= 0x7f000000u;
+    if (simd::anyLane(special))
+        for (std::size_t l = 0; l < kLogLanes; l++)
+            if (special[l])
+                y[l] = std::log(x[l]);
+    return y;
+}
+
+} // namespace
+
+SIBYL_KERNEL_CLONES void
+logSpan(const float *in, float *out, std::size_t n)
+{
+    constexpr std::size_t W = kLogLanes;
+    using simd::vecAt;
+    std::size_t i = 0;
+    for (; i + W <= n; i += W)
+        vecAt<W>(out + i) = logStep(vecAt<W>(in + i));
+    if (i < n) { // a ragged tail, padded with ones
+        LogF x = LogF{} + 1.0f;
+        std::memcpy(&x, in + i, (n - i) * sizeof(float));
+        const LogF y = logStep(x);
+        std::memcpy(out + i, &y, (n - i) * sizeof(float));
+    }
 }
 
 void

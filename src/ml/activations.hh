@@ -99,6 +99,14 @@ constexpr std::size_t kSoftmaxLanes = 8;
 template <std::size_t L>
 void softmaxLanes(float *v, std::size_t n);
 
+/**
+ * Natural log over a span: out[i] = std::log(in[i]) for i in [0, n),
+ * with the exact bits of glibc's logf (glibc >= 2.28), eight lanes at a
+ * time. May alias. The C51 loss takes the log-probabilities of a
+ * whole training batch in one call.
+ */
+void logSpan(const float *in, float *out, std::size_t n);
+
 /** Softmax over consecutive groups of @p groupSize elements (C51 heads). */
 void groupedSoftmax(Vector &v, std::size_t groupSize);
 

@@ -15,8 +15,10 @@
  * weight-gradient tile, the fused row tile of Matrix::denseRow with its
  * bias and activation, the C51 projection geometry over atoms), output
  * rows across lanes (the narrow weight-gradient tile, the training-side
- * softmaxLanes), and actions across lanes (the C51 decision decode's
- * softmaxLanes and expectation, two actions at a time). The
+ * softmaxLanes), actions across lanes (the C51 decision decode's
+ * softmaxLanes and expectation, two actions at a time), and elements
+ * across lanes (logSpan, eight per step, its double arithmetic and
+ * table lookup on whatever vector registers the target has). The
  * same argument fixes the lane count of the register tiles (simd.hh's
  * kLanes): one native vector of the compile target, 16 when it has
  * AVX-512F and 8 otherwise (portable builds and their AVX2 clones); a

@@ -29,13 +29,12 @@ softmaxCrossEntropy(const Vector &logits, const Vector &target,
                     Vector &gradLogits)
 {
     assert(logits.size() == target.size());
-    // Softmax in place of the gradient buffer — no per-call
-    // allocation (this runs once per sampled row in the C51 training
-    // loop, the loop that bounds request throughput between syncs).
-    // The loss accumulation itself keeps the historical per-element
-    // form, NOT the cheaper log-softmax identity: the scalar feeds
-    // PER priorities (setPriority), so changing its rounding would
-    // silently shift prioritized-replay trajectories.
+    // The scalar reference of one C51 training row: tests pin
+    // rl::C51Head::loss, which runs whole batches, to it bit for bit.
+    // The loss accumulation keeps the historical per-element form,
+    // NOT the cheaper log-softmax identity: the scalar feeds PER
+    // priorities, so changing its rounding would silently shift
+    // prioritized-replay trajectories.
     gradLogits.assign(logits.begin(), logits.end());
     softmax(gradLogits);
     float loss = 0.0f;

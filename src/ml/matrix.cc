@@ -8,11 +8,6 @@
 #include <cassert>
 #include <cmath>
 
-// The vector helpers and kernels below pass vectors only between
-// force-inlined functions, so GCC's vector ABI note for builds without
-// AVX does not apply.
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 namespace sibyl::ml
 {
 

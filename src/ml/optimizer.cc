@@ -7,13 +7,6 @@
 
 #include "ml/simd.hh"
 
-// Vector-typed parameters and returns below never cross a translation
-// unit: every helper has internal linkage, so the vector ABI warning
-// (which concerns calls between objects built for different targets)
-// does not apply.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
 namespace sibyl::ml
 {
 
@@ -113,6 +106,8 @@ typedef std::uint64_t U64 __attribute__((vector_size(LD * sizeof(double))));
 
 constexpr std::uint32_t kMinNormalBits = 0x00800000u; // 2^-126
 
+using simd::anyLane;
+
 [[gnu::always_inline]] inline U
 absBits(F x)
 {
@@ -138,18 +133,6 @@ subnormal(F x)
 exponentOfNonzero(F x)
 {
     return (absBits(x) - 1u) >> 23;
-}
-
-/** Whether any lane of @p mask is set. */
-[[gnu::always_inline]] inline bool
-anyLane(I mask)
-{
-    typedef std::int32_t Half __attribute__((vector_size(sizeof(I) / 2)));
-    const Half half = __builtin_shufflevector(mask, mask, 0, 1, 2, 3) |
-                      __builtin_shufflevector(mask, mask, 4, 5, 6, 7);
-    std::uint64_t w[2];
-    std::memcpy(w, &half, sizeof(w));
-    return (w[0] | w[1]) != 0;
 }
 
 template <typename V>
@@ -632,5 +615,3 @@ Adam::step(Network &net, std::size_t batchSize)
 }
 
 } // namespace sibyl::ml
-
-#pragma GCC diagnostic pop

@@ -19,13 +19,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
-
-// Vector-typed parameters and returns below never cross a call: every
-// function is force-inlined into its kernel, so the vector ABI note
-// GCC gives for them in builds without AVX does not apply.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace sibyl::ml::simd
 {
@@ -75,6 +70,19 @@ template <std::size_t L>
 vecAt(float *p)
 {
     return *reinterpret_cast<typename VecOf<L>::Unaligned *>(p);
+}
+
+/** Whether any lane of the 8-lane @p mask is set. */
+[[gnu::always_inline]] inline bool
+anyLane(VecOf<8>::Int mask)
+{
+    typedef std::int32_t Half
+        __attribute__((vector_size(sizeof(mask) / 2)));
+    const Half half = __builtin_shufflevector(mask, mask, 0, 1, 2, 3) |
+                      __builtin_shufflevector(mask, mask, 4, 5, 6, 7);
+    std::uint64_t w[2];
+    std::memcpy(w, &half, sizeof(w));
+    return (w[0] | w[1]) != 0;
 }
 
 /**
@@ -192,5 +200,3 @@ fastTanhf(F x)
 }
 
 } // namespace sibyl::ml::simd
-
-#pragma GCC diagnostic pop

@@ -26,7 +26,6 @@ C51Head::C51Head(const AgentConfig &cfg)
     pairKey_.reserve(rows);
     probs_.reserve(rows * atoms_);
     logProbs_.reserve(rows * atoms_);
-    logDone_.reserve(rows * atoms_);
 }
 
 namespace
@@ -193,8 +192,11 @@ C51Head::loss(const LossBatch &b)
 
     // Softmax of every distinct prediction, kSoftmaxLanes at a time.
     // Pair key k's logits are output atoms [k * atoms, (k + 1) * atoms).
+    // Then the log of every clamped probability in one sweep:
+    // ml::logSpan gives std::log's bits.
     const std::size_t pairs = pairKey_.size();
     probs_.resize(pairs * atoms);
+    logProbs_.resize(pairs * atoms);
     lanes_.resize(atoms * L);
     for (std::size_t p0 = 0; p0 < pairs; p0 += L) {
         const std::size_t live = std::min(L, pairs - p0);
@@ -203,33 +205,29 @@ C51Head::loss(const LossBatch &b)
             src[l] = b.out + pairKey_[p0 + (l < live ? l : 0)] * atoms;
         interleave<L>(src, atoms, lanes_.data());
         ml::softmaxLanes<L>(lanes_.data(), atoms);
-        for (std::size_t l = 0; l < live; l++)
-            for (std::size_t i = 0; i < atoms; i++)
-                probs_[(p0 + l) * atoms + i] = lanes_[i * L + l];
+        for (std::size_t l = 0; l < live; l++) {
+            for (std::size_t i = 0; i < atoms; i++) {
+                const float p = lanes_[i * L + l];
+                probs_[(p0 + l) * atoms + i] = p;
+                logProbs_[(p0 + l) * atoms + i] = std::max(p, 1e-12f);
+            }
+        }
     }
+    ml::logSpan(logProbs_.data(), logProbs_.data(), pairs * atoms);
 
-    logProbs_.resize(pairs * atoms);
-    logDone_.assign(pairs * atoms, 0);
     for (std::size_t r = 0; r < b.rows; r++) {
         const std::size_t pair = pairOf_[r];
         const float *t = b.targets + r * atoms;
         const float *p = probs_.data() + pair * atoms;
-        float *logP = logProbs_.data() + pair * atoms;
-        std::uint8_t *done = logDone_.data() + pair * atoms;
+        const float *logP = logProbs_.data() + pair * atoms;
         float loss = 0.0f;
-        for (std::size_t i = 0; i < atoms; i++) {
-            // "!= 0" and not "> 0": identical for valid (non-negative)
-            // targets, but a NaN target weight must reach the loss — a
-            // poisoned reward that silently zeroes its own loss term
-            // would corrupt the weights while reporting perfect health.
-            if (t[i] != 0.0f) {
-                if (!done[i]) {
-                    logP[i] = std::log(std::max(p[i], 1e-12f));
-                    done[i] = 1;
-                }
-                loss -= t[i] * logP[i];
-            }
-        }
+        // "!= 0" and not "> 0": identical for valid (non-negative)
+        // targets, but a NaN target weight must reach the loss — a
+        // poisoned reward that silently zeroes its own loss term would
+        // corrupt the weights while reporting perfect health. A select,
+        // not a branch: 47 of 51 atoms carry target mass.
+        for (std::size_t i = 0; i < atoms; i++)
+            loss = t[i] != 0.0f ? loss - t[i] * logP[i] : loss;
         b.losses[r] = loss;
         b.priorities[r] = loss;
         const float weight = b.weights ? b.weights[r] : 1.0f;

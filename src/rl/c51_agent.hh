@@ -68,12 +68,11 @@ class C51Head final : public ValueHead
     ml::Vector lanes_, dist_;
     // loss(): the batch's distinct (output row, action) predictions —
     // pairSlot_ maps row * numActions + action to a pair, pairOf_ each
-    // batch row to its pair — with their softmax, their log-
-    // probabilities (computed on first use) and the computed flags.
+    // batch row to its pair — with their softmax and the log of each
+    // probability clamped at 1e-12.
     std::vector<std::int32_t> pairSlot_;
     std::vector<std::uint32_t> pairOf_, pairKey_;
     ml::Vector probs_, logProbs_;
-    std::vector<std::uint8_t> logDone_;
 };
 
 /** The C51 agent. */

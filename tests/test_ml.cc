@@ -791,5 +791,122 @@ TEST(OptimizerBits, StuckSubnormalStateReadsNoSubnormal)
 }
 #endif
 
+// ---------------------------------------------------------------------
+// logSpan, pinned bit for bit to the platform's std::log. The kernel
+// transcribes glibc's logf, so on glibc every input must match; the
+// sweeps cover the whole domain the C51 loss feeds it (softmax
+// probabilities clamped at 1e-12) and more.
+// ---------------------------------------------------------------------
+
+/** Float step of the long sweeps: every float, except under
+ *  AddressSanitizer (the Debug+ASan build), where the unoptimized
+ *  kernel would take minutes and every 61st float is checked. */
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::uint32_t kLogSweepStride = 61;
+#else
+constexpr std::uint32_t kLogSweepStride = 1;
+#endif
+
+/** logSpan over @p x (in place when @p inPlace) against std::log;
+ *  reports the first differing input. */
+void
+expectLogMatchesLibm(const std::vector<float> &x, bool inPlace = false)
+{
+    std::vector<float> want(x.size()), got = x;
+    for (std::size_t i = 0; i < x.size(); i++)
+        want[i] = std::log(x[i]);
+    logSpan(inPlace ? got.data() : x.data(), got.data(), x.size());
+    if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) ==
+        0)
+        return;
+    std::size_t i = 0;
+    while (bitsOf(got[i]) == bitsOf(want[i]))
+        i++;
+    char msg[120];
+    std::snprintf(msg, sizeof(msg),
+                  "log(%08x): got %08x want %08x (index %zu of %zu%s)",
+                  bitsOf(x[i]), bitsOf(got[i]), bitsOf(want[i]), i, x.size(),
+                  inPlace ? ", in place" : "");
+    ADD_FAILURE() << msg;
+}
+
+/** Every @p stride-th float with bits in [lo, hi], in spans of a
+ *  ragged length. */
+void
+sweepLog(std::uint32_t lo, std::uint32_t hi, std::uint32_t stride)
+{
+    constexpr std::size_t kSpan = (1u << 16) + 3;
+    std::vector<float> x;
+    x.reserve(kSpan);
+    for (std::uint64_t b = lo; b <= hi; b += stride) {
+        x.push_back(fromBits(static_cast<std::uint32_t>(b)));
+        if (x.size() == kSpan || b + stride > hi) {
+            expectLogMatchesLibm(x);
+            x.clear();
+            if (testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(LaneLog, EveryClampedProbability)
+{
+    // [1e-12, 1]: every input the C51 loss can give it.
+    sweepLog(bitsOf(1e-12f), bitsOf(1.0f), kLogSweepStride);
+}
+
+TEST(LaneLog, FullBinades)
+{
+    sweepLog(bitsOf(1.0f), bitsOf(2.0f) - 1, kLogSweepStride);
+    sweepLog(bitsOf(0x1p127f), bitsOf(FLT_MAX), kLogSweepStride);
+}
+
+TEST(LaneLog, EveryTableBoundary)
+{
+    // The table index changes every 2^19 floats from 0x3f330000, and
+    // the exponent every 2^23; two floats either side of each, and of
+    // each power of two, over the whole bit range (signs, zeros,
+    // subnormals, Inf and NaN included).
+    std::vector<float> x;
+    for (std::uint32_t m = 0; m < (1u << 13); m++)
+        for (std::uint32_t d = 0; d < 5; d++)
+            x.push_back(fromBits(0x3f330000u + (m << 19) + d - 2));
+    for (std::uint32_t e = 0; e < 512; e++)
+        for (std::uint32_t d = 0; d < 5; d++)
+            x.push_back(fromBits((e << 23) + d - 2));
+    expectLogMatchesLibm(x);
+}
+
+TEST(LaneLog, SpecialValuesInEveryLane)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> specials = {0.0f,    -0.0f,     inf,        -inf,
+                                   -1.0f,   -1e-12f,   -FLT_MAX,   -FLT_MIN,
+                                   FLT_MIN, kDenormMin, -kDenormMin, 0.5f};
+    for (std::uint32_t sign : {0u, 0x80000000u}) {
+        for (std::uint32_t payload : {0u, 1u, 0x2a5u, 0x3fffffu}) {
+            specials.push_back(fromBits(sign | 0x7fc00000u | payload));
+            if (payload) // signalling
+                specials.push_back(fromBits(sign | 0x7f800000u | payload));
+        }
+    }
+    // Each special at every lane of a step and in ragged tails, among
+    // ordinary probabilities.
+    for (float v : specials) {
+        for (std::size_t n = 1; n <= 19; n++) {
+            for (std::size_t at = 0; at < n; at++) {
+                std::vector<float> x(n);
+                for (std::size_t i = 0; i < n; i++)
+                    x[i] = 0.01f * static_cast<float>(i + 1);
+                x[at] = v;
+                expectLogMatchesLibm(x);
+                expectLogMatchesLibm(x, true);
+            }
+        }
+    }
+    // Every positive subnormal.
+    sweepLog(1u, bitsOf(FLT_MIN) - 1, kLogSweepStride);
+}
+
 } // namespace
 } // namespace sibyl::ml

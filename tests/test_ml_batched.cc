@@ -1170,43 +1170,60 @@ TEST(C51HeadBatch, TargetsMatchPerRowFormulasBitForBit)
     }
 }
 
-TEST(C51HeadBatch, LossMatchesPerRowFormulasBitForBit)
+/**
+ * C51Head::loss on a batch of @p rows rows over @p outRows folded
+ * output rows (at least 6 and 8), against refC51Loss row by row, with
+ * and without importance weights. Output row 4 is NaN; row 5
+ * underflows most atoms of action 1 to tiny probabilities (the log
+ * clamps at 1e-12); row 3 has a +Inf logit in action 0 and a -Inf
+ * logit in action 1. The other output rows and actions are drawn at
+ * random, so larger batches fold many duplicate predictions.
+ */
+void
+expectLossMatchesReference(std::uint32_t numActions, std::uint32_t atoms,
+                           std::size_t rows, std::size_t outRows,
+                           std::uint64_t seed)
 {
+    SCOPED_TRACE(testing::Message()
+                 << numActions << " actions, " << atoms << " atoms, "
+                 << rows << " rows");
     AgentConfig cfg;
-    cfg.numActions = 2;
+    cfg.numActions = numActions;
+    cfg.atoms = atoms;
     C51Head head(cfg);
     const std::size_t width = head.outputWidth();
-    const std::size_t atoms = cfg.atoms;
-    Pcg32 rng(92);
+    Pcg32 rng(seed);
     volatile float zero = 0.0f;
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = inf * zero;
 
-    // Six folded output rows; row 4 is NaN, row 5 underflows most
-    // atoms of action 1 to tiny probabilities (log clamps at 1e-12).
-    const std::size_t outRows = 6;
     std::vector<float> out(outRows * width);
     for (auto &v : out)
         v = static_cast<float>(rng.nextDouble(-3.0, 3.0));
     std::fill_n(out.data() + 4 * width, width, nan);
     for (std::size_t i = 0; i < atoms; i++)
-        out[5 * width + atoms + i] = i == 20 ? 60.0f : -60.0f;
+        out[5 * width + atoms + i] = i == atoms * 2 / 5 ? 60.0f : -60.0f;
+    out[3 * width + 1] = inf;
+    out[3 * width + atoms + 2] = -inf;
 
-    // 19 rows. Rows 0, 1 and 7 repeat the (output row 2, action 1)
-    // prediction with different targets; row 3's target is NaN (a
-    // non-finite reward); row 6's target is one-hot; targets come from
-    // the head itself so their zero/non-zero pattern is realistic.
-    const std::size_t rows = 19;
+    // Rows 0, 1 and 7 repeat the (output row 2, action 1) prediction
+    // with different targets; rows 2 and 4 take the infinite logits;
+    // row 3's target is NaN (a non-finite reward); row 6's target is
+    // one-hot; targets come from the head itself so their zero/non-zero
+    // pattern is realistic.
     std::vector<std::uint32_t> outRow(rows), actions(rows);
     std::vector<float> rewards(rows), weights(rows);
     for (std::size_t r = 0; r < rows; r++) {
-        outRow[r] = rng.nextBounded(outRows);
-        actions[r] = rng.nextBounded(2);
+        outRow[r] = rng.nextBounded(static_cast<std::uint32_t>(outRows));
+        actions[r] = rng.nextBounded(numActions);
         rewards[r] = static_cast<float>(rng.nextDouble(-3.0, 15.0));
         weights[r] = static_cast<float>(rng.nextDouble(0.05, 1.0));
     }
     outRow[0] = outRow[1] = outRow[7] = 2;
     actions[0] = actions[1] = actions[7] = 1;
+    outRow[2] = outRow[4] = 3;
+    actions[2] = 0;
+    actions[4] = 1;
     outRow[3] = 0; // keep NaN targets off the NaN output row
     rewards[3] = nan;
     outRow[5] = 5;
@@ -1218,7 +1235,7 @@ TEST(C51HeadBatch, LossMatchesPerRowFormulasBitForBit)
     head.target(next.data(), nullptr, rewards.data(), rows,
                 targets.data());
     std::fill_n(targets.data() + 6 * atoms, atoms, 0.0f);
-    targets[6 * atoms + 10] = 1.0f;
+    targets[6 * atoms + std::min<std::size_t>(10, atoms - 1)] = 1.0f;
 
     for (const bool per : {false, true}) {
         std::vector<float> grad(outRows * width, 0.0f);
@@ -1256,6 +1273,19 @@ TEST(C51HeadBatch, LossMatchesPerRowFormulasBitForBit)
                   0)
             << "per " << per;
     }
+}
+
+TEST(C51HeadBatch, LossMatchesPerRowFormulasBitForBit)
+{
+    expectLossMatchesReference(2, 51, 19, 6, 92);
+    // A full default batch over 40 output rows: about 80 distinct
+    // predictions, most of them shared by folded duplicates.
+    expectLossMatchesReference(2, 51, 128, 40, 93);
+    // Atom counts off the lane width, one of them below 8, and wider
+    // heads.
+    expectLossMatchesReference(3, 13, 37, 9, 94);
+    expectLossMatchesReference(4, 5, 29, 8, 95);
+    expectLossMatchesReference(4, 51, 128, 50, 96);
 }
 
 } // namespace
