@@ -79,56 +79,36 @@ banner(const std::string &title)
 }
 
 void
-runLineup(const LineupSpec &spec)
+runLineup(scenario::ScenarioSpec s, const std::string &title,
+          Metric metric, const std::string &jsonPath)
 {
-    banner(spec.title);
+    banner(title);
 
-    sim::ExperimentMatrix matrix;
-    matrix.policies = spec.policies;
-    matrix.workloads = spec.workloads;
-    matrix.hssConfigs = spec.configs;
-    matrix.seeds = spec.seeds.empty()
-        ? std::vector<std::uint64_t>{42}
-        : spec.seeds;
-    matrix.mixedWorkloads = spec.mixed;
-    matrix.fastCapacityFrac = spec.fastFrac;
     // Mixed workloads split the request budget across their components.
-    matrix.traceLen =
-        spec.mixed && spec.traceLen ? spec.traceLen / 2 : spec.traceLen;
-    matrix.timeCompress = spec.timeCompress;
-    matrix.sibylCfg = spec.sibylCfg;
+    if (s.mixedWorkloads)
+        s.traceLen /= 2;
+    const auto records = scenario::runScenario(s);
 
-    sim::ParallelConfig pcfg;
-    pcfg.numThreads = spec.numThreads;
-    sim::ParallelRunner runner(pcfg);
-    const auto records = runner.runMatrix(matrix);
-
-    // expand() nests config (outer), workload, policy, seed (inner).
-    const std::size_t nPolicies = spec.policies.size();
-    const std::size_t nWorkloads = spec.workloads.size();
-    const std::size_t nSeeds = matrix.seeds.size();
+    const std::size_t nSeeds = s.seeds.size();
     const bool multiSeed = nSeeds > 1;
-    for (std::size_t ci = 0; ci < spec.configs.size(); ci++) {
-        std::printf("\n[%s]  metric: %s%s\n", spec.configs[ci].c_str(),
-                    metricName(spec.metric),
+    for (std::size_t ci = 0; ci < s.hssConfigs.size(); ci++) {
+        std::printf("\n[%s]  metric: %s%s\n", s.hssConfigs[ci].c_str(),
+                    metricName(metric),
                     multiSeed ? "  (mean±95% CI over seeds)" : "");
         TextTable tab;
         std::vector<std::string> header = {"workload"};
-        header.insert(header.end(), spec.policies.begin(),
-                      spec.policies.end());
+        header.insert(header.end(), s.policies.begin(), s.policies.end());
         tab.header(header);
 
-        std::vector<double> sums(nPolicies, 0.0);
+        std::vector<double> sums(s.policies.size(), 0.0);
         std::vector<double> seedVals(nSeeds);
-        for (std::size_t wi = 0; wi < nWorkloads; wi++) {
-            std::vector<std::string> row = {spec.workloads[wi]};
-            for (std::size_t pi = 0; pi < nPolicies; pi++) {
-                for (std::size_t si = 0; si < nSeeds; si++) {
-                    const auto &rec =
-                        records[((ci * nWorkloads + wi) * nPolicies +
-                                 pi) * nSeeds + si];
-                    seedVals[si] = metricValue(spec.metric, rec.result);
-                }
+        for (std::size_t wi = 0; wi < s.workloads.size(); wi++) {
+            std::vector<std::string> row = {s.workloads[wi]};
+            for (std::size_t pi = 0; pi < s.policies.size(); pi++) {
+                for (std::size_t si = 0; si < nSeeds; si++)
+                    seedVals[si] = metricValue(
+                        metric,
+                        records[recordIndex(s, ci, wi, pi, si)].result);
                 double mean = 0.0;
                 for (double v : seedVals)
                     mean += v;
@@ -145,22 +125,22 @@ runLineup(const LineupSpec &spec)
             tab.addRow(row);
         }
         std::vector<std::string> avg = {"AVG"};
-        for (double s : sums)
+        for (double sum : sums)
             avg.push_back(
-                cell(s / static_cast<double>(nWorkloads), 3));
+                cell(sum / static_cast<double>(s.workloads.size()), 3));
         tab.addRow(avg);
         tab.print(std::cout);
     }
     std::printf("\n");
 
-    if (!spec.jsonPath.empty()) {
+    if (!jsonPath.empty()) {
         sim::ResultsAnnotations notes;
-        notes.campaign = spec.benchName;
-        if (sim::writeResultsJsonFile(spec.jsonPath, records, notes))
-            std::printf("wrote %s\n", spec.jsonPath.c_str());
+        notes.campaign = s.name;
+        if (sim::writeResultsJsonFile(jsonPath, records, notes))
+            std::printf("wrote %s\n", jsonPath.c_str());
         else
             std::printf("WARNING: could not write %s\n",
-                        spec.jsonPath.c_str());
+                        jsonPath.c_str());
     }
 }
 

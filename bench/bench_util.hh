@@ -31,46 +31,6 @@ enum class Metric
     FastPreference,      ///< fast placements / all placements (Fig. 17)
 };
 
-/** One bench's experiment grid. */
-struct LineupSpec
-{
-    std::string title;                  ///< figure/table identification
-    std::vector<std::string> policies;  ///< columns
-    std::vector<std::string> workloads; ///< rows (or mixes if `mixed`)
-    std::vector<std::string> configs;   ///< HSS configs, one table each
-    double fastFrac = 0.10;
-    std::size_t traceLen = 0;           ///< 0 = default length
-
-    /** Divide all inter-arrival gaps by this factor. 1 = replay at the
-     *  trace's own pace; large values make the run device-bound (used
-     *  by throughput figures, whose closed-loop replay saturates the
-     *  system rather than honoring host think time). */
-    double timeCompress = 1.0;
-    Metric metric = Metric::NormalizedLatency;
-    bool mixed = false;                 ///< workloads are mix names
-    core::SibylConfig sibylCfg;         ///< hyper-parameters for Sibyl
-
-    /** Experiment seeds. With more than one, every table cell becomes
-     *  the across-seed mean with a 95% confidence half-width
-     *  ("m±c"), and the AVG row aggregates the per-seed means. */
-    std::vector<std::uint64_t> seeds = {42};
-
-    /** Worker threads for the grid (0 = SIBYL_THREADS env override,
-     *  else hardware concurrency; 1 = the serial oracle path). */
-    unsigned numThreads = 0;
-
-    /** When non-empty, also emit the full machine-readable result set
-     *  (sim::writeResultsJsonFile) to this path. */
-    std::string jsonPath;
-
-    /** Result-set identity for the JSON dump: emitted as the
-     *  top-level "campaign" field (the merged-results path the
-     *  campaign layer and sibyl_regress share), so one bench's
-     *  BENCH_*.json can be gated across PRs exactly like a campaign.
-     *  Empty keeps the legacy unannotated output byte-identical. */
-    std::string benchName;
-};
-
 /** Extract the configured metric from a result. */
 double metricValue(Metric metric, const sim::PolicyResult &r);
 
@@ -85,13 +45,22 @@ double confidenceHalfWidth95(const std::vector<double> &samples);
 const char *metricName(Metric metric);
 
 /**
- * Run the full grid — sharded across cores by sim::ParallelRunner, with
- * per-run RNG streams derived from stable run keys so the output is
- * independent of thread count — and print one table per HSS
- * configuration, with an AVG row (arithmetic mean over workloads, as
- * the paper reports).
+ * Run the grid of @p s through scenario::runScenario (thread-count
+ * invariant) and print, under a @p title banner, one table of
+ * @p metric per HSS configuration: policies are columns, workloads
+ * rows, and an AVG row holds the mean over workloads, as the paper
+ * reports. With more than one seed every cell is the across-seed mean
+ * with a 95% confidence half-width ("m±c"). Mixed workloads run at
+ * half of s.traceLen, since a mix splits its request budget across
+ * its components.
+ *
+ * When @p jsonPath is non-empty, the full result set is also written
+ * there with s.name as its top-level "campaign" field, so one bench's
+ * BENCH_*.json can be gated across PRs exactly like a campaign.
  */
-void runLineup(const LineupSpec &spec);
+void runLineup(scenario::ScenarioSpec s, const std::string &title,
+               Metric metric = Metric::NormalizedLatency,
+               const std::string &jsonPath = "");
 
 /** Print the standard bench banner. */
 void banner(const std::string &title);
@@ -106,8 +75,8 @@ std::size_t requestOverride(std::size_t dflt = 0);
 
 /**
  * Row index of (config ci, workload wi, policy pi, seed si) in the
- * records returned for @p s — the ScenarioSpec/ExperimentMatrix
- * nesting order (hssConfig outermost, seed innermost).
+ * records returned for @p s — the ScenarioSpec::expand() nesting
+ * order (hssConfig outermost, seed innermost).
  */
 std::size_t recordIndex(const scenario::ScenarioSpec &s, std::size_t ci,
                         std::size_t wi, std::size_t pi,

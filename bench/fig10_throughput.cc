@@ -13,24 +13,23 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 10: request throughput (IOPS) across the 14 MSRC "
-                 "workloads (normalized to Fast-Only)";
-    spec.policies = sim::standardPolicyLineup();
+    scenario::ScenarioSpec s;
+    s.name = "fig10_throughput";
+    s.policies = sim::standardPolicyLineup();
     for (const auto &p : trace::msrcProfiles())
-        spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
-    spec.metric = bench::Metric::NormalizedIops;
+        s.workloads.push_back(p.name);
+    s.hssConfigs = {"H&M", "H&L"};
     // The paper's replayer drives the system closed-loop (throughput is
     // limited by the devices, not by the recorded host think time);
     // compress inter-arrival gaps so the H&M devices are the
     // bottleneck, as they are on the real testbed.
-    spec.timeCompress = 100.0;
+    s.timeCompress = 100.0;
     // Mirror fig9: across-seed mean±95% CI cells, smoke-shrinkable.
-    spec.seeds = {42, 43, 44};
-    spec.traceLen = bench::requestOverride();
-    spec.jsonPath = "BENCH_fig10.json";
-    spec.benchName = "fig10_throughput";
-    bench::runLineup(spec);
+    s.seeds = {42, 43, 44};
+    s.traceLen = bench::requestOverride();
+    bench::runLineup(s,
+                     "Fig. 10: request throughput (IOPS) across the 14 "
+                     "MSRC workloads (normalized to Fast-Only)",
+                     bench::Metric::NormalizedIops, "BENCH_fig10.json");
     return 0;
 }

@@ -13,13 +13,12 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 11: average request latency on unseen FileBench "
-                 "workloads (normalized to Fast-Only)";
-    spec.policies = {"Slow-Only", "Archivist", "RNN-HSS", "Sibyl",
-                     "Oracle"};
-    spec.workloads = {"fileserver", "ntrx_rw", "oltp_rw", "varmail"};
-    spec.configs = {"H&M", "H&L"};
-    bench::runLineup(spec);
+    scenario::ScenarioSpec s;
+    s.name = "fig11_unseen";
+    s.policies = {"Slow-Only", "Archivist", "RNN-HSS", "Sibyl", "Oracle"};
+    s.workloads = {"fileserver", "ntrx_rw", "oltp_rw", "varmail"};
+    s.hssConfigs = {"H&M", "H&L"};
+    bench::runLineup(s, "Fig. 11: average request latency on unseen "
+                        "FileBench workloads (normalized to Fast-Only)");
     return 0;
 }

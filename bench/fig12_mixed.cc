@@ -7,6 +7,7 @@
  */
 
 #include "bench_util.hh"
+#include "scenario/json.hh"
 
 using namespace sibyl;
 
@@ -16,24 +17,24 @@ main()
     // Sibyl_Def and Sibyl_Opt differ only in the learning rate: the
     // optimized variant uses a 10x lower alpha (§8.3), making smaller,
     // more stable updates under the unpredictable mixed request stream.
-    bench::LineupSpec spec;
-    spec.title = "Fig. 12: average request latency on mixed workloads "
-                 "(Table 5), normalized to Fast-Only";
-    spec.policies = {"Slow-Only", "CDE", "HPS", "Archivist", "RNN-HSS",
-                     "Sibyl_Def", "Oracle"};
-    spec.workloads = trace::mixedWorkloadNames();
-    spec.configs = {"H&M", "H&L"};
-    spec.mixed = true;
-    bench::runLineup(spec);
+    scenario::ScenarioSpec s;
+    s.name = "fig12_mixed";
+    s.policies = {"Slow-Only", "CDE", "HPS", "Archivist", "RNN-HSS",
+                  "Sibyl_Def", "Oracle"};
+    s.workloads = trace::mixedWorkloadNames();
+    s.hssConfigs = {"H&M", "H&L"};
+    s.mixedWorkloads = true;
+    bench::runLineup(s, "Fig. 12: average request latency on mixed "
+                        "workloads (Table 5), normalized to Fast-Only");
 
-    bench::LineupSpec opt;
-    opt.title = "Fig. 12 (cont.): Sibyl_Opt — mixed-workload-tuned "
-                "hyper-parameters (alpha = default/10)";
+    // %.17g round-trips the double exactly, so the agent sees the same
+    // learning rate as default/10 computed in place.
+    scenario::ScenarioSpec opt = s;
     opt.policies = {"Sibyl_Opt"};
-    opt.workloads = trace::mixedWorkloadNames();
-    opt.configs = {"H&M", "H&L"};
-    opt.mixed = true;
-    opt.sibylCfg.learningRate /= 10.0;
-    bench::runLineup(opt);
+    opt.sibylParams["learningRate"] =
+        scenario::jsonNumber(core::SibylConfig().learningRate / 10.0);
+    bench::runLineup(opt, "Fig. 12 (cont.): Sibyl_Opt — "
+                          "mixed-workload-tuned hyper-parameters "
+                          "(alpha = default/10)");
     return 0;
 }

@@ -17,15 +17,15 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 16: tri-hybrid HSS — heuristic [76] vs Sibyl "
-                 "(normalized avg request latency)";
-    spec.policies = {"Heuristic-Tri-Hybrid", "Sibyl"};
+    scenario::ScenarioSpec s;
+    s.name = "fig16_trihybrid";
+    s.policies = {"Heuristic-Tri-Hybrid", "Sibyl"};
     for (const auto &p : trace::msrcProfiles())
-        spec.workloads.push_back(p.name);
-    spec.configs = {"H&M&L", "H&M&L_SSD"};
-    spec.fastFrac = 0.05;
-    bench::runLineup(spec);
+        s.workloads.push_back(p.name);
+    s.hssConfigs = {"H&M&L", "H&M&L_SSD"};
+    s.fastCapacityFrac = 0.05;
+    bench::runLineup(s, "Fig. 16: tri-hybrid HSS — heuristic [76] vs "
+                        "Sibyl (normalized avg request latency)");
 
     std::printf("Paper reference: Sibyl outperforms the heuristic by "
                 "23.9%%-48.2%% on average across the two tri-HSS\n"

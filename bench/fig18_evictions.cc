@@ -14,14 +14,15 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 18: evictions from fast storage as a fraction of "
-                 "all requests";
-    spec.policies = {"CDE", "HPS", "Archivist", "RNN-HSS", "Sibyl"};
+    scenario::ScenarioSpec s;
+    s.name = "fig18_evictions";
+    s.policies = {"CDE", "HPS", "Archivist", "RNN-HSS", "Sibyl"};
     for (const auto &p : trace::msrcProfiles())
-        spec.workloads.push_back(p.name);
-    spec.configs = {"H&M", "H&L"};
-    spec.metric = bench::Metric::EvictionFraction;
-    bench::runLineup(spec);
+        s.workloads.push_back(p.name);
+    s.hssConfigs = {"H&M", "H&L"};
+    bench::runLineup(s,
+                     "Fig. 18: evictions from fast storage as a fraction "
+                     "of all requests",
+                     bench::Metric::EvictionFraction);
     return 0;
 }

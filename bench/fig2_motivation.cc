@@ -14,13 +14,14 @@ using namespace sibyl;
 int
 main()
 {
-    bench::LineupSpec spec;
-    spec.title = "Fig. 2: baseline policies vs Oracle on the motivation "
-                 "workloads (normalized avg request latency)";
-    spec.policies = {"Slow-Only", "CDE", "HPS", "Archivist", "RNN-HSS",
-                     "Oracle"};
-    spec.workloads = trace::motivationWorkloads();
-    spec.configs = {"H&M", "H&L"};
-    bench::runLineup(spec);
+    scenario::ScenarioSpec s;
+    s.name = "fig2_motivation";
+    s.policies = {"Slow-Only", "CDE", "HPS", "Archivist", "RNN-HSS",
+                  "Oracle"};
+    s.workloads = trace::motivationWorkloads();
+    s.hssConfigs = {"H&M", "H&L"};
+    bench::runLineup(s, "Fig. 2: baseline policies vs Oracle on the "
+                        "motivation workloads (normalized avg request "
+                        "latency)");
     return 0;
 }

@@ -4,8 +4,9 @@
  * Sibyl's average request latency in the H&M configuration. The paper
  * observes saturation at 1000 entries, which it selects as e_EB.
  *
- * Declarative form: the sweep is a ScenarioSpec whose policy list is
- * one Sibyl descriptor per buffer size, run through
+ * The sweep is scenarios/fig8_buffer_sweep.json (one Sibyl descriptor
+ * per buffer size, each at a fixed training cadence, over a mix of
+ * slowly- and quickly-converging workloads), run through
  * sim::ParallelRunner (bit-identical at any thread count).
  */
 
@@ -16,6 +17,7 @@
 #include "common/table.hh"
 #include "core/sibyl_policy.hh"
 #include "rl/agent.hh"
+#include "scenario/policy_factory.hh"
 
 using namespace sibyl;
 
@@ -25,24 +27,8 @@ main()
     bench::banner("Fig. 8: effect of experience buffer size on Sibyl's "
                   "avg request latency, H&M (normalized to Fast-Only)");
 
-    const std::vector<std::size_t> sizes = {1,    10,    100,
-                                            1000, 10000, 100000};
-
-    scenario::ScenarioSpec s;
-    s.name = "fig8_buffer_sweep";
-    // Fixed training cadence across buffer sizes so the sweep isolates
-    // *sample diversity*: tiny buffers train on the same number of
-    // batches but see almost no distinct experiences.
-    for (std::size_t sz : sizes)
-        s.policies.push_back("Sibyl{bufferCapacity=" +
-                             std::to_string(sz) + ",trainEvery=250}");
-    // Mix of slowly-converging workloads (hm_1, prxy_1, usr_0), where
-    // sample diversity in the buffer matters, and quickly-converging
-    // write-heavy ones (mds_0, prxy_0, wdev_2), where an oversized
-    // never-filling buffer starves training.
-    s.workloads = {"hm_1", "prxy_1", "usr_0", "mds_0", "prxy_0",
-                   "wdev_2"};
-    s.hssConfigs = {"H&M"};
+    scenario::ScenarioSpec s = scenario::loadScenarioFile(
+        SIBYL_SOURCE_DIR "/scenarios/fig8_buffer_sweep.json");
     s.traceLen = bench::requestOverride(0);
 
     auto specs = s.expand();
@@ -59,7 +45,7 @@ main()
     TextTable tab;
     tab.header({"buffer size", "normalized avg latency (mean of 6 wl)",
                 "training rounds"});
-    for (std::size_t pi = 0; pi < sizes.size(); pi++) {
+    for (std::size_t pi = 0; pi < s.policies.size(); pi++) {
         const double lat = bench::meanOverWorkloads(
             s, records, 0, pi,
             [](const sim::RunRecord &r) {
@@ -68,7 +54,9 @@ main()
         double roundSum = 0.0;
         for (std::size_t wi = 0; wi < s.workloads.size(); wi++)
             roundSum += rounds->at(bench::recordIndex(s, 0, wi, pi));
-        tab.addRow({cell(std::uint64_t{sizes[pi]}), cell(lat, 3),
+        tab.addRow({*scenario::PolicyDesc::parse(s.policies[pi])
+                         .find("bufferCapacity"),
+                    cell(lat, 3),
                     cell(static_cast<std::uint64_t>(
                         roundSum /
                         static_cast<double>(s.workloads.size())))});

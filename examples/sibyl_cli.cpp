@@ -44,6 +44,7 @@
 
 #include "common/table.hh"
 #include "core/sibyl_policy.hh"
+#include "device/fault_model.hh"
 #include "rl/checkpoint.hh"
 #include "scenario/campaign.hh"
 #include "scenario/policy_factory.hh"
@@ -513,18 +514,24 @@ main(int argc, char **argv)
     }
 
     if (!opt.degradeFast.empty()) {
-        // "startMs:endMs:multiplier" -> a fault window on device 0.
+        // "startMs:endMs:multiplier" -> a fault window on device 0,
+        // checked by the same validator the FaultModel runs.
         double startMs = 0.0, endMs = 0.0, mult = 1.0;
-        if (std::sscanf(opt.degradeFast.c_str(), "%lf:%lf:%lf", &startMs,
-                        &endMs, &mult) != 3 ||
-            endMs < startMs || mult <= 0.0) {
+        const bool parsed =
+            std::sscanf(opt.degradeFast.c_str(), "%lf:%lf:%lf", &startMs,
+                        &endMs, &mult) == 3;
+        const device::DegradedWindow window{startMs * 1e3, endMs * 1e3,
+                                            mult};
+        const std::string err =
+            parsed ? device::validateWindow(window) : "";
+        if (!parsed || !err.empty()) {
             std::fprintf(stderr,
-                         "--degrade-fast wants START_MS:END_MS:MULT\n");
+                         "--degrade-fast wants START_MS:END_MS:MULT%s%s\n",
+                         err.empty() ? "" : ": ", err.c_str());
             return 2;
         }
         proto.specTweak = [=](std::vector<device::DeviceSpec> &specs) {
-            specs[0].faults.windows.push_back(
-                {startMs * 1e3, endMs * 1e3, mult});
+            specs[0].faults.windows.push_back(window);
         };
         // The fault window changes dynamics: tag it into the run key.
         proto.variantTag = "degrade-fast=" + opt.degradeFast;

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
-#include "common/logging.hh"
 
 namespace sibyl::device
 {
@@ -62,8 +62,8 @@ validateWindow(const DegradedWindow &w)
     if (w.endUs <= w.startUs)
         return "window must end after it starts (got [" +
                num(w.startUs) + ", " + num(w.endUs) + "))";
-    // The runtime FaultModel aborts on multiplier <= 0; reject the
-    // same set here so a bad scenario is a diagnostic, not an abort.
+    // Non-finite or non-positive multipliers would scale service
+    // times into NaN or zero.
     if (!std::isfinite(w.latencyMultiplier) || w.latencyMultiplier <= 0.0)
         return "latencyMultiplier must be finite and > 0 (got " +
                num(w.latencyMultiplier) + ")";
@@ -181,10 +181,11 @@ FaultModel::FaultModel(FaultConfig cfg) : cfg_(std::move(cfg))
 {
     // One source of truth with the scenario-lowering validation: the
     // old ad-hoc range checks here waved NaN probabilities through
-    // (NaN compares false against every bound).
+    // (NaN compares false against every bound). A bad config fails the
+    // run that built it, not the process.
     const std::string err = validateFaultConfig(cfg_);
     if (!err.empty())
-        fatal("FaultModel: " + err);
+        throw std::invalid_argument("FaultModel: " + err);
 }
 
 double

@@ -194,6 +194,8 @@ struct FaultCounters
 class FaultModel
 {
   public:
+    /** Throws std::invalid_argument when validateFaultConfig() rejects
+     *  @p cfg. */
     explicit FaultModel(FaultConfig cfg = FaultConfig());
 
     /** True when any fault mechanism is configured. */

@@ -75,51 +75,6 @@ ScenarioSpec::operator==(const ScenarioSpec &o) const
            numThreads == o.numThreads;
 }
 
-sim::ExperimentMatrix
-ScenarioSpec::toMatrix() const
-{
-    // Values <= 1 would be silently ignored by the trace cache (its
-    // documented contract: compression never stretches); reject them
-    // here where the user can see why.
-    if (!(timeCompress >= 1.0))
-        throw std::invalid_argument(
-            "scenario \"" + name + "\": timeCompress must be >= 1 "
-            "(gaps are divided by it; it cannot stretch a trace)");
-    // The parallel runner derives every run's agent seed from the run
-    // key, so a base-config seed would be silently discarded — the
-    // two working spellings are the experiment-level seeds array and
-    // the per-policy descriptor Sibyl{seed=N} (applied after
-    // derivation).
-    if (sibylParams.count("seed"))
-        throw std::invalid_argument(
-            "scenario \"" + name + "\": sibylParams.seed has no "
-            "effect (run seeds are derived from the run key); use "
-            "the \"seeds\" array, or pin one policy's agent seed "
-            "with a Sibyl{seed=N} descriptor");
-
-    sim::ExperimentMatrix m;
-    m.policies = policies;
-    m.workloads = workloads;
-    m.hssConfigs = hssConfigs;
-    m.seeds = seeds;
-    m.mixedWorkloads = mixedWorkloads;
-    m.fastCapacityFrac = fastCapacityFrac;
-    m.traceLen = traceLen;
-    m.traceSeed = traceSeed;
-    m.timeCompress = timeCompress;
-    m.sim.queueDepth = queueDepth;
-    m.sim.recordPerRequest = recordPerRequest;
-    if (!sibylParams.empty()) {
-        PolicyDesc base;
-        base.name = "sibylParams";
-        base.raw = "scenario \"" + name + "\" sibylParams";
-        for (const auto &[k, v] : sibylParams)
-            base.params.emplace_back(k, v);
-        applySibylParams(m.sibylCfg, base);
-    }
-    return m;
-}
-
 std::vector<sim::RunSpec>
 ScenarioSpec::expand() const
 {
@@ -164,41 +119,80 @@ ScenarioSpec::expand() const
                 std::to_string(ov.device) + ": " + err);
     }
 
-    std::vector<sim::RunSpec> specs;
+    // Values <= 1 would be silently ignored by the trace cache (its
+    // documented contract: compression never stretches); reject them
+    // here where the user can see why.
+    if (!(timeCompress >= 1.0))
+        throw std::invalid_argument(
+            "scenario \"" + name + "\": timeCompress must be >= 1 "
+            "(gaps are divided by it; it cannot stretch a trace)");
+    // The parallel runner derives every run's agent seed from the run
+    // key, so a base-config seed would be silently discarded — the
+    // two working spellings are the experiment-level seeds array and
+    // the per-policy descriptor Sibyl{seed=N} (applied after
+    // derivation).
+    if (sibylParams.count("seed"))
+        throw std::invalid_argument(
+            "scenario \"" + name + "\": sibylParams.seed has no "
+            "effect (run seeds are derived from the run key); use "
+            "the \"seeds\" array, or pin one policy's agent seed "
+            "with a Sibyl{seed=N} descriptor");
+
+    // Every run shares one template; the loops below fill in its grid
+    // coordinates.
+    sim::RunSpec proto;
+    proto.mixedWorkload = mixedWorkloads;
+    proto.fastCapacityFrac = fastCapacityFrac;
+    proto.traceLen = traceLen;
+    proto.traceSeed = traceSeed;
+    proto.timeCompress = timeCompress;
+    proto.sim.queueDepth = queueDepth;
+    proto.sim.recordPerRequest = recordPerRequest;
+    if (!sibylParams.empty()) {
+        PolicyDesc base;
+        base.name = "sibylParams";
+        base.raw = "scenario \"" + name + "\" sibylParams";
+        for (const auto &[k, v] : sibylParams)
+            base.params.emplace_back(k, v);
+        applySibylParams(proto.sibylCfg, base);
+    }
+
+    // A fleet scenario is one run per (hssConfig, seed) cell hosting
+    // every tenant; the "Fleet" policy and "fleet:..." workload are
+    // display identities.
+    std::vector<std::string> cellPolicies = policies;
+    std::vector<std::string> cellWorkloads = workloads;
     if (!fleetTenants.empty()) {
-        // Fleet lowering: one run per (hssConfig, seed) cell hosting
-        // every tenant, nested in the same (hssConfig outer, seed
-        // inner) order the matrix form uses. toMatrix() still supplies
-        // the shared sim knobs / SibylConfig and its validations.
-        const sim::ExperimentMatrix m = toMatrix();
         auto fleet = std::make_shared<sim::FleetSpec>();
         fleet->tenants = fleetTenants;
+        proto.fleet = fleet;
         std::string fleetWorkload = "fleet:";
         for (std::size_t i = 0; i < fleetTenants.size(); i++) {
             if (i)
                 fleetWorkload += '+';
             fleetWorkload += fleetTenants[i].workload;
         }
-        specs.reserve(hssConfigs.size() * seeds.size());
-        for (const auto &cfgName : hssConfigs) {
-            for (std::uint64_t sd : seeds) {
-                sim::RunSpec s;
-                s.policy = "Fleet";
-                s.workload = fleetWorkload;
-                s.hssConfig = cfgName;
-                s.fastCapacityFrac = fastCapacityFrac;
-                s.traceLen = traceLen;
-                s.traceSeed = traceSeed;
-                s.timeCompress = timeCompress;
-                s.seed = sd;
-                s.sim = m.sim;
-                s.sibylCfg = m.sibylCfg;
-                s.fleet = fleet;
-                specs.push_back(std::move(s));
+        proto.mixedWorkload = false; // tenants carry their own
+        cellPolicies = {"Fleet"};
+        cellWorkloads = {fleetWorkload};
+    }
+
+    std::vector<sim::RunSpec> specs;
+    specs.reserve(hssConfigs.size() * cellWorkloads.size() *
+                  cellPolicies.size() * seeds.size());
+    for (const auto &cfgName : hssConfigs) {
+        for (const auto &wl : cellWorkloads) {
+            for (const auto &pol : cellPolicies) {
+                for (std::uint64_t sd : seeds) {
+                    sim::RunSpec s = proto;
+                    s.policy = pol;
+                    s.workload = wl;
+                    s.hssConfig = cfgName;
+                    s.seed = sd;
+                    specs.push_back(std::move(s));
+                }
             }
         }
-    } else {
-        specs = toMatrix().expand();
     }
     if (!deviceOverrides.empty()) {
         // The overrides influence simulation dynamics, so their

@@ -9,12 +9,15 @@
  * figure benches, the CLI's --scenario mode, and the golden-run tests
  * all lower the same structure onto sim::ParallelRunner.
  *
- * Lowering rule: expand() produces exactly the RunSpecs that
- * hand-written code building sim::ExperimentMatrix would produce —
- * same nesting order (hssConfig, workload, policy, seed), same run
- * keys, hence bit-identical results. The scenario layer adds zero
- * simulation semantics of its own; it is a serialization of the
- * orchestration layer underneath.
+ * Lowering rule: expand() is the only grid lowering in the repository.
+ * It emits one sim::RunSpec per cell in a fixed nesting order —
+ * hssConfig (outermost), workload, policy, seed (innermost), which is
+ * also the row order of the results — with every other field copied
+ * from the scenario. Run keys, and hence every run's RNG streams,
+ * follow from those fields alone (sim/parallel_runner.hh), so a grid
+ * built from a file and one built in code are bit-identical. The
+ * scenario layer adds zero simulation semantics of its own; it is a
+ * serialization of the orchestration layer underneath.
  */
 
 #pragma once
@@ -149,18 +152,13 @@ struct ScenarioSpec
     bool operator==(const ScenarioSpec &o) const;
 
     /**
-     * Lower to the dense matrix form (everything except
-     * deviceOverrides, which are not expressible there). Throws
-     * std::invalid_argument on bad sibylParams.
-     */
-    sim::ExperimentMatrix toMatrix() const;
-
-    /**
-     * Lower to runnable RunSpecs: toMatrix().expand() with the device
+     * Lower to runnable RunSpecs (see the lowering rule above), with
+     * sibylParams applied to every spec's SibylConfig and the device
      * overrides attached as each spec's specTweak. Validates that
-     * every policy descriptor resolves in the PolicyFactory and that
-     * every override's device slot exists in every named hssConfig;
-     * throws std::invalid_argument otherwise.
+     * every policy descriptor resolves in the PolicyFactory, that
+     * every override's device slot exists in every named hssConfig,
+     * that timeCompress >= 1, and that sibylParams holds no "seed"
+     * (run seeds are derived); throws std::invalid_argument otherwise.
      */
     std::vector<sim::RunSpec> expand() const;
 };
@@ -175,7 +173,7 @@ std::string emitScenarioJson(const ScenarioSpec &spec);
 /** Parse the scenario file at @p path (error messages name the file). */
 ScenarioSpec loadScenarioFile(const std::string &path);
 
-/** runner.runAll(spec.expand()) — records in matrix order. */
+/** runner.runAll(spec.expand()) — records in expand() order. */
 std::vector<sim::RunRecord> runScenario(const ScenarioSpec &spec,
                                         sim::ParallelRunner &runner);
 

@@ -135,7 +135,7 @@ jainFairnessIndex(const std::vector<double> &xs)
 
 PolicyResult
 runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
-                   bool deriveRunSeeds, unsigned numThreads)
+                   unsigned numThreads)
 {
     if (!spec.fleet || spec.fleet->tenants.empty())
         throw std::invalid_argument("runFleetExperiment: no tenants");
@@ -185,15 +185,12 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
                     "fleet tenant " + std::to_string(i) + ": " + err);
             specs[tenants[i].faultDevice].faults = tenants[i].faults;
         }
-        const std::uint64_t devSeed = deriveRunSeeds
-            ? ParallelRunner::deriveStream(st.key, kDeviceJitterSalt)
-            : spec.seed;
-        st.sys = std::make_unique<hss::HybridSystem>(std::move(specs),
-                                                     devSeed);
+        st.sys = std::make_unique<hss::HybridSystem>(
+            std::move(specs),
+            ParallelRunner::deriveStream(st.key, kDeviceJitterSalt));
 
         core::SibylConfig scfg = spec.sibylCfg;
-        if (deriveRunSeeds)
-            scfg.seed = ParallelRunner::deriveStream(st.key, kAgentSalt);
+        scfg.seed = ParallelRunner::deriveStream(st.key, kAgentSalt);
         st.policy = makePolicy(
             tenants[i].policy,
             numHssDevices(spec.hssConfig, spec.fastCapacityFrac), scfg);

@@ -127,7 +127,7 @@ struct FleetSpec
  */
 PolicyResult runFleetExperiment(const RunSpec &spec,
                                 trace::TraceCache &traces,
-                                bool deriveRunSeeds, unsigned numThreads);
+                                unsigned numThreads);
 
 /** Jain fairness index (sum x)^2 / (N * sum x^2) over @p xs; 1.0 for
  *  an empty or all-zero vector (a degenerate fleet is trivially fair). */

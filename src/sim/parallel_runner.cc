@@ -133,36 +133,6 @@ RunSpec::traceKey() const
     return k;
 }
 
-std::vector<RunSpec>
-ExperimentMatrix::expand() const
-{
-    std::vector<RunSpec> specs;
-    specs.reserve(hssConfigs.size() * workloads.size() * policies.size() *
-                  seeds.size());
-    for (const auto &cfgName : hssConfigs) {
-        for (const auto &wl : workloads) {
-            for (const auto &pol : policies) {
-                for (std::uint64_t sd : seeds) {
-                    RunSpec s;
-                    s.policy = pol;
-                    s.workload = wl;
-                    s.mixedWorkload = mixedWorkloads;
-                    s.hssConfig = cfgName;
-                    s.fastCapacityFrac = fastCapacityFrac;
-                    s.traceLen = traceLen;
-                    s.traceSeed = traceSeed;
-                    s.timeCompress = timeCompress;
-                    s.seed = sd;
-                    s.sim = sim;
-                    s.sibylCfg = sibylCfg;
-                    specs.push_back(std::move(s));
-                }
-            }
-        }
-    }
-    return specs;
-}
-
 ParallelRunner::ParallelRunner(ParallelConfig cfg) : cfg_(cfg) {}
 
 std::uint64_t
@@ -220,9 +190,7 @@ ParallelRunner::baselineFor(const RunSpec &spec, const trace::Trace &t)
             ExperimentConfig ecfg;
             ecfg.hssConfig = spec.hssConfig;
             ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-            ecfg.seed = cfg_.deriveRunSeeds
-                ? deriveStream(fnv1a(id), kDeviceJitterSalt)
-                : spec.seed;
+            ecfg.seed = deriveStream(fnv1a(id), kDeviceJitterSalt);
             ecfg.sim = spec.sim;
             ecfg.sim.recordPerRequest = false;
             promise.set_value(std::make_shared<const RunMetrics>(
@@ -252,9 +220,7 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
         // policies, per-tenant seeds) end to end; there is no single
         // policy or Fast-Only baseline at this level.
         phase = "simulate";
-        rec.result = runFleetExperiment(spec, traces_,
-                                        cfg_.deriveRunSeeds,
-                                        cfg_.numThreads);
+        rec.result = runFleetExperiment(spec, traces_, cfg_.numThreads);
         phase = "finish";
         return;
     }
@@ -268,15 +234,12 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
     ExperimentConfig ecfg;
     ecfg.hssConfig = spec.hssConfig;
     ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-    ecfg.seed = cfg_.deriveRunSeeds
-        ? deriveStream(rec.runKey, kDeviceJitterSalt)
-        : spec.seed;
+    ecfg.seed = deriveStream(rec.runKey, kDeviceJitterSalt);
     ecfg.sim = spec.sim;
     ecfg.specTweak = spec.specTweak;
 
     core::SibylConfig sibylCfg = spec.sibylCfg;
-    if (cfg_.deriveRunSeeds)
-        sibylCfg.seed = deriveStream(rec.runKey, kAgentSalt);
+    sibylCfg.seed = deriveStream(rec.runKey, kAgentSalt);
 
     auto policy = makePolicy(
         spec.policy,
@@ -324,21 +287,13 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
                     rec.status = "ok";
                     rec.error.clear();
                     break;
+                } catch (const std::exception &e) {
+                    rec.error = std::string(phase) + ": " + e.what();
                 } catch (...) {
-                    rec.status = "failed";
-                    try {
-                        throw;
-                    } catch (const std::exception &e) {
-                        rec.error =
-                            std::string(phase) + ": " + e.what();
-                    } catch (...) {
-                        rec.error = std::string(phase) +
-                                    ": unknown exception";
-                    }
-                    if (attempt < maxAttempts)
-                        continue;
-                    if (!cfg_.isolateFailures)
-                        throw;
+                    rec.error = std::string(phase) + ": unknown exception";
+                }
+                rec.status = "failed";
+                if (attempt >= maxAttempts) {
                     rec.result = PolicyResult();
                     break;
                 }
@@ -348,12 +303,6 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
         },
         cfg_.numThreads);
     return records;
-}
-
-std::vector<RunRecord>
-ParallelRunner::runMatrix(const ExperimentMatrix &m)
-{
-    return runAll(m.expand());
 }
 
 void

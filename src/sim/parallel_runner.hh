@@ -2,15 +2,16 @@
  * @file
  * Parallel experiment orchestration.
  *
- * Shards an experiment matrix (policies x workloads x HSS configs x
- * seeds) across cores: each run is an independent (trace, system,
- * policy) simulation writing its PolicyResult into a preallocated slot,
- * traces are generated once and shared read-only through a
- * trace::TraceCache, and Fast-Only baselines are computed once per
- * (config, trace, seed) and shared the same way. `ParallelConfig::
- * numThreads = 1` runs the identical work inline on the calling thread
- * in matrix order — the serial equivalence oracle the determinism tests
- * compare the parallel path against.
+ * Shards a batch of RunSpecs (usually scenario::ScenarioSpec::expand()
+ * of a policies x workloads x HSS configs x seeds grid) across cores:
+ * each run is an independent (trace, system, policy) simulation
+ * writing its PolicyResult into a preallocated slot, traces are
+ * generated once and shared read-only through a trace::TraceCache, and
+ * Fast-Only baselines are computed once per (config, trace, seed) and
+ * shared the same way. `ParallelConfig::numThreads = 1` runs the
+ * identical work inline on the calling thread in spec order — the
+ * serial equivalence oracle the determinism tests compare the parallel
+ * path against.
  *
  * ## Run-key -> RNG-stream derivation rule
  *
@@ -24,7 +25,7 @@
  *     — i.e. exactly the fields that influence simulation dynamics
  *     (the trailing variantTag component is appended only when
  *     non-empty, standing in for the unhashable specTweak closure it
- *     describes). Matrix position, thread count, and result-only
+ *     describes). Batch position, thread count, and result-only
  *     knobs (recordPerRequest) are deliberately excluded — as are the
  *     `guardrail*` params of a policy descriptor: run supervision is
  *     observation-only until it trips, so "Sibyl" and
@@ -32,15 +33,17 @@
  *     trajectory (the zero-behavior-change claim is a bit-identity).
  *  2. `deriveStream(runKey, salt)` = splitmix64(runKey ^
  *     splitmix64(salt)): independent well-mixed streams per salt.
- *  3. With `ParallelConfig::deriveRunSeeds` (the default), a run's
- *     device-jitter seed is deriveStream(runKey, kDeviceJitterSalt) and
- *     the Sibyl agent seed is deriveStream(runKey, kAgentSalt). The
- *     Fast-Only baseline, shared by every policy on the same (config,
- *     trace, seed), uses deriveStream(baselineKey, kDeviceJitterSalt)
- *     where baselineKey is the run key of a pseudo-run with policy
- *     "Fast-Only-baseline". With deriveRunSeeds = false, RunSpec::seed
- *     and RunSpec::sibylCfg.seed are used verbatim (the legacy serial
- *     Experiment behavior).
+ *  3. A run's device-jitter seed is deriveStream(runKey,
+ *     kDeviceJitterSalt) and its Sibyl agent seed is deriveStream(
+ *     runKey, kAgentSalt): RunSpec::seed reaches the simulation only
+ *     through the run key, and RunSpec::sibylCfg.seed is overwritten
+ *     (a Sibyl{seed=N} descriptor still pins it, because descriptor
+ *     params apply after derivation). The Fast-Only
+ *     baseline, shared by every policy on the same (config, trace,
+ *     seed), uses deriveStream(baselineKey, kDeviceJitterSalt) where
+ *     baselineKey is the run key of a pseudo-run with policy
+ *     "Fast-Only-baseline". A run that needs a caller-chosen seed or a
+ *     caller-held policy object uses sim::Experiment directly.
  *
  * Changing the canonical string format invalidates every golden-run
  * snapshot; treat it like an on-disk format.
@@ -76,7 +79,7 @@ struct FleetSpec; // sim/fleet.hh
  *  above). */
 std::string policyIdentity(const std::string &policy);
 
-/** One cell of an experiment matrix: everything that defines a run. */
+/** One cell of an experiment grid: everything that defines a run. */
 struct RunSpec
 {
     /** Policy name understood by makePolicy(). */
@@ -96,8 +99,8 @@ struct RunSpec
     std::uint64_t traceSeed = 0;
     double timeCompress = 1.0;
 
-    /** Experiment seed; feeds the run key (and, with deriveRunSeeds
-     *  off, is used verbatim as the device-jitter seed). */
+    /** Experiment seed; feeds the run key, from which the run's
+     *  device-jitter and agent seeds are derived. */
     std::uint64_t seed = 42;
 
     SimConfig sim;
@@ -174,19 +177,6 @@ struct ParallelConfig
      *  env override, else hardware concurrency); 1 = serial oracle. */
     unsigned numThreads = 0;
 
-    /** Derive per-run RNG streams from the run key (see file header). */
-    bool deriveRunSeeds = true;
-
-    /**
-     * Per-run failure isolation: when true (the default) an exception
-     * in one run no longer aborts the batch — the run is recorded as
-     * a structured failure (RunRecord::status/error) and every other
-     * run completes bit-exact to a batch without it. When false, the
-     * first failure propagates out of runAll() after its retry budget
-     * is exhausted (the legacy fail-fast behavior).
-     */
-    bool isolateFailures = true;
-
     /**
      * Bounded retry budget per run (total attempts, >= 1). A retry is
      * a *fresh* attempt: per-run RNG streams are pure functions of
@@ -198,33 +188,9 @@ struct ParallelConfig
 };
 
 /**
- * Dense cross-product description of an experiment matrix. expand()
- * enumerates RunSpecs in a deterministic nesting order — HSS config
- * (outermost), workload, policy, seed (innermost) — which is also the
- * row order of the emitted results.
- */
-struct ExperimentMatrix
-{
-    std::vector<std::string> policies;
-    std::vector<std::string> workloads;
-    std::vector<std::string> hssConfigs = {"H&M"};
-    std::vector<std::uint64_t> seeds = {42};
-
-    bool mixedWorkloads = false;
-    double fastCapacityFrac = 0.10;
-    std::size_t traceLen = 0;
-    std::uint64_t traceSeed = 0;
-    double timeCompress = 1.0;
-    SimConfig sim;
-    core::SibylConfig sibylCfg;
-
-    std::vector<RunSpec> expand() const;
-};
-
-/**
  * Runs RunSpec batches across a worker pool. Stateless between runAll()
  * calls except for the trace and baseline caches, which persist so
- * successive matrices over the same workloads reuse them.
+ * successive batches over the same workloads reuse them.
  */
 class ParallelRunner
 {
@@ -240,16 +206,17 @@ class ParallelRunner
 
     /**
      * Run every spec and return records in spec order (index i of the
-     * result corresponds to specs[i] regardless of scheduling).
+     * result corresponds to specs[i] regardless of scheduling). Runs
+     * fail in isolation: a run that still throws after its retry
+     * budget is recorded as a structured failure (RunRecord::status/
+     * error), and every other run completes bit-exact to a batch
+     * without it.
      */
     std::vector<RunRecord> runAll(const std::vector<RunSpec> &specs);
 
     /** runAll() with a per-run completion hook. */
     std::vector<RunRecord> runAll(const std::vector<RunSpec> &specs,
                                   const RunDoneFn &onRunDone);
-
-    /** Convenience: runAll(matrix.expand()). */
-    std::vector<RunRecord> runMatrix(const ExperimentMatrix &m);
 
     trace::TraceCache &traceCache() { return traces_; }
     const ParallelConfig &config() const { return cfg_; }

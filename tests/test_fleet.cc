@@ -239,9 +239,9 @@ TEST(Fleet, BitIdenticalAcrossThreadCounts)
     const sim::RunSpec spec = fleetSpecOf(smokeTenants(), 300);
     trace::TraceCache traces;
     const sim::PolicyResult serial =
-        sim::runFleetExperiment(spec, traces, true, 1);
+        sim::runFleetExperiment(spec, traces, 1);
     const sim::PolicyResult parallel =
-        sim::runFleetExperiment(spec, traces, true, 8);
+        sim::runFleetExperiment(spec, traces, 8);
 
     EXPECT_EQ(serial.metrics.requests, 4u * 300u);
     EXPECT_EQ(serial.metrics.requests, parallel.metrics.requests);
@@ -340,9 +340,9 @@ TEST(Fleet, TenantStreamsIndependentOfFleetComposition)
 
     trace::TraceCache traces;
     const sim::PolicyResult a =
-        sim::runFleetExperiment(small, traces, true, 4);
+        sim::runFleetExperiment(small, traces, 4);
     const sim::PolicyResult b =
-        sim::runFleetExperiment(large, traces, true, 4);
+        sim::runFleetExperiment(large, traces, 4);
     ASSERT_EQ(a.tenants.size(), 3u);
     ASSERT_EQ(b.tenants.size(), 4u);
     for (std::size_t i = 0; i < 3; i++) {
@@ -359,7 +359,7 @@ TEST(Fleet, DuplicateTenantsOwnDistinctStreams)
     const sim::RunSpec spec = fleetSpecOf(smokeTenants(), 300);
     trace::TraceCache traces;
     const sim::PolicyResult r =
-        sim::runFleetExperiment(spec, traces, true, 1);
+        sim::runFleetExperiment(spec, traces, 1);
     ASSERT_EQ(r.tenants.size(), 4u);
     EXPECT_EQ(r.tenants[0].policy, r.tenants[3].policy);
     EXPECT_EQ(r.tenants[0].workload, r.tenants[3].workload);
@@ -395,10 +395,10 @@ TEST(Fleet, RejectsEmptyFleet)
 {
     sim::RunSpec spec = fleetSpecOf({}, 300);
     trace::TraceCache traces;
-    EXPECT_THROW(sim::runFleetExperiment(spec, traces, true, 1),
+    EXPECT_THROW(sim::runFleetExperiment(spec, traces, 1),
                  std::invalid_argument);
     spec.fleet.reset();
-    EXPECT_THROW(sim::runFleetExperiment(spec, traces, true, 1),
+    EXPECT_THROW(sim::runFleetExperiment(spec, traces, 1),
                  std::invalid_argument);
 }
 
@@ -432,7 +432,7 @@ TEST(Fleet, GoldenFleetSnapshot)
     const sim::RunSpec spec = fleetSpecOf(smokeTenants(), 300);
     trace::TraceCache traces;
     const sim::PolicyResult r =
-        sim::runFleetExperiment(spec, traces, true, 1);
+        sim::runFleetExperiment(spec, traces, 1);
 
     const double tol = 0.02;
     EXPECT_EQ(r.metrics.requests, 1200u);

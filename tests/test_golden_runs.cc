@@ -8,10 +8,9 @@
  * (device timing, eviction order, RNG derivation, run-key format)
  * fails here instead of silently shifting every figure.
  *
- * The snapshots were generated by the parallel runner in its default
- * configuration (deriveRunSeeds on, run-key -> stream derivation as
- * documented in sim/parallel_runner.hh), workload prxy_1, traceLen
- * 4000, seed 42. Regenerate by printing the listed metrics at %.17g
+ * The snapshots were generated by the parallel runner (run-key ->
+ * stream derivation as documented in sim/parallel_runner.hh), workload
+ * prxy_1, traceLen 4000, seed 42. Regenerate by printing the listed metrics at %.17g
  * and updating kGolden — deliberately a manual step: a golden change
  * must be a conscious, reviewed decision.
  *

@@ -687,9 +687,9 @@ TEST(HardFaultFleet, TenantFailureLeavesOtherTenantsBitIdentical)
 
     trace::TraceCache traces;
     const auto healthy =
-        sim::runFleetExperiment(fleetSpec(false), traces, true, 1);
+        sim::runFleetExperiment(fleetSpec(false), traces, 1);
     const auto chaotic =
-        sim::runFleetExperiment(fleetSpec(true), traces, true, 1);
+        sim::runFleetExperiment(fleetSpec(true), traces, 1);
 
     // Tenant 0 (Sibyl) is bit-identical whether or not tenant 1's
     // fast device dies: the tenant RNG-derivation rule isolates it.

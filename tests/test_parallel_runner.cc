@@ -3,7 +3,7 @@
  * Bit-exact determinism tests for the parallel experiment runner.
  *
  * The contract under test: a (policy x workload x HSS config x seed)
- * matrix produces *identical* results — every RunMetrics field, every
+ * grid produces *identical* results — every RunMetrics field, every
  * per-policy table, every derived normalization — whether it runs on
  * the serial oracle path (numThreads = 1), on 8 worker threads, or on
  * 8 worker threads twice in a row. Identical means bit-exact, not
@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -22,6 +23,7 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "scenario/scenario_spec.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
@@ -30,27 +32,44 @@ namespace sibyl::sim
 namespace
 {
 
-/** The >= 24-run scenario matrix shared by the determinism tests:
+/** The >= 24-run grid shared by the determinism tests:
  *  4 policies x 3 workloads x 2 HSS configs = 24 runs, including the
  *  RL policy so agent training and exploration are exercised. */
-ExperimentMatrix
-scenarioMatrix()
+std::vector<RunSpec>
+gridSpecs()
 {
-    ExperimentMatrix m;
-    m.policies = {"CDE", "HPS", "Archivist", "Sibyl"};
-    m.workloads = {"hm_1", "usr_0", "stg_1"};
-    m.hssConfigs = {"H&M", "H&L"};
-    m.traceLen = 2000;
-    return m;
+    scenario::ScenarioSpec s;
+    s.policies = {"CDE", "HPS", "Archivist", "Sibyl"};
+    s.workloads = {"hm_1", "usr_0", "stg_1"};
+    s.hssConfigs = {"H&M", "H&L"};
+    s.traceLen = 2000;
+    return s.expand();
 }
 
 std::vector<RunRecord>
-runMatrixAt(unsigned numThreads)
+runGridAt(unsigned numThreads)
 {
     ParallelConfig cfg;
     cfg.numThreads = numThreads;
     ParallelRunner runner(cfg);
-    return runner.runMatrix(scenarioMatrix());
+    return runner.runAll(gridSpecs());
+}
+
+/** One RunSpec per policy on usr_0 (H&M, 500 requests). Unlike
+ *  ScenarioSpec::expand(), which rejects an unknown policy up front,
+ *  this lets a failure test list a policy that cannot be built. */
+std::vector<RunSpec>
+rawSpecs(const std::vector<std::string> &policies)
+{
+    std::vector<RunSpec> specs;
+    for (const auto &p : policies) {
+        RunSpec s;
+        s.policy = p;
+        s.workload = "usr_0";
+        s.traceLen = 500;
+        specs.push_back(s);
+    }
+    return specs;
 }
 
 /** Bit-exact comparison of two result sets (EXPECT_EQ on doubles is
@@ -98,8 +117,8 @@ expectIdentical(const std::vector<RunRecord> &a,
 
 TEST(ParallelRunner, SerialVsEightThreadsBitExact)
 {
-    const auto serial = runMatrixAt(1);
-    const auto parallel = runMatrixAt(8);
+    const auto serial = runGridAt(1);
+    const auto parallel = runGridAt(8);
     ASSERT_EQ(serial.size(), 24u);
     expectIdentical(serial, parallel);
 
@@ -113,8 +132,8 @@ TEST(ParallelRunner, SerialVsEightThreadsBitExact)
 
 TEST(ParallelRunner, RepeatedEightThreadRunsBitExact)
 {
-    const auto first = runMatrixAt(8);
-    const auto second = runMatrixAt(8);
+    const auto first = runGridAt(8);
+    const auto second = runGridAt(8);
     expectIdentical(first, second);
 
     // The structured JSON sink serializes doubles at full precision,
@@ -125,10 +144,10 @@ TEST(ParallelRunner, RepeatedEightThreadRunsBitExact)
     EXPECT_EQ(a.str(), b.str());
 }
 
-TEST(ParallelRunner, ResultsIndexedByMatrixOrderNotSchedule)
+TEST(ParallelRunner, ResultsIndexedBySpecOrderNotSchedule)
 {
-    const auto records = runMatrixAt(8);
-    const auto specs = scenarioMatrix().expand();
+    const auto records = runGridAt(8);
+    const auto specs = gridSpecs();
     ASSERT_EQ(records.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); i++) {
         EXPECT_EQ(records[i].spec.policy, specs[i].policy);
@@ -144,7 +163,7 @@ TEST(ParallelRunner, TraceCacheGeneratesEachTraceOnce)
     ParallelConfig cfg;
     cfg.numThreads = 8;
     ParallelRunner runner(cfg);
-    const auto records = runner.runMatrix(scenarioMatrix());
+    const auto records = runner.runAll(gridSpecs());
     ASSERT_EQ(records.size(), 24u);
     // 3 distinct workloads at one (len, seed) each -> 3 generations,
     // no matter how many of the 24 runs raced for them.
@@ -189,39 +208,57 @@ TEST(ParallelRunner, RunKeyStableAndSaltsIndependent)
               ParallelRunner::deriveStream(key, kAgentSalt));
 }
 
-TEST(ParallelRunner, LegacySeedModeMatchesSerialExperiment)
+TEST(ParallelRunner, MatchesHandBuiltSerialRunBitForBit)
 {
-    // deriveRunSeeds = false reproduces the legacy Experiment harness
-    // bit-for-bit: same device seed, same agent seed, same baseline.
+    // The cross-engine check: a runner run is exactly the serial
+    // harness fed the run-key-derived seeds and the derived baseline.
     RunSpec s;
-    s.policy = "CDE";
+    s.policy = "Sibyl";
     s.workload = "usr_0";
     s.hssConfig = "H&M";
     s.traceLen = 2000;
-    s.seed = 42;
 
     ParallelConfig pcfg;
     pcfg.numThreads = 4;
-    pcfg.deriveRunSeeds = false;
     ParallelRunner runner(pcfg);
-    const auto rec = runner.runAll({s, s, s});
+    const auto records = runner.runAll({s, s, s});
+
+    const std::uint64_t key = ParallelRunner::runKey(s);
+    const trace::Trace t = trace::makeWorkload(s.workload, s.traceLen);
+
+    // The Fast-Only baseline is keyed by a pseudo-run whose capacity
+    // is pinned to 1.6, and simulated at the run's own capacity.
+    RunSpec baseSpec = s;
+    baseSpec.policy = "Fast-Only-baseline";
+    baseSpec.fastCapacityFrac = 1.6;
+    ExperimentConfig bcfg;
+    bcfg.hssConfig = s.hssConfig;
+    bcfg.fastCapacityFrac = s.fastCapacityFrac;
+    bcfg.seed = ParallelRunner::deriveStream(
+        ParallelRunner::runKey(baseSpec), kDeviceJitterSalt);
+    const RunMetrics baseline = computeFastOnlyBaseline(bcfg, t);
 
     ExperimentConfig ecfg;
     ecfg.hssConfig = s.hssConfig;
-    ecfg.seed = s.seed;
-    Experiment exp(ecfg);
-    trace::Trace t = trace::makeWorkload(s.workload, s.traceLen);
-    auto policy = makePolicy("CDE", exp.numDevices());
-    const auto expected = exp.run(t, *policy);
+    ecfg.fastCapacityFrac = s.fastCapacityFrac;
+    ecfg.seed = ParallelRunner::deriveStream(key, kDeviceJitterSalt);
+    core::SibylConfig sibylCfg;
+    sibylCfg.seed = ParallelRunner::deriveStream(key, kAgentSalt);
+    auto policy = makePolicy(
+        s.policy, numHssDevices(s.hssConfig, s.fastCapacityFrac),
+        sibylCfg);
+    RunRecord expected;
+    expected.spec = s;
+    expected.runKey = key;
+    expected.result = runPolicyExperiment(ecfg, t, *policy, baseline);
 
-    for (const auto &r : rec) {
-        EXPECT_EQ(r.result.metrics.avgLatencyUs,
-                  expected.metrics.avgLatencyUs);
-        EXPECT_EQ(r.result.normalizedLatency,
-                  expected.normalizedLatency);
-        EXPECT_EQ(r.result.metrics.placements,
-                  expected.metrics.placements);
-    }
+    ASSERT_EQ(records.size(), 3u);
+    std::ostringstream want;
+    writeResultsJson(want, {expected, expected, expected});
+    std::ostringstream got;
+    writeResultsJson(got, records);
+    EXPECT_EQ(got.str(), want.str());
+    expectIdentical(records, {expected, expected, expected});
 }
 
 TEST(ParallelRunner, ExternalTraceRunsDeterministically)
@@ -252,17 +289,13 @@ TEST(ParallelRunner, ExternalTraceRunsDeterministically)
 
 TEST(ParallelRunner, UnknownPolicyBecomesStructuredFailureRecord)
 {
-    // Failure isolation (the default): a run that cannot even build
-    // its policy is recorded as a failure, not thrown — the rest of
-    // the batch completes.
-    ExperimentMatrix m;
-    m.policies = {"CDE", "NoSuchPolicy"};
-    m.workloads = {"usr_0"};
-    m.traceLen = 500;
+    // Failure isolation: a run that cannot even build its policy is
+    // recorded as a failure, not thrown — the rest of the batch
+    // completes.
     ParallelConfig cfg;
     cfg.numThreads = 4;
     ParallelRunner runner(cfg);
-    const auto records = runner.runMatrix(m);
+    const auto records = runner.runAll(rawSpecs({"CDE", "NoSuchPolicy"}));
     ASSERT_EQ(records.size(), 2u);
     EXPECT_FALSE(records[0].failed());
     EXPECT_GT(records[0].result.metrics.requests, 0u);
@@ -279,19 +312,6 @@ TEST(ParallelRunner, UnknownPolicyBecomesStructuredFailureRecord)
     EXPECT_NE(os.str().find("\"status\": \"failed\""),
               std::string::npos);
     EXPECT_NE(os.str().find("\"error\": "), std::string::npos);
-}
-
-TEST(ParallelRunner, LegacyFailFastStillAvailable)
-{
-    ExperimentMatrix m;
-    m.policies = {"CDE", "NoSuchPolicy"};
-    m.workloads = {"usr_0"};
-    m.traceLen = 500;
-    ParallelConfig cfg;
-    cfg.numThreads = 4;
-    cfg.isolateFailures = false;
-    ParallelRunner runner(cfg);
-    EXPECT_THROW(runner.runMatrix(m), std::invalid_argument);
 }
 
 TEST(ParallelRunner, FailedRunLeavesOtherRunsBitExact)
@@ -324,6 +344,40 @@ TEST(ParallelRunner, FailedRunLeavesOtherRunsBitExact)
     expectIdentical({with[0], with[2]}, without);
 }
 
+TEST(ParallelRunner, NanFaultWindowBecomesFailedRecord)
+{
+    // A NaN latency multiplier used to end the process from the
+    // FaultModel constructor on a worker thread. Now the run that
+    // installs it fails in isolation, naming the field.
+    const auto healthy = rawSpecs({"CDE", "HPS"});
+    RunSpec bad = healthy[0];
+    bad.specTweak = [](std::vector<device::DeviceSpec> &devices) {
+        devices[0].faults.windows.push_back(
+            {0.0, 1e4, std::numeric_limits<double>::quiet_NaN()});
+    };
+    bad.variantTag = "nan-window";
+
+    ParallelConfig cfg;
+    cfg.numThreads = 2;
+    ParallelRunner clean(cfg);
+    const auto without = clean.runAll(healthy);
+    ParallelRunner mixed(cfg);
+    const auto with = mixed.runAll({healthy[0], bad, healthy[1]});
+
+    ASSERT_EQ(with.size(), 3u);
+    ASSERT_TRUE(with[1].failed());
+    EXPECT_NE(with[1].error.find(
+                  "FaultModel: windows[0]: latencyMultiplier"),
+              std::string::npos)
+        << with[1].error;
+    EXPECT_EQ(with[1].attempts, cfg.maxAttempts);
+    expectIdentical({with[0], with[2]}, without);
+    std::ostringstream alone, rest;
+    writeResultsJson(alone, without);
+    writeResultsJson(rest, {with[0], with[2]});
+    EXPECT_EQ(alone.str(), rest.str());
+}
+
 TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
 {
     // A zero weight-sync or training cadence used to divide by zero on
@@ -331,10 +385,6 @@ TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
     // value used to abort; either killed the whole process. Now the
     // agent rejects each at construction and the run fails in
     // isolation, with an error naming the offending field.
-    ExperimentMatrix clean;
-    clean.policies = {"CDE"};
-    clean.workloads = {"prxy_1"};
-    clean.traceLen = 500;
     const std::pair<const char *, const char *> bad[] = {
         {"Sibyl{targetSyncEvery=0}", "targetSyncEvery"},
         {"Sibyl{agent=dqn,bufferCapacity=0,trainEvery=0}",
@@ -345,16 +395,16 @@ TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
         {"Sibyl{explore=vdbe,vdbeDelta=2}", "vdbeDelta"},
         {"Sibyl{energyWeight=0.5,power=H:X}", "power"},
     };
-    ExperimentMatrix mixed = clean;
+    std::vector<std::string> policies = {"CDE"};
     for (const auto &[desc, field] : bad)
-        mixed.policies.push_back(desc);
+        policies.push_back(desc);
 
     ParallelConfig cfg;
     cfg.numThreads = 2;
     ParallelRunner a(cfg);
-    const auto without = a.runMatrix(clean);
+    const auto without = a.runAll(rawSpecs({"CDE"}));
     ParallelRunner b(cfg);
-    const auto with = b.runMatrix(mixed);
+    const auto with = b.runAll(rawSpecs(policies));
 
     ASSERT_EQ(with.size(), 1 + std::size(bad));
     for (std::size_t i = 0; i < std::size(bad); i++) {
@@ -436,7 +486,7 @@ TEST(ParallelRunner, ParallelPathIsFasterOnMulticoreHosts)
         cfg.numThreads = threads;
         ParallelRunner runner(cfg);
         const auto start = std::chrono::steady_clock::now();
-        runner.runMatrix(scenarioMatrix());
+        runner.runAll(gridSpecs());
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)
             .count();

@@ -6,7 +6,7 @@
  * lowering to RunSpecs (including declarative device overrides), and
  * the migrated-bench contract — a fig8-style sweep built from a
  * scenario is bit-exact between 1-thread and multi-thread execution
- * and identical to the hand-built ExperimentMatrix it replaces.
+ * and identical to the same runs built field by field.
  */
 
 #include <gtest/gtest.h>
@@ -581,10 +581,11 @@ TEST(ScenarioSpec, SibylParamsAcceptJsonScalars)
         "{\"policies\": [\"Sibyl\"], \"workloads\": [\"prxy_1\"], "
         "\"sibylParams\": {\"gamma\": 0.5, \"trainEvery\": 250, "
         "\"doubleDqn\": true}}");
-    const auto matrix = s.toMatrix();
-    EXPECT_DOUBLE_EQ(matrix.sibylCfg.gamma, 0.5);
-    EXPECT_EQ(matrix.sibylCfg.trainEvery, 250u);
-    EXPECT_TRUE(matrix.sibylCfg.doubleDqn);
+    const auto specs = s.expand();
+    ASSERT_EQ(specs.size(), 1u);
+    EXPECT_DOUBLE_EQ(specs[0].sibylCfg.gamma, 0.5);
+    EXPECT_EQ(specs[0].sibylCfg.trainEvery, 250u);
+    EXPECT_TRUE(specs[0].sibylCfg.doubleDqn);
 }
 
 TEST(ScenarioSpec, ExpandLowersToMatrixOrderWithOverrides)
@@ -634,12 +635,12 @@ TEST(ScenarioSpec, RejectsSilentlyIgnoredKnobs)
     s.policies = {"Sibyl"};
     s.workloads = {"prxy_1"};
     s.timeCompress = 0.5;
-    EXPECT_THROW(s.toMatrix(), std::invalid_argument);
+    EXPECT_THROW(s.expand(), std::invalid_argument);
     s.timeCompress = 1.0;
     s.sibylParams = {{"seed", "7"}};
-    EXPECT_THROW(s.toMatrix(), std::invalid_argument);
+    EXPECT_THROW(s.expand(), std::invalid_argument);
     s.sibylParams.clear();
-    EXPECT_NO_THROW(s.toMatrix());
+    EXPECT_NO_THROW(s.expand());
 }
 
 TEST(ScenarioSpec, ExpandValidatesPoliciesAndOverrideDevices)
@@ -702,30 +703,36 @@ TEST(ScenarioRun, Fig8SweepBitExactAtOneVsManyThreads)
     }
 }
 
-TEST(ScenarioRun, ScenarioMatchesHandBuiltMatrixBitForBit)
+TEST(ScenarioRun, ScenarioMatchesHandBuiltRunSpecsBitForBit)
 {
-    // The migration contract: a scenario lowers to exactly the
-    // RunSpecs the hand-written bench code would have built, so the
-    // results are bit-identical, not merely statistically equal.
+    // The lowering contract: a scenario lowers to exactly the RunSpecs
+    // hand-written code would build, in (hssConfig, workload, policy,
+    // seed) order, so the results are bit-identical, not merely
+    // statistically equal.
     const auto viaScenario = runScenario(miniFig8());
 
-    sim::ExperimentMatrix m;
-    m.policies = {"Sibyl{bufferCapacity=10,trainEvery=250}",
-                  "Sibyl{bufferCapacity=1000,trainEvery=250}"};
-    m.workloads = {"hm_1", "prxy_1"};
-    m.hssConfigs = {"H&M"};
-    m.traceLen = 600;
-    sim::ParallelRunner runner;
-    const auto viaMatrix = runner.runMatrix(m);
-
-    ASSERT_EQ(viaScenario.size(), viaMatrix.size());
-    for (std::size_t i = 0; i < viaScenario.size(); i++) {
-        EXPECT_EQ(viaScenario[i].runKey, viaMatrix[i].runKey);
-        EXPECT_EQ(viaScenario[i].result.metrics.avgLatencyUs,
-                  viaMatrix[i].result.metrics.avgLatencyUs);
-        EXPECT_EQ(viaScenario[i].result.metrics.placements,
-                  viaMatrix[i].result.metrics.placements);
+    std::vector<sim::RunSpec> specs;
+    for (const char *wl : {"hm_1", "prxy_1"}) {
+        for (const char *pol :
+             {"Sibyl{bufferCapacity=10,trainEvery=250}",
+              "Sibyl{bufferCapacity=1000,trainEvery=250}"}) {
+            sim::RunSpec s;
+            s.policy = pol;
+            s.workload = wl;
+            s.hssConfig = "H&M";
+            s.traceLen = 600;
+            specs.push_back(s);
+        }
     }
+    sim::ParallelRunner runner;
+    const auto viaSpecs = runner.runAll(specs);
+
+    // The JSON sink prints run keys and every metric at %.17g.
+    ASSERT_EQ(viaScenario.size(), 4u);
+    std::ostringstream a, b;
+    sim::writeResultsJson(a, viaScenario);
+    sim::writeResultsJson(b, viaSpecs);
+    EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(ScenarioRun, BadFtlOverrideFailsOnlyItsRuns)
