@@ -18,6 +18,7 @@ main()
     s.policies = {"Slow-Only", "Archivist", "RNN-HSS", "Sibyl", "Oracle"};
     s.workloads = {"fileserver", "ntrx_rw", "oltp_rw", "varmail"};
     s.hssConfigs = {"H&M", "H&L"};
+    s.traceLen = bench::requestOverride();
     bench::runLineup(s, "Fig. 11: average request latency on unseen "
                         "FileBench workloads (normalized to Fast-Only)");
     return 0;

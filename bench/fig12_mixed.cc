@@ -24,6 +24,7 @@ main()
     s.workloads = trace::mixedWorkloadNames();
     s.hssConfigs = {"H&M", "H&L"};
     s.mixedWorkloads = true;
+    s.traceLen = bench::requestOverride();
     bench::runLineup(s, "Fig. 12: average request latency on mixed "
                         "workloads (Table 5), normalized to Fast-Only");
 

@@ -24,6 +24,7 @@ main()
         s.workloads.push_back(p.name);
     s.hssConfigs = {"H&M&L", "H&M&L_SSD"};
     s.fastCapacityFrac = 0.05;
+    s.traceLen = bench::requestOverride();
     bench::runLineup(s, "Fig. 16: tri-hybrid HSS — heuristic [76] vs "
                         "Sibyl (normalized avg request latency)");
 

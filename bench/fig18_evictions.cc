@@ -20,6 +20,7 @@ main()
     for (const auto &p : trace::msrcProfiles())
         s.workloads.push_back(p.name);
     s.hssConfigs = {"H&M", "H&L"};
+    s.traceLen = bench::requestOverride();
     bench::runLineup(s,
                      "Fig. 18: evictions from fast storage as a fraction "
                      "of all requests",

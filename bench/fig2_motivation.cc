@@ -20,6 +20,7 @@ main()
                   "Oracle"};
     s.workloads = trace::motivationWorkloads();
     s.hssConfigs = {"H&M", "H&L"};
+    s.traceLen = bench::requestOverride();
     bench::runLineup(s, "Fig. 2: baseline policies vs Oracle on the "
                         "motivation workloads (normalized avg request "
                         "latency)");

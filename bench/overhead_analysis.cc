@@ -68,8 +68,8 @@ BM_TrainingRound(benchmark::State &state)
             v = static_cast<float>(rng.nextDouble());
         for (auto &v : ns)
             v = static_cast<float>(rng.nextDouble());
-        agent.observe({s, rng.nextBounded(2),
-                       static_cast<float>(rng.nextDouble()), ns});
+        const std::uint32_t action = rng.nextBounded(2);
+        agent.observe(s, action, static_cast<float>(rng.nextDouble()), ns);
     }
     for (auto _ : state)
         benchmark::DoNotOptimize(agent.trainRound());

@@ -103,7 +103,9 @@ usage(const char *prog)
         "  --fast-frac F       fast-device capacity as working-set "
         "fraction (default 0.10)\n"
         "  --lr ALPHA          Sibyl learning rate override\n"
-        "  --epsilon EPS       Sibyl exploration rate override\n"
+        "  --epsilon EPS       Sibyl exploration rate override (the "
+        "floor for\n"
+        "                      linear, exp and vdbe)\n"
         "  --exploration KIND  constant | linear | exp | boltzmann | "
         "vdbe (default constant)\n"
         "  --temperature T     Boltzmann softmax temperature "
@@ -543,24 +545,21 @@ main(int argc, char **argv)
     if (opt.learningRate > 0.0)
         sibylCfg.learningRate = opt.learningRate;
     if (opt.epsilon >= 0.0)
-        sibylCfg.epsilon = opt.epsilon;
+        sibylCfg.exploration.epsilon = opt.epsilon;
     if (!opt.exploration.empty()) {
         if (opt.exploration == "constant") {
             sibylCfg.exploration.kind =
                 rl::ExplorationKind::ConstantEpsilon;
         } else if (opt.exploration == "linear") {
             sibylCfg.exploration.kind = rl::ExplorationKind::LinearDecay;
-            sibylCfg.exploration.epsilon = sibylCfg.epsilon;
         } else if (opt.exploration == "exp") {
             sibylCfg.exploration.kind =
                 rl::ExplorationKind::ExponentialDecay;
-            sibylCfg.exploration.epsilon = sibylCfg.epsilon;
         } else if (opt.exploration == "boltzmann") {
             sibylCfg.exploration.kind = rl::ExplorationKind::Boltzmann;
             sibylCfg.exploration.temperature = opt.temperature;
         } else if (opt.exploration == "vdbe") {
             sibylCfg.exploration.kind = rl::ExplorationKind::Vdbe;
-            sibylCfg.exploration.epsilon = sibylCfg.epsilon;
         } else {
             std::fprintf(stderr, "unknown --exploration %s\n",
                          opt.exploration.c_str());

@@ -152,7 +152,6 @@ struct SibylConfig
     // configurations.
     double gamma = 0.9;         ///< discount factor
     double learningRate = 5e-3; ///< alpha (paper: 1e-4 at full scale)
-    double epsilon = 0.001;     ///< exploration rate
     std::uint32_t batchSize = 128;
     std::uint32_t batchesPerTraining = 8;
     std::size_t bufferCapacity = 1000;    ///< e_EB
@@ -168,9 +167,9 @@ struct SibylConfig
     std::vector<std::size_t> hidden = {20, 30};
 
     /** Exploration strategy (default: the paper's constant
-     *  epsilon-greedy; the alternatives feed the exploration
-     *  ablation). For the ConstantEpsilon kind the `epsilon` field
-     *  above is authoritative. */
+     *  epsilon-greedy at Table 2's epsilon = 0.001; the alternatives
+     *  feed the exploration ablation). `exploration.epsilon` is the
+     *  one exploration rate (see rl::AgentConfig::exploration). */
     rl::ExplorationConfig exploration;
 
     /** Prioritized experience replay (extension over the paper's

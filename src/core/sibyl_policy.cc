@@ -40,7 +40,6 @@ makeAgentConfig(const SibylConfig &cfg, std::uint32_t stateDim,
     ac.vmax = cfg.vmax;
     ac.gamma = cfg.gamma;
     ac.learningRate = cfg.learningRate;
-    ac.epsilon = cfg.epsilon;
     ac.exploration = cfg.exploration;
     ac.batchSize = cfg.batchSize;
     ac.batchesPerTraining = cfg.batchesPerTraining;
@@ -153,8 +152,8 @@ SibylPolicy::selectPlacementBegin(const hss::HybridSystem &sys,
             cfg_.guardrail.injectNanRewardAt != 0 &&
             completedTransitions_ >= cfg_.guardrail.injectNanRewardAt)
             pendingReward_ = std::numeric_limits<float>::quiet_NaN();
-        agent_->observeTransition(pendingState_, pendingAction_,
-                                  pendingReward_, obs_);
+        agent_->observe(pendingState_, pendingAction_, pendingReward_,
+                        obs_);
     }
 
     std::uint32_t a = 0;

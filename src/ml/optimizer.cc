@@ -550,30 +550,6 @@ adamSweep(const AdamStep &k, float *g, float *m, float *v, float *p,
 
 } // namespace
 
-Sgd::Sgd(double lr) : lr_(lr) {}
-
-void
-Sgd::step(Network &net, std::size_t batchSize)
-{
-    if (batchSize == 0)
-        batchSize = 1;
-    const float scale = 1.0f / static_cast<float>(batchSize);
-    const float lr = static_cast<float>(lr_);
-    for (DenseLayer &layer : net.layers()) {
-        forEachParamSpan(layer, [&](float *__restrict p, float *__restrict g,
-                                    std::size_t n, std::size_t) {
-            // Consuming the gradient (g[i] = 0) inside the update fuses
-            // clearGrads() into this sweep. SGD keeps no state, so no
-            // value can stick at a subnormal from step to step.
-#pragma GCC ivdep
-            for (std::size_t i = 0; i < n; i++) {
-                p[i] -= lr * (g[i] * scale);
-                g[i] = 0.0f;
-            }
-        });
-    }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps)
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Gradient-descent optimizers.
+ * The gradient-descent optimizer.
  *
  * The paper trains Sibyl's training network with stochastic gradient
- * descent (Algorithm 1, line 18); we provide plain SGD plus Adam, which
- * the TF-Agents C51 implementation uses by default. SibylConfig selects
- * Adam by default and exposes SGD for ablation.
+ * descent (Algorithm 1, line 18); every learner here (the value agents
+ * and Archivist's classifier) steps with Adam, the optimizer the
+ * TF-Agents C51 implementation uses by default.
  */
 
 #pragma once
@@ -17,37 +17,6 @@
 namespace sibyl::ml
 {
 
-/** Abstract optimizer over a Network's accumulated gradients. */
-class Optimizer
-{
-  public:
-    virtual ~Optimizer() = default;
-
-    /**
-     * Apply one update using the gradients accumulated in @p net (divided
-     * by @p batchSize) and clear them.
-     */
-    virtual void step(Network &net, std::size_t batchSize) = 0;
-
-    /** Learning rate accessor (hyper-parameter alpha in Table 2). */
-    virtual double learningRate() const = 0;
-    virtual void setLearningRate(double lr) = 0;
-};
-
-/** Plain SGD. */
-class Sgd : public Optimizer
-{
-  public:
-    explicit Sgd(double lr);
-
-    void step(Network &net, std::size_t batchSize) override;
-    double learningRate() const override { return lr_; }
-    void setLearningRate(double lr) override { lr_ = lr; }
-
-  private:
-    double lr_;
-};
-
 /**
  * Adam (Kingma & Ba, 2015).
  *
@@ -57,15 +26,21 @@ class Sgd : public Optimizer
  * gradients sit at subnormal fixed points of m <- b1 * m, where x86
  * would take a microcode assist on every step (see optimizer.cc).
  */
-class Adam : public Optimizer
+class Adam
 {
   public:
     explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                   double eps = 1e-8);
 
-    void step(Network &net, std::size_t batchSize) override;
-    double learningRate() const override { return lr_; }
-    void setLearningRate(double lr) override { lr_ = lr; }
+    /**
+     * Apply one update using the gradients accumulated in @p net
+     * (divided by @p batchSize) and clear them.
+     */
+    void step(Network &net, std::size_t batchSize);
+
+    /** Learning rate (hyper-parameter alpha in Table 2). */
+    double learningRate() const { return lr_; }
+    void setLearningRate(double lr) { lr_ = lr; }
 
     /** Per-layer first and second moment estimates, [weights...,
      *  bias...] each; empty until the first step() sizes them (tests

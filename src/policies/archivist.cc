@@ -8,7 +8,8 @@
 namespace sibyl::policies
 {
 
-ArchivistPolicy::ArchivistPolicy(const ArchivistConfig &cfg) : cfg_(cfg)
+ArchivistPolicy::ArchivistPolicy(const ArchivistConfig &cfg)
+    : cfg_(cfg), opt_(cfg.learningRate)
 {
     // A zero epoch length would reach a modulo by zero in
     // selectPlacement() and kill the whole process; reject it here,
@@ -31,7 +32,7 @@ ArchivistPolicy::buildClassifier()
         {1, ml::Activation::Identity}, // logit
     };
     net_ = std::make_unique<ml::Network>(kFeatures, layers, initRng);
-    opt_ = std::make_unique<ml::Adam>(cfg_.learningRate);
+    opt_ = ml::Adam(cfg_.learningRate);
 }
 
 void
@@ -93,7 +94,7 @@ ArchivistPolicy::rotateEpoch()
             const ml::Vector &out = net_->forward(input_);
             ml::binaryCrossEntropy(out[0], labels_[s], gradOut_[0]);
             net_->backward(gradOut_);
-            opt_->step(*net_, 1);
+            opt_.step(*net_, 1);
         }
     }
     trained_ = true;

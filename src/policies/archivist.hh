@@ -72,7 +72,7 @@ class ArchivistPolicy : public PlacementPolicy
 
     ArchivistConfig cfg_;
     std::unique_ptr<ml::Network> net_;
-    std::unique_ptr<ml::Optimizer> opt_;
+    ml::Adam opt_;
     bool trained_ = false;
 
     // The epoch's requests: kFeatures floats each, and their pages.

@@ -15,12 +15,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "ml/matrix.hh"
 #include "rl/exploration.hh"
 #include "rl/replay_buffer.hh"
@@ -48,11 +50,11 @@ struct AgentConfig
 
     double gamma = 0.9;          ///< discount factor
     double learningRate = 1e-4;  ///< alpha
-    double epsilon = 0.001;      ///< exploration rate
 
-    /** Exploration strategy. For the default ConstantEpsilon kind the
-     *  `epsilon` field above is authoritative (the paper's design); the
-     *  other kinds are the exploration-ablation alternatives. */
+    /** Exploration strategy. Its `epsilon` is the only exploration
+     *  rate: the rate itself for the default ConstantEpsilon kind (the
+     *  paper's design), the floor for the decaying and VDBE kinds, and
+     *  unused by Boltzmann. */
     ExplorationConfig exploration;
     std::uint32_t batchSize = 128;
     std::uint32_t batchesPerTraining = 8;
@@ -67,9 +69,6 @@ struct AgentConfig
 
     /** Hidden topology (paper: 20 and 30 swish neurons). */
     std::vector<std::size_t> hidden = {20, 30};
-
-    /** Use Adam (TF-Agents default) instead of plain SGD. */
-    bool useAdam = true;
 
     /**
      * Cache per-replay-entry Bellman targets computed from the frozen
@@ -103,8 +102,6 @@ struct AgentConfig
      *  uniform sampling — an extension ablation over the paper's
      *  uniform replay (§6.2.1). */
     bool prioritizedReplay = false;
-    double perAlpha = 0.6; ///< prioritization exponent
-    double perBeta = 0.4;  ///< importance-weight exponent
 
     /** Double-DQN target (van Hasselt et al., 2016) for the DQN head:
      *  action selection by the training network, value by the frozen
@@ -116,21 +113,6 @@ struct AgentConfig
 
     std::uint64_t seed = 0xC51;
 };
-
-/**
- * Build the agent's exploration schedule from its configuration. For
- * the ConstantEpsilon kind, AgentConfig::epsilon wins over
- * ExplorationConfig::epsilon so that the paper-default code paths (and
- * the Fig. 14(c) epsilon sweep) keep a single knob.
- */
-inline ExplorationSchedule
-makeExploration(const AgentConfig &cfg)
-{
-    ExplorationConfig ec = cfg.exploration;
-    if (ec.kind == ExplorationKind::ConstantEpsilon)
-        ec.epsilon = cfg.epsilon;
-    return ExplorationSchedule(ec);
-}
 
 /** Word-wise FNV-1a + splitmix64 finalizer over an observation's raw
  *  bytes — the batch-assembly key for AgentConfig::foldDuplicateStates
@@ -212,6 +194,11 @@ struct AgentStats
  * Abstract value-learning agent. Drive it with selectAction() for
  * each decision and observe() for each completed transition; learning
  * happens inside observe() at the agent's own cadence.
+ *
+ * The base owns what every family shares: the configuration, the
+ * exploration schedule, the decision RNG (one stream salt per family),
+ * the behaviour counters, the action mask, and the one exploration
+ * step (explore()) that every family's decision begins with.
  */
 class Agent
 {
@@ -221,7 +208,7 @@ class Agent
     /** Display name ("C51", "DQN", "Q-table"). */
     virtual std::string name() const = 0;
 
-    /** Epsilon-greedy action for @p state. */
+    /** Exploring action for @p state (see explore()). */
     virtual std::uint32_t selectAction(const ml::Vector &state) = 0;
 
     /**
@@ -264,37 +251,18 @@ class Agent
     /** Q-value estimates per action. */
     virtual std::vector<double> qValues(const ml::Vector &state) = 0;
 
-    /** Record a transition (and learn, at the agent's cadence). */
-    virtual void observe(Experience e) = 0;
-
     /**
-     * Allocation-free variant of observe() for the request path: the
-     * caller keeps ownership of the buffers and the agent copies the
-     * transition into its replay ring in place. Semantically identical
-     * to observe(Experience) — the default implementation packs an
-     * Experience; the neural agents override it with the in-place
-     * ring insert.
+     * Record the transition (@p state, @p action, @p reward,
+     * @p nextState) and learn at the agent's cadence. The caller keeps
+     * ownership of the vectors: the neural agents copy them into their
+     * replay ring in place, so the request path allocates nothing at
+     * steady state.
      */
-    virtual void
-    observeTransition(const ml::Vector &state, std::uint32_t action,
-                      float reward, const ml::Vector &nextState)
-    {
-        Experience e;
-        e.state = state;
-        e.action = action;
-        e.reward = reward;
-        e.nextState = nextState;
-        observe(std::move(e));
-    }
+    virtual void observe(const ml::Vector &state, std::uint32_t action,
+                         float reward, const ml::Vector &nextState) = 0;
 
     /** Force one training round (for tests); returns the mean loss. */
     virtual double trainRound() = 0;
-
-    /** Behaviour counters. */
-    virtual const AgentStats &stats() const = 0;
-
-    /** Change the exploration rate online (mixed-workload tuning). */
-    virtual void setEpsilon(double eps) = 0;
 
     /** Change the learning rate online (Sibyl_Opt uses 1e-5). */
     virtual void setLearningRate(double lr) = 0;
@@ -305,6 +273,25 @@ class Agent
      * replay buffer at 100 bits/entry, or table entries).
      */
     virtual std::size_t storageBytes() const = 0;
+
+    /** Behaviour counters. */
+    const AgentStats &stats() const { return stats_; }
+
+    /** The configuration the agent was built with (setEpsilon() and
+     *  setLearningRate() write through to it). */
+    const AgentConfig &config() const { return cfg_; }
+
+    /** The exploration schedule in effect. */
+    const ExplorationSchedule &exploration() const { return explore_; }
+
+    /** Change the exploration rate online (mixed-workload tuning).
+     *  Re-pins the schedule to a constant epsilon. */
+    void
+    setEpsilon(double eps)
+    {
+        cfg_.exploration.epsilon = eps;
+        explore_.overrideConstant(eps);
+    }
 
     /**
      * Restrict decisions to the actions whose bit is set in @p mask
@@ -331,6 +318,71 @@ class Agent
     std::uint32_t actionMask() const { return actionMask_; }
 
   protected:
+    /** @p rngSalt is the family's Pcg32 stream id for decisions and
+     *  replay sampling, part of its bit-exact identity.
+     *  @throws std::invalid_argument for an invalid exploration
+     *  configuration. */
+    Agent(const AgentConfig &cfg, std::uint64_t rngSalt)
+        : cfg_(cfg), explore_(cfg.exploration), rng_(cfg.seed, rngSalt)
+    {
+    }
+
+    /**
+     * The exploration step every decision begins with. Counts the
+     * decision, then either draws an action — a Boltzmann sample over
+     * the Q-values that @p fillQ writes into its double* argument
+     * (numActions of them; only called for that kind), or an
+     * epsilon-greedy random action — and returns true, or returns
+     * false when the caller must take the greedy action. Draws that
+     * differ from the greedy choice count as random actions. A
+     * restricting mask narrows each draw to the allowed actions; a
+     * full mask leaves the RNG stream untouched.
+     */
+    template <typename FillQ>
+    bool
+    explore(FillQ &&fillQ, std::uint32_t &action)
+    {
+        const std::uint64_t step = stats_.decisions++;
+        const bool restricted = !maskCoversAll(actionMask_,
+                                               cfg_.numActions);
+        if (explore_.isBoltzmann()) {
+            qScratch_.resize(cfg_.numActions);
+            fillQ(qScratch_.data());
+            if (restricted) {
+                // Compact the allowed actions (in place: the i-th
+                // allowed action is never left of i), sample over
+                // them, map the sampled index back to an action id.
+                const auto allowed = static_cast<std::uint32_t>(
+                    std::popcount(actionMask_));
+                for (std::uint32_t i = 0; i < allowed; i++)
+                    qScratch_[i] = qScratch_[nthSetBit(actionMask_, i)];
+                qScratch_.resize(allowed);
+            }
+            const auto greedy = static_cast<std::uint32_t>(
+                std::max_element(qScratch_.begin(), qScratch_.end()) -
+                qScratch_.begin());
+            const std::uint32_t idx =
+                explore_.sampleBoltzmann(qScratch_, probScratch_, rng_);
+            if (idx != greedy)
+                stats_.randomActions++;
+            action = restricted ? nthSetBit(actionMask_, idx) : idx;
+            return true;
+        }
+        if (rng_.nextBool(explore_.epsilonAt(step))) {
+            stats_.randomActions++;
+            // One bounded draw either way; a restricting mask only
+            // narrows the range, so the fault-free RNG stream is
+            // untouched.
+            action = restricted
+                ? nthSetBit(actionMask_,
+                            rng_.nextBounded(static_cast<std::uint32_t>(
+                                std::popcount(actionMask_))))
+                : rng_.nextBounded(cfg_.numActions);
+            return true;
+        }
+        return false;
+    }
+
     /** True when @p mask allows every action in [0, numActions) — the
      *  gate for the legacy (mask-free) decision paths. */
     static bool
@@ -353,8 +405,17 @@ class Agent
         return static_cast<std::uint32_t>(std::countr_zero(mask));
     }
 
+    AgentConfig cfg_;
+    ExplorationSchedule explore_;
+    Pcg32 rng_;
+    AgentStats stats_;
+
     /** Allowed-action restriction for decisions (never training). */
     std::uint32_t actionMask_ = 0xFFFFFFFFu;
+
+  private:
+    // Boltzmann scratch: the Q vector and its action probabilities.
+    std::vector<double> qScratch_, probScratch_;
 };
 
 } // namespace sibyl::rl

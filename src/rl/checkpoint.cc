@@ -74,14 +74,6 @@ familyOf(const Agent &agent)
     return FamilyTag::QTable;
 }
 
-const AgentConfig &
-configOf(const Agent &agent)
-{
-    if (const auto *v = dynamic_cast<const ValueAgent *>(&agent))
-        return v->config();
-    return dynamic_cast<const QTableAgent &>(agent).config();
-}
-
 } // namespace
 
 void
@@ -105,7 +97,7 @@ saveCheckpoint(const Agent &agent, std::ostream &out)
 
     out.write(kMagic, sizeof(kMagic));
     writePod(out, kCheckpointVersion);
-    const AgentConfig &cfg = configOf(agent);
+    const AgentConfig &cfg = agent.config();
     writePod(out, static_cast<std::uint32_t>(familyOf(agent)));
     writePod(out, cfg.stateDim);
     writePod(out, cfg.numActions);
@@ -135,7 +127,7 @@ loadCheckpoint(Agent &agent, std::istream &in)
         return "unsupported checkpoint version " + std::to_string(version);
     if (family != static_cast<std::uint32_t>(familyOf(agent)))
         return "checkpoint is for a different agent family";
-    const AgentConfig &cfg = configOf(agent);
+    const AgentConfig &cfg = agent.config();
     if (stateDim != cfg.stateDim || numActions != cfg.numActions) {
         std::ostringstream err;
         err << "dimension mismatch: checkpoint " << stateDim << "x"

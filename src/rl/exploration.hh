@@ -60,8 +60,10 @@ struct ExplorationConfig
 {
     ExplorationKind kind = ExplorationKind::ConstantEpsilon;
 
-    /** Constant kind: the epsilon value. Decaying kinds: the floor the
-     *  decay converges to. */
+    /** The one exploration rate (Table 2: 0.001). Constant kind: the
+     *  rate itself. Decaying kinds: the floor the decay converges to.
+     *  Vdbe: the floor of the adaptive rate. Unused by Boltzmann.
+     *  Agent::setEpsilon() writes it. */
     double epsilon = 0.001;
 
     /** Decaying kinds: initial epsilon. */

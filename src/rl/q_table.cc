@@ -6,8 +6,7 @@
 namespace sibyl::rl
 {
 
-QTableAgent::QTableAgent(const AgentConfig &cfg)
-    : cfg_(cfg), explore_(makeExploration(cfg)), rng_(cfg.seed, 0x7AB1E)
+QTableAgent::QTableAgent(const AgentConfig &cfg) : Agent(cfg, 0x7AB1E)
 {
     // At least two quantization levels, or every state collapses into
     // one table row (and the key arithmetic underflows).
@@ -44,13 +43,22 @@ QTableAgent::row(std::uint64_t key)
     return it->second;
 }
 
-std::vector<double>
-QTableAgent::qValues(const ml::Vector &state)
+void
+QTableAgent::values(const ml::Vector &state, double *q) const
 {
     const auto it = table_.find(stateKey(state));
     if (it == table_.end())
-        return std::vector<double>(cfg_.numActions, 0.0);
-    return it->second;
+        std::fill_n(q, cfg_.numActions, 0.0);
+    else
+        std::copy(it->second.begin(), it->second.end(), q);
+}
+
+std::vector<double>
+QTableAgent::qValues(const ml::Vector &state)
+{
+    std::vector<double> q(cfg_.numActions);
+    values(state, q.data());
+    return q;
 }
 
 std::uint32_t
@@ -73,59 +81,24 @@ QTableAgent::greedyAction(const ml::Vector &state)
 std::uint32_t
 QTableAgent::selectAction(const ml::Vector &state)
 {
-    const std::uint64_t step = stats_.decisions++;
-    const bool restricted = !maskCoversAll(actionMask_, cfg_.numActions);
-    if (explore_.isBoltzmann()) {
-        const auto q = qValues(state);
-        std::vector<double> probs;
-        if (restricted) {
-            // Compact the allowed actions, sample over them, map the
-            // sampled index back to an action id.
-            const auto allowed = static_cast<std::uint32_t>(
-                std::popcount(actionMask_));
-            std::vector<double> qAllowed(allowed);
-            for (std::uint32_t i = 0; i < allowed; i++)
-                qAllowed[i] = q[nthSetBit(actionMask_, i)];
-            const auto greedy = static_cast<std::uint32_t>(
-                std::max_element(qAllowed.begin(), qAllowed.end()) -
-                qAllowed.begin());
-            const std::uint32_t idx =
-                explore_.sampleBoltzmann(qAllowed, probs, rng_);
-            if (idx != greedy)
-                stats_.randomActions++;
-            return nthSetBit(actionMask_, idx);
-        }
-        const auto greedy = static_cast<std::uint32_t>(
-            std::max_element(q.begin(), q.end()) - q.begin());
-        const std::uint32_t a = explore_.sampleBoltzmann(q, probs, rng_);
-        if (a != greedy)
-            stats_.randomActions++;
-        return a;
-    }
-    if (rng_.nextBool(explore_.epsilonAt(step))) {
-        stats_.randomActions++;
-        // One bounded draw either way; a restricting mask only narrows
-        // the range, so the fault-free RNG stream is untouched.
-        return restricted
-            ? nthSetBit(actionMask_,
-                        rng_.nextBounded(static_cast<std::uint32_t>(
-                            std::popcount(actionMask_))))
-            : rng_.nextBounded(cfg_.numActions);
-    }
+    std::uint32_t action = 0;
+    if (explore([&](double *q) { values(state, q); }, action))
+        return action;
     return greedyAction(state);
 }
 
 void
-QTableAgent::observe(Experience e)
+QTableAgent::observe(const ml::Vector &state, std::uint32_t action,
+                     float reward, const ml::Vector &nextState)
 {
     // One-step Q-learning: Q(s,a) += alpha * (r + gamma max_a' Q(s',a')
     //                                          - Q(s,a)).
-    auto &q = row(stateKey(e.state));
-    const auto nextQ = qValues(e.nextState);
+    auto &q = row(stateKey(state));
+    const auto nextQ = qValues(nextState);
     const double maxNext = *std::max_element(nextQ.begin(), nextQ.end());
-    const double target = e.reward + cfg_.gamma * maxNext;
-    const double tdError = target - q[e.action];
-    q[e.action] += cfg_.learningRate * tdError;
+    const double target = reward + cfg_.gamma * maxNext;
+    const double tdError = target - q[action];
+    q[action] += cfg_.learningRate * tdError;
     stats_.gradientSteps++;
     stats_.lastLoss = 0.5 * tdError * tdError;
     // VDBE feedback: the applied Q-value change |alpha * TD| — Tokic's

@@ -15,7 +15,6 @@
 
 #include <unordered_map>
 
-#include "common/rng.hh"
 #include "rl/agent.hh"
 
 namespace sibyl::rl
@@ -34,24 +33,13 @@ class QTableAgent final : public Agent
     std::vector<double> qValues(const ml::Vector &state) override;
 
     /** Applies the Q-learning update immediately (no replay). */
-    void observe(Experience e) override;
+    void observe(const ml::Vector &state, std::uint32_t action,
+                 float reward, const ml::Vector &nextState) override;
 
     /** No batch training phase; returns the last TD error. */
     double trainRound() override { return stats_.lastLoss; }
 
-    const AgentStats &stats() const override { return stats_; }
-
-    void
-    setEpsilon(double eps) override
-    {
-        cfg_.epsilon = eps;
-        explore_.overrideConstant(eps);
-    }
-
     void setLearningRate(double lr) override { cfg_.learningRate = lr; }
-
-    /** The exploration schedule in effect. */
-    const ExplorationSchedule &exploration() const { return explore_; }
 
     /** Table entries x (8-byte key + one double per action). */
     std::size_t storageBytes() const override;
@@ -74,8 +62,6 @@ class QTableAgent final : public Agent
         table_ = std::move(table);
     }
 
-    const AgentConfig &config() const { return cfg_; }
-
   private:
     /** Quantize the normalized state into a hashable key. */
     std::uint64_t stateKey(const ml::Vector &state) const;
@@ -83,11 +69,11 @@ class QTableAgent final : public Agent
     /** Q-value row for @p key, default-initialized to zeros. */
     std::vector<double> &row(std::uint64_t key);
 
-    AgentConfig cfg_;
-    ExplorationSchedule explore_;
-    Pcg32 rng_;
+    /** The stored Q-values of @p state (zeros when unvisited) into
+     *  q[0..numActions). */
+    void values(const ml::Vector &state, double *q) const;
+
     std::unordered_map<std::uint64_t, std::vector<double>> table_;
-    AgentStats stats_;
 };
 
 } // namespace sibyl::rl

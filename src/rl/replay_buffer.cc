@@ -33,12 +33,6 @@ ReplayBuffer::ensureTree(double alpha) const
 }
 
 std::uint64_t
-ReplayBuffer::hashExperience(const Experience &e)
-{
-    return hashTransition(e.state, e.action, e.reward, e.nextState);
-}
-
-std::uint64_t
 ReplayBuffer::hashTransition(const ml::Vector &state, std::uint32_t action,
                              float reward, const ml::Vector &nextState)
 {
@@ -56,10 +50,11 @@ ReplayBuffer::hashTransition(const ml::Vector &state, std::uint32_t action,
     return hasher.finish();
 }
 
-template <typename PlaceFn>
 bool
-ReplayBuffer::addImpl(std::uint64_t h, PlaceFn &&place)
+ReplayBuffer::add(const ml::Vector &state, std::uint32_t action,
+                  float reward, const ml::Vector &nextState)
 {
+    const std::uint64_t h = hashTransition(state, action, reward, nextState);
     if (dedup_) {
         auto it = hashCount_.find(h);
         if (it != hashCount_.end() && it->second > 0) {
@@ -93,7 +88,13 @@ ReplayBuffer::addImpl(std::uint64_t h, PlaceFn &&place)
         priorities_[next_] = maxPriority_;
         next_ = (next_ + 1) % capacity_;
     }
-    place(entries_[idx]);
+    // assign() reuses the slot vectors' capacity — this is the
+    // zero-allocation path once the ring has warmed up.
+    Experience &slot = entries_[idx];
+    slot.state.assign(state.begin(), state.end());
+    slot.action = action;
+    slot.reward = reward;
+    slot.nextState.assign(nextState.begin(), nextState.end());
     lastAdd_ = idx;
     if (treeAlpha_)
         tree_.set(idx, transformedPriority(maxPriority_, *treeAlpha_));
@@ -103,43 +104,6 @@ ReplayBuffer::addImpl(std::uint64_t h, PlaceFn &&place)
         hashCount_.find(h)->second++;
     totalAdded_++;
     return true;
-}
-
-bool
-ReplayBuffer::add(Experience e)
-{
-    const std::uint64_t h = hashExperience(e);
-    return addImpl(h, [&](Experience &slot) { slot = std::move(e); });
-}
-
-bool
-ReplayBuffer::add(const ml::Vector &state, std::uint32_t action,
-                  float reward, const ml::Vector &nextState)
-{
-    const std::uint64_t h = hashTransition(state, action, reward, nextState);
-    return addImpl(h, [&](Experience &slot) {
-        // assign() reuses the slot vectors' capacity — this is the
-        // zero-allocation path once the ring has warmed up.
-        slot.state.assign(state.begin(), state.end());
-        slot.action = action;
-        slot.reward = reward;
-        slot.nextState.assign(nextState.begin(), nextState.end());
-    });
-}
-
-std::vector<const Experience *>
-ReplayBuffer::sample(std::size_t n, Pcg32 &rng) const
-{
-    std::vector<const Experience *> out;
-    if (entries_.empty())
-        return out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; i++) {
-        auto idx = static_cast<std::size_t>(
-            rng.nextBounded(static_cast<std::uint32_t>(entries_.size())));
-        out.push_back(&entries_[idx]);
-    }
-    return out;
 }
 
 void
@@ -201,22 +165,6 @@ ReplayBuffer::importanceWeights(const std::vector<std::size_t> &indices,
         // w_i / w_max = (P(i)/P_min)^-beta; N and the total mass cancel.
         out[k] = std::pow(tree_.value(indices[k]) / minProb, -beta);
     }
-}
-
-double
-ReplayBuffer::importanceWeight(std::size_t i, double alpha,
-                               double beta) const
-{
-    if (entries_.empty())
-        return 1.0;
-    ensureTree(alpha);
-    const double total = tree_.total();
-    const double minProb = tree_.minValue();
-    const auto n = static_cast<double>(entries_.size());
-    const double probI = tree_.value(i) / total;
-    const double wI = std::pow(n * probI, -beta);
-    const double wMax = std::pow(n * (minProb / total), -beta);
-    return wI / wMax;
 }
 
 void

@@ -96,24 +96,17 @@ class ReplayBuffer
      */
     explicit ReplayBuffer(std::size_t capacity, bool dedup = true);
 
-    /** Insert @p e; evicts the oldest entry if full. Returns false if the
-     *  entry was dropped as a duplicate. */
-    bool add(Experience e);
-
     /**
-     * Allocation-free insert for the request path: the transition is
+     * Insert a transition; evicts the oldest entry if full. Returns
+     * false if the entry was dropped as a duplicate. The transition is
      * copied straight into the ring slot (whose vectors keep their
      * capacity), and the dedup index recycles its evicted hash node
-     * instead of erase+insert. After the ring has filled and the slot
-     * vectors have their steady sizes, this performs zero heap
-     * allocations. Identical observable semantics to add(Experience)
-     * — same hash, same dedup decision, same priorities.
+     * instead of erase+insert, so once the ring has filled and the
+     * slot vectors have their steady sizes, an insert performs zero
+     * heap allocations.
      */
     bool add(const ml::Vector &state, std::uint32_t action, float reward,
              const ml::Vector &nextState);
-
-    /** Uniformly sample @p n experiences (with replacement). */
-    std::vector<const Experience *> sample(std::size_t n, Pcg32 &rng) const;
 
     /** Uniformly sample @p n entry indices (with replacement) into
      *  @p out, reusing its capacity (empty for an empty buffer). */
@@ -143,25 +136,15 @@ class ReplayBuffer
     void setPriority(std::size_t i, float p);
 
     /**
-     * Importance-sampling weight for entry @p i under prioritized
-     * sampling, normalized so the largest weight in the buffer is 1:
-     * w_i = (N * P(i))^-beta / max_j w_j.
-     *
-     * The total mass and minimum probability come from the sum tree's
-     * cached root aggregates, so each call is O(1) after the tree is
-     * keyed to @p alpha (previously this rescanned all N priorities per
-     * call — O(batchSize * N) per training batch).
-     */
-    double importanceWeight(std::size_t i, double alpha,
-                            double beta) const;
-
-    /**
-     * Importance weights for a whole sampled batch, evaluated against
-     * the distribution the batch was *sampled* from (i.e. before any
-     * setPriority() refreshes — the Schaul et al. formulation). The
-     * max-weight normalizer is hoisted out of the loop, so this costs
-     * one pow per element instead of importanceWeight()'s two. Fills
-     * @p out (one weight per index), reusing its capacity.
+     * Importance-sampling weights for a sampled batch under
+     * prioritized sampling, normalized so the largest weight in the
+     * buffer is 1: w_i = (N * P(i))^-beta / max_j w_j, evaluated
+     * against the distribution the batch was *sampled* from (i.e.
+     * before any setPriority() refreshes — the Schaul et al.
+     * formulation). N and the total mass cancel, so each weight is one
+     * pow of P(i) / P_min, with P_min from the sum tree's cached root
+     * aggregate. Fills @p out (one weight per index), reusing its
+     * capacity.
      */
     void importanceWeights(const std::vector<std::size_t> &indices,
                            double alpha, double beta,
@@ -189,20 +172,11 @@ class ReplayBuffer
     }
 
   private:
-    static std::uint64_t hashExperience(const Experience &e);
-
-    /** Content hash of a transition from its unpacked fields
-     *  (Murmur64A-style word rounds — see the definition for why a
-     *  word-wise FNV is NOT safe here); hashExperience() delegates. */
+    /** Content hash of a transition (Murmur64A-style word rounds — see
+     *  the definition for why a word-wise FNV is NOT safe here). */
     static std::uint64_t hashTransition(const ml::Vector &state,
                                         std::uint32_t action, float reward,
                                         const ml::Vector &nextState);
-
-    /** Shared insert core: dedup check, ring placement via @p place,
-     *  hash-index maintenance (recycling the evicted node), priority
-     *  and tree upkeep. */
-    template <typename PlaceFn>
-    bool addImpl(std::uint64_t h, PlaceFn &&place);
 
     /** p^alpha + epsilon, the mass the samplers weight entries by. */
     static double transformedPriority(float p, double alpha);

@@ -6,15 +6,24 @@
 namespace sibyl::rl
 {
 
+namespace
+{
+
+// Prioritized replay exponents (Schaul et al., 2016): prioritization
+// and importance-weight correction.
+constexpr double kPerAlpha = 0.6;
+constexpr double kPerBeta = 0.4;
+
+} // namespace
+
 ValueAgent::ValueAgent(const AgentConfig &cfg,
                        std::unique_ptr<ValueHead> head)
-    : cfg_(cfg),
+    : Agent(cfg, head->salts().rng),
       head_(std::move(head)),
-      explore_(makeExploration(cfg)),
-      rng_(cfg.seed, head_->salts().rng),
-      buffer_(cfg.bufferCapacity, cfg.dedupBuffer)
+      buffer_(cfg.bufferCapacity, cfg.dedupBuffer),
+      optimizer_(cfg.learningRate)
 {
-    // A zero cadence would reach a modulo by zero in afterObserve() and
+    // A zero cadence would reach a modulo by zero in observe() and
     // kill the whole process; reject it here, where the runner records
     // it as one failed run.
     const std::string who = head_->name() + " agent: ";
@@ -40,11 +49,6 @@ ValueAgent::ValueAgent(const AgentConfig &cfg,
                                                   initRng2);
     inferenceNet_->copyWeightsFrom(*trainingNet_);
 
-    if (cfg_.useAdam)
-        optimizer_ = std::make_unique<ml::Adam>(cfg_.learningRate);
-    else
-        optimizer_ = std::make_unique<ml::Sgd>(cfg_.learningRate);
-
     // Size the batch-shaped training scratch for a full batch up front.
     // Cache misses, folded rows and distinct predictions vary from
     // batch to batch; buffers grown to each new high-water mark would
@@ -63,7 +67,7 @@ void
 ValueAgent::setLearningRate(double lr)
 {
     cfg_.learningRate = lr;
-    optimizer_->setLearningRate(lr);
+    optimizer_.setLearningRate(lr);
 }
 
 std::vector<double>
@@ -85,53 +89,11 @@ bool
 ValueAgent::selectActionBegin(const ml::Vector &state,
                               std::uint32_t &action)
 {
-    const std::uint64_t step = stats_.decisions++;
-    const bool restricted = !maskCoversAll(actionMask_, cfg_.numActions);
-    if (explore_.isBoltzmann()) {
-        // The Boltzmann draw's arguments depend on the Q row, so this
-        // path cannot defer the network evaluation; resolve inline.
-        const float *out = inferenceNet_->inferRow(state);
-        qScratch_.resize(cfg_.numActions);
-        head_->values(out, qScratch_.data());
-        if (restricted) {
-            // Compact the allowed actions (in place: the i-th allowed
-            // action is never left of i), sample over them, map the
-            // sampled index back to an action id.
-            const auto allowed = static_cast<std::uint32_t>(
-                std::popcount(actionMask_));
-            for (std::uint32_t i = 0; i < allowed; i++)
-                qScratch_[i] = qScratch_[nthSetBit(actionMask_, i)];
-            qScratch_.resize(allowed);
-            const auto greedy = static_cast<std::uint32_t>(
-                std::max_element(qScratch_.begin(), qScratch_.end()) -
-                qScratch_.begin());
-            const std::uint32_t idx =
-                explore_.sampleBoltzmann(qScratch_, probScratch_, rng_);
-            if (idx != greedy)
-                stats_.randomActions++;
-            action = nthSetBit(actionMask_, idx);
-            return true;
-        }
-        const auto greedy = static_cast<std::uint32_t>(
-            std::max_element(qScratch_.begin(), qScratch_.end()) -
-            qScratch_.begin());
-        action = explore_.sampleBoltzmann(qScratch_, probScratch_, rng_);
-        if (action != greedy)
-            stats_.randomActions++;
-        return true;
-    }
-    if (rng_.nextBool(explore_.epsilonAt(step))) {
-        stats_.randomActions++;
-        // One bounded draw either way; a restricting mask only narrows
-        // the range, so the fault-free RNG stream is untouched.
-        action = restricted
-            ? nthSetBit(actionMask_,
-                        rng_.nextBounded(static_cast<std::uint32_t>(
-                            std::popcount(actionMask_))))
-            : rng_.nextBounded(cfg_.numActions);
-        return true;
-    }
-    return false; // greedy: caller evaluates the inference network row
+    // A Boltzmann draw needs the Q row, so that kind evaluates the
+    // network here; a greedy decision leaves the row to the caller.
+    return explore(
+        [&](double *q) { head_->values(inferenceNet_->inferRow(state), q); },
+        action);
 }
 
 std::uint32_t
@@ -151,27 +113,13 @@ ValueAgent::selectAction(const ml::Vector &state)
 }
 
 void
-ValueAgent::observe(Experience e)
-{
-    if (buffer_.add(std::move(e)) && !targetValid_.empty())
-        targetValid_[buffer_.lastAddIndex()] = 0;
-    afterObserve();
-}
-
-void
-ValueAgent::observeTransition(const ml::Vector &state, std::uint32_t action,
-                              float reward, const ml::Vector &nextState)
+ValueAgent::observe(const ml::Vector &state, std::uint32_t action,
+                    float reward, const ml::Vector &nextState)
 {
     if (buffer_.add(state, action, reward, nextState) &&
         !targetValid_.empty()) {
         targetValid_[buffer_.lastAddIndex()] = 0;
     }
-    afterObserve();
-}
-
-void
-ValueAgent::afterObserve()
-{
     observations_++;
 
     // Train once the buffer has filled, then at every cadence boundary
@@ -206,7 +154,7 @@ ValueAgent::runRound(double (ValueAgent::*trainOne)())
     for (std::uint32_t b = 0; b < cfg_.batchesPerTraining; b++) {
         if (cfg_.prioritizedReplay)
             buffer_.samplePrioritizedIndices(cfg_.batchSize, rng_,
-                                             cfg_.perAlpha, sampled_);
+                                             kPerAlpha, sampled_);
         else
             buffer_.sampleIndices(cfg_.batchSize, rng_, sampled_);
         if (sampled_.empty())
@@ -329,7 +277,7 @@ ValueAgent::trainBatch()
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
     if (per) {
-        buffer_.importanceWeights(sampled_, cfg_.perAlpha, cfg_.perBeta,
+        buffer_.importanceWeights(sampled_, kPerAlpha, kPerBeta,
                                   perWeights_);
         weights_.resize(batch);
         for (std::size_t r = 0; r < batch; r++)
@@ -362,7 +310,7 @@ ValueAgent::trainBatch()
     }
 
     trainingNet_->backward(gradOutM_);
-    optimizer_->step(*trainingNet_, batch);
+    optimizer_.step(*trainingNet_, batch);
     return totalLoss / static_cast<double>(batch);
 }
 
@@ -373,7 +321,7 @@ ValueAgent::trainPerSample()
     // Same sampling-time importance weights as the batched path, so
     // the two paths stay numerically equivalent.
     if (cfg_.prioritizedReplay)
-        buffer_.importanceWeights(indices, cfg_.perAlpha, cfg_.perBeta,
+        buffer_.importanceWeights(indices, kPerAlpha, kPerBeta,
                                   perWeights_);
 
     double totalLoss = 0.0;
@@ -413,7 +361,7 @@ ValueAgent::trainPerSample()
             buffer_.setPriority(idx, priority);
         trainingNet_->backward(gradOut);
     }
-    optimizer_->step(*trainingNet_, indices.size());
+    optimizer_.step(*trainingNet_, indices.size());
     return totalLoss / static_cast<double>(indices.size());
 }
 

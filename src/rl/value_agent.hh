@@ -11,12 +11,14 @@
  * Bellman-target network. C51 and the "other variants of Deep
  * Q-Networks" (§6.2.1) differ only in what the output head learns.
  *
- * ValueAgent owns everything the variants share: exploration and
- * action masking, the replay buffer and training cadence, weight
- * syncs, the per-entry Bellman-target cache, duplicate-state folding,
- * prioritized-replay weights, and one minibatch trainer. A ValueHead owns only what differs: how an output
- * row decodes into per-action values and a greedy action, how
- * next-state rows become Bellman targets, and the loss. The training
+ * ValueAgent owns everything the neural variants share beyond the
+ * rl::Agent base (exploration, action masking, counters): the replay
+ * buffer and training cadence, weight syncs, the per-entry
+ * Bellman-target cache, duplicate-state folding, prioritized-replay
+ * weights, and one minibatch trainer. A ValueHead owns only what
+ * differs: how an output row decodes into per-action values and a
+ * greedy action, how next-state rows become Bellman targets, and the
+ * loss. The training
  * side is minibatch-shaped: a head sees a whole batch at once, so it
  * can share work across rows (C51 runs eight rows per SIMD lane group
  * and computes each distinct prediction once); the per-sample
@@ -29,7 +31,6 @@
 #include <memory>
 #include <string>
 
-#include "common/rng.hh"
 #include "ml/network.hh"
 #include "ml/optimizer.hh"
 #include "rl/agent.hh"
@@ -43,8 +44,8 @@ namespace sibyl::rl
 class ValueHead
 {
   public:
-    /** Pcg32 stream ids: the agent's decision/sampling RNG and the
-     *  initial weights of the training and inference networks. Part of
+    /** Pcg32 stream ids: the agent's decision/sampling RNG (see
+     *  Agent::Agent) and the initial weights of the training and inference networks. Part of
      *  each variant's bit-exact identity. */
     struct Salts
     {
@@ -145,11 +146,11 @@ class ValueAgent : public Agent
 
     std::string name() const override { return head_->name(); }
 
-    /** Epsilon-greedy action for @p state using the inference network. */
+    /** Exploring action for @p state using the inference network. */
     std::uint32_t selectAction(const ml::Vector &state) override;
 
-    /** Split-decision phases (see Agent): Begin makes the RNG draws,
-     *  FromRow decodes the greedy action from the inference network's
+    /** Split-decision phases (see Agent): Begin runs the exploration
+     *  step (Agent::explore), FromRow decodes the greedy action from the inference network's
      *  output row, which the caller evaluates with inferRow. */
     bool selectActionBegin(const ml::Vector &state,
                            std::uint32_t &action) override;
@@ -169,12 +170,8 @@ class ValueAgent : public Agent
      * and every `targetSyncEvery` observations the training weights
      * are copied to the inference network (Algorithm 1, lines 16-19).
      */
-    void observe(Experience e) override;
-
-    /** Allocation-free observe (see Agent::observeTransition). */
-    void observeTransition(const ml::Vector &state, std::uint32_t action,
-                           float reward,
-                           const ml::Vector &nextState) override;
+    void observe(const ml::Vector &state, std::uint32_t action,
+                 float reward, const ml::Vector &nextState) override;
 
     /** Force one training round (for tests). */
     double trainRound() override;
@@ -189,8 +186,6 @@ class ValueAgent : public Agent
      *  Invalidates the cached Bellman targets. */
     void syncWeights();
 
-    const AgentConfig &config() const { return cfg_; }
-    const AgentStats &stats() const override { return stats_; }
     const ValueHead &head() const { return *head_; }
     const ReplayBuffer &buffer() const { return buffer_; }
     ml::Network &inferenceNetwork() { return *inferenceNet_; }
@@ -198,17 +193,6 @@ class ValueAgent : public Agent
     const ml::Network &inferenceNetwork() const { return *inferenceNet_; }
     const ml::Network &trainingNetwork() const { return *trainingNet_; }
 
-    /** Change the exploration rate online (mixed-workload tuning).
-     *  Re-pins the schedule to a constant epsilon. */
-    void
-    setEpsilon(double eps) override
-    {
-        cfg_.epsilon = eps;
-        explore_.overrideConstant(eps);
-    }
-
-    /** The exploration schedule in effect. */
-    const ExplorationSchedule &exploration() const { return explore_; }
     /** Change the learning rate online (Sibyl_Opt uses 1e-5). */
     void setLearningRate(double lr) override;
 
@@ -217,10 +201,6 @@ class ValueAgent : public Agent
     std::size_t storageBytes() const override;
 
   private:
-    /** Training-cadence/weight-sync bookkeeping shared by both
-     *  observe paths. */
-    void afterObserve();
-
     /** One training round: per batch, sample sampled_ from the ring
      *  and hand it to @p trainOne, which takes one gradient step on it
      *  and returns the mean loss. */
@@ -235,15 +215,11 @@ class ValueAgent : public Agent
      *  per sampled row (see trainRoundPerSample). */
     double trainPerSample();
 
-    AgentConfig cfg_;
     std::unique_ptr<ValueHead> head_;
-    ExplorationSchedule explore_;
-    Pcg32 rng_;
     ReplayBuffer buffer_;
     std::unique_ptr<ml::Network> inferenceNet_;
     std::unique_ptr<ml::Network> trainingNet_;
-    std::unique_ptr<ml::Optimizer> optimizer_;
-    AgentStats stats_;
+    ml::Adam optimizer_;
     std::uint64_t observations_ = 0;
 
     // Training-side scratch, reused across batches so a training round
@@ -261,10 +237,6 @@ class ValueAgent : public Agent
     std::vector<std::uint32_t> actions_;
     std::vector<double> losses_;
     std::vector<float> priorities_;
-
-    // Decision-path scratch for Boltzmann draws: the Q vector and its
-    // action probabilities.
-    std::vector<double> qScratch_, probScratch_;
 
     // Per-replay-entry cache of the Bellman target (reward and gamma
     // are entry-fixed, the inference net is frozen between syncs — see

@@ -192,8 +192,7 @@ applySibylParams(core::SibylConfig &cfg, const PolicyDesc &desc)
         } else if (key == "lr" || key == "learningRate") {
             cfg.learningRate = toDouble(desc, key, value);
         } else if (key == "epsilon" || key == "eps") {
-            cfg.epsilon = toDouble(desc, key, value);
-            cfg.exploration.epsilon = cfg.epsilon;
+            cfg.exploration.epsilon = toDouble(desc, key, value);
         } else if (key == "batchSize") {
             cfg.batchSize = toU32(desc, key, value);
         } else if (key == "batchesPerTraining") {

@@ -138,7 +138,7 @@ class PolicyFactory
 /**
  * Apply descriptor parameters to a SibylConfig. Understood keys cover
  * every SibylConfig field: hyper-parameters (gamma, lr/learningRate,
- * epsilon, batchSize, batchesPerTraining, bufferCapacity,
+ * epsilon/eps — exploration.epsilon, batchSize, batchesPerTraining, bufferCapacity,
  * targetSyncEvery, trainEvery, atoms, vmin, vmax, seed), topology
  * (hidden=20x30), agent family (agent=c51|dqn|qtable, per/
  * prioritizedReplay, doubleDqn), features (features=size|type|...|all,

@@ -278,22 +278,28 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
             // Bounded retry: each attempt is a fresh run off the same
             // run-key-derived streams, so a transient failure replays
             // the identical trajectory and a success on attempt k is
-            // bit-exact to a success on attempt 1.
+            // bit-exact to a success on attempt 1. A configuration
+            // error (std::invalid_argument) would fail identically
+            // again, so it is final on the first attempt.
             for (unsigned attempt = 1;; attempt++) {
                 rec.attempts = attempt;
                 const char *phase = "setup";
+                bool final = false;
                 try {
                     runOne(specs[i], rec, phase);
                     rec.status = "ok";
                     rec.error.clear();
                     break;
+                } catch (const std::invalid_argument &e) {
+                    rec.error = std::string(phase) + ": " + e.what();
+                    final = true;
                 } catch (const std::exception &e) {
                     rec.error = std::string(phase) + ": " + e.what();
                 } catch (...) {
                     rec.error = std::string(phase) + ": unknown exception";
                 }
                 rec.status = "failed";
-                if (attempt >= maxAttempts) {
+                if (final || attempt >= maxAttempts) {
                     rec.result = PolicyResult();
                     break;
                 }

@@ -181,8 +181,10 @@ struct ParallelConfig
      * Bounded retry budget per run (total attempts, >= 1). A retry is
      * a *fresh* attempt: per-run RNG streams are pure functions of
      * the run key, so a transient failure (e.g. an I/O hiccup in a
-     * policy hook) replays the identical trajectory, while a
-     * deterministic failure fails identically and is then recorded.
+     * policy hook) replays the identical trajectory. A configuration
+     * error (std::invalid_argument: an unknown policy, a bad fault
+     * window, a zero cadence) is deterministic and is recorded after
+     * its first attempt without a retry.
      */
     unsigned maxAttempts = 2;
 };

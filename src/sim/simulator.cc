@@ -29,24 +29,11 @@ RequestStepper::RequestStepper(hss::HybridSystem &sys,
 void
 RequestStepper::step(const trace::Request &req)
 {
-    SimTime arrival{};
-    DeviceId action{};
-    const float *row = nullptr;
-    ml::Network *net = stepBegin(req, arrival, action, &row);
-    if (net)
-        action = policy_.selectPlacementFromRow(net->inferRow(row));
-    stepFinish(req, arrival, action);
-}
-
-ml::Network *
-RequestStepper::stepBegin(const trace::Request &req, SimTime &arrival,
-                          DeviceId &action, const float **obsRow)
-{
     const std::uint64_t i = count_++;
 
     // Bounded outstanding window: wait for request i-qd.
     SimTime gate = finishRing_[i % qd_];
-    arrival = std::max(req.timestamp, gate);
+    const SimTime arrival = std::max(req.timestamp, gate);
     if (i == 0)
         firstArrival_ = arrival;
 
@@ -55,14 +42,13 @@ RequestStepper::stepBegin(const trace::Request &req, SimTime &arrival,
     // No-op when hard faults are unarmed.
     sys_.advanceTo(arrival);
 
-    return policy_.selectPlacementBegin(sys_, req, i, action, obsRow);
-}
-
-void
-RequestStepper::stepFinish(const trace::Request &req, SimTime arrival,
-                           DeviceId action)
-{
-    const std::uint64_t i = count_ - 1; // stepBegin already counted it
+    // The policy's decision prologue either completes the decision or
+    // hands back its network and the observation row to evaluate.
+    DeviceId action{};
+    const float *row = nullptr;
+    if (ml::Network *net =
+            policy_.selectPlacementBegin(sys_, req, i, action, &row))
+        action = policy_.selectPlacementFromRow(net->inferRow(row));
 
     hss::ServeResult result = sys_.serve(arrival, req, action);
     policy_.observeOutcome(sys_, req, action, result);

@@ -86,21 +86,6 @@ class RequestStepper
     const Histogram &latencyHistogram() const { return latencyHist_; }
 
   private:
-    /**
-     * The two halves of step(): step() == stepBegin + (net ?
-     * FromRow(net->inferRow(row)) : action) + stepFinish.
-     *
-     * stepBegin computes the arrival gate and runs the policy's
-     * decision prologue (selectPlacementBegin). When it returns a
-     * network, step() evaluates *@p obsRow on it and decodes the action
-     * via selectPlacementFromRow(); when it returns nullptr the
-     * decision completed inline and @p action is already set.
-     */
-    ml::Network *stepBegin(const trace::Request &req, SimTime &arrival,
-                           DeviceId &action, const float **obsRow);
-    void stepFinish(const trace::Request &req, SimTime arrival,
-                    DeviceId action);
-
     hss::HybridSystem &sys_;
     policies::PlacementPolicy &policy_;
     SimConfig cfg_;

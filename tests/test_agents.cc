@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/sibyl_policy.hh"
 #include "rl/c51_agent.hh"
@@ -39,7 +42,7 @@ smallConfig()
     cfg.trainEvery = 16;
     cfg.targetSyncEvery = 32;
     cfg.learningRate = 1e-2;
-    cfg.epsilon = 0.1;
+    cfg.exploration.epsilon = 0.1;
     cfg.seed = 77;
     // The synthetic bandit feeds identical experiences; keep them all
     // so the buffer actually fills and training proceeds.
@@ -47,16 +50,13 @@ smallConfig()
     return cfg;
 }
 
-/** Two-armed bandit: action 1 always pays 1.0, action 0 pays 0.1. */
-Experience
-banditPull(std::uint32_t action)
+/** Two-armed bandit: action 1 always pays 1.0, action 0 pays 0.1.
+ *  Feeds @p agent one pull of @p action from @p state. */
+void
+banditPull(Agent &agent, std::uint32_t action,
+           const ml::Vector &state = {0.5f, 0.5f})
 {
-    Experience e;
-    e.state = {0.5f, 0.5f};
-    e.nextState = {0.5f, 0.5f};
-    e.action = action;
-    e.reward = action == 1 ? 1.0f : 0.1f;
-    return e;
+    agent.observe(state, action, action == 1 ? 1.0f : 0.1f, {0.5f, 0.5f});
 }
 
 // ---------------------------------------------------------------------
@@ -74,7 +74,7 @@ TEST(DqnAgent, LearnsBanditPreference)
 {
     DqnAgent agent(smallConfig());
     for (int i = 0; i < 600; i++)
-        agent.observe(banditPull(static_cast<std::uint32_t>(i % 2)));
+        banditPull(agent, static_cast<std::uint32_t>(i % 2));
     agent.syncWeights();
     EXPECT_EQ(agent.greedyAction({0.5f, 0.5f}), 1u);
     const auto q = agent.qValues({0.5f, 0.5f});
@@ -88,7 +88,7 @@ TEST(DqnAgent, QValuesApproachDiscountedReturn)
     cfg.gamma = 0.9;
     DqnAgent agent(cfg);
     for (int i = 0; i < 3000; i++)
-        agent.observe(banditPull(1));
+        banditPull(agent, 1);
     agent.syncWeights();
     const auto q = agent.qValues({0.5f, 0.5f});
     EXPECT_NEAR(q[1], 10.0, 3.0);
@@ -108,7 +108,7 @@ TEST(DqnAgent, TrainingRoundsFollowCadence)
     AgentConfig cfg = smallConfig();
     DqnAgent agent(cfg);
     for (int i = 0; i < 128; i++)
-        agent.observe(banditPull(1));
+        banditPull(agent, 1);
     // Buffer (64) fills at obs 64; training every 16 thereafter.
     EXPECT_EQ(agent.stats().trainingRounds, (128 - 64) / 16 + 1u);
 }
@@ -138,7 +138,7 @@ TEST(QTableAgent, UnvisitedStateHasZeroQ)
 TEST(QTableAgent, ObserveCreatesEntry)
 {
     QTableAgent agent(smallConfig());
-    agent.observe(banditPull(1));
+    banditPull(agent, 1);
     EXPECT_EQ(agent.tableEntries(), 1u);
     EXPECT_GT(agent.qValues({0.5f, 0.5f})[1], 0.0);
 }
@@ -149,7 +149,7 @@ TEST(QTableAgent, LearnsBanditPreference)
     cfg.learningRate = 0.2; // tabular rates are much higher
     QTableAgent agent(cfg);
     for (int i = 0; i < 200; i++)
-        agent.observe(banditPull(static_cast<std::uint32_t>(i % 2)));
+        banditPull(agent, static_cast<std::uint32_t>(i % 2));
     EXPECT_EQ(agent.greedyAction({0.5f, 0.5f}), 1u);
 }
 
@@ -160,7 +160,7 @@ TEST(QTableAgent, ConvergesToDiscountedReturn)
     cfg.gamma = 0.9;
     QTableAgent agent(cfg);
     for (int i = 0; i < 5000; i++)
-        agent.observe(banditPull(1));
+        banditPull(agent, 1);
     EXPECT_NEAR(agent.qValues({0.5f, 0.5f})[1], 10.0, 0.5);
 }
 
@@ -168,9 +168,7 @@ TEST(QTableAgent, DistinctStatesGetDistinctEntries)
 {
     QTableAgent agent(smallConfig());
     for (int i = 0; i < 32; i++) {
-        Experience e = banditPull(0);
-        e.state = {static_cast<float>(i) / 32.0f, 0.0f};
-        agent.observe(e);
+        banditPull(agent, 0, {static_cast<float>(i) / 32.0f, 0.0f});
     }
     EXPECT_GT(agent.tableEntries(), 16u);
 }
@@ -180,10 +178,9 @@ TEST(QTableAgent, StorageGrowsWithVisitedStates)
     QTableAgent agent(smallConfig());
     EXPECT_EQ(agent.storageBytes(), 0u);
     for (int i = 0; i < 64; i++) {
-        Experience e = banditPull(0);
-        e.state = {static_cast<float>(i) / 64.0f,
-                   static_cast<float>(i % 8) / 8.0f};
-        agent.observe(e);
+        banditPull(agent, 0,
+                   {static_cast<float>(i) / 64.0f,
+                    static_cast<float>(i % 8) / 8.0f});
     }
     EXPECT_EQ(agent.storageBytes(),
               agent.tableEntries() * (8 + 2 * sizeof(double)));
@@ -194,12 +191,8 @@ TEST(QTableAgent, QuantizationCollapsesNearbyStates)
     AgentConfig cfg = smallConfig();
     cfg.tableLevels = 4; // coarse bins
     QTableAgent agent(cfg);
-    Experience a = banditPull(0);
-    a.state = {0.50f, 0.50f};
-    Experience b = banditPull(0);
-    b.state = {0.51f, 0.51f}; // same 4-level bin
-    agent.observe(a);
-    agent.observe(b);
+    banditPull(agent, 0, {0.50f, 0.50f});
+    banditPull(agent, 0, {0.51f, 0.51f}); // same 4-level bin
     EXPECT_EQ(agent.tableEntries(), 1u);
 }
 
@@ -273,7 +266,7 @@ TEST(DqnAgent, DoubleDqnLearnsBandit)
     cfg.doubleDqn = true;
     DqnAgent agent(cfg);
     for (int i = 0; i < 600; i++)
-        agent.observe(banditPull(static_cast<std::uint32_t>(i % 2)));
+        banditPull(agent, static_cast<std::uint32_t>(i % 2));
     agent.syncWeights();
     EXPECT_EQ(agent.greedyAction({0.5f, 0.5f}), 1u);
 }
@@ -284,7 +277,7 @@ TEST(DqnAgent, PrioritizedReplayLearnsBandit)
     cfg.prioritizedReplay = true;
     DqnAgent agent(cfg);
     for (int i = 0; i < 600; i++)
-        agent.observe(banditPull(static_cast<std::uint32_t>(i % 2)));
+        banditPull(agent, static_cast<std::uint32_t>(i % 2));
     agent.syncWeights();
     EXPECT_EQ(agent.greedyAction({0.5f, 0.5f}), 1u);
 }
@@ -333,7 +326,7 @@ expectRejectsZeroCadence()
     explicitCadence.trainEvery = 4;
     AgentT agent(explicitCadence);
     for (int i = 0; i < 16; i++)
-        agent.observe(banditPull(1));
+        banditPull(agent, 1);
     EXPECT_GT(agent.stats().trainingRounds, 0u);
 }
 
@@ -389,7 +382,7 @@ trainedCheckpoint(Agent &agent, std::uint32_t mask, std::size_t steps)
         draw(cur);
         const float reward =
             2.0f * prev[action % dim] + (action == 1 ? 0.5f : 0.0f);
-        agent.observeTransition(prev, action, reward, cur);
+        agent.observe(prev, action, reward, cur);
         prev = cur;
         action = agent.selectAction(prev);
     }
@@ -441,9 +434,11 @@ TEST(ValueAgent, TrainedCheckpointBytesArePinned)
         cfg.batchesPerTraining = 2;
         cfg.trainEvery = 50;
         cfg.targetSyncEvery = 100;
-        cfg.epsilon = 0.1;
         cfg.seed = 0x5EED;
         row.tweak(cfg);
+        // Boltzmann ignores epsilon and VDBE keeps its default floor.
+        if (cfg.exploration.kind == ExplorationKind::ConstantEpsilon)
+            cfg.exploration.epsilon = 0.1;
 
         std::unique_ptr<Agent> agent;
         if (row.c51)
@@ -458,6 +453,75 @@ TEST(ValueAgent, TrainedCheckpointBytesArePinned)
                       static_cast<unsigned long long>(digest));
         EXPECT_EQ(digest, row.digest)
             << row.name << ": checkpoint digest is now " << hex;
+    }
+}
+
+/** FNV-1a over the trained Q-table in key order plus every AgentStats
+ *  counter. The checkpoint bytes themselves follow unordered_map
+ *  iteration order, which is not part of the agent's behaviour. */
+std::uint64_t
+tableDigest(const QTableAgent &agent)
+{
+    std::vector<std::uint64_t> keys;
+    for (const auto &[key, row] : agent.table())
+        keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    std::string bytes;
+    auto put = [&bytes](const auto &v) {
+        bytes.append(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    for (const std::uint64_t key : keys) {
+        put(key);
+        for (const double q : agent.table().at(key))
+            put(q);
+    }
+    const AgentStats &s = agent.stats();
+    put(s.decisions);
+    put(s.randomActions);
+    put(s.trainingRounds);
+    put(s.gradientSteps);
+    put(s.weightSyncs);
+    put(s.lastLoss);
+    return fnv1a(bytes);
+}
+
+TEST(QTableAgent, TrainedTableIsPinned)
+{
+    auto none = [](AgentConfig &) {};
+    auto boltzmann = [](AgentConfig &c) {
+        c.exploration.kind = ExplorationKind::Boltzmann;
+    };
+    auto vdbe = [](AgentConfig &c) {
+        c.exploration.kind = ExplorationKind::Vdbe;
+    };
+
+    const PinnedRow rows[] = {
+        {"qtable_plain", false, none, 0, 0x7627F044BF21298CULL},
+        {"qtable_boltzmann", false, boltzmann, 0, 0xFDD20AC257530614ULL},
+        {"qtable_vdbe", false, vdbe, 0, 0xAD3EAB712C1F03F3ULL},
+        {"qtable_masked", false, none, 0b101, 0x40F2B668BDAC733AULL},
+        {"qtable_masked_boltzmann", false, boltzmann, 0b101,
+         0x8F12F9F65C3DF1ECULL},
+    };
+    for (const PinnedRow &row : rows) {
+        AgentConfig cfg;
+        cfg.stateDim = 4;
+        cfg.numActions = 3;
+        cfg.learningRate = 0.2; // tabular rates are much higher
+        cfg.seed = 0x5EED;
+        row.tweak(cfg);
+        if (cfg.exploration.kind == ExplorationKind::ConstantEpsilon)
+            cfg.exploration.epsilon = 0.1;
+
+        QTableAgent agent(cfg);
+        trainedCheckpoint(agent, row.mask, 1000);
+        EXPECT_GT(agent.stats().randomActions, 0u) << row.name;
+        const std::uint64_t digest = tableDigest(agent);
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016llX",
+                      static_cast<unsigned long long>(digest));
+        EXPECT_EQ(digest, row.digest)
+            << row.name << ": table digest is now " << hex;
     }
 }
 

@@ -45,13 +45,11 @@ trainABit(AgentT &agent, int steps = 300)
 {
     Pcg32 rng(42);
     for (int i = 0; i < steps; i++) {
-        Experience e;
-        e.state = {static_cast<float>(rng.nextDouble()),
-                   static_cast<float>(rng.nextDouble()), 0.5f, 0.5f};
-        e.nextState = e.state;
-        e.action = static_cast<std::uint32_t>(i % 2);
-        e.reward = e.action == 1 ? 1.0f : 0.0f;
-        agent.observe(e);
+        const ml::Vector state = {static_cast<float>(rng.nextDouble()),
+                                  static_cast<float>(rng.nextDouble()),
+                                  0.5f, 0.5f};
+        const auto action = static_cast<std::uint32_t>(i % 2);
+        agent.observe(state, action, action == 1 ? 1.0f : 0.0f, state);
     }
 }
 

@@ -213,7 +213,7 @@ TEST(EndToEnd, WarmStartedPolicyActsGreedilyFromCheckpoint)
     rl::saveCheckpointFile(trained.agent(), path);
 
     core::SibylConfig frozen = scfg;
-    frozen.epsilon = 0.0;
+    frozen.exploration.epsilon = 0.0;
     core::SibylPolicy warm(frozen, exp.numDevices());
     ASSERT_EQ(rl::loadCheckpointFile(warm.agent(), path), "");
     const auto r = exp.run(t, warm);

@@ -188,14 +188,12 @@ TEST(Saliency, TrainedBanditIgnoresAllFeatures)
     rl::DqnAgent agent(cfg);
     Pcg32 rng(3);
     for (int i = 0; i < 1500; i++) {
-        rl::Experience e;
-        e.state = {static_cast<float>(rng.nextDouble()),
-                   static_cast<float>(rng.nextDouble())};
-        e.nextState = {static_cast<float>(rng.nextDouble()),
-                       static_cast<float>(rng.nextDouble())};
-        e.action = static_cast<std::uint32_t>(i % 2);
-        e.reward = e.action == 1 ? 1.0f : 0.0f;
-        agent.observe(e);
+        const ml::Vector state = {static_cast<float>(rng.nextDouble()),
+                                  static_cast<float>(rng.nextDouble())};
+        const ml::Vector next = {static_cast<float>(rng.nextDouble()),
+                                 static_cast<float>(rng.nextDouble())};
+        const auto action = static_cast<std::uint32_t>(i % 2);
+        agent.observe(state, action, action == 1 ? 1.0f : 0.0f, next);
     }
     agent.syncWeights();
     std::vector<ml::Vector> states;

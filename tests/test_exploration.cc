@@ -255,7 +255,7 @@ TEST(AgentExploration, VdbeAnnealsWithTabularConvergence)
     const ml::Vector s = {0.5f};
     for (int i = 0; i < 400; i++) {
         const std::uint32_t a = agent.selectAction(s);
-        agent.observe({s, a, a == 1 ? 1.0f : 0.1f, s});
+        agent.observe(s, a, a == 1 ? 1.0f : 0.1f, s);
     }
     EXPECT_LT(agent.exploration().epsilonAt(0), 0.1);
     EXPECT_EQ(agent.greedyAction(s), 1u);
@@ -296,12 +296,11 @@ agentCfg(ExplorationKind kind)
     return cfg;
 }
 
-TEST(AgentExploration, ConstantEpsilonUsesAgentConfigEpsilon)
+TEST(AgentExploration, ConstantEpsilonIsExplorationEpsilon)
 {
-    // AgentConfig::epsilon (not ExplorationConfig::epsilon) is the
-    // authoritative constant, preserving the paper-default knob.
+    // ExplorationConfig::epsilon is the one exploration rate.
     auto cfg = agentCfg(ExplorationKind::ConstantEpsilon);
-    cfg.epsilon = 1.0; // always explore
+    cfg.exploration.epsilon = 1.0; // always explore
     C51Agent agent(cfg);
     for (int i = 0; i < 50; i++)
         agent.selectAction({0.5f, 0.5f});

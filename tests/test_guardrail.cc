@@ -41,6 +41,8 @@ namespace
 class ScriptedAgent final : public rl::Agent
 {
   public:
+    ScriptedAgent() : rl::Agent(rl::AgentConfig(), 0) {}
+
     std::string name() const override { return "scripted"; }
     std::uint32_t selectAction(const ml::Vector &) override { return 0; }
     std::uint32_t greedyAction(const ml::Vector &) override { return 0; }
@@ -48,22 +50,20 @@ class ScriptedAgent final : public rl::Agent
     {
         return {};
     }
-    void observe(rl::Experience) override {}
+    void observe(const ml::Vector &, std::uint32_t, float,
+                 const ml::Vector &) override
+    {
+    }
     double trainRound() override { return 0.0; }
-    const rl::AgentStats &stats() const override { return st_; }
-    void setEpsilon(double) override {}
     void setLearningRate(double) override {}
     std::size_t storageBytes() const override { return 0; }
 
     /** Pretend one training round finished with mean loss @p loss. */
     void pushLoss(double loss)
     {
-        st_.trainingRounds++;
-        st_.lastLoss = loss;
+        stats_.trainingRounds++;
+        stats_.lastLoss = loss;
     }
-
-  private:
-    rl::AgentStats st_;
 };
 
 rl::GuardrailConfig
@@ -226,18 +226,13 @@ TEST(Guardrail, SnapshotsAreTakenAndRestorable)
     rl::AgentConfig acfg;
     acfg.stateDim = 3;
     acfg.numActions = 2;
-    acfg.epsilon = 0.0;
+    acfg.exploration.epsilon = 0.0;
     rl::QTableAgent agent(acfg);
     // Teach the table something worth snapshotting.
     ml::Vector s(3), s2(3);
     for (int i = 0; i < 8; i++) {
         s[0] = static_cast<float>(i % 4) / 4.0f;
-        rl::Experience e;
-        e.state = s;
-        e.action = static_cast<std::uint32_t>(i % 2);
-        e.reward = 1.0f;
-        e.nextState = s2;
-        agent.observe(std::move(e));
+        agent.observe(s, static_cast<std::uint32_t>(i % 2), 1.0f, s2);
     }
 
     rl::GuardrailConfig cfg = unitConfig();

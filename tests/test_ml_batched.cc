@@ -482,7 +482,7 @@ fillBuffer(Agent &agent, const AgentConfig &cfg, std::uint64_t seed)
             v = static_cast<float>(data.nextDouble(0.0, 1.0));
         e.action = data.nextBounded(cfg.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
-        agent.observe(std::move(e));
+        agent.observe(e.state, e.action, e.reward, e.nextState);
     }
 }
 
@@ -688,7 +688,7 @@ TEST(RowDecisions, DqnSelectActionUnchanged)
     cfg.batchesPerTraining = 2;
     cfg.trainEvery = 50;
     cfg.targetSyncEvery = 100;
-    cfg.epsilon = 0.0; // deterministic: decisions are pure argmax
+    cfg.exploration.epsilon = 0.0; // deterministic: decisions are pure argmax
     DqnAgent agent(cfg);
     fillBuffer(agent, cfg, 400); // trains + syncs along the way
 
@@ -713,7 +713,7 @@ TEST(RowDecisions, C51SelectActionUnchanged)
     cfg.batchesPerTraining = 2;
     cfg.trainEvery = 50;
     cfg.targetSyncEvery = 100;
-    cfg.epsilon = 0.0;
+    cfg.exploration.epsilon = 0.0;
     C51Agent agent(cfg);
     fillBuffer(agent, cfg, 200);
 
@@ -775,9 +775,8 @@ expectCacheIsPureMemoization()
             v = static_cast<float>(data.nextDouble(0.0, 1.0));
         e.action = data.nextBounded(on.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
-        Experience e2 = e;
-        a.observe(std::move(e));
-        b.observe(std::move(e2));
+        a.observe(e.state, e.action, e.reward, e.nextState);
+        b.observe(e.state, e.action, e.reward, e.nextState);
     }
     EXPECT_GT(a.stats().trainingRounds, 0u);
     EXPECT_GT(a.stats().weightSyncs, 0u);
@@ -828,9 +827,8 @@ expectFoldWithinTolerance()
             v = static_cast<float>(data.nextBounded(4)) * 0.25f;
         e.action = data.nextBounded(on.numActions);
         e.reward = static_cast<float>(data.nextDouble(0.0, 2.0));
-        Experience e2 = e;
-        a.observe(std::move(e));
-        b.observe(std::move(e2));
+        a.observe(e.state, e.action, e.reward, e.nextState);
+        b.observe(e.state, e.action, e.reward, e.nextState);
     }
     a.trainRound();
     b.trainRound();

@@ -304,8 +304,9 @@ TEST(ParallelRunner, UnknownPolicyBecomesStructuredFailureRecord)
     // The diagnostic names the phase and carries the original what().
     EXPECT_EQ(records[1].error.rfind("policy: ", 0), 0u);
     EXPECT_NE(records[1].error.find("NoSuchPolicy"), std::string::npos);
-    // A deterministic failure burns the whole retry budget.
-    EXPECT_EQ(records[1].attempts, cfg.maxAttempts);
+    // A configuration error (std::invalid_argument) would fail the
+    // same way again, so it is not retried.
+    EXPECT_EQ(records[1].attempts, 1u);
     // Failed records serialize as identity + status/error/attempts.
     std::ostringstream os;
     writeResultsJson(os, records);
@@ -340,6 +341,9 @@ TEST(ParallelRunner, FailedRunLeavesOtherRunsBitExact)
     ASSERT_EQ(with.size(), 3u);
     ASSERT_TRUE(with[1].failed());
     EXPECT_EQ(with[1].error, "policy: injected persistent fault");
+    // Any other exception may be transient: it burns the whole retry
+    // budget before it is recorded.
+    EXPECT_EQ(with[1].attempts, cfg.maxAttempts);
     // The healthy runs are bit-exact to a batch without the failure.
     expectIdentical({with[0], with[2]}, without);
 }
@@ -370,7 +374,7 @@ TEST(ParallelRunner, NanFaultWindowBecomesFailedRecord)
                   "FaultModel: windows[0]: latencyMultiplier"),
               std::string::npos)
         << with[1].error;
-    EXPECT_EQ(with[1].attempts, cfg.maxAttempts);
+    EXPECT_EQ(with[1].attempts, 1u);
     expectIdentical({with[0], with[2]}, without);
     std::ostringstream alone, rest;
     writeResultsJson(alone, without);
@@ -413,6 +417,7 @@ TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
         EXPECT_NE(with[1 + i].error.find(bad[i].second),
                   std::string::npos)
             << with[1 + i].error;
+        EXPECT_EQ(with[1 + i].attempts, 1u);
     }
     expectIdentical({with[0]}, without);
 

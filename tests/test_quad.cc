@@ -182,7 +182,7 @@ TEST(QuadSibyl, RunsEndToEndAndUsesAllTiers)
     sim::Experiment exp(cfg);
 
     core::SibylConfig scfg;
-    scfg.epsilon = 0.05; // enough exploration to visit every action
+    scfg.exploration.epsilon = 0.05; // enough exploration to visit every action
     core::SibylPolicy sibyl(scfg, exp.numDevices());
     const auto r = exp.run(t, sibyl);
 

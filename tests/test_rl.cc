@@ -27,17 +27,18 @@ drawPrioritized(const ReplayBuffer &buf, std::size_t n, Pcg32 &rng,
     return out;
 }
 
-Experience
-exp1(float s, std::uint32_t a, float r, float ns)
+/** Add the one-feature transition (s, a, r, ns) to @p buf. */
+bool
+add1(ReplayBuffer &buf, float s, std::uint32_t a, float r, float ns)
 {
-    return {{s}, a, r, {ns}};
+    return buf.add({s}, a, r, {ns});
 }
 
 TEST(ReplayBuffer, CapacityBounded)
 {
     ReplayBuffer buf(4, /*dedup=*/false);
     for (int i = 0; i < 10; i++)
-        buf.add(exp1(static_cast<float>(i), 0, 0.0f, 0.0f));
+        add1(buf, static_cast<float>(i), 0, 0.0f, 0.0f);
     EXPECT_EQ(buf.size(), 4u);
     EXPECT_TRUE(buf.full());
     EXPECT_EQ(buf.totalAdded(), 10u);
@@ -46,9 +47,9 @@ TEST(ReplayBuffer, CapacityBounded)
 TEST(ReplayBuffer, RingOverwritesOldest)
 {
     ReplayBuffer buf(2, false);
-    buf.add(exp1(1, 0, 0, 0));
-    buf.add(exp1(2, 0, 0, 0));
-    buf.add(exp1(3, 0, 0, 0)); // overwrites "1"
+    add1(buf, 1, 0, 0, 0);
+    add1(buf, 2, 0, 0, 0);
+    add1(buf, 3, 0, 0, 0); // overwrites "1"
     bool saw1 = false;
     for (std::size_t i = 0; i < buf.size(); i++)
         saw1 |= buf[i].state[0] == 1.0f;
@@ -58,9 +59,9 @@ TEST(ReplayBuffer, RingOverwritesOldest)
 TEST(ReplayBuffer, DedupDropsIdentical)
 {
     ReplayBuffer buf(10, true);
-    EXPECT_TRUE(buf.add(exp1(1, 0, 0.5f, 2)));
-    EXPECT_FALSE(buf.add(exp1(1, 0, 0.5f, 2)));
-    EXPECT_TRUE(buf.add(exp1(1, 1, 0.5f, 2))); // different action
+    EXPECT_TRUE(add1(buf, 1, 0, 0.5f, 2));
+    EXPECT_FALSE(add1(buf, 1, 0, 0.5f, 2));
+    EXPECT_TRUE(add1(buf, 1, 1, 0.5f, 2)); // different action
     EXPECT_EQ(buf.size(), 2u);
     EXPECT_EQ(buf.duplicatesDropped(), 1u);
 }
@@ -68,23 +69,24 @@ TEST(ReplayBuffer, DedupDropsIdentical)
 TEST(ReplayBuffer, DedupAllowsReinsertAfterEviction)
 {
     ReplayBuffer buf(2, true);
-    buf.add(exp1(1, 0, 0, 0));
-    buf.add(exp1(2, 0, 0, 0));
-    buf.add(exp1(3, 0, 0, 0)); // evicts "1"
-    EXPECT_TRUE(buf.add(exp1(1, 0, 0, 0)));
+    add1(buf, 1, 0, 0, 0);
+    add1(buf, 2, 0, 0, 0);
+    add1(buf, 3, 0, 0, 0); // evicts "1"
+    EXPECT_TRUE(add1(buf, 1, 0, 0, 0));
 }
 
 TEST(ReplayBuffer, SampleCoversEntries)
 {
     ReplayBuffer buf(8, false);
     for (int i = 0; i < 8; i++)
-        buf.add(exp1(static_cast<float>(i), 0, 0, 0));
+        add1(buf, static_cast<float>(i), 0, 0, 0);
     Pcg32 rng(3);
-    auto batch = buf.sample(1000, rng);
+    std::vector<std::size_t> batch;
+    buf.sampleIndices(1000, rng, batch);
     EXPECT_EQ(batch.size(), 1000u);
     std::set<float> seen;
-    for (auto *e : batch)
-        seen.insert(e->state[0]);
+    for (const std::size_t i : batch)
+        seen.insert(buf[i].state[0]);
     EXPECT_EQ(seen.size(), 8u);
 }
 
@@ -92,7 +94,9 @@ TEST(ReplayBuffer, SampleEmptyReturnsNothing)
 {
     ReplayBuffer buf(8, false);
     Pcg32 rng(3);
-    EXPECT_TRUE(buf.sample(10, rng).empty());
+    std::vector<std::size_t> batch = {7};
+    buf.sampleIndices(10, rng, batch);
+    EXPECT_TRUE(batch.empty());
 }
 
 // --------------------------- CategoricalSupport ----------------------
@@ -197,7 +201,7 @@ banditConfig()
     cfg.trainEvery = 64;
     cfg.targetSyncEvery = 64;
     cfg.batchSize = 32;
-    cfg.epsilon = 0.2;
+    cfg.exploration.epsilon = 0.2;
     cfg.dedupBuffer = false;
     return cfg;
 }
@@ -215,7 +219,7 @@ TEST(C51Agent, LearnsContextualBandit)
         float reward =
             (a == static_cast<std::uint32_t>(s)) ? 0.1f : 1.0f;
         // best action for state s is 1-s
-        agent.observe({state, a, reward, state});
+        agent.observe(state, a, reward, state);
     }
     EXPECT_EQ(agent.greedyAction({0.0f}), 1u);
     EXPECT_EQ(agent.greedyAction({1.0f}), 0u);
@@ -226,7 +230,7 @@ TEST(C51Agent, LearnsContextualBandit)
 TEST(C51Agent, EpsilonZeroIsDeterministic)
 {
     auto cfg = banditConfig();
-    cfg.epsilon = 0.0;
+    cfg.exploration.epsilon = 0.0;
     C51Agent agent(cfg);
     auto first = agent.selectAction({0.5f});
     for (int i = 0; i < 50; i++)
@@ -237,7 +241,7 @@ TEST(C51Agent, EpsilonZeroIsDeterministic)
 TEST(C51Agent, EpsilonOneAlwaysExplores)
 {
     auto cfg = banditConfig();
-    cfg.epsilon = 1.0;
+    cfg.exploration.epsilon = 1.0;
     C51Agent agent(cfg);
     for (int i = 0; i < 200; i++)
         agent.selectAction({0.5f});
@@ -254,7 +258,7 @@ TEST(C51Agent, TrainingCadenceAndSyncs)
     Pcg32 rng(1);
     for (int i = 0; i < 128; i++) {
         ml::Vector s = {static_cast<float>(rng.nextDouble())};
-        agent.observe({s, 0, 0.5f, s});
+        agent.observe(s, 0, 0.5f, s);
     }
     EXPECT_EQ(agent.stats().trainingRounds, 4u); // at 32,64,96,128
     EXPECT_EQ(agent.stats().weightSyncs, 2u);    // at 64,128
@@ -266,7 +270,7 @@ TEST(C51Agent, SyncMakesInferenceMatchTraining)
     Pcg32 rng(1);
     for (int i = 0; i < 300; i++) {
         ml::Vector s = {static_cast<float>(rng.nextDouble())};
-        agent.observe({s, rng.nextBounded(2), 0.5f, s});
+        agent.observe(s, rng.nextBounded(2), 0.5f, s);
     }
     // Drift the training net, then sync: outputs must match.
     agent.trainRound();
@@ -301,25 +305,18 @@ TEST(C51Agent, SetLearningRatePropagates)
 TEST(PrioritizedReplay, NewEntriesGetMaxPriority)
 {
     ReplayBuffer buf(8, /*dedup=*/false);
-    Experience e;
-    e.state = {0.1f};
-    e.nextState = {0.1f};
-    buf.add(e);
+    add1(buf, 0.1f, 0, 0.0f, 0.1f);
     EXPECT_FLOAT_EQ(buf.priority(0), 1.0f);
     buf.setPriority(0, 5.0f);
-    buf.add(e); // inherits new max
+    add1(buf, 0.1f, 0, 0.0f, 0.1f); // inherits new max
     EXPECT_FLOAT_EQ(buf.priority(1), 5.0f);
 }
 
 TEST(PrioritizedReplay, SamplingFollowsPriorities)
 {
     ReplayBuffer buf(4, /*dedup=*/false);
-    for (int i = 0; i < 4; i++) {
-        Experience e;
-        e.state = {static_cast<float>(i)};
-        e.nextState = {0.0f};
-        buf.add(e);
-    }
+    for (int i = 0; i < 4; i++)
+        add1(buf, static_cast<float>(i), 0, 0.0f, 0.0f);
     buf.setPriority(0, 100.0f);
     buf.setPriority(1, 0.001f);
     buf.setPriority(2, 0.001f);
@@ -335,12 +332,8 @@ TEST(PrioritizedReplay, SamplingFollowsPriorities)
 TEST(PrioritizedReplay, AlphaZeroIsUniform)
 {
     ReplayBuffer buf(4, /*dedup=*/false);
-    for (int i = 0; i < 4; i++) {
-        Experience e;
-        e.state = {static_cast<float>(i)};
-        e.nextState = {0.0f};
-        buf.add(e);
-    }
+    for (int i = 0; i < 4; i++)
+        add1(buf, static_cast<float>(i), 0, 0.0f, 0.0f);
     buf.setPriority(0, 1000.0f);
     Pcg32 rng(9);
     const auto idx = drawPrioritized(buf, 4000, rng, 0.0);
@@ -354,30 +347,28 @@ TEST(PrioritizedReplay, AlphaZeroIsUniform)
 TEST(PrioritizedReplay, ImportanceWeightsBounded)
 {
     ReplayBuffer buf(8, /*dedup=*/false);
+    std::vector<std::size_t> all;
     for (int i = 0; i < 8; i++) {
-        Experience e;
-        e.state = {static_cast<float>(i)};
-        e.nextState = {0.0f};
-        buf.add(e);
+        add1(buf, static_cast<float>(i), 0, 0.0f, 0.0f);
         buf.setPriority(static_cast<std::size_t>(i),
                         0.1f * static_cast<float>(i + 1));
+        all.push_back(static_cast<std::size_t>(i));
     }
-    for (std::size_t i = 0; i < 8; i++) {
-        const double w = buf.importanceWeight(i, 0.6, 0.4);
-        EXPECT_GT(w, 0.0);
-        EXPECT_LE(w, 1.0 + 1e-9);
+    std::vector<double> w;
+    buf.importanceWeights(all, 0.6, 0.4, w);
+    ASSERT_EQ(w.size(), 8u);
+    for (const double wi : w) {
+        EXPECT_GT(wi, 0.0);
+        EXPECT_LE(wi, 1.0 + 1e-9);
     }
     // The rarest (lowest-priority) entry carries the largest weight.
-    EXPECT_NEAR(buf.importanceWeight(0, 0.6, 0.4), 1.0, 1e-9);
+    EXPECT_NEAR(w[0], 1.0, 1e-9);
 }
 
 TEST(PrioritizedReplay, SetPriorityFloorsAtPositive)
 {
     ReplayBuffer buf(2, false);
-    Experience e;
-    e.state = {0.0f};
-    e.nextState = {0.0f};
-    buf.add(e);
+    add1(buf, 0.0f, 0, 0.0f, 0.0f);
     buf.setPriority(0, 0.0f);
     EXPECT_GT(buf.priority(0), 0.0f);
 }

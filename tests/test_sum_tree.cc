@@ -21,15 +21,11 @@ namespace sibyl::rl
 namespace
 {
 
-Experience
-makeExp(float tag)
+/** Add a distinct transition derived from @p tag to @p buf. */
+void
+addTagged(ReplayBuffer &buf, float tag)
 {
-    Experience e;
-    e.state = {tag, tag + 0.5f};
-    e.nextState = {tag + 1.0f, tag + 1.5f};
-    e.action = 0;
-    e.reward = tag;
-    return e;
+    buf.add({tag, tag + 0.5f}, 0, tag, {tag + 1.0f, tag + 1.5f});
 }
 
 /** Draw @p n prioritized samples into a fresh vector. */
@@ -146,7 +142,7 @@ TEST(PrioritizedSumTree, MatchesPrefixSumDistribution)
     const std::vector<float> prios = {0.2f, 1.0f, 3.0f, 0.5f,
                                       2.0f, 0.1f, 4.0f, 1.5f};
     for (std::size_t i = 0; i < prios.size(); i++)
-        buf.add(makeExp(static_cast<float>(i)));
+        addTagged(buf, static_cast<float>(i));
     for (std::size_t i = 0; i < prios.size(); i++)
         buf.setPriority(i, prios[i]);
 
@@ -183,7 +179,7 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 {
     ReplayBuffer buf(4, /*dedup=*/false);
     for (int i = 0; i < 4; i++)
-        buf.add(makeExp(static_cast<float>(i)));
+        addTagged(buf, static_cast<float>(i));
 
     Pcg32 rng(7);
     // Prime the tree under alpha=1, then shift all mass to entry 3.
@@ -207,14 +203,14 @@ TEST(PrioritizedSumTree, SetPriorityPropagatesToSampling)
 TEST(PrioritizedSumTree, RingOverwriteUpdatesTree)
 {
     ReplayBuffer buf(2, /*dedup=*/false);
-    buf.add(makeExp(0.0f));
-    buf.add(makeExp(1.0f));
+    addTagged(buf, 0.0f);
+    addTagged(buf, 1.0f);
     Pcg32 rng(9);
     drawPrioritized(buf, 1, rng, 1.0); // key the tree
     buf.setPriority(0, 1e-6f);
     buf.setPriority(1, 1e-6f);
     // Overwrites slot 0 with a fresh max-priority (1.0) entry.
-    buf.add(makeExp(2.0f));
+    addTagged(buf, 2.0f);
     const auto draws = drawPrioritized(buf, 1000, rng, 1.0);
     std::size_t hits = 0;
     for (std::size_t i : draws)
@@ -226,7 +222,7 @@ TEST(PrioritizedSumTree, AlphaSwitchRekeysTree)
 {
     ReplayBuffer buf(4, /*dedup=*/false);
     for (int i = 0; i < 4; i++)
-        buf.add(makeExp(static_cast<float>(i)));
+        addTagged(buf, static_cast<float>(i));
     buf.setPriority(0, 100.0f);
 
     Pcg32 rng(11);
@@ -258,7 +254,7 @@ TEST(PrioritizedSumTree, ImportanceWeightMatchesBruteForce)
     std::vector<float> prios;
     Pcg32 rng(31);
     for (int i = 0; i < 16; i++) {
-        buf.add(makeExp(static_cast<float>(i)));
+        addTagged(buf, static_cast<float>(i));
         prios.push_back(static_cast<float>(rng.nextDouble(0.01, 5.0)));
     }
     for (std::size_t i = 0; i < prios.size(); i++)
@@ -272,20 +268,25 @@ TEST(PrioritizedSumTree, ImportanceWeightMatchesBruteForce)
         minProb = std::min(minProb, pj);
     }
     const double n = 16.0;
+    std::vector<std::size_t> all(prios.size());
+    for (std::size_t i = 0; i < all.size(); i++)
+        all[i] = i;
+    std::vector<double> w;
+    buf.importanceWeights(all, alpha, beta, w);
+    ASSERT_EQ(w.size(), prios.size());
     for (std::size_t i = 0; i < prios.size(); i++) {
         const double probI =
             (std::pow(static_cast<double>(prios[i]), alpha) + 1e-8) /
             total;
         const double expected = std::pow(n * probI, -beta) /
                                 std::pow(n * (minProb / total), -beta);
-        EXPECT_NEAR(buf.importanceWeight(i, alpha, beta), expected,
-                    1e-9 * std::max(1.0, expected));
+        EXPECT_NEAR(w[i], expected, 1e-9 * std::max(1.0, expected));
     }
 
     // After a priority update the aggregates must refresh.
     buf.setPriority(5, 0.001f);
-    const double w = buf.importanceWeight(5, alpha, beta);
-    EXPECT_NEAR(w, 1.0, 1e-9); // rarest entry carries the max weight
+    buf.importanceWeights({5}, alpha, beta, w);
+    EXPECT_NEAR(w[0], 1.0, 1e-9); // rarest entry carries the max weight
 }
 
 } // namespace
