@@ -34,6 +34,7 @@ StateEncoder::encodeInto(const hss::HybridSystem &sys,
     out.assign(dim_, 0.0f);
     ml::Vector &obs = out;
     std::uint32_t i = 0;
+    const hss::PageFeatures page = sys.pageFeatures(req.page);
 
     // size_t: request size in pages, log-binned into 8 bins.
     obs[i++] = (cfg_.mask & kFeatSize)
@@ -47,14 +48,12 @@ StateEncoder::encodeInto(const hss::HybridSystem &sys,
 
     // intr_t: page accesses since last reference, 64 log bins.
     obs[i++] = (cfg_.mask & kFeatInterval)
-        ? static_cast<float>(
-              intervalBinner_.normalized(sys.accessInterval(req.page)))
+        ? static_cast<float>(intervalBinner_.normalized(page.accessInterval))
         : 0.0f;
 
     // cnt_t: total accesses to the page, 64 log bins.
     obs[i++] = (cfg_.mask & kFeatCount)
-        ? static_cast<float>(
-              countBinner_.normalized(sys.accessCount(req.page)))
+        ? static_cast<float>(countBinner_.normalized(page.accessCount))
         : 0.0f;
 
     // cap_t: remaining capacity of the fast device, 8 linear bins.
@@ -65,7 +64,7 @@ StateEncoder::encodeInto(const hss::HybridSystem &sys,
     // curr_t: current placement, normalized device index; unmapped pages
     // read as "slowest" (that is where a cold read would find them).
     if (cfg_.mask & kFeatCurrent) {
-        DeviceId cur = sys.placement(req.page);
+        DeviceId cur = page.placement;
         if (cur == kNoDevice)
             cur = numDevices_ - 1;
         obs[i++] = numDevices_ > 1

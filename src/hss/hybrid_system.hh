@@ -128,6 +128,13 @@ class HybridSystem
     /** Current placement of @p page (curr_t), kNoDevice if unmapped. */
     DeviceId placement(PageId page) const;
 
+    /** placement(), accessCount() and accessInterval() of @p page from
+     *  one metadata probe. */
+    PageFeatures pageFeatures(PageId page) const
+    {
+        return meta_.features(page);
+    }
+
     /** Remaining capacity fraction of @p dev in [0,1] (cap_t). */
     double freeFraction(DeviceId dev) const;
 

@@ -184,17 +184,24 @@ FlatPageMetaTable::placement(PageId page) const
 std::uint64_t
 FlatPageMetaTable::accessCount(PageId page) const
 {
-    const std::uint32_t i = find(page);
-    return i == kNil ? 0 : slots_[i].accessCount;
+    return features(page).accessCount;
 }
 
 std::uint64_t
 FlatPageMetaTable::accessInterval(PageId page) const
 {
+    return features(page).accessInterval;
+}
+
+PageFeatures
+FlatPageMetaTable::features(PageId page) const
+{
     const std::uint32_t i = find(page);
-    if (i == kNil || slots_[i].accessCount == 0)
-        return tick_;
-    return tick_ - slots_[i].lastAccessTick;
+    if (i == kNil)
+        return {kNoDevice, 0, tick_};
+    const Slot &s = slots_[i];
+    return {s.placement, s.accessCount,
+            s.accessCount == 0 ? tick_ : tick_ - s.lastAccessTick};
 }
 
 void

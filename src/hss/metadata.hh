@@ -29,6 +29,14 @@
 namespace sibyl::hss
 {
 
+/** A page's placement and reuse counters, read by one probe. */
+struct PageFeatures
+{
+    DeviceId placement = kNoDevice;   ///< see placement()
+    std::uint64_t accessCount = 0;    ///< see accessCount()
+    std::uint64_t accessInterval = 0; ///< see accessInterval()
+};
+
 /**
  * Flat open-addressed mapping table with an intrusive, index-linked
  * LRU per device (see file header).
@@ -70,6 +78,10 @@ class FlatPageMetaTable
      * current tick for pages never seen (i.e., "infinite" interval).
      */
     std::uint64_t accessInterval(PageId page) const;
+
+    /** placement(), accessCount() and accessInterval() of @p page from
+     *  one probe. */
+    PageFeatures features(PageId page) const;
 
     /** Record one access to @p page (bumps count, tick, and recency). */
     void recordAccess(PageId page);

@@ -413,7 +413,7 @@ softmaxLanes(float *v, std::size_t n)
 }
 
 template void softmaxLanes<2>(float *v, std::size_t n);
-template void softmaxLanes<8>(float *v, std::size_t n);
+template void softmaxLanes<kSoftmaxLanes>(float *v, std::size_t n);
 
 void
 softmax(float *v, std::size_t n)
@@ -471,7 +471,22 @@ using LogF = simd::Vec<kLogLanes>;
 using LogI = simd::VecOf<kLogLanes>::Int;
 typedef std::uint32_t LogU
     __attribute__((vector_size(kLogLanes * sizeof(float))));
+typedef std::uint64_t LogQ
+    __attribute__((vector_size(kLogLanes * sizeof(double))));
 typedef double LogD __attribute__((vector_size(kLogLanes * sizeof(double))));
+
+/**
+ * 64-bit lanes whose low and high halves are @p lo and @p hi. One
+ * interleaving shuffle (vpmovzxdq against zeros): GCC 12 splits the
+ * 8 x 32 to 8 x 64-bit __builtin_convertvector forms into halves.
+ */
+[[gnu::always_inline]] inline LogQ
+widen(LogU lo, LogU hi)
+{
+    return __builtin_bit_cast(
+        LogQ, __builtin_shufflevector(lo, hi, 0, 8, 1, 9, 2, 10, 3, 11, 4, 12,
+                                      5, 13, 6, 14, 7, 15));
+}
 
 /** Table entry @p idx of each lane. With AVX-512 the 16 entries fill
  *  two registers and one two-source permute (vpermt2pd) picks them;
@@ -485,7 +500,8 @@ logTable(const double *tab, LogU idx)
     LogD lo, hi;
     std::memcpy(&lo, tab, sizeof(lo));
     std::memcpy(&hi, tab + kLogLanes, sizeof(hi));
-    return __builtin_shuffle(lo, hi, __builtin_convertvector(idx, Idx));
+    return __builtin_shuffle(lo, hi,
+                             __builtin_bit_cast(Idx, widen(idx, LogU{})));
 #else
     LogD r;
     for (std::size_t l = 0; l < kLogLanes; l++)
@@ -494,20 +510,30 @@ logTable(const double *tab, LogU idx)
 #endif
 }
 
-/** logf of each lane that is a positive normal finite float; other
- *  lanes get garbage. */
+/**
+ * logf of each lane that is a positive normal finite float; other
+ * lanes get garbage. The doubles come from the float bits by integer
+ * operations, which give exactly the conversions' values: z, a
+ * positive normal float, widens to the double with the same mantissa
+ * and its exponent rebased by 1023 - 127; the integer k becomes
+ * 2^52 + 2^31 + k (its bits after 0x43300000) less 2^52 + 2^31.
+ */
 [[gnu::always_inline]] inline LogF
 logfLanes(LogF x)
 {
     const LogU ix = __builtin_bit_cast(LogU, x);
     const LogU tmp = ix - kLogOff;
     const LogU idx = (tmp >> 19) & 15u;
-    const LogI k = __builtin_bit_cast(LogI, tmp) >> 23; // arithmetic
     const LogU iz = ix - (tmp & 0xff800000u);
-    const LogD z = __builtin_convertvector(__builtin_bit_cast(LogF, iz), LogD);
+    const LogD z = __builtin_bit_cast(
+        LogD, (widen(iz, LogU{}) << 29) + 0x3800000000000000ull);
+    const LogI k = __builtin_bit_cast(LogI, tmp) >> 23; // arithmetic
+    const LogU kBiased = __builtin_bit_cast(LogU, k) ^ 0x80000000u;
+    const LogD kd = __builtin_bit_cast(
+                        LogD, widen(kBiased, LogU{} + 0x43300000u)) -
+        0x1.000008p52;
     const LogD r = z * logTable(kLogInvc, idx) - 1.0;
-    const LogD y0 =
-        logTable(kLogLogc, idx) + __builtin_convertvector(k, LogD) * kLogLn2;
+    const LogD y0 = logTable(kLogLogc, idx) + kd * kLogLn2;
     const LogD r2 = r * r;
     LogD y = kLogA1 * r + kLogA2;
     y = kLogA0 * r2 + y;
@@ -515,20 +541,36 @@ logfLanes(LogF x)
     return __builtin_convertvector(y, LogF);
 }
 
-/** One kLogLanes step of logSpan(): lanes that are not positive normal
- *  finite floats (zeros, negatives, subnormals, Inf, NaN) take libm's
- *  own logf, so their bits — NaN payloads included — are libm's. */
-[[gnu::always_inline]] inline LogF
-logStep(LogF x)
+/** Lanes of @p x that logfLanes() does not cover: zeros, negatives,
+ *  subnormals, Inf and NaN. */
+[[gnu::always_inline]] inline LogI
+specialLanes(LogF x)
 {
-    LogF y = logfLanes(x);
-    const LogI special =
-        __builtin_bit_cast(LogU, x) - 0x00800000u >= 0x7f000000u;
+    return __builtin_bit_cast(LogU, x) - 0x00800000u >= 0x7f000000u;
+}
+
+/** One step of logSpan() over V vectors of kLogLanes floats, with one
+ *  test for special lanes, which take libm's own logf, so their bits —
+ *  NaN payloads included — are libm's. Loads every input before it
+ *  stores, so @p out may alias @p in. */
+template <std::size_t V>
+[[gnu::always_inline]] inline void
+logStep(const LogF *in, LogF *out)
+{
+    LogF x[V], y[V];
+    LogI special = LogI{};
+    for (std::size_t v = 0; v < V; v++) {
+        x[v] = in[v];
+        y[v] = logfLanes(x[v]);
+        special |= specialLanes(x[v]);
+    }
     if (simd::anyLane(special))
-        for (std::size_t l = 0; l < kLogLanes; l++)
-            if (special[l])
-                y[l] = std::log(x[l]);
-    return y;
+        for (std::size_t v = 0; v < V; v++)
+            for (std::size_t l = 0; l < kLogLanes; l++)
+                if (specialLanes(x[v])[l])
+                    y[v][l] = std::log(x[v][l]);
+    for (std::size_t v = 0; v < V; v++)
+        out[v] = y[v];
 }
 
 } // namespace
@@ -536,15 +578,28 @@ logStep(LogF x)
 SIBYL_KERNEL_CLONES void
 logSpan(const float *in, float *out, std::size_t n)
 {
+    // Two vectors per step: the special-lane test costs as much as a
+    // third of a vector's log, and a step of two pays it once.
     constexpr std::size_t W = kLogLanes;
     using simd::vecAt;
     std::size_t i = 0;
-    for (; i + W <= n; i += W)
-        vecAt<W>(out + i) = logStep(vecAt<W>(in + i));
+    for (; i + 2 * W <= n; i += 2 * W) {
+        LogF x[2], y[2];
+        x[0] = vecAt<W>(in + i);
+        x[1] = vecAt<W>(in + i + W);
+        logStep<2>(x, y);
+        vecAt<W>(out + i) = y[0];
+        vecAt<W>(out + i + W) = y[1];
+    }
+    for (; i + W <= n; i += W) {
+        LogF x = vecAt<W>(in + i), y;
+        logStep<1>(&x, &y);
+        vecAt<W>(out + i) = y;
+    }
     if (i < n) { // a ragged tail, padded with ones
-        LogF x = LogF{} + 1.0f;
+        LogF x = LogF{} + 1.0f, y;
         std::memcpy(&x, in + i, (n - i) * sizeof(float));
-        const LogF y = logStep(x);
+        logStep<1>(&x, &y);
         std::memcpy(out + i, &y, (n - i) * sizeof(float));
     }
 }

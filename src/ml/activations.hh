@@ -80,9 +80,15 @@ void softmax(Vector &v);
 /** In-place softmax over a raw span (batched C51 head groups). */
 void softmax(float *v, std::size_t n);
 
-/** Lane count of the training-side softmaxLanes() calls: eight rows
- *  per call. */
+/** Lane count of the training-side softmaxLanes() calls and of
+ *  LaneGroups (matrix.hh): one native vector, 16 rows per call with
+ *  AVX-512F and 8 otherwise. Lanes are independent, so the count
+ *  never changes a result bit. */
+#if defined(__AVX512F__)
+constexpr std::size_t kSoftmaxLanes = 16;
+#else
 constexpr std::size_t kSoftmaxLanes = 8;
+#endif
 
 /**
  * Softmax of L groups of @p n elements at once, stored interleaved:
@@ -92,18 +98,18 @@ constexpr std::size_t kSoftmaxLanes = 8;
  * of the L groups overlap in the lanes of one vector. The maximum, the
  * exp and the division run on native-width vectors holding several
  * elements of every group; the maximum is a tree, which finds the
- * same value (see activations.cc). Instantiated for L = 2 and 8: the
- * C51 decision decode puts one row's actions across 2 lanes, the
- * training head eight rows.
+ * same value (see activations.cc). Instantiated for L = 2 and
+ * kSoftmaxLanes: the C51 decision decode puts one row's actions across
+ * 2 lanes, the training head kSoftmaxLanes rows or predictions.
  */
 template <std::size_t L>
 void softmaxLanes(float *v, std::size_t n);
 
 /**
  * Natural log over a span: out[i] = std::log(in[i]) for i in [0, n),
- * with the exact bits of glibc's logf (glibc >= 2.28), eight lanes at a
- * time. May alias. The C51 loss takes the log-probabilities of a
- * whole training batch in one call.
+ * with the exact bits of glibc's logf (glibc >= 2.28), two vectors of
+ * eight lanes at a time. May alias. The C51 loss takes the
+ * log-probabilities of a whole training batch in one call.
  */
 void logSpan(const float *in, float *out, std::size_t n);
 

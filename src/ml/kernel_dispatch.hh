@@ -13,17 +13,22 @@
  * operations within one. That covers every lane layout in use — output
  * columns across lanes (the matmulAdd register tile, the wide
  * weight-gradient tile, the fused row tile of Matrix::denseRow with its
- * bias and activation, the C51 projection geometry over atoms), output
- * rows across lanes (the narrow weight-gradient tile, the training-side
- * softmaxLanes), actions across lanes (the C51 decision decode's
- * softmaxLanes and expectation, two actions at a time), and elements
- * across lanes (logSpan, eight per step, its double arithmetic and
- * table lookup on whatever vector registers the target has). The
- * same argument fixes the lane count of the register tiles (simd.hh's
- * kLanes): one native vector of the compile target, 16 when it has
- * AVX-512F and 8 otherwise (portable builds and their AVX2 clones); a
- * row narrower than one vector runs on 8 or 4 lanes instead. The
- * explicit GCC vector types some kernels use are lane-wise IEEE
+ * bias and activation), output rows across lanes (the narrow
+ * weight-gradient tile, the training-side softmaxLanes, the C51 target
+ * projection, CategoricalSupport::projectLanes), (row, action)
+ * predictions across lanes (the C51 training output layer,
+ * Matrix::denseLanes: each lane one prediction's outputs in
+ * matmulAdd's order, written lane-major straight into the layout the
+ * training-side softmaxLanes reads), actions across lanes (the C51
+ * decision decode's softmaxLanes and expectation, two actions at a
+ * time), and elements across lanes (logSpan, eight per vector, its
+ * double arithmetic and table lookup on whatever vector registers the
+ * target has). The same argument fixes the lane count of the register
+ * tiles (simd.hh's kLanes) and of the training-side lane groups
+ * (kSoftmaxLanes): one native vector of the compile target, 16 when it
+ * has AVX-512F and 8 otherwise (portable builds and their AVX2
+ * clones); a row narrower than one vector runs on 8 or 4 lanes
+ * instead. The explicit GCC vector types some kernels use are lane-wise IEEE
  * operations too, lowered to SSE pairs on baseline x86-64. And
  * target("avx2") does not enable FMA contraction (the clone has no
  * instruction that could fuse; the whole repo additionally builds with

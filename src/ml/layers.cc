@@ -3,9 +3,33 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 namespace sibyl::ml
 {
+
+namespace
+{
+
+/** Whether no element of @p m is Inf or NaN. */
+bool
+allFinite(const Matrix &m)
+{
+    std::uint32_t special = 0;
+    for (std::size_t i = 0; i < m.size(); i++) {
+        std::uint32_t u;
+        std::memcpy(&u, m.data() + i, sizeof u);
+        special |= (~u & 0x7f800000u) == 0;
+    }
+    return special == 0;
+}
+
+/** rowSeg_ values besides a segment index. */
+constexpr std::uint32_t kNoSegment = ~0u;
+constexpr std::uint32_t kAllSegments = ~0u - 1;
+
+} // namespace
 
 DenseLayer::DenseLayer(std::size_t inSize, std::size_t outSize,
                        Activation act)
@@ -81,6 +105,7 @@ DenseLayer::forward(const Matrix &in, Matrix &out)
     assert(in.cols() == inSize());
     const std::size_t batch = in.rows();
     lastInBatch_ = &in;
+    lastGroups_ = nullptr;
 
     forwardPreAct(in);
     out.resize(batch, outSize());
@@ -98,8 +123,23 @@ DenseLayer::forwardInfer(const Matrix &in, Matrix &out)
     // input makes a stray backward() trip its assert instead of
     // silently reading stale or mis-sized buffers.
     lastInBatch_ = nullptr;
+    lastGroups_ = nullptr;
     forwardPreAct(in);
     activate(act_, preActM_, out);
+}
+
+void
+DenseLayer::forwardLanes(const Matrix &in, const LaneGroups &g, float *out)
+{
+    assert(in.cols() == inSize());
+    assert(g.width > 0 && outSize() % g.width == 0);
+    if (act_ != Activation::Identity)
+        throw std::logic_error(
+            "DenseLayer: lane slices need the identity activation");
+    laneX_.resize(inSize() * kSoftmaxLanes);
+    weights_.denseLanes(in, bias_.data(), g, laneX_.data(), out);
+    lastInBatch_ = &in;
+    lastGroups_ = &g;
 }
 
 void
@@ -141,29 +181,81 @@ DenseLayer::backward(const Matrix &gradOut, Matrix &gradIn,
     assert(gradOut.cols() == outSize());
     assert(lastInBatch_ != nullptr &&
            gradOut.rows() == lastInBatch_->rows() &&
-           gradOut.rows() == preActM_.rows() &&
            "batched forward() must precede batched backward()");
 
     // delta = gradOut .* f'(preAct), whole batch in one fused pass,
-    // reusing the forward pass's cached transcendentals.
-    deltaM_.resize(gradOut.rows(), gradOut.cols());
-    activateGradMulAux(act_, preActM_.data(), auxM_.data(), gradOut.data(),
-                       deltaM_.data(), gradOut.size());
+    // reusing the forward pass's cached transcendentals; the identity's
+    // delta is gradOut itself.
+    const Matrix *delta = &gradOut;
+    if (act_ != Activation::Identity) {
+        assert(gradOut.rows() == preActM_.rows());
+        deltaM_.resize(gradOut.rows(), gradOut.cols());
+        activateGradMulAux(act_, preActM_.data(), auxM_.data(),
+                           gradOut.data(), deltaM_.data(), gradOut.size());
+        delta = &deltaM_;
+    }
 
-    // gradW += delta^T * lastIn; gradB += column sums of delta.
-    deltaM_.transposedMatmulAdd(*lastInBatch_, gradW_, 1.0f);
+    // gradB += column sums of delta.
     const std::size_t outN = outSize();
     float *__restrict gb = gradB_.data();
-    for (std::size_t r = 0; r < deltaM_.rows(); r++) {
-        const float *__restrict drow = deltaM_.row(r);
+    for (std::size_t r = 0; r < delta->rows(); r++) {
+        const float *__restrict drow = delta->row(r);
 #pragma GCC ivdep
         for (std::size_t c = 0; c < outN; c++)
             gb[c] += drow[c];
     }
 
-    // gradIn = delta * W.
-    if (computeGradIn)
-        deltaM_.matmul(weights_, gradIn);
+    // gradW += delta^T * lastIn; gradIn = delta * W.
+    delta->transposedMatmulAdd(*lastInBatch_, gradW_, 1.0f);
+    if (!computeGradIn)
+        return;
+    if (lastGroups_)
+        gradInLanes(*delta, gradIn);
+    else
+        delta->matmul(weights_, gradIn);
+}
+
+void
+DenseLayer::gradInLanes(const Matrix &delta, Matrix &gradIn)
+{
+    // Outside the groups' slices delta is +-0, and gradIn never holds
+    // -0 (it starts at +0, and a sum is -0 only when both terms are),
+    // so a skipped reduction group — every delta entry zero — would
+    // have added a +-0 term that changes nothing. That holds while the
+    // skipped products' weights are finite: a zero times Inf or NaN is
+    // NaN, so a non-finite weight takes the dense kernel and its bits.
+    if (inSize() < 5 || !allFinite(weights_)) {
+        delta.matmul(weights_, gradIn);
+        return;
+    }
+    const LaneGroups &g = *lastGroups_;
+    const std::size_t rows = delta.rows();
+    const std::size_t width = g.width;
+    const std::size_t segments = outSize() / width;
+    rowSeg_.assign(rows, kNoSegment);
+    for (std::size_t grp = 0; grp < g.size(); grp++) {
+        const std::uint32_t s = g.seg[grp];
+        for (std::size_t l = 0; l < kSoftmaxLanes; l++) {
+            std::uint32_t &rs = rowSeg_[g.rows[grp * kSoftmaxLanes + l]];
+            rs = rs == kNoSegment || rs == s ? s : kAllSegments;
+        }
+    }
+
+    // Rows grouped by segment: a one-segment row sums only the
+    // reduction groups over its own columns.
+    gradIn.resize(rows, inSize());
+    gradIn.fill(0.0f);
+    for (std::uint32_t s = 0; s <= segments; s++) {
+        const std::uint32_t key = s < segments ? s : kAllSegments;
+        rowList_.clear();
+        for (std::size_t r = 0; r < rows; r++)
+            if (rowSeg_[r] == key)
+                rowList_.push_back(static_cast<std::uint32_t>(r));
+        const std::size_t k0 = s < segments ? s * width : 0;
+        const std::size_t k1 = s < segments ? k0 + width : outSize();
+        delta.matmulAddRows(weights_, gradIn, rowList_.data(),
+                            rowList_.size(), k0, k1);
+    }
 }
 
 void
@@ -173,6 +265,8 @@ DenseLayer::reserveBatch(std::size_t rows, bool backward)
     if (backward) {
         auxM_.reserve(rows, outSize());
         deltaM_.reserve(rows, outSize());
+        rowSeg_.reserve(rows);
+        rowList_.reserve(rows);
     }
 }
 

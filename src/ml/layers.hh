@@ -89,6 +89,20 @@ class DenseLayer
     void forwardInfer(const Matrix &in, Matrix &out);
 
     /**
+     * Batched forward that computes only the slices of @p g: each
+     * group's columns of its rows, lane-major into @p out (see
+     * LaneGroups and Matrix::denseLanes), every element with the bits
+     * forward(Matrix) gives it. Only for the identity activation (a
+     * network's output layer): @throws std::logic_error otherwise.
+     * The next backward() then skips, exactly, the input-gradient
+     * reduction groups whose gradient is zero because they lie outside
+     * @p g's slices — the caller's gradOut must be zero there. Keeps
+     * pointers to @p in and @p g, which must stay alive and unchanged
+     * until backward() returns or the next forward.
+     */
+    void forwardLanes(const Matrix &in, const LaneGroups &g, float *out);
+
+    /**
      * Batched backward for the cached minibatch: @p gradOut is
      * (batch x outSize); accumulates gradW/gradB summed over the batch
      * (same semantics as calling the per-sample backward once per row)
@@ -135,6 +149,11 @@ class DenseLayer
     /** Rebuild the cached W^T if weights changed since the last use. */
     void ensureWeightsT();
 
+    /** backward()'s input gradient after forwardLanes(): the dense
+     *  kernel's bits, each row skipping the reduction groups that lie
+     *  outside its segments. */
+    void gradInLanes(const Matrix &delta, Matrix &gradIn);
+
     Matrix weights_;
     Vector bias_;
     Matrix gradW_;
@@ -148,11 +167,17 @@ class DenseLayer
 
     // Batched-path caches and scratch (reused across training batches).
     const Matrix *lastInBatch_ = nullptr; // see forward(Matrix) warning
+    const LaneGroups *lastGroups_ = nullptr; // set by forwardLanes()
     Matrix preActM_;
     Matrix auxM_; // forward transcendentals reused by backward
     Matrix deltaM_;
     Matrix weightsT_;          // cached W^T for the batched GEMM
     bool weightsTStale_ = true;
+    // Lane-path scratch: one group's X^T, each batch row's segment,
+    // and row lists of the skipping kernel.
+    Vector laneX_;
+    std::vector<std::uint32_t> rowSeg_;
+    std::vector<std::uint32_t> rowList_;
 };
 
 } // namespace sibyl::ml

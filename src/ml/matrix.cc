@@ -77,44 +77,61 @@ using simd::Vec;
 using simd::vecAt;
 
 /**
- * Register tile of matmulAdd() for n >= 5: R output rows x J L-lane
- * j-vectors, held in registers across the whole reduction. Each
- * element keeps the documented order (see Matrix::matmulAdd): its
- * initial value, one add per k-group of eight (a zero-seeded
- * sequential partial sum), one add per k-group of four,
+ * The reduction steps a matmulAdd() tile runs: the eight-groups in
+ * [begin, end) (multiples of eight, up to k - k % 8) and, with @p tail,
+ * the group of four and the leftover steps after them. The whole
+ * product is {0, k - k % 8, true}.
+ */
+struct KSpan
+{
+    std::size_t begin;
+    std::size_t end;
+    bool tail;
+};
+
+/**
+ * Register tile of matmulAdd() for n >= 5: R output rows (A rows a[i],
+ * output rows out[i]) x J L-lane j-vectors, held in registers across
+ * the whole reduction. Each element keeps the documented order (see
+ * Matrix::matmulAdd): its initial value, one add per k-group of eight
+ * (a zero-seeded sequential partial sum), one add per k-group of four,
  * (a0*b0 + a1*b1) + (a2*b2 + a3*b3), then (a0*b0 + a1*b1) + a2*b2 for
  * two or three leftover steps (a2 = 0 and b2 = b1 when two are left)
- * or a*b for one.
+ * or a*b for one — restricted to the groups of @p span.
  */
 template <std::size_t L, std::size_t R, std::size_t J>
 [[gnu::always_inline]] inline void
-mmaTile(const float *__restrict a, std::size_t k, const float *__restrict b,
-        std::size_t n, float *__restrict out, const std::size_t *off)
+mmaTile(const float *const *a, std::size_t k, KSpan span,
+        const float *__restrict b, std::size_t n, float *const *out,
+        const std::size_t *off)
 {
     using V = Vec<L>;
     V acc[R][J];
     for (std::size_t i = 0; i < R; i++)
         for (std::size_t v = 0; v < J; v++)
-            acc[i][v] = vecAt<L>(out + i * n + off[v]);
-    std::size_t kk = 0;
-    for (; kk + 8 <= k; kk += 8) {
+            acc[i][v] = vecAt<L>(out[i] + off[v]);
+    for (std::size_t kk = span.begin; kk < span.end; kk += 8) {
         V s[R][J];
         for (std::size_t i = 0; i < R; i++)
             for (std::size_t v = 0; v < J; v++)
                 s[i][v] = V{};
+        // Rolled: unrolled, GCC 12 hoists every broadcast of the group
+        // and spills the accumulators.
+#pragma GCC unroll 1
         for (std::size_t u = 0; u < 8; u++) {
             const float *bu = b + (kk + u) * n;
             for (std::size_t v = 0; v < J; v++) {
                 const V bv = vecAt<L>(bu + off[v]);
                 for (std::size_t i = 0; i < R; i++)
-                    s[i][v] += a[i * k + kk + u] * bv;
+                    s[i][v] += a[i][kk + u] * bv;
             }
         }
         for (std::size_t i = 0; i < R; i++)
             for (std::size_t v = 0; v < J; v++)
                 acc[i][v] += s[i][v];
     }
-    if (kk + 4 <= k) {
+    std::size_t kk = k - k % 8;
+    if (span.tail && kk + 4 <= k) {
         const float *b0 = b + kk * n;
         for (std::size_t v = 0; v < J; v++) {
             const V v0 = vecAt<L>(b0 + off[v]);
@@ -122,14 +139,14 @@ mmaTile(const float *__restrict a, std::size_t k, const float *__restrict b,
             const V v2 = vecAt<L>(b0 + 2 * n + off[v]);
             const V v3 = vecAt<L>(b0 + 3 * n + off[v]);
             for (std::size_t i = 0; i < R; i++) {
-                const float *ai = a + i * k + kk;
+                const float *ai = a[i] + kk;
                 acc[i][v] += (ai[0] * v0 + ai[1] * v1) +
                              (ai[2] * v2 + ai[3] * v3);
             }
         }
         kk += 4;
     }
-    if (kk + 2 <= k) {
+    if (span.tail && kk + 2 <= k) {
         const bool three = kk + 3 <= k;
         const float *b0 = b + kk * n;
         const float *b2 = three ? b0 + 2 * n : b0 + n;
@@ -138,34 +155,35 @@ mmaTile(const float *__restrict a, std::size_t k, const float *__restrict b,
             const V v1 = vecAt<L>(b0 + n + off[v]);
             const V v2 = vecAt<L>(b2 + off[v]);
             for (std::size_t i = 0; i < R; i++) {
-                const float *ai = a + i * k + kk;
+                const float *ai = a[i] + kk;
                 const float a2 = three ? ai[2] : 0.0f;
                 acc[i][v] += (ai[0] * v0 + ai[1] * v1) + a2 * v2;
             }
         }
-    } else if (kk < k) {
+    } else if (span.tail && kk < k) {
         for (std::size_t v = 0; v < J; v++) {
             const V bv = vecAt<L>(b + kk * n + off[v]);
             for (std::size_t i = 0; i < R; i++)
-                acc[i][v] += a[i * k + kk] * bv;
+                acc[i][v] += a[i][kk] * bv;
         }
     }
     for (std::size_t i = 0; i < R; i++)
         for (std::size_t v = 0; v < J; v++)
-            vecAt<L>(out + i * n + off[v]) = acc[i][v];
+            vecAt<L>(out[i] + off[v]) = acc[i][v];
 }
 
 /** Run the R-row matmulAdd tile over the @p nv (<= 2) j-vectors at
  *  @p off. */
 template <std::size_t L, std::size_t R>
 [[gnu::always_inline]] inline void
-mmaTileJ(const float *a, std::size_t k, const float *b, std::size_t n,
-         float *out, const std::size_t *off, std::size_t nv)
+mmaTileJ(const float *const *a, std::size_t k, KSpan span, const float *b,
+         std::size_t n, float *const *out, const std::size_t *off,
+         std::size_t nv)
 {
     if (nv == 1)
-        mmaTile<L, R, 1>(a, k, b, n, out, off);
+        mmaTile<L, R, 1>(a, k, span, b, n, out, off);
     else
-        mmaTile<L, R, 2>(a, k, b, n, out, off);
+        mmaTile<L, R, 2>(a, k, span, b, n, out, off);
 }
 
 /** Output rows per full matmulAdd tile (leftover rows run one at a
@@ -173,37 +191,52 @@ mmaTileJ(const float *a, std::size_t k, const float *b, std::size_t n,
  *  measured fastest at both 8 and 16 lanes. */
 constexpr std::size_t kMmaRows = 4;
 
-/** matmulAdd() over L-lane vectors (n >= L). */
+/** matmulAdd() over L-lane vectors (n >= L) for the @p m rows listed
+ *  in @p rows (null: rows 0 .. m-1), restricted to @p span. */
 template <std::size_t L>
 [[gnu::always_inline]] inline void
 mmaWide(const float *__restrict a, const float *__restrict b,
-        float *__restrict out, std::size_t m, std::size_t k, std::size_t n)
+        float *__restrict out, const std::uint32_t *rows, std::size_t m,
+        std::size_t k, std::size_t n, KSpan span)
 {
+    const float *ar[kMmaRows];
+    float *orow[kMmaRows];
+    const auto tile = [&](std::size_t i, std::size_t t) {
+        for (std::size_t j = 0; j < t; j++) {
+            const std::size_t r = rows ? rows[i + j] : i + j;
+            ar[j] = a + r * k;
+            orow[j] = out + r * n;
+        }
+    };
     std::size_t off[2];
     for (std::size_t v0 = 0, nv = 0; v0 * L < n; v0 += nv) {
         nv = nextVectorTile<L, 2>(v0, n, off);
         std::size_t i = 0;
-        for (; i + kMmaRows <= m; i += kMmaRows)
-            mmaTileJ<L, kMmaRows>(a + i * k, k, b, n, out + i * n, off, nv);
-        for (; i < m; i++)
-            mmaTileJ<L, 1>(a + i * k, k, b, n, out + i * n, off, nv);
+        for (; i + kMmaRows <= m; i += kMmaRows) {
+            tile(i, kMmaRows);
+            mmaTileJ<L, kMmaRows>(ar, k, span, b, n, orow, off, nv);
+        }
+        for (; i < m; i++) {
+            tile(i, 1);
+            mmaTileJ<L, 1>(ar, k, span, b, n, orow, off, nv);
+        }
     }
 }
 
 /** matmulAdd() for n >= 5, on the widest vector (native, 8 or 4
- *  lanes) that fits in a row. */
+ *  lanes) that fits in a row: rows as in mmaWide. */
 SIBYL_KERNEL_CLONES
 void
 matmulAddTiled(const float *__restrict a, const float *__restrict b,
-               float *__restrict out, std::size_t m, std::size_t k,
-               std::size_t n)
+               float *__restrict out, const std::uint32_t *rows,
+               std::size_t m, std::size_t k, std::size_t n, KSpan span)
 {
     if (n >= kLanes)
-        mmaWide<kLanes>(a, b, out, m, k, n);
+        mmaWide<kLanes>(a, b, out, rows, m, k, n, span);
     else if (n >= 8)
-        mmaWide<8>(a, b, out, m, k, n);
+        mmaWide<8>(a, b, out, rows, m, k, n, span);
     else
-        mmaWide<4>(a, b, out, m, k, n);
+        mmaWide<4>(a, b, out, rows, m, k, n, span);
 }
 
 /**
@@ -525,6 +558,125 @@ denseRowTiled(const float *x, std::size_t k, const float *w, std::size_t n,
         rowNarrow<1>(x, k, w, bias, act, out, pre);
 }
 
+/** @p x in every lane. */
+template <std::size_t L>
+[[gnu::always_inline]] inline Vec<L>
+splat(float x)
+{
+    Vec<L> v;
+    for (std::size_t l = 0; l < L; l++)
+        v[l] = x;
+    return v;
+}
+
+/**
+ * Tile of denseLanes(): A consecutive output columns of one lane group
+ * in registers, each an L-lane vector across the group's rows. @p xt
+ * holds the group's X^T (k rows of L lanes), @p w the first column's W
+ * row (the next columns follow at stride k) and @p bias its bias. Each
+ * lane runs the order matmulAdd() gives its element: the bias, then
+ * with @p grouped (n >= 5) the eight-groups, the group of four and the
+ * leftover steps of mmaTile, else one add per step.
+ */
+template <std::size_t L, std::size_t A>
+[[gnu::always_inline]] inline void
+laneTile(const float *__restrict xt, std::size_t k, const float *__restrict w,
+         const float *__restrict bias, bool grouped, float *__restrict out)
+{
+    using V = Vec<L>;
+    V acc[A];
+    for (std::size_t c = 0; c < A; c++)
+        acc[c] = splat<L>(bias[c]);
+    std::size_t kk = 0;
+    if (!grouped) {
+        for (; kk < k; kk++) {
+            const V x = vecAt<L>(xt + kk * L);
+            for (std::size_t c = 0; c < A; c++)
+                acc[c] += x * w[c * k + kk];
+        }
+    }
+    for (; kk + 8 <= k; kk += 8) {
+        V s[A];
+        for (std::size_t c = 0; c < A; c++)
+            s[c] = V{};
+        for (std::size_t u = 0; u < 8; u++) {
+            const V x = vecAt<L>(xt + (kk + u) * L);
+            for (std::size_t c = 0; c < A; c++)
+                s[c] += x * w[c * k + kk + u];
+        }
+        for (std::size_t c = 0; c < A; c++)
+            acc[c] += s[c];
+    }
+    if (kk + 4 <= k) {
+        const V x0 = vecAt<L>(xt + kk * L);
+        const V x1 = vecAt<L>(xt + (kk + 1) * L);
+        const V x2 = vecAt<L>(xt + (kk + 2) * L);
+        const V x3 = vecAt<L>(xt + (kk + 3) * L);
+        for (std::size_t c = 0; c < A; c++) {
+            const float *wc = w + c * k + kk;
+            acc[c] += (x0 * wc[0] + x1 * wc[1]) + (x2 * wc[2] + x3 * wc[3]);
+        }
+        kk += 4;
+    }
+    if (kk + 2 <= k) {
+        const bool three = kk + 3 <= k;
+        const V x0 = vecAt<L>(xt + kk * L);
+        const V x1 = vecAt<L>(xt + (kk + 1) * L);
+        const V x2 = three ? V(vecAt<L>(xt + (kk + 2) * L)) : V{};
+        for (std::size_t c = 0; c < A; c++) {
+            const float *wc = w + c * k + kk;
+            const float w2 = three ? wc[2] : wc[1];
+            acc[c] += (x0 * wc[0] + x1 * wc[1]) + x2 * w2;
+        }
+    } else if (kk < k) {
+        const V x = vecAt<L>(xt + kk * L);
+        for (std::size_t c = 0; c < A; c++)
+            acc[c] += x * w[c * k + kk];
+    }
+    for (std::size_t c = 0; c < A; c++)
+        vecAt<L>(out + c * L) = acc[c];
+}
+
+/** Output columns per denseLanes() tile; a ragged last tile overlaps
+ *  its predecessor and recomputes the shared columns bit for bit (a
+ *  narrower tile's few sum chains measured slower than the overlap). */
+constexpr std::size_t kLaneCols = 8;
+
+/** denseLanes(): per group, gather X^T (once for a run of groups on
+ *  the same rows), then the group's columns in kLaneCols tiles. */
+SIBYL_KERNEL_CLONES
+void
+denseLanesTiled(const float *x, std::size_t k, const float *w,
+                const float *bias, std::size_t width,
+                const std::uint32_t *seg, const std::uint32_t *rows,
+                std::size_t groups, bool grouped, float *xt, float *out)
+{
+    constexpr std::size_t L = kSoftmaxLanes;
+    constexpr std::size_t A = kLaneCols;
+    for (std::size_t g = 0; g < groups; g++) {
+        const std::uint32_t *gr = rows + g * L;
+        if (g == 0 || !std::equal(gr, gr + L, gr - L))
+            for (std::size_t l = 0; l < L; l++)
+                for (std::size_t kk = 0; kk < k; kk++)
+                    xt[kk * L + l] = x[gr[l] * k + kk];
+        const std::size_t c0 = seg[g] * width;
+        const float *wg = w + c0 * k;
+        const float *bg = bias + c0;
+        float *og = out + g * width * L;
+        if (width >= A) {
+            for (std::size_t i = 0; i < width; i += A) {
+                const std::size_t c = std::min(i, width - A);
+                laneTile<L, A>(xt, k, wg + c * k, bg + c, grouped,
+                               og + c * L);
+            }
+        } else {
+            for (std::size_t i = 0; i < width; i++)
+                laneTile<L, 1>(xt, k, wg + i * k, bg + i, grouped,
+                               og + i * L);
+        }
+    }
+}
+
 } // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
@@ -584,8 +736,38 @@ Matrix::matmulAdd(const Matrix &b, Matrix &out) const
     }
     // Output tiles held in registers across the whole reduction (see
     // mmaTile for the layout and the per-element order it keeps).
-    matmulAddTiled(data_.data(), b.data_.data(), out.data_.data(), rows_,
-                   cols_, n);
+    matmulAddTiled(data_.data(), b.data_.data(), out.data_.data(), nullptr,
+                   rows_, cols_, n, KSpan{0, cols_ - cols_ % 8, true});
+}
+
+void
+Matrix::matmulAddRows(const Matrix &b, Matrix &out,
+                      const std::uint32_t *rows, std::size_t count,
+                      std::size_t kBegin, std::size_t kEnd) const
+{
+    assert(cols_ == b.rows_);
+    assert(out.rows_ == rows_ && out.cols_ == b.cols_);
+    assert(&out != this && &out != &b);
+    assert(b.cols_ >= 5);
+    kEnd = std::min(kEnd, cols_);
+    if (kBegin >= kEnd || count == 0)
+        return;
+    const std::size_t k8 = cols_ - cols_ % 8;
+    KSpan span{std::min(kBegin / 8 * 8, k8),
+               std::min((kEnd + 7) / 8 * 8, k8), kEnd > k8};
+    span.end = std::max(span.end, span.begin);
+    matmulAddTiled(data_.data(), b.data_.data(), out.data_.data(), rows,
+                   count, cols_, b.cols_, span);
+}
+
+void
+Matrix::denseLanes(const Matrix &x, const float *bias, const LaneGroups &g,
+                   float *xt, float *out) const
+{
+    assert(x.cols_ == cols_);
+    denseLanesTiled(x.data_.data(), cols_, data_.data(), bias, g.width,
+                    g.seg.data(), g.rows.data(), g.size(), rows_ >= 5, xt,
+                    out);
 }
 
 void

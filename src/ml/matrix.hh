@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace sibyl::ml
@@ -20,6 +21,26 @@ namespace sibyl::ml
 using Vector = std::vector<float>;
 
 enum class Activation; // ml/activations.hh
+
+/**
+ * A batch's (row, segment) pairs in lane groups, for a dense layer
+ * whose outputs split into segments of @p width consecutive columns
+ * (C51: one segment per action, atoms wide). Group g holds
+ * kSoftmaxLanes (activations.hh) pairs of segment seg[g]: lane l takes
+ * input row rows[g * kSoftmaxLanes + l]; lanes past a group's last pair
+ * repeat one of its rows. Matrix::denseLanes writes group g's slice
+ * lane-major: column i of lane l goes to
+ * out[(g * width + i) * kSoftmaxLanes + l], the layout
+ * ml::softmaxLanes reads.
+ */
+struct LaneGroups
+{
+    std::size_t width = 0;
+    std::vector<std::uint32_t> seg;
+    std::vector<std::uint32_t> rows;
+
+    std::size_t size() const { return seg.size(); }
+};
 
 /** Row-major dense matrix of float32. */
 class Matrix
@@ -97,6 +118,20 @@ class Matrix
     void matmulAdd(const Matrix &b, Matrix &out) const;
 
     /**
+     * matmulAdd() for the @p count rows listed in @p rows only, and
+     * only its reduction groups that overlap k in [kBegin, kEnd): the
+     * eight-groups, the group of four, and the leftover steps as one
+     * group, each added in matmulAdd's order (n = b.cols >= 5).
+     * Skipping a group leaves an element exactly as matmulAdd() would
+     * when A's entries in that group are zero, B's are finite and the
+     * element is not -0 (a +-0 term then adds nothing). Rows may come
+     * in any order; each row's elements do not depend on the others.
+     */
+    void matmulAddRows(const Matrix &b, Matrix &out,
+                       const std::uint32_t *rows, std::size_t count,
+                       std::size_t kBegin, std::size_t kEnd) const;
+
+    /**
      * out += scale * A^T * B. Requires rows == b.rows and
      * out.rows == cols, out.cols == b.cols. This is the batched weight-
      * gradient kernel: delta^T (out x batch) times inputs (batch x in)
@@ -116,6 +151,22 @@ class Matrix
      */
     void transposedMatmulAdd(const Matrix &b, Matrix &out,
                              float scale) const;
+
+    /**
+     * Lane-major slices of bias + X * W^T, with this matrix as W
+     * (outputs x fan-in k) and @p x as X (batch x k): for every group
+     * of @p g, out[(grp * width + i) * kSoftmaxLanes + l] gets output
+     * column seg * width + i of row rows[grp * kSoftmaxLanes + l]
+     * (see LaneGroups), with the bits the dense forward gives it —
+     * the bias, then the products W[j, k] * X[r, k] (= X[r, k] *
+     * W^T[k, j] exactly) in matmulAdd()'s order for an
+     * outputs-column product. Lanes hold pairs and the vector loop
+     * runs over atoms, so no element's order depends on the lanes.
+     *
+     * @param xt  k * kSoftmaxLanes floats of scratch (one group's X^T).
+     */
+    void denseLanes(const Matrix &x, const float *bias,
+                    const LaneGroups &g, float *xt, float *out) const;
 
     /**
      * Fused single-row dense step against this matrix as W^T (rows =

@@ -99,6 +99,18 @@ Network::infer(const Matrix &in)
 }
 
 void
+Network::forward(const Matrix &in, const LaneGroups &groups, float *out)
+{
+    assert(in.cols() == inputSize_);
+    const Matrix *cur = &in;
+    for (std::size_t i = 0; i + 1 < layers_.size(); i++) {
+        layers_[i].forward(*cur, actsM_[i]);
+        cur = &actsM_[i];
+    }
+    layers_.back().forwardLanes(*cur, groups, out);
+}
+
+void
 Network::backward(const Matrix &gradOut)
 {
     assert(gradOut.cols() == outputSize());

@@ -89,6 +89,17 @@ class Network
     const Matrix &infer(const Matrix &in);
 
     /**
+     * Batched forward whose output layer computes only the slices of
+     * @p groups, lane-major into @p out (see DenseLayer::forwardLanes):
+     * each element has the bits forward(Matrix) gives it. The next
+     * backward() takes a gradOut that is zero outside those slices and
+     * skips the output layer's input-gradient work there. @p in and
+     * @p groups must stay alive and unchanged until that backward()
+     * returns.
+     */
+    void forward(const Matrix &in, const LaneGroups &groups, float *out);
+
+    /**
      * Batched backprop of the last batched forward(). Accumulates the
      * same summed-over-batch gradients as per-sample backward() called
      * row by row.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include "ml/activations.hh"
 
@@ -15,15 +16,29 @@ C51Head::C51Head(const AgentConfig &cfg)
       gamma_(cfg.gamma),
       support_(cfg.vmin, cfg.vmax, cfg.atoms),
       decodeBuf_(static_cast<std::size_t>(cfg.atoms) * 2),
-      decodeQ_(cfg.numActions)
+      decodeQ_(cfg.numActions),
+      targetLanes_(std::size_t{numActions_} * atoms_ * ml::kSoftmaxLanes),
+      dist_(static_cast<std::size_t>(cfg.atoms) * ml::kSoftmaxLanes),
+      projected_((cfg.atoms + std::size_t{1}) * ml::kSoftmaxLanes)
 {
+    // NaN would send the projection's landing points out of range.
+    if (std::isnan(cfg.gamma))
+        throw std::invalid_argument("C51 agent: gamma is NaN");
+
     // Full-batch loss scratch up front: the distinct-prediction count
     // varies from batch to batch, and growing to each new high-water
-    // mark would allocate in training rounds long after warm-up.
+    // mark would allocate in training rounds long after warm-up. A
+    // batch's loss groups hold at most rows + numActions * (L - 1)
+    // lanes.
+    constexpr std::size_t L = ml::kSoftmaxLanes;
     const std::size_t rows = cfg.batchSize;
+    const std::size_t lossLanes = rows + numActions_ * L;
     pairSlot_.reserve(rows * numActions_);
+    pairLane_.reserve(rows);
     pairOf_.reserve(rows);
-    pairKey_.reserve(rows);
+    lossGroups_.seg.reserve(lossLanes / L);
+    lossGroups_.rows.reserve(lossLanes);
+    lanes_.reserve(lossLanes * atoms_);
     probs_.reserve(rows * atoms_);
     logProbs_.reserve(rows * atoms_);
 }
@@ -46,21 +61,35 @@ interleave(const float *const *src, std::size_t atoms, float *t)
             t[i * L + l] = src[l][i];
 }
 
+/** Gather the slices of @p g from the row-major outputs @p out (rows of
+ *  @p width) into the lane-major layout Network::forward(in, groups,
+ *  out) writes. */
+void
+gatherLanes(const float *out, std::size_t width, const ml::LaneGroups &g,
+            float *lanes)
+{
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    for (std::size_t grp = 0; grp < g.size(); grp++) {
+        const float *src[L];
+        for (std::size_t l = 0; l < L; l++)
+            src[l] = out + g.rows[grp * L + l] * width + g.seg[grp] * g.width;
+        interleave<L>(src, g.width, lanes + grp * g.width * L);
+    }
+}
+
 /**
- * The one C51 decode step: gather the L atom groups @p src into the
- * lanes of @p t, softmax them (ml::softmaxLanes) and write each lane's
- * expectation over the support, summed in double in ascending atom
- * order, to q[0..L). Lanes hold actions of one row on the decision
- * side and rows of one action in the training target; each lane runs
- * exactly softmax() and CategoricalSupport::expectation() of its own
- * group.
+ * The one C51 decode step: softmax the L lane-major atom groups of
+ * @p t in place (ml::softmaxLanes) and write each lane's expectation
+ * over the support, summed in double in ascending atom order, to
+ * q[0..L). Lanes hold actions of one row on the decision side and rows
+ * of one action in the training target; each lane runs exactly
+ * softmax() and CategoricalSupport::expectation() of its own group.
  */
 template <std::size_t L>
 void
-laneValues(const float *const *src, std::size_t atoms,
-           const CategoricalSupport &support, float *t, double *q)
+laneValues(float *t, std::size_t atoms, const CategoricalSupport &support,
+           double *q)
 {
-    interleave<L>(src, atoms, t);
     ml::softmaxLanes<L>(t, atoms);
     for (std::size_t l = 0; l < L; l++)
         q[l] = 0.0;
@@ -87,7 +116,8 @@ C51Head::values(const float *row, double *q)
         for (std::size_t l = 0; l < L; l++)
             src[l] = row + (a0 + (l < live ? l : 0)) * atoms;
         double ql[L];
-        laneValues<L>(src, atoms, support_, decodeBuf_.data(), ql);
+        interleave<L>(src, atoms, decodeBuf_.data());
+        laneValues<L>(decodeBuf_.data(), atoms, support_, ql);
         for (std::size_t l = 0; l < live; l++)
             q[a0 + l] = ql[l];
     }
@@ -128,8 +158,6 @@ C51Head::target(const float *eval, const float * /*sel*/,
     constexpr std::size_t L = ml::kSoftmaxLanes;
     const std::size_t atoms = atoms_;
     const std::size_t width = outputWidth();
-    lanes_.resize(numActions_ * atoms * L);
-    dist_.resize(atoms);
     for (std::size_t r0 = 0; r0 < rows; r0 += L) {
         const std::size_t live = std::min(L, rows - r0);
         double bestQ[L];
@@ -143,9 +171,10 @@ C51Head::target(const float *eval, const float * /*sel*/,
             const float *src[L];
             for (std::size_t l = 0; l < L; l++)
                 src[l] = eval + (r0 + (l < live ? l : 0)) * width + a * atoms;
+            float *t = targetLanes_.data() + a * atoms * L;
+            interleave<L>(src, atoms, t);
             double q[L];
-            laneValues<L>(src, atoms, support_,
-                          lanes_.data() + a * atoms * L, q);
+            laneValues<L>(t, atoms, support_, q);
             for (std::size_t l = 0; l < L; l++) {
                 if (q[l] > bestQ[l]) {
                     bestQ[l] = q[l];
@@ -153,85 +182,152 @@ C51Head::target(const float *eval, const float * /*sel*/,
                 }
             }
         }
-        for (std::size_t l = 0; l < live; l++) {
-            const float *t = lanes_.data() + bestA[l] * atoms * L;
+        // Each lane's winning distribution, projected lanes across
+        // rows, then each live lane's target into its output row.
+        double reward[L];
+        for (std::size_t l = 0; l < L; l++) {
+            const float *t = targetLanes_.data() + bestA[l] * atoms * L;
             for (std::size_t i = 0; i < atoms; i++)
-                dist_[i] = t[i * L + l];
-            support_.project(dist_.data(), rewards[r0 + l], gamma_,
-                             out + (r0 + l) * atoms);
+                dist_[i * L + l] = t[i * L + l];
+            reward[l] = rewards[r0 + (l < live ? l : 0)];
         }
+        support_.projectLanes(dist_.data(), reward, gamma_,
+                              projected_.data());
+        for (std::size_t l = 0; l < live; l++)
+            for (std::size_t i = 0; i < atoms; i++)
+                out[(r0 + l) * atoms + i] = projected_[i * L + l];
     }
 }
+
+ValueHead::Lanes
+C51Head::planLoss(const LossBatch &b)
+{
+    // Rows repeating an (output row, action) pair — folded duplicate
+    // states taking the same action — share one prediction. Group the
+    // distinct ones by action, in ascending output row, kSoftmaxLanes
+    // to a group; a group's spare lanes repeat its first row.
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    const std::size_t actions = numActions_;
+    const auto key = [&](std::size_t r) {
+        return (b.outRow ? b.outRow[r] : r) * actions + b.actions[r];
+    };
+    pairSlot_.assign(b.outRows * actions, -1);
+    for (std::size_t r = 0; r < b.rows; r++)
+        pairSlot_[key(r)] = 0;
+    std::vector<std::uint32_t> &lane = lossGroups_.rows;
+    lossGroups_.width = atoms_;
+    lossGroups_.seg.clear();
+    lane.clear();
+    pairLane_.clear();
+    for (std::uint32_t a = 0; a < actions; a++) {
+        for (std::size_t u = 0; u < b.outRows; u++) {
+            std::int32_t &slot = pairSlot_[u * actions + a];
+            if (slot < 0)
+                continue;
+            if (lane.size() % L == 0)
+                lossGroups_.seg.push_back(a);
+            slot = static_cast<std::int32_t>(pairLane_.size());
+            pairLane_.push_back(static_cast<std::uint32_t>(lane.size()));
+            lane.push_back(static_cast<std::uint32_t>(u));
+        }
+        while (lane.size() % L)
+            lane.push_back(lane[lane.size() / L * L]);
+    }
+    pairOf_.resize(b.rows);
+    for (std::size_t r = 0; r < b.rows; r++)
+        pairOf_[r] = static_cast<std::uint32_t>(pairSlot_[key(r)]);
+    lanes_.resize(lane.size() * atoms_);
+    return {&lossGroups_, lanes_.data()};
+}
+
+namespace
+{
+
+/** The cross-entropy chains of R rows, interleaved so their latencies
+ *  overlap; each row keeps its own sequential sum over the atoms. */
+template <std::size_t R>
+[[gnu::always_inline]] inline void
+lossChains(const float *const *t, const float *const *logP,
+           std::size_t atoms, float *loss)
+{
+    float acc[R];
+    for (std::size_t k = 0; k < R; k++)
+        acc[k] = 0.0f;
+    // "!= 0" and not "> 0": identical for valid (non-negative)
+    // targets, but a NaN target weight must reach the loss — a
+    // poisoned reward that silently zeroes its own loss term would
+    // corrupt the weights while reporting perfect health. A select,
+    // not a branch: 47 of 51 atoms carry target mass.
+    for (std::size_t i = 0; i < atoms; i++)
+        for (std::size_t k = 0; k < R; k++)
+            acc[k] = t[k][i] != 0.0f ? acc[k] - t[k][i] * logP[k][i]
+                                     : acc[k];
+    for (std::size_t k = 0; k < R; k++)
+        loss[k] = acc[k];
+}
+
+} // namespace
 
 void
 C51Head::loss(const LossBatch &b)
 {
     // Cross-entropy between each row's projected target and the
     // training network's prediction for the taken action; the gradient
-    // flows only through that action's atom group. Rows repeating an
-    // (output row, action) pair — folded duplicate states taking the
-    // same action — share one prediction, so its softmax and log-
-    // probabilities are computed once. The loss keeps the historical
-    // per-element form, NOT the cheaper log-softmax identity: the
-    // scalar feeds PER priorities, so changing its rounding would
-    // silently shift prioritized-replay trajectories.
+    // flows only through that action's atom group. Each distinct
+    // prediction's softmax and log-probabilities are computed once
+    // (planLoss). The loss keeps the historical per-element form, NOT
+    // the cheaper log-softmax identity: the scalar feeds PER
+    // priorities, so changing its rounding would silently shift
+    // prioritized-replay trajectories.
     constexpr std::size_t L = ml::kSoftmaxLanes;
     const std::size_t atoms = atoms_;
-    pairSlot_.assign(b.outRows * numActions_, -1);
-    pairOf_.resize(b.rows);
-    pairKey_.clear();
-    for (std::size_t r = 0; r < b.rows; r++) {
-        const std::size_t row = b.outRow ? b.outRow[r] : r;
-        const std::size_t key = row * numActions_ + b.actions[r];
-        if (pairSlot_[key] < 0) {
-            pairSlot_[key] = static_cast<std::int32_t>(pairKey_.size());
-            pairKey_.push_back(static_cast<std::uint32_t>(key));
-        }
-        pairOf_[r] = static_cast<std::uint32_t>(pairSlot_[key]);
+    if (b.out) {
+        planLoss(b);
+        gatherLanes(b.out, outputWidth(), lossGroups_, lanes_.data());
     }
 
-    // Softmax of every distinct prediction, kSoftmaxLanes at a time.
-    // Pair key k's logits are output atoms [k * atoms, (k + 1) * atoms).
-    // Then the log of every clamped probability in one sweep:
-    // ml::logSpan gives std::log's bits.
-    const std::size_t pairs = pairKey_.size();
+    // Softmax of every prediction, a group at a time, in place; each
+    // prediction's probabilities into a row of their own, and the log
+    // of every clamped probability in one sweep: ml::logSpan gives
+    // std::log's bits.
+    for (std::size_t g = 0; g < lossGroups_.size(); g++)
+        ml::softmaxLanes<L>(lanes_.data() + g * atoms * L, atoms);
+    const std::size_t pairs = pairLane_.size();
     probs_.resize(pairs * atoms);
     logProbs_.resize(pairs * atoms);
-    lanes_.resize(atoms * L);
-    for (std::size_t p0 = 0; p0 < pairs; p0 += L) {
-        const std::size_t live = std::min(L, pairs - p0);
-        const float *src[L];
-        for (std::size_t l = 0; l < L; l++)
-            src[l] = b.out + pairKey_[p0 + (l < live ? l : 0)] * atoms;
-        interleave<L>(src, atoms, lanes_.data());
-        ml::softmaxLanes<L>(lanes_.data(), atoms);
-        for (std::size_t l = 0; l < live; l++) {
-            for (std::size_t i = 0; i < atoms; i++) {
-                const float p = lanes_[i * L + l];
-                probs_[(p0 + l) * atoms + i] = p;
-                logProbs_[(p0 + l) * atoms + i] = std::max(p, 1e-12f);
-            }
+    for (std::size_t d = 0; d < pairs; d++) {
+        const std::size_t q = pairLane_[d];
+        const float *src = lanes_.data() + q / L * atoms * L + q % L;
+        for (std::size_t i = 0; i < atoms; i++) {
+            const float p = src[i * L];
+            probs_[d * atoms + i] = p;
+            logProbs_[d * atoms + i] = std::max(p, 1e-12f);
         }
     }
     ml::logSpan(logProbs_.data(), logProbs_.data(), pairs * atoms);
 
+    constexpr std::size_t R = 4;
+    float loss[R];
+    for (std::size_t r0 = 0; r0 < b.rows; r0 += R) {
+        const std::size_t n = std::min(R, b.rows - r0);
+        const float *t[R], *logP[R];
+        for (std::size_t k = 0; k < R; k++) {
+            const std::size_t r = r0 + (k < n ? k : 0);
+            t[k] = b.targets + r * atoms;
+            logP[k] = logProbs_.data() + pairOf_[r] * atoms;
+        }
+        lossChains<R>(t, logP, atoms, loss);
+        for (std::size_t k = 0; k < n; k++) {
+            b.losses[r0 + k] = loss[k];
+            b.priorities[r0 + k] = loss[k];
+        }
+    }
     for (std::size_t r = 0; r < b.rows; r++) {
-        const std::size_t pair = pairOf_[r];
         const float *t = b.targets + r * atoms;
-        const float *p = probs_.data() + pair * atoms;
-        const float *logP = logProbs_.data() + pair * atoms;
-        float loss = 0.0f;
-        // "!= 0" and not "> 0": identical for valid (non-negative)
-        // targets, but a NaN target weight must reach the loss — a
-        // poisoned reward that silently zeroes its own loss term would
-        // corrupt the weights while reporting perfect health. A select,
-        // not a branch: 47 of 51 atoms carry target mass.
-        for (std::size_t i = 0; i < atoms; i++)
-            loss = t[i] != 0.0f ? loss - t[i] * logP[i] : loss;
-        b.losses[r] = loss;
-        b.priorities[r] = loss;
+        const float *p = probs_.data() + pairOf_[r] * atoms;
         const float weight = b.weights ? b.weights[r] : 1.0f;
-        float *g = b.grad + pairKey_[pair] * atoms;
+        const std::size_t row = b.outRow ? b.outRow[r] : r;
+        float *g = b.grad + row * outputWidth() + b.actions[r] * atoms;
         for (std::size_t i = 0; i < atoms; i++)
             g[i] += (p[i] - t[i]) * weight;
     }

@@ -29,6 +29,7 @@ using C51Stats = AgentStats;
 class C51Head final : public ValueHead
 {
   public:
+    /** @throws std::invalid_argument for a NaN gamma. */
     explicit C51Head(const AgentConfig &cfg);
 
     std::string name() const override { return "C51"; }
@@ -47,6 +48,7 @@ class C51Head final : public ValueHead
     void target(const float *eval, const float *sel, const float *rewards,
                 std::size_t rows, float *out) override;
     void loss(const LossBatch &b) override;
+    Lanes planLoss(const LossBatch &b) override;
     double valueDelta(double loss, double prevLoss) const override;
 
     const CategoricalSupport &support() const { return support_; }
@@ -62,17 +64,22 @@ class C51Head final : public ValueHead
     ml::Vector decodeBuf_;
     std::vector<double> decodeQ_;
 
-    // Training-side scratch (target() and loss()).
-    // lanes_: atom groups interleaved ml::kSoftmaxLanes rows wide;
-    // dist_: one row's winning next-state distribution.
-    ml::Vector lanes_, dist_;
-    // loss(): the batch's distinct (output row, action) predictions —
-    // pairSlot_ maps row * numActions + action to a pair, pairOf_ each
-    // batch row to its pair — with their softmax and the log of each
-    // probability clamped at 1e-12.
+    // target(): every action's atoms of kSoftmaxLanes next-state rows,
+    // interleaved lane-major (targetLanes_); dist_: each lane's winning
+    // next-state distribution, lane-major, and projected_ its
+    // projection (CategoricalSupport::projectLanes).
+    ml::Vector targetLanes_, dist_, projected_;
+    // loss(): the batch's distinct (output row, action) predictions,
+    // grouped by action (planLoss) with their logits lane-major in
+    // lanes_ (softmaxed in place). pairSlot_ maps row * numActions +
+    // action to a prediction, pairLane_ each prediction to its lane,
+    // pairOf_ each batch row to its prediction; probs_ holds each
+    // prediction's probabilities as a row, logProbs_ the log of each
+    // clamped at 1e-12.
+    ml::LaneGroups lossGroups_;
     std::vector<std::int32_t> pairSlot_;
-    std::vector<std::uint32_t> pairOf_, pairKey_;
-    ml::Vector probs_, logProbs_;
+    std::vector<std::uint32_t> pairLane_, pairOf_;
+    ml::Vector lanes_, probs_, logProbs_;
 };
 
 /** The C51 agent. */

@@ -47,21 +47,20 @@ class CategoricalSupport
     double expectation(const float *probs) const;
 
     /**
-     * Project the Bellman-updated distribution onto this support:
-     * target[j] accumulates nextProbs[i] mass at clamp(r + gamma*z_i).
+     * Project Bellman-updated distributions onto this support,
+     * ml::kSoftmaxLanes at once, lanes across rows: lane l projects
+     * nextProbs[i * L + l] (i over the atoms) under (rewards[l],
+     * gamma), each atom's mass landing at clamp(r + gamma * z_i), into
+     * target[j * L + l]. Each lane's target is the float scatter-add
+     * of every atom's mass onto its two landing neighbours in
+     * ascending atom order, and a lane with a non-finite reward is all
+     * NaN. @p gamma must not be NaN.
      *
-     * @param nextProbs Next-state distribution (atoms entries).
-     * @param reward    Immediate reward r.
-     * @param gamma     Discount factor.
-     * @param target    Output distribution (resized to atoms).
+     * @param target (atoms + 1) x kSoftmaxLanes floats; the last row
+     *               is scratch.
      */
-    void project(const ml::Vector &nextProbs, double reward, double gamma,
-                 ml::Vector &target) const;
-
-    /** Span variant of project(): @p nextProbs and @p target point at
-     *  atoms entries each. */
-    void project(const float *nextProbs, double reward, double gamma,
-                 float *target) const;
+    void projectLanes(const float *nextProbs, const double *rewards,
+                      double gamma, float *target) const;
 
   private:
     double vmin_;

@@ -61,21 +61,31 @@ QTableAgent::qValues(const ml::Vector &state)
     return q;
 }
 
+const double *
+QTableAgent::find(const ml::Vector &state) const
+{
+    const auto it = table_.find(stateKey(state));
+    return it == table_.end() ? nullptr : it->second.data();
+}
+
 std::uint32_t
 QTableAgent::greedyAction(const ml::Vector &state)
 {
-    const auto q = qValues(state);
-    if (!maskCoversAll(actionMask_, cfg_.numActions)) {
-        // First maximum among the allowed actions only.
-        auto best =
-            static_cast<std::uint32_t>(std::countr_zero(actionMask_));
-        for (std::uint32_t a = best + 1; a < cfg_.numActions; a++)
-            if ((actionMask_ >> a & 1u) && q[a] > q[best])
-                best = a;
-        return best;
-    }
-    return static_cast<std::uint32_t>(
-        std::max_element(q.begin(), q.end()) - q.begin());
+    // The first maximum of the stored row, read in place (an unvisited
+    // state's row is all zeros) — the action std::max_element picks.
+    const double *q = find(state);
+    const auto value = [q](std::uint32_t a) { return q ? q[a] : 0.0; };
+    const bool restricted = !maskCoversAll(actionMask_, cfg_.numActions);
+    // With a restricting mask, the first maximum among the allowed
+    // actions only.
+    std::uint32_t best =
+        restricted ? static_cast<std::uint32_t>(std::countr_zero(actionMask_))
+                   : 0;
+    for (std::uint32_t a = best + 1; a < cfg_.numActions; a++)
+        if ((!restricted || (actionMask_ >> a & 1u)) &&
+            value(a) > value(best))
+            best = a;
+    return best;
 }
 
 std::uint32_t
@@ -94,8 +104,9 @@ QTableAgent::observe(const ml::Vector &state, std::uint32_t action,
     // One-step Q-learning: Q(s,a) += alpha * (r + gamma max_a' Q(s',a')
     //                                          - Q(s,a)).
     auto &q = row(stateKey(state));
-    const auto nextQ = qValues(nextState);
-    const double maxNext = *std::max_element(nextQ.begin(), nextQ.end());
+    const double *nextQ = find(nextState);
+    const double maxNext =
+        nextQ ? *std::max_element(nextQ, nextQ + cfg_.numActions) : 0.0;
     const double target = reward + cfg_.gamma * maxNext;
     const double tdError = target - q[action];
     q[action] += cfg_.learningRate * tdError;

@@ -69,6 +69,10 @@ class QTableAgent final : public Agent
     /** Q-value row for @p key, default-initialized to zeros. */
     std::vector<double> &row(std::uint64_t key);
 
+    /** The stored Q-values of @p state, or null when unvisited (all
+     *  zeros). */
+    const double *find(const ml::Vector &state) const;
+
     /** The stored Q-values of @p state (zeros when unvisited) into
      *  q[0..numActions). */
     void values(const ml::Vector &state, double *q) const;

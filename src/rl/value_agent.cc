@@ -268,12 +268,6 @@ ValueAgent::trainBatch()
                       rewards_.data(), batch, targetBatch_.data());
     }
 
-    // The state forward must come last so the training network's
-    // cached batch intermediates belong to the rows we backpropagate.
-    const ml::Matrix &out = trainingNet_->forward(stateBatch_);
-    gradOutM_.resize(uRows, out.cols());
-    gradOutM_.fill(0.0f);
-
     // PER importance weights come from the distribution the batch was
     // sampled under, before the per-element priority refreshes below.
     if (per) {
@@ -288,17 +282,27 @@ ValueAgent::trainBatch()
         actions_[r] = buffer_[sampled_[r]].action;
     losses_.resize(batch);
     priorities_.resize(batch);
+    ValueHead::LossBatch lb{.rows = batch,
+                            .outRows = uRows,
+                            .outRow = fold ? rowToUnique_.data() : nullptr,
+                            .actions = actions_.data(),
+                            .targets = targetBatch_.data(),
+                            .weights = per ? weights_.data() : nullptr,
+                            .losses = losses_.data(),
+                            .priorities = priorities_.data()};
 
-    head_->loss({.rows = batch,
-                 .out = out.data(),
-                 .outRows = uRows,
-                 .outRow = fold ? rowToUnique_.data() : nullptr,
-                 .actions = actions_.data(),
-                 .targets = targetBatch_.data(),
-                 .weights = per ? weights_.data() : nullptr,
-                 .grad = gradOutM_.data(),
-                 .losses = losses_.data(),
-                 .priorities = priorities_.data()});
+    // The state forward must come last so the training network's
+    // cached batch intermediates belong to the rows we backpropagate.
+    // A head that reads output slices gets just those, lane-major.
+    const ValueHead::Lanes lanes = head_->planLoss(lb);
+    if (lanes.groups)
+        trainingNet_->forward(stateBatch_, *lanes.groups, lanes.out);
+    else
+        lb.out = trainingNet_->forward(stateBatch_).data();
+    gradOutM_.resize(uRows, head_->outputWidth());
+    gradOutM_.fill(0.0f);
+    lb.grad = gradOutM_.data();
+    head_->loss(lb);
 
     // Row order, as a row-by-row loop would: the loss sum's rounding
     // and the last write of a slot sampled twice depend on it.

@@ -124,9 +124,29 @@ class ValueHead
      * the transition's new replay priority priorities[r], and the
      * gradient times the row's weight added into grad's output row.
      * Gradients are added in ascending row order, so rows that share
-     * an output row sum exactly as a row-by-row loop would.
+     * an output row sum exactly as a row-by-row loop would. With
+     * b.out null, the predictions come from the slices planLoss(b)
+     * asked for.
      */
     virtual void loss(const LossBatch &b) = 0;
+
+    /** Where a head wants output slices written (see planLoss()). */
+    struct Lanes
+    {
+        const ml::LaneGroups *groups = nullptr;
+        float *out = nullptr;
+    };
+
+    /**
+     * A head that reads one action's slice of an output row (C51: the
+     * taken action's atoms) can have the network compute only those
+     * slices, lane-major (ml::Network::forward(in, groups, out)).
+     * planLoss() groups @p b's distinct (output row, action)
+     * predictions and returns the groups and the buffer their slices
+     * go to; loss() reads them there when b.out is null. A head that
+     * reads whole rows returns no groups and always gets b.out.
+     */
+    virtual Lanes planLoss(const LossBatch &) { return {}; }
 
     /** VDBE feedback from the round-to-round change in mean loss. */
     virtual double valueDelta(double loss, double prevLoss) const = 0;

@@ -340,6 +340,27 @@ TEST(ValueAgent, DqnRejectsZeroCadence)
     expectRejectsZeroCadence<DqnAgent>();
 }
 
+TEST(ValueAgent, C51RejectsNanGammaAndTrainsWithNegativeGamma)
+{
+    // A NaN discount would send the target projection's landing points
+    // out of range. A negative one moves them down the atoms, which the
+    // projection takes as it takes a positive one.
+    AgentConfig nan = smallConfig();
+    nan.gamma = std::nan("");
+    EXPECT_THROW(C51Agent agent(nan), std::invalid_argument);
+    for (const double gamma : {-0.5, 0.0}) {
+        AgentConfig cfg = smallConfig();
+        cfg.gamma = gamma;
+        C51Agent agent(cfg);
+        for (int i = 0; i < 200; i++)
+            banditPull(agent, static_cast<std::uint32_t>(i % 2));
+        EXPECT_GT(agent.stats().gradientSteps, 0u) << "gamma " << gamma;
+        agent.syncWeights();
+        for (const double q : agent.qValues({0.5f, 0.5f}))
+            EXPECT_TRUE(std::isfinite(q)) << "gamma " << gamma;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pinned trained-agent checkpoints. Each row trains one head x variant
 // in a closed decision loop from a fixed seed and pins a digest of its

@@ -13,7 +13,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "common/rng.hh"
 #include "ml/activations.hh"
@@ -394,6 +396,208 @@ INSTANTIATE_TEST_SUITE_P(
                       Activation::Sigmoid, Activation::Tanh,
                       Activation::Swish),
     [](const auto &info) { return activationName(info.param); });
+
+// ---------------------------------------------------------------------
+// Lane-major output layer (the C51 training net's last layer): only
+// the taken actions' slices forward, and a backward whose input
+// gradient skips the reduction groups outside them.
+// ---------------------------------------------------------------------
+
+/** (row, segment) pairs in lane groups as the C51 head plans them: by
+ *  segment, then ascending row, kSoftmaxLanes to a group, a group's
+ *  spare lanes repeating its first row. */
+LaneGroups
+laneGroups(std::size_t width, std::uint32_t segments,
+           const std::vector<std::pair<std::uint32_t, std::uint32_t>> &pairs)
+{
+    LaneGroups g;
+    g.width = width;
+    for (std::uint32_t s = 0; s < segments; s++) {
+        std::vector<std::uint32_t> rows;
+        for (const auto &[r, seg] : pairs)
+            if (seg == s)
+                rows.push_back(r);
+        std::sort(rows.begin(), rows.end());
+        for (const std::uint32_t r : rows) {
+            if (g.rows.size() % kSoftmaxLanes == 0)
+                g.seg.push_back(s);
+            g.rows.push_back(r);
+        }
+        while (g.rows.size() % kSoftmaxLanes)
+            g.rows.push_back(g.rows[g.rows.size() / kSoftmaxLanes *
+                                    kSoftmaxLanes]);
+    }
+    return g;
+}
+
+/**
+ * DenseLayer::forwardLanes() and the backward() after it, on a k ->
+ * segments x width identity layer over @p rows input rows, against the
+ * full-width scalar references in their documented orders: every lane
+ * of the forward against bias + H W^T (refMatmulAdd), and gradW, gradB
+ * and gradIn against refTransposedMatmulAdd, ascending column sums and
+ * refMatmulAdd, from a gradOut that is random on the pairs' slices and
+ * zero elsewhere. @p poison may then write non-finite values into H
+ * and W, which the references carry at full width.
+ */
+void
+expectLaneLayerMatchesReference(
+    std::uint32_t segments, std::size_t width, std::size_t k,
+    std::size_t rows,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> &pairs,
+    std::uint64_t seed,
+    const std::function<void(Matrix &h, Matrix &w)> &poison = {})
+{
+    SCOPED_TRACE(testing::Message() << segments << " x " << width
+                                    << " outputs, k " << k << ", " << rows
+                                    << " rows, seed " << seed);
+    constexpr std::size_t L = kSoftmaxLanes;
+    const std::size_t n = segments * width;
+    Pcg32 rng(seed);
+    DenseLayer layer(k, n, Activation::Identity);
+    layer.initWeights(rng);
+    for (auto &b : layer.bias())
+        b = static_cast<float>(rng.nextDouble(-0.5, 0.5));
+    layer.bias()[1] = -0.0f;
+    Matrix h = randomMatrix(rows, k, rng);
+    if (poison)
+        poison(h, layer.weights());
+    const Matrix &w = layer.weights();
+    const LaneGroups g = laneGroups(width, segments, pairs);
+
+    // Forward: lane l of group grp, column i, against row
+    // rows[grp * L + l]'s full-width output seg * width + i.
+    std::vector<float> lanes(g.rows.size() * width, -1.0f);
+    layer.forwardLanes(h, g, lanes.data());
+    Matrix wt(k, n), want(rows, n);
+    for (std::size_t j = 0; j < n; j++)
+        for (std::size_t kk = 0; kk < k; kk++)
+            wt(kk, j) = w(j, kk);
+    for (std::size_t r = 0; r < rows; r++)
+        std::copy(layer.bias().begin(), layer.bias().end(), want.row(r));
+    refMatmulAdd(h, wt, want);
+    for (std::size_t grp = 0; grp < g.size(); grp++)
+        for (std::size_t l = 0; l < L; l++)
+            for (std::size_t i = 0; i < width; i++) {
+                const float got = lanes[(grp * width + i) * L + l];
+                const float ref =
+                    want(g.rows[grp * L + l], g.seg[grp] * width + i);
+                ASSERT_EQ(std::memcmp(&got, &ref, sizeof got), 0)
+                    << "forward group " << grp << " lane " << l
+                    << " column " << i;
+            }
+
+    // Backward.
+    Matrix gradOut(rows, n, 0.0f);
+    for (const auto &[r, s] : pairs)
+        for (std::size_t i = 0; i < width; i++)
+            gradOut(r, s * width + i) =
+                static_cast<float>(rng.nextDouble(-1.0, 1.0));
+    Matrix gradIn;
+    layer.backward(gradOut, gradIn, true);
+    Matrix wantW(n, k, 0.0f), wantIn(rows, k, 0.0f);
+    refTransposedMatmulAdd(gradOut, h, wantW, 1.0f);
+    refMatmulAdd(gradOut, w, wantIn);
+    Vector wantB(n, 0.0f);
+    for (std::size_t r = 0; r < rows; r++)
+        for (std::size_t c = 0; c < n; c++)
+            wantB[c] += gradOut(r, c);
+    EXPECT_EQ(std::memcmp(layer.gradWeights().data(), wantW.data(),
+                          wantW.size() * sizeof(float)),
+              0)
+        << "gradW";
+    EXPECT_EQ(std::memcmp(layer.gradBias().data(), wantB.data(),
+                          wantB.size() * sizeof(float)),
+              0)
+        << "gradB";
+    ASSERT_EQ(gradIn.rows(), rows);
+    EXPECT_EQ(std::memcmp(gradIn.data(), wantIn.data(),
+                          wantIn.size() * sizeof(float)),
+              0)
+        << "gradIn";
+}
+
+/** The pairs of the pinned batch: rows 0-3 form a group of four that
+ *  holds only segment 1; row 5 is a folded row holding both segments;
+ *  the other rows take one segment each, so neither segment's pair
+ *  count is a multiple of the lane width. */
+std::vector<std::pair<std::uint32_t, std::uint32_t>>
+pinnedPairs(std::size_t rows, std::uint32_t segments)
+{
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::uint32_t r = 0; r < rows; r++) {
+        if (r < 4)
+            pairs.push_back({r, 1});
+        else if (r == 5)
+            for (std::uint32_t s = 0; s < segments; s++)
+                pairs.push_back({r, s});
+        else
+            pairs.push_back({r, (r * 7 + r / 3) % segments});
+    }
+    return pairs;
+}
+
+TEST(LaneLayer, MatchesFullWidthDocumentedOrderBitForBit)
+{
+    // C51's layer (2 x 51 atoms over 30 inputs), with 23 rows: a
+    // leftover of three rows after the r-groups of four.
+    expectLaneLayerMatchesReference(2, 51, 30, 23, pinnedPairs(23, 2), 61);
+    // Segments off the k-groups of eight, three of them, and a width
+    // below one column tile.
+    expectLaneLayerMatchesReference(3, 13, 30, 37, pinnedPairs(37, 3), 62);
+    expectLaneLayerMatchesReference(2, 5, 30, 19, pinnedPairs(19, 2), 63);
+    // Four outputs: the forward's one-add-per-step order.
+    expectLaneLayerMatchesReference(2, 2, 30, 10, pinnedPairs(10, 2), 64);
+    // Fan-ins where the weight gradient's narrow kernel (k <= 8) and the
+    // input gradient's every leftover form run.
+    for (const std::size_t k : {5, 6, 7, 9, 12})
+        expectLaneLayerMatchesReference(2, 51, k, 21, pinnedPairs(21, 2),
+                                        65 + k);
+    // A full default batch over four actions, with random pairs.
+    Pcg32 rng(66);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::uint32_t r = 0; r < 128; r++) {
+        const std::uint32_t s = rng.nextBounded(4);
+        pairs.push_back({r, s});
+        if (rng.nextBounded(16) == 0)
+            pairs.push_back({r, (s + 1 + rng.nextBounded(3)) % 4});
+    }
+    expectLaneLayerMatchesReference(4, 51, 30, 128, pairs, 67);
+}
+
+TEST(LaneLayer, NonFiniteInputsAndWeightsGiveFullWidthBits)
+{
+    // A zero gradient times Inf or NaN is NaN, so a skipped reduction
+    // group would lose it: with such an input or weight, the backward
+    // must give the full-width bits (the weight gradient runs full
+    // width; the input gradient falls back to it). Each case carries one kind of
+    // non-finite value, so every NaN in it has one payload.
+    volatile float zero = 0.0f;
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nanA = std::bit_cast<float>(0x7fc5a5a5u);
+    const float nanB = std::bit_cast<float>(0xffe12345u);
+    const auto pairs = pinnedPairs(23, 2);
+    // Row 2 lies in the group of four that holds only action 1, so the
+    // full width adds 0 * H(2, 5) into action 0's weight gradient;
+    // output row 60 is action 1's, so action 0's rows get 0 * W(60, 3)
+    // in their input gradient (and row 10, action 0's, the reverse).
+    const std::vector<std::function<void(Matrix &, Matrix &)>> poisons = {
+        [&](Matrix &h, Matrix &) { h(2, 5) = inf; },
+        [&](Matrix &h, Matrix &) { h(2, 5) = -inf; },
+        [&](Matrix &h, Matrix &) { h(2, 5) = nanA; },
+        [&](Matrix &h, Matrix &) { h(17, 29) = nanB; },
+        [&](Matrix &, Matrix &w) { w(60, 3) = -inf; },
+        [&](Matrix &, Matrix &w) { w(10, 8) = inf; },
+        [&](Matrix &, Matrix &w) { w(60, 3) = nanB; },
+        [&](Matrix &, Matrix &w) { w(10, 29) = nanA; },
+        [&](Matrix &, Matrix &w) { w(3, 0) = inf * zero; },
+    };
+    for (std::size_t c = 0; c < poisons.size(); c++) {
+        SCOPED_TRACE(testing::Message() << "poison " << c);
+        expectLaneLayerMatchesReference(2, 51, 30, 23, pairs, 70 + c,
+                                        poisons[c]);
+    }
+}
 
 // ---------------------------------------------------------------------
 // Whole-network equivalence.
@@ -999,6 +1203,40 @@ TEST(C51Decode, MatchesPerActionReferenceBitForBit)
         }
 }
 
+/** One next-state distribution @p p projected under (reward, gamma):
+ *  each atom's mass scatter-added onto its two landing neighbours in
+ *  ascending atom order, all NaN for a non-finite reward. */
+void
+refProject(const AgentConfig &cfg, const float *p, float reward, float *out)
+{
+    const std::size_t atoms = cfg.atoms;
+    const double delta = (cfg.vmax - cfg.vmin) / (atoms - 1);
+    if (!std::isfinite(static_cast<double>(reward))) {
+        std::fill_n(out, atoms, std::numeric_limits<float>::quiet_NaN());
+        return;
+    }
+    std::fill_n(out, atoms, 0.0f);
+    for (std::uint32_t i = 0; i < atoms; i++) {
+        const double pi = p[i];
+        if (pi <= 0.0)
+            continue;
+        const double z = cfg.vmin + delta * static_cast<double>(i);
+        const double tz = std::clamp(reward + cfg.gamma * z, cfg.vmin,
+                                     cfg.vmax);
+        const double b = (tz - cfg.vmin) / delta;
+        auto lo = static_cast<std::uint32_t>(std::floor(b));
+        auto hi = static_cast<std::uint32_t>(std::ceil(b));
+        lo = std::min(lo, cfg.atoms - 1);
+        hi = std::min(hi, cfg.atoms - 1);
+        if (lo == hi) {
+            out[lo] += static_cast<float>(pi);
+        } else {
+            out[lo] += static_cast<float>(pi * (hi - b));
+            out[hi] += static_cast<float>(pi * (b - lo));
+        }
+    }
+}
+
 TEST(C51Decode, TargetAndGreedyAgreeBelowMinus1e30)
 {
     // A finite support entirely below -1e30 (an accepted
@@ -1026,7 +1264,7 @@ TEST(C51Decode, TargetAndGreedyAgreeBelowMinus1e30)
     ml::Vector dist(row.data() + greedy * atoms,
                     row.data() + (greedy + 1) * atoms);
     ml::softmax(dist);
-    head.support().project(dist.data(), reward, cfg.gamma, want.data());
+    refProject(cfg, dist.data(), reward, want.data());
     EXPECT_EQ(std::memcmp(got.data(), want.data(), atoms * sizeof(float)),
               0);
 }
@@ -1060,31 +1298,7 @@ refC51Target(const AgentConfig &cfg, const float *evalRow, float reward,
             bestA = a;
         }
     }
-    const float *p = d.data() + bestA * atoms;
-    if (!std::isfinite(static_cast<double>(reward))) {
-        std::fill_n(out, atoms, std::numeric_limits<float>::quiet_NaN());
-        return;
-    }
-    std::fill_n(out, atoms, 0.0f);
-    for (std::uint32_t i = 0; i < atoms; i++) {
-        const double pi = p[i];
-        if (pi <= 0.0)
-            continue;
-        const double z = cfg.vmin + delta * static_cast<double>(i);
-        const double tz = std::clamp(reward + cfg.gamma * z, cfg.vmin,
-                                     cfg.vmax);
-        const double b = (tz - cfg.vmin) / delta;
-        auto lo = static_cast<std::uint32_t>(std::floor(b));
-        auto hi = static_cast<std::uint32_t>(std::ceil(b));
-        lo = std::min(lo, cfg.atoms - 1);
-        hi = std::min(hi, cfg.atoms - 1);
-        if (lo == hi) {
-            out[lo] += static_cast<float>(pi);
-        } else {
-            out[lo] += static_cast<float>(pi * (hi - b));
-            out[hi] += static_cast<float>(pi * (b - lo));
-        }
-    }
+    refProject(cfg, d.data() + bestA * atoms, reward, out);
 }
 
 /** One row's C51 loss: cross-entropy of the taken action's softmax

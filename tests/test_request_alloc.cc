@@ -32,6 +32,7 @@
 #include "core/sibyl_config.hh"
 #include "core/sibyl_policy.hh"
 #include "hss/hybrid_system.hh"
+#include "rl/q_table.hh"
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
@@ -127,6 +128,48 @@ replay(const trace::Trace &t, hss::HybridSystem &sys,
     }
 }
 
+/** Heap activity of a replay of @p t. */
+struct Counted
+{
+    std::uint64_t allocs = 0;
+    std::uint64_t frees = 0;
+    std::uint64_t tableRows = 0; ///< Q-table rows the replay added
+};
+
+/** Allocations of one new Q-table row: its hash node and its Q-value
+ *  vector. */
+constexpr std::uint64_t kAllocsPerTableRow = 2;
+
+/**
+ * replay() counting allocations, frees and the Q-table rows it adds. A
+ * tabular learner's table grows by one row per newly visited quantized
+ * state, and a replay keeps finding a few new ones (prxy_1's second
+ * pass adds a row on ~3% of requests): that is the learner's memory,
+ * kAllocsPerTableRow allocations a row once the table's buckets are
+ * reserved (done here first, so no insert rehashes). Any allocation
+ * beyond those is request-path overhead. The network agents have no
+ * table.
+ */
+Counted
+replayCounted(const trace::Trace &t, hss::HybridSystem &sys,
+              core::SibylPolicy &policy)
+{
+    auto *table = dynamic_cast<rl::QTableAgent *>(&policy.agent());
+    if (table) {
+        auto rows = table->table();
+        rows.reserve(rows.size() + t.size());
+        table->restoreTable(std::move(rows));
+    }
+    const std::size_t rowsBefore = table ? table->tableEntries() : 0;
+    const std::uint64_t allocsBefore = gAllocs, freesBefore = gFrees;
+    replay(t, sys, policy);
+    Counted c;
+    c.allocs = gAllocs - allocsBefore;
+    c.frees = gFrees - freesBefore;
+    c.tableRows = table ? table->tableEntries() - rowsBefore : 0;
+    return c;
+}
+
 core::SibylConfig
 requestPathConfig(core::AgentKind kind)
 {
@@ -163,21 +206,23 @@ TEST_P(RequestAllocTest, SteadyStateRequestsAllocateNothing)
     ASSERT_GT(sys.counters().evictedPages, 0u);
 
     // Steady state: replay the same trace again and count.
-    const std::uint64_t allocsBefore = gAllocs;
-    const std::uint64_t freesBefore = gFrees;
-    replay(t, sys, policy);
-    const std::uint64_t allocs = gAllocs - allocsBefore;
-    const std::uint64_t frees = gFrees - freesBefore;
+    const Counted c = replayCounted(t, sys, policy);
 
-    EXPECT_EQ(allocs, 0u)
-        << "steady-state request path performed " << allocs
-        << " heap allocations over " << t.size() << " requests";
-    EXPECT_EQ(frees, 0u)
-        << "steady-state request path performed " << frees
+    EXPECT_EQ(c.allocs, kAllocsPerTableRow * c.tableRows)
+        << "steady-state request path performed " << c.allocs
+        << " heap allocations over " << t.size() << " requests ("
+        << c.tableRows << " new Q-table rows)";
+    EXPECT_EQ(c.frees, 0u)
+        << "steady-state request path performed " << c.frees
         << " frees over " << t.size() << " requests";
 }
 
-TEST_P(RequestAllocTest, WeightSyncsAllocateNothing)
+/** The network agents' weight syncs (the Q-table has none). */
+class WeightSyncAllocTest : public ::testing::TestWithParam<core::AgentKind>
+{
+};
+
+TEST_P(WeightSyncAllocTest, WeightSyncsAllocateNothing)
 {
 #if !SIBYL_ALLOC_COUNTING_RELIABLE
     GTEST_SKIP() << "sanitizer allocator interposes operator new";
@@ -227,30 +272,40 @@ TEST_P(RequestAllocTest, BoltzmannDecisionsAllocateNothing)
 
     replay(t, sys, policy);
     const std::uint64_t decisionsBefore = policy.agent().stats().decisions;
-    const std::uint64_t allocsBefore = gAllocs;
-    const std::uint64_t freesBefore = gFrees;
-    replay(t, sys, policy);
-    const std::uint64_t allocs = gAllocs - allocsBefore;
-    const std::uint64_t frees = gFrees - freesBefore;
+    const Counted c = replayCounted(t, sys, policy);
     const std::uint64_t decisions =
         policy.agent().stats().decisions - decisionsBefore;
 
     ASSERT_EQ(decisions, t.size());
-    EXPECT_EQ(allocs, 0u) << "Boltzmann decisions performed " << allocs
-                          << " heap allocations over " << decisions
-                          << " decisions";
-    EXPECT_EQ(frees, 0u) << "Boltzmann decisions performed " << frees
-                         << " frees over " << decisions << " decisions";
+    EXPECT_EQ(c.allocs, kAllocsPerTableRow * c.tableRows)
+        << "Boltzmann decisions performed " << c.allocs
+        << " heap allocations over " << decisions << " decisions ("
+        << c.tableRows << " new Q-table rows)";
+    EXPECT_EQ(c.frees, 0u) << "Boltzmann decisions performed " << c.frees
+                           << " frees over " << decisions << " decisions";
+}
+
+/** Test-name suffix of an agent kind. */
+std::string
+kindName(const testing::TestParamInfo<core::AgentKind> &info)
+{
+    switch (info.param) {
+      case core::AgentKind::Dqn: return "DQN";
+      case core::AgentKind::C51: return "C51";
+      case core::AgentKind::QTable: return "QTable";
+    }
+    return "?";
 }
 
 INSTANTIATE_TEST_SUITE_P(Agents, RequestAllocTest,
                          ::testing::Values(core::AgentKind::Dqn,
+                                           core::AgentKind::C51,
+                                           core::AgentKind::QTable),
+                         kindName);
+INSTANTIATE_TEST_SUITE_P(Agents, WeightSyncAllocTest,
+                         ::testing::Values(core::AgentKind::Dqn,
                                            core::AgentKind::C51),
-                         [](const auto &info) {
-                             return info.param == core::AgentKind::Dqn
-                                 ? "DQN"
-                                 : "C51";
-                         });
+                         kindName);
 
 /** Agent family and replay flavour of a training-round case. */
 struct TrainingCase

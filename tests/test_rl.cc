@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/rng.hh"
+#include "ml/activations.hh"
 #include "rl/c51_agent.hh"
 #include "rl/categorical.hh"
 #include "rl/replay_buffer.hh"
@@ -101,6 +107,102 @@ TEST(ReplayBuffer, SampleEmptyReturnsNothing)
 
 // --------------------------- CategoricalSupport ----------------------
 
+/** One distribution's projection: @p probs in every lane of
+ *  projectLanes(), lane 0's target. */
+ml::Vector
+projectOne(const CategoricalSupport &s, const ml::Vector &probs,
+           double reward, double gamma)
+{
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    const std::size_t atoms = s.atoms();
+    ml::Vector lanes(atoms * L), out((atoms + 1) * L);
+    double rewards[L];
+    std::fill_n(rewards, L, reward);
+    for (std::size_t i = 0; i < atoms; i++)
+        std::fill_n(lanes.data() + i * L, L, probs[i]);
+    s.projectLanes(lanes.data(), rewards, gamma, out.data());
+    ml::Vector target(atoms);
+    for (std::size_t i = 0; i < atoms; i++)
+        target[i] = out[i * L];
+    return target;
+}
+
+/** The documented projection of one distribution (@p probs at stride
+ *  @p stride): each atom's mass, scaled by its two neighbours' weights
+ *  and rounded to float, scatter-added in ascending atom order; all NaN
+ *  for a non-finite reward. */
+ml::Vector
+scatterProject(const CategoricalSupport &s, const float *probs,
+               std::size_t stride, double reward, double gamma)
+{
+    const std::uint32_t atoms = s.atoms();
+    if (!std::isfinite(reward))
+        return ml::Vector(atoms, std::numeric_limits<float>::quiet_NaN());
+    ml::Vector out(atoms, 0.0f);
+    const double last = atoms - 1;
+    for (std::uint32_t i = 0; i < atoms; i++) {
+        const double p = probs[i * stride];
+        if (p <= 0.0)
+            continue;
+        const double tz = std::clamp(reward + gamma * s.atomValue(i),
+                                     s.vmin(), s.vmax());
+        const double b = (tz - s.vmin()) / s.deltaZ();
+        const double lo = std::min(std::floor(b), last);
+        const double hi = std::min(std::ceil(b), last);
+        if (lo == hi) {
+            out[static_cast<std::size_t>(lo)] += static_cast<float>(p);
+        } else {
+            out[static_cast<std::size_t>(lo)] +=
+                static_cast<float>(p * (hi - b));
+            out[static_cast<std::size_t>(hi)] +=
+                static_cast<float>(p * (b - lo));
+        }
+    }
+    return out;
+}
+
+/** projectLanes() against the scalar scatter-add, bit for bit, lane by
+ *  lane: a different distribution and reward per lane, atoms without
+ *  mass, both clamps, non-finite rewards, and gammas of both signs (a
+ *  negative gamma moves the landing points down the atoms). */
+TEST(Categorical, ProjectLanesMatchesScalarScatterBitForBit)
+{
+    constexpr std::size_t L = ml::kSoftmaxLanes;
+    Pcg32 rng(29);
+    for (const CategoricalSupport s :
+         {CategoricalSupport(0.0, 10.0, 51),
+          CategoricalSupport(-10.0, 10.0, 51),
+          CategoricalSupport(-1.0, 3.0, 7)}) {
+        const std::size_t atoms = s.atoms();
+        for (const double gamma : {-1.0, -0.5, -0.1, 0.0, 0.3, 0.99, 1.0}) {
+            for (int trial = 0; trial < 20; trial++) {
+                ml::Vector probs(atoms * L), got((atoms + 1) * L, -1.0f);
+                for (auto &p : probs) {
+                    const double u = rng.nextDouble();
+                    p = u < 0.2 ? 0.0f : static_cast<float>(u);
+                }
+                double rewards[L];
+                for (auto &r : rewards)
+                    r = rng.nextDouble(-25.0, 25.0);
+                rewards[1] = std::nan("");
+                rewards[2] = std::numeric_limits<double>::infinity();
+                s.projectLanes(probs.data(), rewards, gamma, got.data());
+                for (std::size_t l = 0; l < L; l++) {
+                    const ml::Vector want = scatterProject(
+                        s, probs.data() + l, L, rewards[l], gamma);
+                    for (std::size_t i = 0; i < atoms; i++)
+                        ASSERT_EQ(std::memcmp(&got[i * L + l], &want[i],
+                                              sizeof(float)),
+                                  0)
+                            << "gamma " << gamma << " lane " << l
+                            << " atom " << i << ": " << got[i * L + l]
+                            << " vs " << want[i];
+                }
+            }
+        }
+    }
+}
+
 TEST(Categorical, AtomSpacing)
 {
     CategoricalSupport s(0.0, 10.0, 51);
@@ -140,8 +242,7 @@ TEST(Categorical, ProjectionConservesMass)
             p /= total;
         double reward = rng.nextDouble(-5.0, 15.0);
         double gamma = rng.nextDouble(0.0, 1.0);
-        ml::Vector target;
-        s.project(probs, reward, gamma, target);
+        const ml::Vector target = projectOne(s, probs, reward, gamma);
         double sum = 0.0;
         for (float p : target) {
             EXPECT_GE(p, 0.0f);
@@ -156,8 +257,7 @@ TEST(Categorical, ProjectionShiftsByReward)
     CategoricalSupport s(0.0, 10.0, 51);
     ml::Vector probs(51, 0.0f);
     probs[0] = 1.0f; // all mass at value 0
-    ml::Vector target;
-    s.project(probs, 4.0, 0.9, target);
+    const ml::Vector target = projectOne(s, probs, 4.0, 0.9);
     // r + gamma*0 = 4.0 -> atom 20.
     EXPECT_NEAR(target[20], 1.0f, 1e-6);
 }
@@ -167,11 +267,9 @@ TEST(Categorical, ProjectionClampsOutOfRange)
     CategoricalSupport s(0.0, 10.0, 51);
     ml::Vector probs(51, 0.0f);
     probs[50] = 1.0f; // value 10
-    ml::Vector target;
-    s.project(probs, 100.0, 1.0, target); // 110 clamps to vmax
-    EXPECT_NEAR(target[50], 1.0f, 1e-6);
-    s.project(probs, -100.0, 1.0, target); // clamps to vmin
-    EXPECT_NEAR(target[0], 1.0f, 1e-6);
+    // 110 clamps to vmax, -90 to vmin.
+    EXPECT_NEAR(projectOne(s, probs, 100.0, 1.0)[50], 1.0f, 1e-6);
+    EXPECT_NEAR(projectOne(s, probs, -100.0, 1.0)[0], 1.0f, 1e-6);
 }
 
 TEST(Categorical, ProjectionInterpolatesBetweenAtoms)
@@ -179,8 +277,8 @@ TEST(Categorical, ProjectionInterpolatesBetweenAtoms)
     CategoricalSupport s(0.0, 10.0, 51); // delta 0.2
     ml::Vector probs(51, 0.0f);
     probs[0] = 1.0f;
-    ml::Vector target;
-    s.project(probs, 0.3, 0.9, target); // lands halfway 0.2..0.4
+    // Lands halfway between 0.2 and 0.4.
+    const ml::Vector target = projectOne(s, probs, 0.3, 0.9);
     EXPECT_NEAR(target[1], 0.5f, 1e-5);
     EXPECT_NEAR(target[2], 0.5f, 1e-5);
 }
