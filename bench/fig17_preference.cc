@@ -8,44 +8,27 @@
  */
 
 #include <cstdio>
-#include <iostream>
 
 #include "bench_util.hh"
-#include "core/sibyl_policy.hh"
-#include "common/table.hh"
 
 using namespace sibyl;
 
 int
 main()
 {
-    bench::banner("Fig. 17: Sibyl's preference for the fast storage "
-                  "device (#fast / #all placements)");
+    scenario::ScenarioSpec s;
+    s.name = "fig17_preference";
+    s.policies = {"Sibyl"};
+    for (const auto &p : trace::msrcProfiles())
+        s.workloads.push_back(p.name);
+    s.hssConfigs = {"H&M", "H&L"};
+    s.traceLen = bench::requestOverride();
+    bench::runLineup(s,
+                     "Fig. 17: Sibyl's preference for the fast storage "
+                     "device (#fast / #all placements)",
+                     bench::Metric::FastPreference);
 
-    TextTable tab;
-    tab.header({"workload", "H&M", "H&L"});
-    double sums[2] = {0.0, 0.0};
-    for (const auto &p : trace::msrcProfiles()) {
-        trace::Trace t = trace::makeWorkload(p);
-        std::vector<std::string> row = {p.name};
-        int ci = 0;
-        for (const char *cfgName : {"H&M", "H&L"}) {
-            sim::ExperimentConfig cfg;
-            cfg.hssConfig = cfgName;
-            sim::Experiment exp(cfg);
-            core::SibylConfig scfg;
-            core::SibylPolicy sibyl(scfg, exp.numDevices());
-            auto r = exp.run(t, sibyl);
-            sums[ci++] += r.metrics.fastPlacementPreference;
-            row.push_back(cell(r.metrics.fastPlacementPreference, 3));
-        }
-        tab.addRow(row);
-    }
-    double n = static_cast<double>(trace::msrcProfiles().size());
-    tab.addRow({"AVG", cell(sums[0] / n, 3), cell(sums[1] / n, 3)});
-    tab.print(std::cout);
-
-    std::printf("\nPaper reference: preference is higher in H&L than in "
+    std::printf("Paper reference: preference is higher in H&L than in "
                 "H&M for most workloads — with a huge latency gap,\n"
                 "serving from fast pays off despite more evictions; "
                 "cold/sequential workloads prefer the slow device.\n");

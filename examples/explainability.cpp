@@ -14,7 +14,7 @@
 
 #include "explain/instrumented_policy.hh"
 #include "explain/saliency.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 using namespace sibyl;
@@ -30,14 +30,16 @@ analyze(const char *hssConfig, const std::string &workload)
 {
     std::printf("\n=== %s on %s ===\n", workload.c_str(), hssConfig);
 
-    sim::ExperimentConfig cfg;
+    sim::RunSpec cfg;
     cfg.hssConfig = hssConfig;
-    sim::Experiment experiment(cfg);
     trace::Trace t = trace::makeWorkload(workload);
 
+    // Devices jitter from seed 42, in the run and its Fast-Only
+    // normalization baseline alike.
     explain::InstrumentedSibyl policy(core::SibylConfig(),
-                                      experiment.numDevices());
-    const auto result = experiment.run(t, policy);
+                                      sim::numHssDevices(hssConfig));
+    const auto result = sim::runPolicyExperiment(
+        cfg, t, policy, sim::computeFastOnlyBaseline(cfg, t, 42), 42);
     const auto &log = policy.log();
 
     // 1. Overall preference — the Fig. 17 number.

@@ -19,7 +19,7 @@
 
 #include "explain/instrumented_policy.hh"
 #include "policies/cde.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/trace.hh"
 #include "trace/workloads.hh"
 
@@ -67,16 +67,19 @@ main()
                 spliced.size(),
                 static_cast<unsigned long long>(spliced.uniquePages()));
 
-    sim::ExperimentConfig cfg;
+    sim::RunSpec cfg;
     cfg.hssConfig = "H&M";
-    sim::Experiment experiment(cfg);
+    // Fast-Only normalization baseline; devices jitter from seed 42.
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, spliced, 42);
 
     explain::InstrumentedSibyl sibyl(core::SibylConfig(),
-                                     experiment.numDevices());
-    const auto sibylResult = experiment.run(spliced, sibyl);
+                                     sim::numHssDevices(cfg.hssConfig));
+    const auto sibylResult =
+        sim::runPolicyExperiment(cfg, spliced, sibyl, fastOnly, 42);
 
     policies::CdePolicy cde;
-    const auto cdeResult = experiment.run(spliced, cde);
+    const auto cdeResult =
+        sim::runPolicyExperiment(cfg, spliced, cde, fastOnly, 42);
 
     std::printf("\nnormalized avg latency:  Sibyl %.3f   CDE %.3f\n",
                 sibylResult.normalizedLatency,

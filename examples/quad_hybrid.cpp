@@ -17,7 +17,7 @@
 
 #include "core/sibyl_policy.hh"
 #include "policies/tri_heuristic.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 using namespace sibyl;
@@ -44,10 +44,16 @@ main()
 {
     trace::Trace workload = trace::makeWorkload("usr_0", 20000);
 
-    sim::ExperimentConfig cfg;
+    sim::RunSpec cfg;
     cfg.hssConfig = "H&M&L_SSD&L";
     cfg.fastCapacityFrac = 0.05; // H holds 5%, M 10%, L_SSD 20% of WSS
-    sim::Experiment experiment(cfg);
+    const std::uint32_t numDevices =
+        sim::numHssDevices(cfg.hssConfig, cfg.fastCapacityFrac);
+    // Fast-Only normalization baseline; devices jitter from seed 42.
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, workload, 42);
+    auto run = [&](policies::PlacementPolicy &policy) {
+        return sim::runPolicyExperiment(cfg, workload, policy, fastOnly, 42);
+    };
 
     std::printf("[H&M&L_SSD&L] %s — 4 devices, 4 actions\n",
                 workload.name().c_str());
@@ -55,21 +61,20 @@ main()
     // A reasonably tuned four-band ladder: >=16 accesses -> H,
     // >=4 -> M, >=1 -> L_SSD, never-seen pages -> L.
     policies::MultiTierHeuristicPolicy tuned({16, 4, 1});
-    report(experiment.run(workload, tuned), "heuristic (tuned bands)");
+    report(run(tuned), "heuristic (tuned bands)");
 
     // The same heuristic with a plausible but mis-tuned ladder — the
     // kind of guess a designer makes before measuring.
     policies::MultiTierHeuristicPolicy mistuned({256, 64, 16});
-    report(experiment.run(workload, mistuned),
-           "heuristic (mis-tuned bands)");
+    report(run(mistuned), "heuristic (mis-tuned bands)");
 
     // Sibyl: the same construction as for 2 or 3 devices. The action
     // space and the per-tier capacity features grow automatically.
     core::SibylConfig scfg;
-    core::SibylPolicy sibyl(scfg, experiment.numDevices());
+    core::SibylPolicy sibyl(scfg, numDevices);
     std::printf("  (Sibyl state dim %u, actions %u)\n",
-                sibyl.encoder().dimension(), experiment.numDevices());
-    report(experiment.run(workload, sibyl), "Sibyl (unchanged code)");
+                sibyl.encoder().dimension(), numDevices);
+    report(run(sibyl), "Sibyl (unchanged code)");
 
     std::printf("\nEvery added tier costs the heuristic another "
                 "hand-tuned threshold;\nSibyl only grows its action "

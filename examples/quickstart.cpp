@@ -12,7 +12,7 @@
 
 #include "core/sibyl_policy.hh"
 #include "policies/cde.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 using namespace sibyl;
@@ -30,20 +30,27 @@ main()
     // 2. Describe the hybrid storage system: Optane-class fast device
     //    (sized to 10%% of the working set) over a SATA TLC SSD — the
     //    paper's performance-oriented H&M configuration.
-    sim::ExperimentConfig cfg;
+    sim::RunSpec cfg;
     cfg.hssConfig = "H&M";
     cfg.fastCapacityFrac = 0.10;
-    sim::Experiment experiment(cfg);
+
+    //    Results are normalized to Fast-Only: the same system with a
+    //    fast device that holds the whole working set. The devices'
+    //    service-time jitter is seeded with 42.
+    const auto fastOnly = sim::computeFastOnlyBaseline(cfg, workload, 42);
+    auto run = [&](policies::PlacementPolicy &policy) {
+        return sim::runPolicyExperiment(cfg, workload, policy, fastOnly, 42);
+    };
 
     // 3. Run the Sibyl RL agent. It starts with zero knowledge and
     //    learns online from per-request latency rewards.
     core::SibylConfig sibylCfg; // Table 2 defaults
-    core::SibylPolicy sibyl(sibylCfg, experiment.numDevices());
-    auto sibylResult = experiment.run(workload, sibyl);
+    core::SibylPolicy sibyl(sibylCfg, sim::numHssDevices(cfg.hssConfig));
+    auto sibylResult = run(sibyl);
 
     // 4. Run a heuristic baseline for comparison.
     policies::CdePolicy cde;
-    auto cdeResult = experiment.run(workload, cde);
+    auto cdeResult = run(cde);
 
     std::printf("\n%-8s %15s %15s %12s\n", "policy", "avg latency", "vs Fast-Only",
                 "evictions");

@@ -10,9 +10,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "trace/workloads.hh"
@@ -62,14 +64,20 @@ main(int argc, char **argv)
             trace::Trace real = trace::readMsrcCsvFile(argv[1]);
             std::printf("loaded MSRC trace %s:\n", real.name().c_str());
             characterize(real);
-            sim::ExperimentConfig cfg;
-            cfg.hssConfig = "H&M";
-            sim::Experiment exp(cfg);
-            auto p = sim::makePolicy("Sibyl", exp.numDevices());
-            auto r = exp.run(real, *p);
+            sim::RunSpec spec;
+            spec.policy = "Sibyl";
+            spec.hssConfig = "H&M";
+            spec.workload = real.name();
+            spec.traceLen = real.size();
+            spec.externalTrace =
+                std::make_shared<const trace::Trace>(std::move(real));
+            const auto rec = sim::ParallelRunner().runAll({spec})[0];
+            if (rec.failed())
+                throw std::runtime_error(rec.error);
             std::printf("  Sibyl on %s: %.1f us avg (%.2fx Fast-Only)\n",
-                        real.name().c_str(), r.metrics.avgLatencyUs,
-                        r.normalizedLatency);
+                        spec.workload.c_str(),
+                        rec.result.metrics.avgLatencyUs,
+                        rec.result.normalizedLatency);
         } catch (const std::exception &e) {
             std::printf("could not replay %s: %s\n", argv[1], e.what());
         }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/logging.hh"
@@ -417,6 +418,18 @@ makeHssConfig(const std::string &shorthand, std::uint64_t workingSetPages,
 {
     using device::devicePreset;
     std::uint64_t wss = std::max<std::uint64_t>(workingSetPages, 64);
+    // The fraction is user input (CLI --fast-frac, scenario files);
+    // casting a negative, non-finite or oversized page count is
+    // undefined, so reject it here, before any device is sized.
+    if (!(fastCapacityFrac >= 0.0) ||
+        !(fastCapacityFrac * static_cast<double>(wss) < 0x1p64)) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%g", fastCapacityFrac);
+        throw std::invalid_argument(
+            std::string("makeHssConfig: fastCapacityFrac ") + buf +
+            " must be finite, >= 0, and leave the fast device's page "
+            "count (fraction x working set) within 64 bits");
+    }
     auto frac = [&](double f) {
         return std::max<std::uint64_t>(
             16, static_cast<std::uint64_t>(f * static_cast<double>(wss)));

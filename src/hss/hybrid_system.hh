@@ -247,6 +247,9 @@ class HybridSystem
  *        slowest = unbounded (1.5x WSS).
  * @param fastCapacityFrac Fraction of the working set the fast device
  *        holds (default 0.10 per §3; §8.7 uses 0.05 for tri-hybrid H).
+ * @throws std::invalid_argument for an unknown shorthand, or for a
+ *        fraction that is negative, NaN or infinite, or whose page
+ *        count (fraction x working set) does not fit 64 bits.
  */
 std::vector<device::DeviceSpec>
 makeHssConfig(const std::string &shorthand, std::uint64_t workingSetPages,

@@ -93,6 +93,11 @@ ScenarioSpec::expand() const
                 "scenario \"" + name + "\": fleet tenant \"" +
                 t.workload + "\": timeCompress must be >= 1");
     }
+    // Every named config must build at the scenario's capacity
+    // fraction: an unknown shorthand or an out-of-range fraction fails
+    // here, at lowering, instead of in every run.
+    for (const auto &cfg : hssConfigs)
+        sim::numHssDevices(cfg, fastCapacityFrac);
     for (const auto &ov : deviceOverrides) {
         for (const auto &cfg : hssConfigs) {
             const std::uint32_t n =

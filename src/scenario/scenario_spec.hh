@@ -36,8 +36,8 @@ namespace sibyl::scenario
 
 /**
  * Declarative tweak of one device slot of every run's HSS, applied
- * after hss::makeHssConfig (like ExperimentConfig::specTweak, but
- * serializable). Zero-valued fields keep the preset.
+ * after hss::makeHssConfig (expand() lowers it to RunSpec::specTweak;
+ * this is its serializable form). Zero-valued fields keep the preset.
  */
 struct DeviceOverride
 {
@@ -156,7 +156,8 @@ struct ScenarioSpec
      * sibylParams applied to every spec's SibylConfig and the device
      * overrides attached as each spec's specTweak. Validates that
      * every policy descriptor resolves in the PolicyFactory, that
-     * every override's device slot exists in every named hssConfig,
+     * every hssConfig builds at fastCapacityFrac (hss::makeHssConfig),
+     * that every override's device slot exists in every hssConfig,
      * that timeCompress >= 1, and that sibylParams holds no "seed"
      * (run seeds are derived); throws std::invalid_argument otherwise.
      */

@@ -1,17 +1,15 @@
 /**
  * @file
- * Experiment harness: builds (workload, HSS configuration, policy)
- * combinations, normalizes results to the Fast-Only baseline exactly as
- * every figure in the paper does, and provides a policy factory shared
- * by the benches and examples.
+ * Result types of a (workload, HSS configuration, policy) run — the
+ * Fast-Only-normalized PolicyResult every figure in the paper reports —
+ * plus the policy factory shared by the runner, the benches and the
+ * examples. Runs themselves are described by sim::RunSpec and executed
+ * by sim::ParallelRunner (sim/parallel_runner.hh).
  */
 
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "core/sibyl_config.hh"
@@ -22,30 +20,6 @@
 
 namespace sibyl::sim
 {
-
-/** Configuration of one experiment family. */
-struct ExperimentConfig
-{
-    /** HSS shorthand: "H&M", "H&L", "H&M&L", "H&M&L_SSD" (Table 3),
-     *  or the quad-hybrid "H&M&L_SSD&L" extensibility configuration. */
-    std::string hssConfig = "H&M";
-
-    /** Fast-device capacity as a fraction of the workload working set
-     *  (paper default: 10%; tri-hybrid H: 5%; Fig. 15 sweeps this). */
-    double fastCapacityFrac = 0.10;
-
-    /** Device-jitter seed. */
-    std::uint64_t seed = 42;
-
-    /** Simulation-loop knobs. */
-    SimConfig sim;
-
-    /** Optional hook applied to the device specs of every policy run
-     *  (but not to the Fast-Only normalization baseline, which stays
-     *  the healthy reference) — e.g. to inject fault windows or tweak
-     *  device parameters without a custom harness. */
-    std::function<void(std::vector<device::DeviceSpec> &)> specTweak;
-};
 
 /** Per-tenant slice of a fleet run's results (sim/fleet.hh). */
 struct TenantSummary
@@ -97,65 +71,11 @@ struct PolicyResult
     double fairnessJain = 0.0;
 };
 
-/** Device count of an HSS shorthand (shared by the serial harness and
- *  the parallel runner so the two can never disagree). */
+/** Device count of an HSS shorthand (throws std::invalid_argument
+ *  for an unknown shorthand or an out-of-range fraction, as
+ *  hss::makeHssConfig does). */
 std::uint32_t numHssDevices(const std::string &hssConfig,
                             double fastCapacityFrac = 0.10);
-
-/**
- * Compute the Fast-Only reference run for @p t under @p cfg: the fast
- * device is sized to hold the entire working set, per the paper's
- * baseline definition. Ignores cfg.specTweak (the baseline stays the
- * healthy reference). Deterministic in (cfg, t); safe to call
- * concurrently from multiple threads on distinct or shared traces.
- */
-RunMetrics computeFastOnlyBaseline(const ExperimentConfig &cfg,
-                                   const trace::Trace &t);
-
-/**
- * Run @p policy on @p t under @p cfg with a freshly built system and
- * normalize against @p baseline. This is the single-run core shared by
- * the serial Experiment harness and the parallel runner; it touches no
- * shared state.
- */
-PolicyResult runPolicyExperiment(const ExperimentConfig &cfg,
-                                 const trace::Trace &t,
-                                 policies::PlacementPolicy &policy,
-                                 const RunMetrics &baseline);
-
-/**
- * Runs policies over traces under a fixed experiment configuration,
- * caching the Fast-Only baseline per trace. Thread-safe: concurrent
- * run()/fastOnlyBaseline() calls on one Experiment are allowed (the
- * baseline cache is guarded; cached entries are never invalidated, so
- * returned references stay valid for the Experiment's lifetime).
- */
-class Experiment
-{
-  public:
-    explicit Experiment(ExperimentConfig cfg);
-
-    /** Number of devices in the configured HSS. */
-    std::uint32_t numDevices() const;
-
-    /**
-     * Run @p policy on @p t with a freshly built system and return the
-     * normalized result.
-     */
-    PolicyResult run(const trace::Trace &t,
-                     policies::PlacementPolicy &policy);
-
-    /** Fast-Only reference metrics for @p t (fast device sized to hold
-     *  the entire working set, per the paper's baseline definition). */
-    const RunMetrics &fastOnlyBaseline(const trace::Trace &t);
-
-    const ExperimentConfig &config() const { return cfg_; }
-
-  private:
-    ExperimentConfig cfg_;
-    std::mutex baselineMutex_;
-    std::map<std::string, RunMetrics> baselineCache_;
-};
 
 /**
  * Policy factory — a thin wrapper over scenario::PolicyFactory, kept

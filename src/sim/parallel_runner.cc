@@ -8,6 +8,9 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hh"
+#include "core/sibyl_policy.hh"
+#include "energy/energy_model.hh"
+#include "policies/static_policies.hh"
 #include "scenario/json.hh"
 #include "sim/fleet.hh"
 
@@ -133,6 +136,67 @@ RunSpec::traceKey() const
     return k;
 }
 
+RunMetrics
+computeFastOnlyBaseline(const RunSpec &spec, const trace::Trace &t,
+                        std::uint64_t deviceSeed)
+{
+    // Fast-Only: "all data resides in the fast storage device" — the
+    // fast device is sized to hold the entire working set.
+    auto specs = hss::makeHssConfig(spec.hssConfig, t.uniquePages(),
+                                    /*fastCapacityFrac=*/1.6);
+    hss::HybridSystem sys(std::move(specs), deviceSeed);
+    policies::FastOnlyPolicy fastOnly;
+    // Nothing reads the baseline's per-request vectors.
+    SimConfig sim = spec.sim;
+    sim.recordPerRequest = false;
+    return runSimulation(t, sys, fastOnly, sim);
+}
+
+PolicyResult
+runPolicyExperiment(const RunSpec &spec, const trace::Trace &t,
+                    policies::PlacementPolicy &policy,
+                    const RunMetrics &baseline, std::uint64_t deviceSeed)
+{
+    auto specs = hss::makeHssConfig(spec.hssConfig, t.uniquePages(),
+                                    spec.fastCapacityFrac);
+    if (spec.specTweak)
+        spec.specTweak(specs);
+    hss::HybridSystem sys(std::move(specs), deviceSeed);
+
+    PolicyResult r;
+    r.policy = policy.name();
+    r.workload = t.name();
+    r.metrics = runSimulation(t, sys, policy, spec.sim);
+
+    r.normalizedLatency = baseline.avgLatencyUs > 0.0
+        ? r.metrics.avgLatencyUs / baseline.avgLatencyUs
+        : 0.0;
+    r.normalizedSteadyLatency = baseline.steadyAvgLatencyUs > 0.0
+        ? r.metrics.steadyAvgLatencyUs / baseline.steadyAvgLatencyUs
+        : 0.0;
+    r.normalizedIops =
+        baseline.iops > 0.0 ? r.metrics.iops / baseline.iops : 0.0;
+
+    // Post-run device accounting for the endurance/energy ablations.
+    for (DeviceId d = 0; d < sys.numDevices(); d++) {
+        const auto &dev = sys.device(d);
+        r.devicePagesWritten.push_back(dev.counters().pagesWritten);
+        const auto power = energy::powerPreset(dev.spec().name);
+        r.totalEnergyMj +=
+            energy::computeEnergy(dev, power, r.metrics.makespanUs)
+                .totalMj();
+    }
+
+    // Surface guardrail trip accounting for supervised RL runs.
+    if (const auto *sp = dynamic_cast<core::SibylPolicy *>(&policy)) {
+        if (sp->guardrail()) {
+            r.guardrailEnabled = true;
+            r.guardrail = sp->guardrail()->stats();
+        }
+    }
+    return r;
+}
+
 ParallelRunner::ParallelRunner(ParallelConfig cfg) : cfg_(cfg) {}
 
 std::uint64_t
@@ -187,14 +251,9 @@ ParallelRunner::baselineFor(const RunSpec &spec, const trace::Trace &t)
 
     if (builder) {
         try {
-            ExperimentConfig ecfg;
-            ecfg.hssConfig = spec.hssConfig;
-            ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-            ecfg.seed = deriveStream(fnv1a(id), kDeviceJitterSalt);
-            ecfg.sim = spec.sim;
-            ecfg.sim.recordPerRequest = false;
-            promise.set_value(std::make_shared<const RunMetrics>(
-                computeFastOnlyBaseline(ecfg, t)));
+            promise.set_value(
+                std::make_shared<const RunMetrics>(computeFastOnlyBaseline(
+                    spec, t, deriveStream(fnv1a(id), kDeviceJitterSalt))));
         } catch (...) {
             promise.set_exception(std::current_exception());
             std::lock_guard<std::mutex> lock(baselineMutex_);
@@ -231,13 +290,6 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
     auto baseline = baselineFor(spec, *trace);
 
     phase = "policy";
-    ExperimentConfig ecfg;
-    ecfg.hssConfig = spec.hssConfig;
-    ecfg.fastCapacityFrac = spec.fastCapacityFrac;
-    ecfg.seed = deriveStream(rec.runKey, kDeviceJitterSalt);
-    ecfg.sim = spec.sim;
-    ecfg.specTweak = spec.specTweak;
-
     core::SibylConfig sibylCfg = spec.sibylCfg;
     sibylCfg.seed = deriveStream(rec.runKey, kAgentSalt);
 
@@ -249,7 +301,9 @@ ParallelRunner::runOne(const RunSpec &spec, RunRecord &rec,
         spec.policySetup(*policy);
 
     phase = "simulate";
-    rec.result = runPolicyExperiment(ecfg, *trace, *policy, *baseline);
+    rec.result = runPolicyExperiment(
+        spec, *trace, *policy, *baseline,
+        deriveStream(rec.runKey, kDeviceJitterSalt));
     phase = "finish";
     if (spec.policyFinish)
         spec.policyFinish(*policy);

@@ -42,8 +42,9 @@
  *     baseline, shared by every policy on the same (config, trace,
  *     seed), uses deriveStream(baselineKey, kDeviceJitterSalt) where
  *     baselineKey is the run key of a pseudo-run with policy
- *     "Fast-Only-baseline". A run that needs a caller-chosen seed or a
- *     caller-held policy object uses sim::Experiment directly.
+ *     "Fast-Only-baseline". The runner is the only code that derives
+ *     these seeds; a caller that holds its own policy object calls
+ *     runPolicyExperiment() with seeds of its choosing.
  *
  * Changing the canonical string format invalidates every golden-run
  * snapshot; treat it like an on-disk format.
@@ -106,7 +107,10 @@ struct RunSpec
     SimConfig sim;
     core::SibylConfig sibylCfg;
 
-    /** Optional device-spec hook, as ExperimentConfig::specTweak. */
+    /** Optional hook applied to the device specs of the policy run —
+     *  e.g. to inject fault windows or tweak device parameters. The
+     *  Fast-Only normalization baseline ignores it: it stays the
+     *  healthy reference. */
     std::function<void(std::vector<device::DeviceSpec> &)> specTweak;
 
     /**
@@ -146,6 +150,30 @@ struct RunSpec
     /** Cache identity of this spec's trace. */
     trace::TraceKey traceKey() const;
 };
+
+/**
+ * Fast-Only reference run for @p t: the fast device of @p spec's
+ * hssConfig is sized to hold the entire working set, per the paper's
+ * baseline definition, and the devices jitter from @p deviceSeed. Reads
+ * only spec.hssConfig and spec.sim (never the policy, the capacity
+ * fraction or specTweak). Deterministic; touches no shared state.
+ */
+RunMetrics computeFastOnlyBaseline(const RunSpec &spec,
+                                   const trace::Trace &t,
+                                   std::uint64_t deviceSeed);
+
+/**
+ * The single-run core: run @p policy on @p t in a freshly built system
+ * of @p spec's hssConfig, fastCapacityFrac and specTweak, with devices
+ * jittering from @p deviceSeed and the loop driven by spec.sim, and
+ * normalize against @p baseline. Deterministic; touches no shared
+ * state.
+ */
+PolicyResult runPolicyExperiment(const RunSpec &spec,
+                                 const trace::Trace &t,
+                                 policies::PlacementPolicy &policy,
+                                 const RunMetrics &baseline,
+                                 std::uint64_t deviceSeed);
 
 /** One finished (or failed) run. */
 struct RunRecord

@@ -15,7 +15,7 @@
 #include "explain/instrumented_policy.hh"
 #include "explain/saliency.hh"
 #include "rl/checkpoint.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl
@@ -23,20 +23,29 @@ namespace sibyl
 namespace
 {
 
+/** Run @p policy on @p t on the single-run core at the pinned device
+ *  seed 42, normalized to the matching Fast-Only baseline. */
+sim::PolicyResult
+runOnCore(const trace::Trace &t, policies::PlacementPolicy &policy,
+          const std::string &hssConfig = "H&M")
+{
+    sim::RunSpec spec;
+    spec.hssConfig = hssConfig;
+    return sim::runPolicyExperiment(
+        spec, t, policy, sim::computeFastOnlyBaseline(spec, t, 42), 42);
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint x simulation
 // ---------------------------------------------------------------------
 
 TEST(EndToEnd, CheckpointSurvivesSimulatedRun)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 6000);
 
     core::SibylConfig scfg;
-    core::SibylPolicy trained(scfg, exp.numDevices());
-    exp.run(t, trained);
+    core::SibylPolicy trained(scfg, 2);
+    runOnCore(t, trained);
     // Checkpoints persist the *training* network (the latest learned
     // weights); align the live policy's inference copy before
     // comparing decisions.
@@ -45,7 +54,7 @@ TEST(EndToEnd, CheckpointSurvivesSimulatedRun)
     std::stringstream buf;
     rl::saveCheckpoint(trained.agent(), buf);
 
-    core::SibylPolicy fresh(scfg, exp.numDevices());
+    core::SibylPolicy fresh(scfg, 2);
     ASSERT_EQ(rl::loadCheckpoint(fresh.agent(), buf), "");
 
     // Greedy decisions of the restored agent match the trained one.
@@ -64,19 +73,17 @@ TEST(EndToEnd, CheckpointAcrossAgentFamiliesInPolicies)
     for (core::AgentKind kind :
          {core::AgentKind::C51, core::AgentKind::Dqn,
           core::AgentKind::QTable}) {
-        sim::ExperimentConfig cfg;
-        sim::Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("prxy_0", 3000);
         core::SibylConfig scfg;
         scfg.agentKind = kind;
         if (kind == core::AgentKind::QTable)
             scfg.learningRate = 0.2;
-        core::SibylPolicy trained(scfg, exp.numDevices());
-        exp.run(t, trained);
+        core::SibylPolicy trained(scfg, 2);
+        runOnCore(t, trained);
 
         std::stringstream buf;
         rl::saveCheckpoint(trained.agent(), buf);
-        core::SibylPolicy fresh(scfg, exp.numDevices());
+        core::SibylPolicy fresh(scfg, 2);
         EXPECT_EQ(rl::loadCheckpoint(fresh.agent(), buf), "")
             << core::agentKindName(kind);
     }
@@ -88,21 +95,18 @@ TEST(EndToEnd, CheckpointAcrossAgentFamiliesInPolicies)
 
 TEST(EndToEnd, EvictionOnlyRewardParksDataSlow)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 8000);
 
     core::SibylConfig latencyCfg;
-    core::SibylPolicy latencySibyl(latencyCfg, exp.numDevices());
-    const auto latencyRun = exp.run(t, latencySibyl);
+    core::SibylPolicy latencySibyl(latencyCfg, 2);
+    const auto latencyRun = runOnCore(t, latencySibyl);
 
     core::SibylConfig evictCfg;
     evictCfg.reward.kind = core::RewardKind::EvictionOnly;
     evictCfg.vmin = -2.0;
     evictCfg.vmax = 2.0;
-    core::SibylPolicy evictSibyl(evictCfg, exp.numDevices());
-    const auto evictRun = exp.run(t, evictSibyl);
+    core::SibylPolicy evictSibyl(evictCfg, 2);
+    const auto evictRun = runOnCore(t, evictSibyl);
 
     // The §11 failure mode: far lower fast preference and evictions.
     EXPECT_LT(evictRun.metrics.fastPlacementPreference,
@@ -113,20 +117,17 @@ TEST(EndToEnd, EvictionOnlyRewardParksDataSlow)
 
 TEST(EndToEnd, EnduranceRewardReducesFastWrites)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("wdev_2", 8000); // write-heavy
 
     core::SibylConfig base;
-    core::SibylPolicy baseSibyl(base, exp.numDevices());
-    const auto baseRun = exp.run(t, baseSibyl);
+    core::SibylPolicy baseSibyl(base, 2);
+    const auto baseRun = runOnCore(t, baseSibyl);
 
     core::SibylConfig endu = base;
     endu.reward.kind = core::RewardKind::EnduranceAware;
     endu.reward.enduranceWeight = 1.0; // aggressive
-    core::SibylPolicy enduSibyl(endu, exp.numDevices());
-    const auto enduRun = exp.run(t, enduSibyl);
+    core::SibylPolicy enduSibyl(endu, 2);
+    const auto enduRun = runOnCore(t, enduSibyl);
 
     EXPECT_LT(enduRun.devicePagesWritten.at(0),
               baseRun.devicePagesWritten.at(0));
@@ -141,13 +142,11 @@ TEST(EndToEnd, SaliencyRunsOnEveryAgentFamily)
     for (core::AgentKind kind :
          {core::AgentKind::C51, core::AgentKind::Dqn,
           core::AgentKind::QTable}) {
-        sim::ExperimentConfig cfg;
-        sim::Experiment exp(cfg);
         trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
         core::SibylConfig scfg;
         scfg.agentKind = kind;
-        explain::InstrumentedSibyl policy(scfg, exp.numDevices());
-        exp.run(t, policy);
+        explain::InstrumentedSibyl policy(scfg, 2);
+        runOnCore(t, policy);
 
         std::vector<ml::Vector> states;
         for (std::size_t i = 0; i < policy.log().size(); i += 200)
@@ -168,11 +167,9 @@ TEST(EndToEnd, SaliencyRunsOnEveryAgentFamily)
 
 TEST(EndToEnd, SteadyStateLatencyPopulated)
 {
-    sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 4000);
-    core::SibylPolicy sibyl(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(core::SibylConfig(), 2);
+    const auto r = runOnCore(t, sibyl);
     EXPECT_GT(r.metrics.steadyAvgLatencyUs, 0.0);
     // Second-half average is a plausible latency (same order as the
     // overall mean).
@@ -186,12 +183,10 @@ TEST(EndToEnd, OnlineLearnerImprovesBySecondHalf)
 {
     // For a learnable hot/cold workload, Sibyl's steady-state latency
     // should not be worse than its overall average (it learned).
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&L"; // big gap -> clear learning signal
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("wdev_2");
-    core::SibylPolicy sibyl(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(core::SibylConfig(), 2);
+    // H&L: big gap -> clear learning signal.
+    const auto r = runOnCore(t, sibyl, "H&L");
     EXPECT_LE(r.metrics.steadyAvgLatencyUs,
               r.metrics.avgLatencyUs * 1.05);
 }
@@ -202,21 +197,19 @@ TEST(EndToEnd, OnlineLearnerImprovesBySecondHalf)
 
 TEST(EndToEnd, WarmStartedPolicyActsGreedilyFromCheckpoint)
 {
-    sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("prxy_0", 6000);
 
     core::SibylConfig scfg;
-    core::SibylPolicy trained(scfg, exp.numDevices());
-    exp.run(t, trained);
+    core::SibylPolicy trained(scfg, 2);
+    runOnCore(t, trained);
     const std::string path = "/tmp/sibyl_e2e_ckpt.bin";
     rl::saveCheckpointFile(trained.agent(), path);
 
     core::SibylConfig frozen = scfg;
     frozen.exploration.epsilon = 0.0;
-    core::SibylPolicy warm(frozen, exp.numDevices());
+    core::SibylPolicy warm(frozen, 2);
     ASSERT_EQ(rl::loadCheckpointFile(warm.agent(), path), "");
-    const auto r = exp.run(t, warm);
+    const auto r = runOnCore(t, warm);
     EXPECT_EQ(r.metrics.requests, t.size());
     std::remove(path.c_str());
 }

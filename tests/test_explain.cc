@@ -11,7 +11,7 @@
 #include "explain/instrumented_policy.hh"
 #include "explain/saliency.hh"
 #include "rl/dqn_agent.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl::explain
@@ -210,49 +210,47 @@ TEST(Saliency, TrainedBanditIgnoresAllFeatures)
 // InstrumentedSibyl
 // ---------------------------------------------------------------------
 
+/** Run @p policy on @p t in H&M on the single-run core (device seed
+ *  42). */
+sim::PolicyResult
+runOnCore(const trace::Trace &t, policies::PlacementPolicy &policy)
+{
+    const sim::RunSpec spec;
+    return sim::runPolicyExperiment(
+        spec, t, policy, sim::computeFastOnlyBaseline(spec, t, 42), 42);
+}
+
 TEST(InstrumentedSibyl, RecordsEveryDecision)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", /*requests=*/2000);
-
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    const auto r = runOnCore(t, policy);
     EXPECT_EQ(policy.log().size(), r.metrics.requests);
 }
 
 TEST(InstrumentedSibyl, LoggedPreferenceMatchesRunMetrics)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
-
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    const auto r = exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    const auto r = runOnCore(t, policy);
     EXPECT_NEAR(policy.log().overallPreference().preference(),
                 r.metrics.fastPlacementPreference, 1e-9);
 }
 
 TEST(InstrumentedSibyl, ResetClearsLog)
 {
-    sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 500);
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    runOnCore(t, policy);
     policy.reset();
     EXPECT_EQ(policy.log().size(), 0u);
 }
 
 TEST(InstrumentedSibyl, StatesHaveEncoderDimension)
 {
-    sim::ExperimentConfig cfg;
-    sim::Experiment exp(cfg);
     trace::Trace t = trace::makeWorkload("rsrch_0", 300);
-    InstrumentedSibyl policy(core::SibylConfig(), exp.numDevices());
-    exp.run(t, policy);
+    InstrumentedSibyl policy(core::SibylConfig(), 2);
+    runOnCore(t, policy);
     ASSERT_GT(policy.log().size(), 0u);
     EXPECT_EQ(policy.log()[0].state.size(),
               policy.sibyl().encoder().dimension());

@@ -17,7 +17,7 @@
 #include "rl/dqn_agent.hh"
 #include "rl/exploration.hh"
 #include "rl/q_table.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl::rl
@@ -395,9 +395,9 @@ class SibylExplorationTest
 TEST_P(SibylExplorationTest, RunsEndToEndThroughSibylConfig)
 {
     trace::Trace t = trace::makeWorkload("rsrch_0", 4000);
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
+    sim::RunSpec spec;
+    spec.hssConfig = "H&M";
+    const auto baseline = sim::computeFastOnlyBaseline(spec, t, 42);
 
     core::SibylConfig scfg;
     scfg.exploration.kind = GetParam();
@@ -406,16 +406,16 @@ TEST_P(SibylExplorationTest, RunsEndToEndThroughSibylConfig)
     scfg.exploration.decaySteps = 1000;
     scfg.exploration.halfLifeSteps = 300;
     scfg.exploration.temperature = 0.05;
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 2);
+    const auto r = sim::runPolicyExperiment(spec, t, sibyl, baseline, 42);
 
     EXPECT_EQ(r.metrics.requests, t.size());
     EXPECT_GT(r.normalizedLatency, 0.0);
     EXPECT_EQ(sibyl.agent().stats().decisions, t.size());
     // The learner must still function: it beats Slow-Only on this
     // cache-friendly workload under every exploration strategy.
-    auto slow = sim::makePolicy("Slow-Only", exp.numDevices());
-    const auto sr = exp.run(t, *slow);
+    auto slow = sim::makePolicy("Slow-Only", 2);
+    const auto sr = sim::runPolicyExperiment(spec, t, *slow, baseline, 42);
     EXPECT_LT(r.normalizedLatency, sr.normalizedLatency);
 }
 

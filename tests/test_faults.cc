@@ -14,7 +14,7 @@
 #include "device/block_device.hh"
 #include "device/fault_model.hh"
 #include "hss/hybrid_system.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
@@ -273,17 +273,17 @@ TEST(BlockDeviceFaults, SibylShiftsPlacementAwayFromDegradedDevice)
     trace::Trace t = trace::makeWorkload("rsrch_0", 12000);
 
     auto runWithFault = [&](bool degraded) {
-        sim::ExperimentConfig cfg;
-        cfg.hssConfig = "H&M";
+        sim::RunSpec spec;
+        spec.hssConfig = "H&M";
         if (degraded) {
-            cfg.specTweak = [](std::vector<device::DeviceSpec> &specs) {
+            spec.specTweak = [](std::vector<device::DeviceSpec> &specs) {
                 specs[0].faults.windows.push_back({0.0, 1e15, 50.0});
             };
         }
-        sim::Experiment exp(cfg);
         core::SibylConfig scfg;
-        core::SibylPolicy sibyl(scfg, exp.numDevices());
-        return exp.run(t, sibyl);
+        core::SibylPolicy sibyl(scfg, 2);
+        return sim::runPolicyExperiment(
+            spec, t, sibyl, sim::computeFastOnlyBaseline(spec, t, 42), 42);
     };
 
     const auto healthy = runWithFault(false);

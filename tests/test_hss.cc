@@ -11,8 +11,10 @@
 #include "hss/hybrid_system.hh"
 #include "hss/metadata.hh"
 
+#include <cmath>
 #include <list>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace sibyl::hss
@@ -520,6 +522,33 @@ TEST(MakeHssConfig, RejectsUnknownShorthandListingValidNames)
     }
     EXPECT_THROW(makeHssConfig("", 10000), std::invalid_argument);
     EXPECT_THROW(makeHssConfig("h&m", 10000), std::invalid_argument);
+}
+
+TEST(MakeHssConfig, RejectsOutOfRangeFastCapacityFrac)
+{
+    // Casting a negative, non-finite or oversized page count to the
+    // fast device's capacity is undefined: each must throw, naming the
+    // field, for every shorthand.
+    for (const char *cfg : {"H&M", "H&M&L", "H&M&L_SSD&L"}) {
+        for (double frac :
+             {-0.5, -1e-300, std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300,
+              // fits 64 bits at a 64-page working set, not at 10,000
+              1e16}) {
+            SCOPED_TRACE(std::string(cfg) + " " + std::to_string(frac));
+            try {
+                makeHssConfig(cfg, 10000, frac);
+                ADD_FAILURE() << "accepted";
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find("fastCapacityFrac"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+        // The edges of the valid range still build, and size as before.
+        EXPECT_EQ(makeHssConfig(cfg, 10000, 0.0)[0].capacityPages, 16u);
+        EXPECT_EQ(makeHssConfig(cfg, 10000, 1e15)[0].capacityPages,
+                  10000000000000000000ull);
+    }
 }
 
 } // namespace

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sibyl_policy.hh"
-#include "sim/experiment.hh"
+#include "scenario/scenario_spec.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl
@@ -16,24 +16,39 @@ namespace sibyl
 namespace
 {
 
-using sim::Experiment;
-using sim::ExperimentConfig;
 using sim::makePolicy;
+
+/** A one-config, one-workload scenario over @p policies. */
+scenario::ScenarioSpec
+lineup(std::vector<std::string> policies, const std::string &hssConfig,
+       const std::string &workload, std::size_t requests)
+{
+    scenario::ScenarioSpec s;
+    s.policies = std::move(policies);
+    s.workloads = {workload};
+    s.hssConfigs = {hssConfig};
+    s.traceLen = requests;
+    return s;
+}
+
+/** Run @p s through the runner; every run must succeed. */
+std::vector<sim::RunRecord>
+run(const scenario::ScenarioSpec &s)
+{
+    auto records = scenario::runScenario(s);
+    for (const auto &r : records)
+        EXPECT_FALSE(r.failed()) << r.spec.policy << ": " << r.error;
+    return records;
+}
 
 TEST(Integration, EveryPolicyRunsOnEveryConfig)
 {
-    for (const char *cfgName : {"H&M", "H&L"}) {
-        ExperimentConfig cfg;
-        cfg.hssConfig = cfgName;
-        Experiment exp(cfg);
-        trace::Trace t = trace::makeWorkload("usr_0", 2000);
-        for (const auto &name : sim::standardPolicyLineup()) {
-            auto p = makePolicy(name, exp.numDevices());
-            auto r = exp.run(t, *p);
-            EXPECT_GT(r.metrics.avgLatencyUs, 0.0)
-                << name << " on " << cfgName;
-            EXPECT_EQ(r.metrics.requests, 2000u);
-        }
+    auto s = lineup(sim::standardPolicyLineup(), "H&M", "usr_0", 2000);
+    s.hssConfigs = {"H&M", "H&L"};
+    for (const auto &rec : run(s)) {
+        EXPECT_GT(rec.result.metrics.avgLatencyUs, 0.0)
+            << rec.spec.policy << " on " << rec.spec.hssConfig;
+        EXPECT_EQ(rec.result.metrics.requests, 2000u);
     }
 }
 
@@ -66,31 +81,22 @@ TEST(Integration, FastOnlyIsTheLowerBound)
 {
     // Every policy on the capacity-limited system is at least as slow as
     // Fast-Only on an unlimited fast device (normalized >= ~1).
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
-    trace::Trace t = trace::makeWorkload("prxy_0", 3000);
-    for (const char *name : {"Slow-Only", "CDE", "HPS", "Sibyl", "Oracle"}) {
-        auto p = makePolicy(name, 2);
-        auto r = exp.run(t, *p);
-        EXPECT_GE(r.normalizedLatency, 0.95) << name;
-    }
+    for (const auto &rec :
+         run(lineup({"Slow-Only", "CDE", "HPS", "Sibyl", "Oracle"}, "H&M",
+                    "prxy_0", 3000)))
+        EXPECT_GE(rec.result.normalizedLatency, 0.95) << rec.spec.policy;
 }
 
 TEST(Integration, CachingBeatsSlowOnlyOnHotWorkload)
 {
     // prxy_0: 97% writes, extremely hot -> any sensible placement policy
     // must beat Slow-Only in the cost-oriented config.
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&L";
-    Experiment exp(cfg);
-    trace::Trace t = trace::makeWorkload("prxy_0", 4000);
-    auto slowR = exp.run(t, *makePolicy("Slow-Only", 2));
-    for (const char *name : {"CDE", "Sibyl", "Oracle"}) {
-        auto r = exp.run(t, *makePolicy(name, 2));
-        EXPECT_LT(r.normalizedLatency, slowR.normalizedLatency * 0.8)
-            << name;
-    }
+    const auto records = run(lineup({"Slow-Only", "CDE", "Sibyl", "Oracle"},
+                                    "H&L", "prxy_0", 4000));
+    const double slow = records[0].result.normalizedLatency;
+    for (std::size_t i = 1; i < records.size(); i++)
+        EXPECT_LT(records[i].result.normalizedLatency, slow * 0.8)
+            << records[i].spec.policy;
 }
 
 TEST(Integration, SibylLearnsOnline)
@@ -121,51 +127,42 @@ TEST(Integration, SibylLearnsOnline)
 
 TEST(Integration, TriHybridSibylRunsAndBeatsSlowestOnly)
 {
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M&L";
-    cfg.fastCapacityFrac = 0.05;
-    Experiment exp(cfg);
-    trace::Trace t = trace::makeWorkload("prxy_0", 4000);
-    auto sibylR = exp.run(t, *makePolicy("Sibyl", 3));
-    auto slowR = exp.run(t, *makePolicy("Slow-Only", 3));
-    EXPECT_LT(sibylR.normalizedLatency, slowR.normalizedLatency);
-    auto heurR = exp.run(t, *makePolicy("Heuristic-Tri-Hybrid", 3));
-    EXPECT_GT(heurR.metrics.requests, 0u);
+    auto s = lineup({"Sibyl", "Slow-Only", "Heuristic-Tri-Hybrid"}, "H&M&L",
+                    "prxy_0", 4000);
+    s.fastCapacityFrac = 0.05;
+    const auto records = run(s);
+    EXPECT_LT(records[0].result.normalizedLatency,
+              records[1].result.normalizedLatency);
+    EXPECT_GT(records[2].result.metrics.requests, 0u);
 }
 
 TEST(Integration, MixedWorkloadsRunEndToEnd)
 {
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
-    trace::Trace t = trace::makeMixedWorkload("mix2", 1500);
-    auto r = exp.run(t, *makePolicy("Sibyl", 2));
+    auto s = lineup({"Sibyl"}, "H&M", "mix2", 1500);
+    s.mixedWorkloads = true;
+    const auto r = run(s)[0].result;
     EXPECT_GT(r.metrics.requests, 2900u);
     EXPECT_GT(r.normalizedLatency, 0.0);
 }
 
 TEST(Integration, DeterministicAcrossRuns)
 {
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    Experiment expA(cfg), expB(cfg);
-    trace::Trace t = trace::makeWorkload("wdev_2", 3000);
-    auto a = expA.run(t, *makePolicy("Sibyl", 2));
-    auto b = expB.run(t, *makePolicy("Sibyl", 2));
+    // Two independent runners (own trace and baseline caches).
+    const auto s = lineup({"Sibyl"}, "H&M", "wdev_2", 3000);
+    const auto a = run(s)[0].result;
+    const auto b = run(s)[0].result;
     EXPECT_DOUBLE_EQ(a.metrics.avgLatencyUs, b.metrics.avgLatencyUs);
     EXPECT_EQ(a.metrics.placements, b.metrics.placements);
 }
 
 TEST(Integration, UnseenWorkloadsRun)
 {
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
-    for (const auto &p : trace::filebenchProfiles()) {
-        trace::Trace t = trace::makeWorkload(p, 1500);
-        auto r = exp.run(t, *makePolicy("Sibyl", 2));
-        EXPECT_GT(r.metrics.avgLatencyUs, 0.0) << p.name;
-    }
+    auto s = lineup({"Sibyl"}, "H&M", "", 1500);
+    s.workloads.clear();
+    for (const auto &p : trace::filebenchProfiles())
+        s.workloads.push_back(p.name);
+    for (const auto &rec : run(s))
+        EXPECT_GT(rec.result.metrics.avgLatencyUs, 0.0) << rec.spec.workload;
 }
 
 } // namespace

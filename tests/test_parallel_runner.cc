@@ -226,22 +226,16 @@ TEST(ParallelRunner, MatchesHandBuiltSerialRunBitForBit)
     const std::uint64_t key = ParallelRunner::runKey(s);
     const trace::Trace t = trace::makeWorkload(s.workload, s.traceLen);
 
-    // The Fast-Only baseline is keyed by a pseudo-run whose capacity
-    // is pinned to 1.6, and simulated at the run's own capacity.
+    // The Fast-Only baseline's device seed derives from the key of a
+    // pseudo-run whose capacity is pinned to 1.6.
     RunSpec baseSpec = s;
     baseSpec.policy = "Fast-Only-baseline";
     baseSpec.fastCapacityFrac = 1.6;
-    ExperimentConfig bcfg;
-    bcfg.hssConfig = s.hssConfig;
-    bcfg.fastCapacityFrac = s.fastCapacityFrac;
-    bcfg.seed = ParallelRunner::deriveStream(
-        ParallelRunner::runKey(baseSpec), kDeviceJitterSalt);
-    const RunMetrics baseline = computeFastOnlyBaseline(bcfg, t);
+    const RunMetrics baseline = computeFastOnlyBaseline(
+        s, t,
+        ParallelRunner::deriveStream(ParallelRunner::runKey(baseSpec),
+                                     kDeviceJitterSalt));
 
-    ExperimentConfig ecfg;
-    ecfg.hssConfig = s.hssConfig;
-    ecfg.fastCapacityFrac = s.fastCapacityFrac;
-    ecfg.seed = ParallelRunner::deriveStream(key, kDeviceJitterSalt);
     core::SibylConfig sibylCfg;
     sibylCfg.seed = ParallelRunner::deriveStream(key, kAgentSalt);
     auto policy = makePolicy(
@@ -250,7 +244,9 @@ TEST(ParallelRunner, MatchesHandBuiltSerialRunBitForBit)
     RunRecord expected;
     expected.spec = s;
     expected.runKey = key;
-    expected.result = runPolicyExperiment(ecfg, t, *policy, baseline);
+    expected.result = runPolicyExperiment(
+        s, t, *policy, baseline,
+        ParallelRunner::deriveStream(key, kDeviceJitterSalt));
 
     ASSERT_EQ(records.size(), 3u);
     std::ostringstream want;
@@ -426,6 +422,39 @@ TEST(ParallelRunner, ZeroCadenceSibylBecomesFailedRecord)
     writeResultsJson(alone, without);
     writeResultsJson(first, {with[0]});
     EXPECT_EQ(alone.str(), first.str());
+}
+
+TEST(ParallelRunner, OutOfRangeFastFracBecomesFailedRecord)
+{
+    // A negative, non-finite or oversized fast-device fraction cannot
+    // size the fast device: the run fails on its first attempt, naming
+    // the field, and leaves the rest of the batch bit-exact.
+    const auto healthy = rawSpecs({"CDE"});
+    std::vector<RunSpec> specs = healthy;
+    for (double frac : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), 1e300}) {
+        RunSpec bad = healthy[0];
+        bad.fastCapacityFrac = frac;
+        specs.push_back(bad);
+    }
+
+    ParallelConfig cfg;
+    cfg.numThreads = 2;
+    ParallelRunner a(cfg);
+    const auto without = a.runAll(healthy);
+    ParallelRunner b(cfg);
+    const auto with = b.runAll(specs);
+
+    ASSERT_EQ(with.size(), specs.size());
+    for (std::size_t i = 1; i < with.size(); i++) {
+        SCOPED_TRACE(specs[i].fastCapacityFrac);
+        ASSERT_TRUE(with[i].failed());
+        EXPECT_NE(with[i].error.find("fastCapacityFrac"),
+                  std::string::npos)
+            << with[i].error;
+        EXPECT_EQ(with[i].attempts, 1u);
+    }
+    expectIdentical({with[0]}, without);
 }
 
 TEST(ParallelRunner, TransientFailureRetriedBitExact)

@@ -12,7 +12,7 @@
 #include "core/sibyl_policy.hh"
 #include "ftl/ftl.hh"
 #include "hss/hybrid_system.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl
@@ -90,16 +90,17 @@ class PolicyMetricsTest
 
 TEST_P(PolicyMetricsTest, MetricsWellFormed)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    sim::Experiment exp(cfg);
-    trace::Trace t = trace::makeWorkload("rsrch_0", 3000);
-
-    auto policy = sim::makePolicy(GetParam(), exp.numDevices());
-    const auto r = exp.run(t, *policy);
+    sim::RunSpec spec;
+    spec.policy = GetParam();
+    spec.workload = "rsrch_0";
+    spec.hssConfig = "H&M";
+    spec.traceLen = 3000;
+    const auto records = sim::ParallelRunner().runAll({spec});
+    ASSERT_FALSE(records[0].failed()) << records[0].error;
+    const auto &r = records[0].result;
     const auto &m = r.metrics;
 
-    EXPECT_EQ(m.requests, t.size());
+    EXPECT_EQ(m.requests, spec.traceLen);
     EXPECT_GT(m.avgLatencyUs, 0.0);
     EXPECT_LE(m.p50LatencyUs, m.p99LatencyUs);
     EXPECT_LE(m.p99LatencyUs, m.maxLatencyUs);
@@ -122,7 +123,8 @@ TEST_P(PolicyMetricsTest, MetricsWellFormed)
     EXPECT_GE(r.normalizedLatency, 0.9);
 
     // Energy/write accounting present for each device.
-    ASSERT_EQ(r.devicePagesWritten.size(), exp.numDevices());
+    ASSERT_EQ(r.devicePagesWritten.size(),
+              sim::numHssDevices(spec.hssConfig));
     EXPECT_GT(r.totalEnergyMj, 0.0);
 }
 
@@ -183,14 +185,14 @@ class DeterminismTest
 TEST_P(DeterminismTest, RepeatRunsAreBitIdentical)
 {
     auto once = [&] {
-        sim::ExperimentConfig cfg;
-        cfg.hssConfig = "H&M";
-        sim::Experiment exp(cfg);
+        sim::RunSpec spec;
+        spec.hssConfig = "H&M";
         trace::Trace t = trace::makeWorkload("prxy_1", 4000);
         core::SibylConfig scfg;
         scfg.agentKind = GetParam();
-        core::SibylPolicy sibyl(scfg, exp.numDevices());
-        return exp.run(t, sibyl);
+        core::SibylPolicy sibyl(scfg, sim::numHssDevices(spec.hssConfig));
+        return sim::runPolicyExperiment(
+            spec, t, sibyl, sim::computeFastOnlyBaseline(spec, t, 42), 42);
     };
     const auto a = once();
     const auto b = once();

@@ -13,7 +13,7 @@
 #include "core/state.hh"
 #include "hss/hybrid_system.hh"
 #include "policies/tri_heuristic.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
@@ -57,14 +57,9 @@ TEST(QuadConfig, CapacityLadderRestrictsUpperTiers)
 
 TEST(QuadConfig, ExperimentReportsFourDevices)
 {
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M&L_SSD&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 4u);
-
-    cfg.hssConfig = "H&M&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 3u);
-    cfg.hssConfig = "H&L";
-    EXPECT_EQ(sim::Experiment(cfg).numDevices(), 2u);
+    EXPECT_EQ(sim::numHssDevices("H&M&L_SSD&L"), 4u);
+    EXPECT_EQ(sim::numHssDevices("H&M&L"), 3u);
+    EXPECT_EQ(sim::numHssDevices("H&L"), 2u);
 }
 
 TEST(QuadConfig, StateEncoderGainsOneFeaturePerExtraDevice)
@@ -176,15 +171,15 @@ TEST(QuadHeuristic, FactoryBuildsDescendingLadder)
 TEST(QuadSibyl, RunsEndToEndAndUsesAllTiers)
 {
     trace::Trace t = trace::makeWorkload("usr_0", 8000);
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M&L_SSD&L";
-    cfg.fastCapacityFrac = 0.05;
-    sim::Experiment exp(cfg);
+    sim::RunSpec spec;
+    spec.hssConfig = "H&M&L_SSD&L";
+    spec.fastCapacityFrac = 0.05;
 
     core::SibylConfig scfg;
     scfg.exploration.epsilon = 0.05; // enough exploration to visit every action
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto r = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 4);
+    const auto r = sim::runPolicyExperiment(
+        spec, t, sibyl, sim::computeFastOnlyBaseline(spec, t, 42), 42);
 
     EXPECT_EQ(r.metrics.requests, t.size());
     EXPECT_GT(r.normalizedLatency, 0.0);
@@ -202,17 +197,17 @@ TEST(QuadSibyl, BeatsMistunedHeuristicOnHotWorkload)
     // A hot workload on a ladder whose bands are two octaves too cold:
     // the heuristic freezes hot data while Sibyl learns around it.
     trace::Trace t = trace::makeWorkload("rsrch_0", 10000);
-    sim::ExperimentConfig cfg;
-    cfg.hssConfig = "H&M&L_SSD&L";
-    cfg.fastCapacityFrac = 0.05;
-    sim::Experiment exp(cfg);
+    sim::RunSpec spec;
+    spec.hssConfig = "H&M&L_SSD&L";
+    spec.fastCapacityFrac = 0.05;
+    const auto baseline = sim::computeFastOnlyBaseline(spec, t, 42);
 
     policies::MultiTierHeuristicPolicy mistuned({4096, 1024, 256});
-    const auto hr = exp.run(t, mistuned);
+    const auto hr = sim::runPolicyExperiment(spec, t, mistuned, baseline, 42);
 
     core::SibylConfig scfg;
-    core::SibylPolicy sibyl(scfg, exp.numDevices());
-    const auto sr = exp.run(t, sibyl);
+    core::SibylPolicy sibyl(scfg, 4);
+    const auto sr = sim::runPolicyExperiment(spec, t, sibyl, baseline, 42);
 
     EXPECT_LT(sr.normalizedLatency, hr.normalizedLatency);
 }

@@ -660,6 +660,31 @@ TEST(ScenarioSpec, ExpandValidatesPoliciesAndOverrideDevices)
     EXPECT_THROW(o.expand(), std::invalid_argument);
 }
 
+TEST(ScenarioSpec, ExpandRejectsOutOfRangeFastCapacityFrac)
+{
+    // The fraction sizes the fast device of every run; one that cannot
+    // size it fails the scenario at lowering, naming the field, and an
+    // unknown hssConfig fails there too.
+    ScenarioSpec s;
+    s.policies = {"CDE"};
+    s.workloads = {"prxy_1"};
+    for (double frac : {-0.5, std::nan(""), HUGE_VAL, 1e300}) {
+        s.fastCapacityFrac = frac;
+        try {
+            s.expand();
+            ADD_FAILURE() << "fastCapacityFrac " << frac << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("fastCapacityFrac"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    s.fastCapacityFrac = 0.0; // an empty fraction still builds
+    EXPECT_NO_THROW(s.expand());
+    s.hssConfigs = {"H&X"};
+    EXPECT_THROW(s.expand(), std::invalid_argument);
+}
+
 // ------------------- migrated-bench equivalence gate ------------------
 
 /** The fig8 buffer sweep in miniature, as a scenario. */

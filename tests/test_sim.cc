@@ -10,7 +10,7 @@
 
 #include "common/rng.hh"
 #include "common/table.hh"
-#include "sim/experiment.hh"
+#include "sim/parallel_runner.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl::sim
@@ -158,62 +158,54 @@ TEST(Simulator, QueueDepthBackPressureInvariant)
 
 TEST(Experiment, NormalizationAgainstFastOnly)
 {
-    ExperimentConfig cfg;
-    cfg.hssConfig = "H&M";
-    Experiment exp(cfg);
-    trace::Trace t = trace::makeWorkload("usr_0", 3000);
-
-    auto slow = makePolicy("Slow-Only", exp.numDevices());
-    auto r = exp.run(t, *slow);
+    RunSpec spec;
+    spec.policy = "Slow-Only";
+    spec.workload = "usr_0";
+    spec.hssConfig = "H&M";
+    spec.traceLen = 3000;
+    const auto records = ParallelRunner().runAll({spec});
+    ASSERT_FALSE(records[0].failed()) << records[0].error;
+    const PolicyResult &r = records[0].result;
     EXPECT_GT(r.normalizedLatency, 1.0); // slower than Fast-Only
     EXPECT_LT(r.normalizedIops, 1.001);
     EXPECT_EQ(r.policy, "Slow-Only");
     EXPECT_EQ(r.workload, "usr_0");
-
-    // The baseline is cached: same object on repeat.
-    const RunMetrics &b1 = exp.fastOnlyBaseline(t);
-    const RunMetrics &b2 = exp.fastOnlyBaseline(t);
-    EXPECT_EQ(&b1, &b2);
 }
 
 TEST(Experiment, DeviceCountFromConfigString)
 {
-    ExperimentConfig dual;
-    dual.hssConfig = "H&L";
-    EXPECT_EQ(Experiment(dual).numDevices(), 2u);
-    ExperimentConfig tri;
-    tri.hssConfig = "H&M&L";
-    EXPECT_EQ(Experiment(tri).numDevices(), 3u);
-    ExperimentConfig triSsd;
-    triSsd.hssConfig = "H&M&L_SSD";
-    EXPECT_EQ(Experiment(triSsd).numDevices(), 3u);
+    EXPECT_EQ(numHssDevices("H&L"), 2u);
+    EXPECT_EQ(numHssDevices("H&M&L"), 3u);
+    EXPECT_EQ(numHssDevices("H&M&L_SSD"), 3u);
 }
 
 TEST(Experiment, SpecTweakAppliesToPolicyRunsOnly)
 {
-    trace::Trace t = trace::makeWorkload("usr_0", 2000);
-
-    ExperimentConfig plain;
-    plain.hssConfig = "H&M";
-    Experiment plainExp(plain);
-    auto cde1 = makePolicy("CDE", 2);
-    const auto healthy = plainExp.run(t, *cde1);
+    RunSpec healthy;
+    healthy.policy = "CDE";
+    healthy.workload = "usr_0";
+    healthy.hssConfig = "H&M";
+    healthy.traceLen = 2000;
 
     // Permanently degrade the fast device via the tweak hook: policy
     // runs slow down, but Fast-Only normalization stays the healthy
     // reference, so the normalized latency grows accordingly.
-    ExperimentConfig tweaked = plain;
-    tweaked.specTweak = [](std::vector<device::DeviceSpec> &specs) {
+    RunSpec degraded = healthy;
+    degraded.specTweak = [](std::vector<device::DeviceSpec> &specs) {
         specs[0].faults.windows.push_back({0.0, 1e15, 20.0});
     };
-    Experiment tweakedExp(tweaked);
-    auto cde2 = makePolicy("CDE", 2);
-    const auto degraded = tweakedExp.run(t, *cde2);
+    degraded.variantTag = "fast-x20";
 
-    EXPECT_GT(degraded.metrics.avgLatencyUs,
-              healthy.metrics.avgLatencyUs * 2.0);
-    EXPECT_GT(degraded.normalizedLatency,
-              healthy.normalizedLatency * 2.0);
+    ParallelRunner runner;
+    const auto records = runner.runAll({healthy, degraded});
+    ASSERT_FALSE(records[0].failed()) << records[0].error;
+    ASSERT_FALSE(records[1].failed()) << records[1].error;
+    const PolicyResult &h = records[0].result;
+    const PolicyResult &d = records[1].result;
+    EXPECT_GT(d.metrics.avgLatencyUs, h.metrics.avgLatencyUs * 2.0);
+    EXPECT_GT(d.normalizedLatency, h.normalizedLatency * 2.0);
+    // Both runs share one baseline: the tweak never reaches it.
+    EXPECT_EQ(runner.baselineCount(), 1u);
 }
 
 TEST(PolicyFactory, AllStandardNames)
