@@ -134,9 +134,7 @@ runLineup(scenario::ScenarioSpec s, const std::string &title,
     std::printf("\n");
 
     if (!jsonPath.empty()) {
-        sim::ResultsAnnotations notes;
-        notes.campaign = s.name;
-        if (sim::writeResultsJsonFile(jsonPath, records, notes))
+        if (sim::writeResultsJsonFile(jsonPath, records, s.name))
             std::printf("wrote %s\n", jsonPath.c_str());
         else
             std::printf("WARNING: could not write %s\n",

@@ -323,6 +323,19 @@ reportFailures(const std::vector<sim::RunRecord> &records)
     return failures;
 }
 
+/** Append @p metrics to @p row, or, for a failed run (which has no
+ *  metrics), "FAILED" in the first metric column and "-" in the rest. */
+void
+appendMetrics(std::vector<std::string> &row, const sim::RunRecord &rec,
+              std::vector<std::string> metrics)
+{
+    if (rec.failed()) {
+        metrics.assign(metrics.size(), "-");
+        metrics.front() = "FAILED";
+    }
+    row.insert(row.end(), metrics.begin(), metrics.end());
+}
+
 /** --scenario: run a declarative scenario file. */
 int
 runScenarioFile(const Options &opt)
@@ -347,14 +360,16 @@ runScenarioFile(const Options &opt)
                     "evictions", "fast pref"});
         for (const auto &rec : records) {
             const auto &r = rec.result;
-            tab.addRow({rec.spec.hssConfig, rec.spec.workload,
-                        rec.spec.policy,
-                        cell(std::uint64_t{rec.spec.seed}),
-                        cell(r.metrics.avgLatencyUs, 1),
-                        cell(r.normalizedLatency, 3),
-                        cell(r.metrics.iops, 0),
-                        cell(r.metrics.evictionFraction, 3),
-                        cell(r.metrics.fastPlacementPreference, 3)});
+            std::vector<std::string> row = {
+                rec.spec.hssConfig, rec.spec.workload, rec.spec.policy,
+                cell(std::uint64_t{rec.spec.seed})};
+            appendMetrics(row, rec,
+                          {cell(r.metrics.avgLatencyUs, 1),
+                           cell(r.normalizedLatency, 3),
+                           cell(r.metrics.iops, 0),
+                           cell(r.metrics.evictionFraction, 3),
+                           cell(r.metrics.fastPlacementPreference, 3)});
+            tab.addRow(row);
         }
         if (opt.csv)
             tab.printCsv(std::cout);
@@ -641,12 +656,15 @@ main(int argc, char **argv)
                 "evictions", "fast pref", "energy (mJ)"});
     for (const auto &rec : records) {
         const auto &r = rec.result;
-        tab.addRow({rec.spec.policy, cell(r.metrics.avgLatencyUs, 1),
-                    cell(r.normalizedLatency, 3),
-                    cell(r.metrics.iops, 0),
-                    cell(r.metrics.evictionFraction, 3),
-                    cell(r.metrics.fastPlacementPreference, 3),
-                    cell(r.totalEnergyMj, 1)});
+        std::vector<std::string> row = {rec.spec.policy};
+        appendMetrics(row, rec,
+                      {cell(r.metrics.avgLatencyUs, 1),
+                       cell(r.normalizedLatency, 3),
+                       cell(r.metrics.iops, 0),
+                       cell(r.metrics.evictionFraction, 3),
+                       cell(r.metrics.fastPlacementPreference, 3),
+                       cell(r.totalEnergyMj, 1)});
+        tab.addRow(row);
     }
     if (opt.csv)
         tab.printCsv(std::cout);

@@ -5,7 +5,6 @@
  * fatal()  — unrecoverable *user* error (bad configuration); exits.
  * panic()  — unrecoverable *internal* error (a bug); aborts.
  * warn()   — suspicious but survivable condition.
- * inform() — plain status output.
  */
 
 #pragma once
@@ -35,12 +34,6 @@ inline void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-inline void
-inform(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 } // namespace sibyl

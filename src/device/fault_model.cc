@@ -22,22 +22,6 @@ FaultConfig::hardFaultsEnabled() const
            failOnUnrecoverable;
 }
 
-const char *
-healthName(DeviceHealth h)
-{
-    switch (h) {
-      case DeviceHealth::Healthy:
-        return "healthy";
-      case DeviceHealth::Degraded:
-        return "degraded";
-      case DeviceHealth::Offline:
-        return "offline";
-      case DeviceHealth::Failed:
-        return "failed";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -181,7 +181,6 @@ class PageMappedFtl
     const FlashGeometry &geometry() const { return geo_; }
     const FtlStats &stats() const { return stats_; }
     const std::vector<FlashBlock> &blocks() const { return blocks_; }
-    const GcVictimPolicy &gcPolicy() const { return *gc_; }
 
     /** Drop all mappings and wear state. */
     void reset();

@@ -81,26 +81,6 @@ OraclePolicy::pickVictim(DeviceId dev)
     return kInvalidPage; // fall back to LRU inside the system
 }
 
-std::size_t
-OraclePolicy::farthestResidentUse()
-{
-    while (!fastHeap_.empty()) {
-        auto [recordedNext, page] = fastHeap_.top();
-        if (sys_->placement(page) != 0) {
-            fastHeap_.pop();
-            continue;
-        }
-        std::size_t fresh = nextUse(page, currentIndex_);
-        if (fresh != recordedNext) {
-            fastHeap_.pop();
-            fastHeap_.push({fresh, page});
-            continue;
-        }
-        return recordedNext;
-    }
-    return SIZE_MAX;
-}
-
 DeviceId
 OraclePolicy::selectPlacement(const hss::HybridSystem &sys,
                               const trace::Request &req,

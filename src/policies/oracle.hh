@@ -70,10 +70,6 @@ class OraclePolicy : public PlacementPolicy
      *  use. Uses a lazy max-heap; returns kInvalidPage on miss. */
     PageId pickVictim(DeviceId dev);
 
-    /** Farthest next use among fast-resident pages (cleans the heap
-     *  lazily); SIZE_MAX when unknown/empty. */
-    std::size_t farthestResidentUse();
-
     OracleConfig cfg_;
     const hss::HybridSystem *sys_ = nullptr;
 

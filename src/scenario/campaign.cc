@@ -18,13 +18,6 @@ namespace sibyl::scenario
 {
 
 bool
-CampaignEntry::operator==(const CampaignEntry &o) const
-{
-    return file == o.file && tag == o.tag && requests == o.requests &&
-           seeds == o.seeds;
-}
-
-bool
 CampaignSpec::operator==(const CampaignSpec &o) const
 {
     // baseDir is load-time context (where the manifest sat on disk),
@@ -148,16 +141,6 @@ loadCampaignFile(const std::string &path)
     return c;
 }
 
-sim::ResultsAnnotations
-CampaignPlan::annotations(const std::string &campaign) const
-{
-    sim::ResultsAnnotations notes;
-    notes.campaign = campaign;
-    for (const auto &s : scenarios)
-        notes.groups.push_back({s.scenario.name, s.tag, s.runCount});
-    return notes;
-}
-
 CampaignPlan
 lowerCampaign(const CampaignSpec &spec)
 {
@@ -211,24 +194,6 @@ CampaignResult::resumedCount() const
     for (const bool r : resumed)
         n += r ? 1 : 0;
     return n;
-}
-
-CampaignResult
-runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner)
-{
-    CampaignResult result;
-    result.plan = lowerCampaign(spec);
-    result.records = runner.runAll(result.plan.specs);
-    return result;
-}
-
-CampaignResult
-runCampaign(const CampaignSpec &spec)
-{
-    sim::ParallelConfig cfg;
-    cfg.numThreads = spec.numThreads;
-    sim::ParallelRunner runner(cfg);
-    return runCampaign(spec, runner);
 }
 
 // ---------------------------------------------------------------------
@@ -342,26 +307,17 @@ CampaignResult
 runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner,
             const CampaignCheckpoint &ckpt)
 {
-    if (ckpt.dir.empty())
-        return runCampaign(spec, runner);
-
     CampaignResult result;
     result.plan = lowerCampaign(spec);
     const std::size_t n = result.plan.specs.size();
-    makeDirs(ckpt.dir);
+    if (!ckpt.dir.empty())
+        makeDirs(ckpt.dir);
 
-    // The group (scenario, tag) each plan index serializes under —
-    // journal bytes must match the merged emit exactly, group fields
-    // included.
-    const sim::ResultsAnnotations notes =
-        result.plan.annotations(spec.name);
-    std::vector<const sim::ResultsAnnotations::Group *> groupOf(n);
-    {
-        std::size_t i = 0;
-        for (const auto &g : notes.groups)
-            for (std::size_t k = 0; k < g.count; k++)
-                groupOf[i++] = &g;
-    }
+    // The group (scenario, tag) each plan index serializes under.
+    std::vector<sim::RecordGroup> groupOf(n);
+    for (const CampaignScenario &cs : result.plan.scenarios)
+        for (std::size_t k = 0; k < cs.runCount; k++)
+            groupOf[cs.firstRun + k] = {cs.scenario.name, cs.tag};
 
     result.records.resize(n);
     result.recordJson.resize(n);
@@ -372,7 +328,7 @@ runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner,
         sim::RunRecord &rec = result.records[i];
         rec.spec = result.plan.specs[i];
         rec.runKey = sim::ParallelRunner::runKey(rec.spec);
-        if (ckpt.resume) {
+        if (ckpt.resume && !ckpt.dir.empty()) {
             std::string text;
             try {
                 text = readTextFile(
@@ -395,54 +351,43 @@ runCampaign(const CampaignSpec &spec, sim::ParallelRunner &runner,
     for (const std::size_t i : pending)
         pendingSpecs.push_back(result.plan.specs[i]);
 
-    // Journal every run as it settles, from the worker that owned it.
-    // Distinct runs touch distinct pre-sized vector slots, so no lock
-    // is needed; the atomic rename keeps each entry crash-consistent.
-    const auto journal = [&](std::size_t j,
-                             const sim::RunRecord &rec) {
+    // Serialize every run once, as it settles, from the worker that
+    // owned it, and journal those bytes when checkpointing. Distinct
+    // runs touch distinct pre-sized vector slots, so no lock is
+    // needed; the atomic rename keeps each entry crash-consistent.
+    const auto settle = [&](std::size_t j, const sim::RunRecord &rec) {
         const std::size_t i = pending[j];
         std::ostringstream os;
-        sim::writeRecordJson(os, rec, groupOf[i]);
+        sim::writeRecordJson(os, rec, &groupOf[i]);
         result.recordJson[i] = os.str();
-        writeTextFileAtomic(journalPath(ckpt.dir, i, rec.runKey),
-                            result.recordJson[i]);
+        if (!ckpt.dir.empty())
+            writeTextFileAtomic(journalPath(ckpt.dir, i, rec.runKey),
+                                result.recordJson[i]);
     };
-    std::vector<sim::RunRecord> fresh =
-        runner.runAll(pendingSpecs, journal);
+    std::vector<sim::RunRecord> fresh = runner.runAll(pendingSpecs, settle);
     for (std::size_t j = 0; j < pending.size(); j++)
         result.records[pending[j]] = std::move(fresh[j]);
     return result;
+}
+
+CampaignResult
+runCampaign(const CampaignSpec &spec)
+{
+    sim::ParallelConfig cfg;
+    cfg.numThreads = spec.numThreads;
+    sim::ParallelRunner runner(cfg);
+    return runCampaign(spec, runner);
 }
 
 void
 writeCampaignResultsJson(std::ostream &os, const CampaignSpec &spec,
                          const CampaignResult &result)
 {
-    // Checkpointed results carry the exact per-run bytes (journaled
-    // or freshly serialized — same serializer either way); splicing
-    // them into the writeResultsJson envelope reproduces the
-    // uninterrupted document byte-for-byte.
-    bool spliceable = !result.recordJson.empty() &&
-                      result.recordJson.size() ==
-                          result.records.size();
-    for (std::size_t i = 0; spliceable && i < result.recordJson.size();
-         i++)
-        spliceable = !result.recordJson[i].empty();
-    if (spliceable) {
-        os << "{\n";
-        if (!spec.name.empty())
-            os << "  \"campaign\": " << jsonQuote(spec.name) << ",\n";
-        os << "  \"results\": [";
-        for (std::size_t i = 0; i < result.recordJson.size(); i++)
-            os << (i ? ",\n    " : "\n    ") << result.recordJson[i];
-        std::set<std::uint64_t> seeds;
-        for (const auto &rec : result.records)
-            seeds.insert(rec.spec.seed);
-        os << "\n  ],\n  \"seedCount\": " << seeds.size() << "\n}\n";
-        return;
-    }
-    sim::writeResultsJson(os, result.records,
-                          result.plan.annotations(spec.name));
+    // Each run's bytes were serialized once as it settled (or read
+    // back from the journal — the same serializer wrote them), so a
+    // resumed merge is byte-identical to an uninterrupted one.
+    sim::writeResultsDocument(os, spec.name, result.records,
+                              result.recordJson);
 }
 
 bool

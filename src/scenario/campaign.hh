@@ -13,9 +13,11 @@
  * thread count AND bit-identical to running each scenario file alone;
  * `tests/test_campaign.cc` pins both properties.
  *
- * Results are emitted as one merged JSON document keyed by (campaign,
- * scenario, run) via the annotated `sim::writeResultsJson`, which is
- * what the cross-PR regression gate (`compareResults`, surfaced as
+ * Each run is serialized once, by `sim::writeRecordJson`, as it settles
+ * (and journaled when checkpointing); the merged document keyed by
+ * (campaign, scenario, run) splices those bytes into the one results
+ * envelope, `sim::writeResultsDocument`. That document is what the
+ * cross-PR regression gate (`compareResults`, surfaced as
  * `example_sibyl_regress` and CI's campaign step) diffs against the
  * previous PR's checked-in baseline: identity fields bit-exact, float
  * metrics within configurable per-metric percent bands, a markdown
@@ -54,7 +56,7 @@ struct CampaignEntry
     /** Seeds override (empty = keep the file's). */
     std::vector<std::uint64_t> seeds;
 
-    bool operator==(const CampaignEntry &o) const;
+    bool operator==(const CampaignEntry &) const = default;
 };
 
 /** A campaign manifest (see file header). */
@@ -104,9 +106,6 @@ struct CampaignPlan
 {
     std::vector<CampaignScenario> scenarios;
     std::vector<sim::RunSpec> specs;
-
-    /** Group annotations matching the spec slices (merged emit). */
-    sim::ResultsAnnotations annotations(const std::string &campaign) const;
 };
 
 /**
@@ -124,14 +123,13 @@ struct CampaignResult
     std::vector<sim::RunRecord> records;
 
     /**
-     * Exact `sim::writeRecordJson` bytes per run, in plan order.
-     * Populated by the checkpointed runCampaign overload: fresh runs
-     * store the bytes they journal, resumed runs splice the bytes read
-     * back from the journal, and writeCampaignResultsJson assembles
-     * the merged document from these — which is what makes a resumed
-     * merge byte-identical to an uninterrupted one *by construction*,
-     * not by re-simulation. Empty on the non-checkpointed path (the
-     * merge then serializes `records` directly).
+     * Exact `sim::writeRecordJson` bytes per run, in plan order, with
+     * the run's "scenario"/"tag" fields. Always filled: fresh runs
+     * store the bytes serialized as they settled (and journaled when
+     * checkpointing), resumed runs the bytes read back from the
+     * journal. writeCampaignResultsJson splices these into the merged
+     * document — which is what makes a resumed merge byte-identical
+     * to an uninterrupted one *by construction*, not by re-simulation.
      */
     std::vector<std::string> recordJson;
 
@@ -165,26 +163,26 @@ struct CampaignCheckpoint
     bool resume = false;
 };
 
-/** lowerCampaign + one runner.runAll over the whole batch. */
+/**
+ * lowerCampaign + one runner.runAll over the whole batch, serializing
+ * each run as it settles. With a checkpoint dir (see
+ * CampaignCheckpoint) each run's bytes are journaled too, and on
+ * resume only the specs without a valid journal entry run. The merged
+ * writeCampaignResultsJson output is byte-identical whether the
+ * campaign ran without a journal, uninterrupted with one, was killed
+ * and resumed, or was resumed with every run already journaled.
+ * Throws std::invalid_argument when the journal directory cannot be
+ * created.
+ */
 CampaignResult runCampaign(const CampaignSpec &spec,
-                           sim::ParallelRunner &runner);
+                           sim::ParallelRunner &runner,
+                           const CampaignCheckpoint &ckpt = {});
 
 /** Run with a fresh runner configured from spec.numThreads. */
 CampaignResult runCampaign(const CampaignSpec &spec);
 
-/**
- * Checkpointed run (see CampaignCheckpoint): journals each run as it
- * settles and, on resume, runs only the specs without a valid journal
- * entry. The merged writeCampaignResultsJson output is byte-identical
- * whether the campaign ran uninterrupted, was killed and resumed, or
- * was resumed with every run already journaled. Throws
- * std::invalid_argument when the journal directory cannot be created.
- */
-CampaignResult runCampaign(const CampaignSpec &spec,
-                           sim::ParallelRunner &runner,
-                           const CampaignCheckpoint &ckpt);
-
-/** Merged results JSON keyed by (campaign, scenario, run). */
+/** Merged results JSON keyed by (campaign, scenario, run): the
+ *  result's recordJson in the one results envelope. */
 void writeCampaignResultsJson(std::ostream &os, const CampaignSpec &spec,
                               const CampaignResult &result);
 
@@ -277,11 +275,11 @@ struct GateReport
 };
 
 /**
- * Diff two merged-results documents (any writeResultsJson output,
- * annotated or not). Runs are matched by (scenario, tag, policy,
+ * Diff two merged-results documents (any results document: a runner's
+ * or a campaign's). Runs are matched by (scenario, tag, policy,
  * workload, config, seed, variant) plus an occurrence counter for
  * exact duplicates. Throws std::invalid_argument when either document
- * is malformed (not the writeResultsJson shape), naming @p baselineName
+ * is malformed (not the results-document shape), naming @p baselineName
  * or @p currentName in the diagnostic.
  */
 GateReport compareResults(const JsonValue &baseline,

@@ -34,47 +34,6 @@ DeviceOverride::faultConfig() const
     return fc;
 }
 
-bool
-DeviceOverride::operator==(const DeviceOverride &o) const
-{
-    if (device != o.device || channels != o.channels ||
-        detailedFtl != o.detailedFtl ||
-        ftlPagesPerBlock != o.ftlPagesPerBlock ||
-        ftlRatedPeCycles != o.ftlRatedPeCycles ||
-        ftlGrownBadProb != o.ftlGrownBadProb ||
-        ftlWearLevelSpread != o.ftlWearLevelSpread ||
-        faultWindows.size() != o.faultWindows.size())
-        return false;
-    for (std::size_t i = 0; i < faultWindows.size(); i++) {
-        const auto &a = faultWindows[i];
-        const auto &b = o.faultWindows[i];
-        if (a.startUs != b.startUs || a.endUs != b.endUs ||
-            a.latencyMultiplier != b.latencyMultiplier)
-            return false;
-    }
-    return offlineWindows == o.offlineWindows &&
-           failAtUs == o.failAtUs &&
-           drainPagesPerMs == o.drainPagesPerMs &&
-           failoverTimeoutUs == o.failoverTimeoutUs &&
-           failOnUnrecoverable == o.failOnUnrecoverable;
-}
-
-bool
-ScenarioSpec::operator==(const ScenarioSpec &o) const
-{
-    return name == o.name && policies == o.policies &&
-           workloads == o.workloads && fleetTenants == o.fleetTenants &&
-           hssConfigs == o.hssConfigs &&
-           seeds == o.seeds && mixedWorkloads == o.mixedWorkloads &&
-           fastCapacityFrac == o.fastCapacityFrac &&
-           traceLen == o.traceLen && traceSeed == o.traceSeed &&
-           timeCompress == o.timeCompress && queueDepth == o.queueDepth &&
-           recordPerRequest == o.recordPerRequest &&
-           sibylParams == o.sibylParams &&
-           deviceOverrides == o.deviceOverrides &&
-           numThreads == o.numThreads;
-}
-
 std::vector<sim::RunSpec>
 ScenarioSpec::expand() const
 {

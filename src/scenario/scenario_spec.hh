@@ -98,7 +98,7 @@ struct DeviceOverride
      *  device — the whole-config validation input. */
     device::FaultConfig faultConfig() const;
 
-    bool operator==(const DeviceOverride &o) const;
+    bool operator==(const DeviceOverride &) const = default;
 };
 
 /** One declarative experiment (see file header). */
@@ -149,7 +149,7 @@ struct ScenarioSpec
      *  Results are thread-count invariant; this is throughput only. */
     unsigned numThreads = 0;
 
-    bool operator==(const ScenarioSpec &o) const;
+    bool operator==(const ScenarioSpec &) const = default;
 
     /**
      * Lower to runnable RunSpecs (see the lowering rule above), with

@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.hh"
 #include "core/sibyl_policy.hh"
-#include "energy/energy_model.hh"
 #include "hss/hybrid_system.hh"
 #include "policies/archivist.hh"
 #include "sim/parallel_runner.hh"
@@ -241,16 +240,18 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
             numThreads);
     }
 
-    // Aggregate.
+    // Aggregate: the tenants' accumulators and placement counters
+    // merge, and the fleet derives its metrics from the merge exactly
+    // as a single run does. The makespan runs from the earliest tenant
+    // arrival to the latest tenant completion — tenant streams overlap
+    // in simulated time, so this is the wall the fleet's aggregate
+    // throughput is measured over.
     PolicyResult r;
     r.policy = spec.policy;
     r.workload = spec.workload;
 
-    RunningStat lat, steady;
-    Histogram hist(0.0, 1e6, 4096); // same geometry as RequestStepper
-    double firstArrival = 0.0, lastFinish = 0.0;
-    bool anyRequests = false;
-    std::uint64_t evictionEvents = 0, evictedPages = 0;
+    RunAccumulator acc;
+    hss::HssCounters counters;
     std::vector<double> tenantIops;
     tenantIops.reserve(n);
 
@@ -261,23 +262,19 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
         sum.workload = tenants[i].workload;
         sum.tenantKey = st.key;
         sum.metrics = st.stepper->finish();
-
-        lat.merge(st.stepper->latencyStat());
-        steady.merge(st.stepper->steadyLatencyStat());
-        hist.merge(st.stepper->latencyHistogram());
-        if (st.stepper->requests()) {
-            if (!anyRequests) {
-                firstArrival = st.stepper->firstArrivalUs();
-                lastFinish = st.stepper->lastFinishUs();
-                anyRequests = true;
-            } else {
-                firstArrival =
-                    std::min(firstArrival, st.stepper->firstArrivalUs());
-                lastFinish =
-                    std::max(lastFinish, st.stepper->lastFinishUs());
-            }
-        }
         tenantIops.push_back(sum.metrics.iops);
+
+        acc.merge(st.stepper->accumulator());
+        const auto &c = st.sys->counters();
+        counters.evictionEvents += c.evictionEvents;
+        counters.evictedPages += c.evictedPages;
+        counters.promotions += c.promotions;
+        counters.demotions += c.demotions;
+        if (counters.placements.size() < c.placements.size())
+            counters.placements.resize(c.placements.size(), 0);
+        for (std::size_t d = 0; d < c.placements.size(); d++)
+            counters.placements[d] += c.placements[d];
+        addDeviceAccounting(*st.sys, sum.metrics.makespanUs, r);
 
         // Fold per-tenant fault metrics into the fleet view: counters
         // sum; availability takes the per-device worst case across
@@ -303,58 +300,9 @@ runFleetExperiment(const RunSpec &spec, trace::TraceCache &traces,
                     std::min(fm.deviceAvailability[d], avail[d]);
         }
 
-        const auto &c = st.sys->counters();
-        evictionEvents += c.evictionEvents;
-        evictedPages += c.evictedPages;
-        r.metrics.promotions += c.promotions;
-        r.metrics.demotions += c.demotions;
-        if (r.metrics.placements.size() < c.placements.size())
-            r.metrics.placements.resize(c.placements.size(), 0);
-        for (std::size_t d = 0; d < c.placements.size(); d++)
-            r.metrics.placements[d] += c.placements[d];
-
-        for (DeviceId d = 0; d < st.sys->numDevices(); d++) {
-            const auto &dev = st.sys->device(d);
-            if (r.devicePagesWritten.size() <= d)
-                r.devicePagesWritten.resize(d + 1, 0);
-            r.devicePagesWritten[d] += dev.counters().pagesWritten;
-            const auto power = energy::powerPreset(dev.spec().name);
-            r.totalEnergyMj +=
-                energy::computeEnergy(dev, power, sum.metrics.makespanUs)
-                    .totalMj();
-        }
-
         r.tenants.push_back(std::move(sum));
     }
-
-    RunMetrics &m = r.metrics;
-    m.requests = lat.count();
-    m.avgLatencyUs = lat.mean();
-    m.steadyAvgLatencyUs = steady.mean();
-    m.maxLatencyUs = lat.max();
-    m.p999LatencyUs = std::min(hist.quantile(0.999), m.maxLatencyUs);
-    m.p99LatencyUs = std::min(hist.quantile(0.99), m.p999LatencyUs);
-    m.p50LatencyUs = std::min(hist.quantile(0.50), m.p99LatencyUs);
-    // Fleet-wide makespan: earliest tenant arrival to latest tenant
-    // completion — tenant streams overlap in simulated time, so this
-    // is the wall the fleet's aggregate throughput is measured over.
-    m.makespanUs = anyRequests ? lastFinish - firstArrival : 0.0;
-    m.iops = m.makespanUs > 0.0
-        ? static_cast<double>(m.requests) / (m.makespanUs / 1e6)
-        : 0.0;
-    if (m.requests) {
-        m.evictionFraction = static_cast<double>(evictionEvents) /
-                             static_cast<double>(m.requests);
-        m.evictedPagesPerRequest = static_cast<double>(evictedPages) /
-                                   static_cast<double>(m.requests);
-    }
-    std::uint64_t totalPlacements = 0;
-    for (auto p : m.placements)
-        totalPlacements += p;
-    m.fastPlacementPreference = totalPlacements
-        ? static_cast<double>(m.placements[0]) /
-          static_cast<double>(totalPlacements)
-        : 0.0;
+    deriveRunMetrics(acc, counters, r.metrics);
 
     r.fairnessJain = jainFairnessIndex(tenantIops);
     return r;

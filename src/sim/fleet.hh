@@ -85,14 +85,7 @@ struct FleetTenant
         return faults.enabled() || faults.hardFaultsEnabled();
     }
 
-    bool operator==(const FleetTenant &o) const
-    {
-        return policy == o.policy && workload == o.workload &&
-               mixedWorkload == o.mixedWorkload &&
-               traceLen == o.traceLen && traceSeed == o.traceSeed &&
-               timeCompress == o.timeCompress &&
-               faultDevice == o.faultDevice && faults == o.faults;
-    }
+    bool operator==(const FleetTenant &) const = default;
 };
 
 /** Immutable description of a fleet run's tenant set. */

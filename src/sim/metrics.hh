@@ -58,7 +58,7 @@ struct RunMetrics
     std::uint64_t demotions = 0;
 
     /** True when any device of the run configured fault injection
-     *  (soft or hard). Gates the fault block of writeResultsJson so
+     *  (soft or hard). Gates the fault block of writeRecordJson so
      *  fault-free result files stay byte-identical. */
     bool faultsConfigured = false;
 
@@ -82,7 +82,7 @@ struct RunMetrics
     std::vector<double> deviceAvailability;
 
     /** True when any device of the run ran the detailed FTL. Gates the
-     *  endurance block of writeResultsJson so pre-FTL result files
+     *  endurance block of writeRecordJson so pre-FTL result files
      *  stay byte-identical. */
     bool enduranceConfigured = false;
 

@@ -152,6 +152,21 @@ computeFastOnlyBaseline(const RunSpec &spec, const trace::Trace &t,
     return runSimulation(t, sys, fastOnly, sim);
 }
 
+void
+addDeviceAccounting(const hss::HybridSystem &sys, double makespanUs,
+                    PolicyResult &r)
+{
+    if (r.devicePagesWritten.size() < sys.numDevices())
+        r.devicePagesWritten.resize(sys.numDevices(), 0);
+    for (DeviceId d = 0; d < sys.numDevices(); d++) {
+        const auto &dev = sys.device(d);
+        r.devicePagesWritten[d] += dev.counters().pagesWritten;
+        const auto power = energy::powerPreset(dev.spec().name);
+        r.totalEnergyMj +=
+            energy::computeEnergy(dev, power, makespanUs).totalMj();
+    }
+}
+
 PolicyResult
 runPolicyExperiment(const RunSpec &spec, const trace::Trace &t,
                     policies::PlacementPolicy &policy,
@@ -177,15 +192,7 @@ runPolicyExperiment(const RunSpec &spec, const trace::Trace &t,
     r.normalizedIops =
         baseline.iops > 0.0 ? r.metrics.iops / baseline.iops : 0.0;
 
-    // Post-run device accounting for the endurance/energy ablations.
-    for (DeviceId d = 0; d < sys.numDevices(); d++) {
-        const auto &dev = sys.device(d);
-        r.devicePagesWritten.push_back(dev.counters().pagesWritten);
-        const auto power = energy::powerPreset(dev.spec().name);
-        r.totalEnergyMj +=
-            energy::computeEnergy(dev, power, r.metrics.makespanUs)
-                .totalMj();
-    }
+    addDeviceAccounting(sys, r.metrics.makespanUs, r);
 
     // Surface guardrail trip accounting for supervised RL runs.
     if (const auto *sp = dynamic_cast<core::SibylPolicy *>(&policy)) {
@@ -366,14 +373,8 @@ ParallelRunner::runAll(const std::vector<RunSpec> &specs,
 }
 
 void
-writeResultsJson(std::ostream &os, const std::vector<RunRecord> &records)
-{
-    writeResultsJson(os, records, ResultsAnnotations());
-}
-
-void
 writeRecordJson(std::ostream &os, const RunRecord &r,
-                const ResultsAnnotations::Group *group)
+                const RecordGroup *group)
 {
     // String escaping and double formatting are shared with the
     // scenario serializer (scenario::jsonQuote / jsonNumber) so the
@@ -518,62 +519,46 @@ writeRecordJson(std::ostream &os, const RunRecord &r,
 }
 
 void
-writeResultsJson(std::ostream &os, const std::vector<RunRecord> &records,
-                 const ResultsAnnotations &notes)
+writeResultsDocument(std::ostream &os, const std::string &campaign,
+                     const std::vector<RunRecord> &records,
+                     const std::vector<std::string> &recordJson)
 {
-    if (!notes.groups.empty()) {
-        std::size_t total = 0;
-        for (const auto &g : notes.groups)
-            total += g.count;
-        if (total != records.size())
-            throw std::invalid_argument(
-                "writeResultsJson: annotation groups cover " +
-                std::to_string(total) + " records, set has " +
-                std::to_string(records.size()));
-    }
-
     os << "{\n";
-    if (!notes.campaign.empty())
-        os << "  \"campaign\": " << scenario::jsonQuote(notes.campaign)
+    if (!campaign.empty())
+        os << "  \"campaign\": " << scenario::jsonQuote(campaign)
            << ",\n";
     os << "  \"results\": [";
-    std::size_t group = 0, groupLeft =
-        notes.groups.empty() ? 0 : notes.groups[0].count;
-    for (std::size_t i = 0; i < records.size(); i++) {
-        os << (i ? ",\n    " : "\n    ");
-        const ResultsAnnotations::Group *g = nullptr;
-        if (!notes.groups.empty()) {
-            while (groupLeft == 0 && group + 1 < notes.groups.size())
-                groupLeft = notes.groups[++group].count;
-            groupLeft--;
-            g = &notes.groups[group];
-        }
-        writeRecordJson(os, records[i], g);
-    }
-    // Distinct experiment seeds in the record set, so downstream
-    // tooling knows how many repetitions back a mean/CI aggregation.
+    for (std::size_t i = 0; i < recordJson.size(); i++)
+        os << (i ? ",\n    " : "\n    ") << recordJson[i];
     std::set<std::uint64_t> seeds;
     for (const RunRecord &r : records)
         seeds.insert(r.spec.seed);
     os << "\n  ],\n  \"seedCount\": " << seeds.size() << "\n}\n";
 }
 
-bool
-writeResultsJsonFile(const std::string &path,
-                     const std::vector<RunRecord> &records)
+void
+writeResultsJson(std::ostream &os, const std::vector<RunRecord> &records,
+                 const std::string &campaign)
 {
-    return writeResultsJsonFile(path, records, ResultsAnnotations());
+    std::vector<std::string> recordJson;
+    recordJson.reserve(records.size());
+    for (const RunRecord &r : records) {
+        std::ostringstream rec;
+        writeRecordJson(rec, r);
+        recordJson.push_back(rec.str());
+    }
+    writeResultsDocument(os, campaign, records, recordJson);
 }
 
 bool
 writeResultsJsonFile(const std::string &path,
                      const std::vector<RunRecord> &records,
-                     const ResultsAnnotations &notes)
+                     const std::string &campaign)
 {
     // Serialize fully in memory, then write-tmp + atomic-rename: an
     // interrupted process never leaves a truncated results file.
     std::ostringstream out;
-    writeResultsJson(out, records, notes);
+    writeResultsJson(out, records, campaign);
     return scenario::writeTextFileAtomic(path, out.str());
 }
 

@@ -163,6 +163,15 @@ RunMetrics computeFastOnlyBaseline(const RunSpec &spec,
                                    std::uint64_t deviceSeed);
 
 /**
+ * Post-run device accounting for the endurance/energy ablations: add
+ * @p sys's per-device pages written to r.devicePagesWritten (grown to
+ * the device count) and its energy over @p makespanUs to
+ * r.totalEnergyMj. A fleet calls it once per tenant.
+ */
+void addDeviceAccounting(const hss::HybridSystem &sys, double makespanUs,
+                         PolicyResult &r);
+
+/**
  * The single-run core: run @p policy on @p t in a freshly built system
  * of @p spec's hssConfig, fastCapacityFrac and specTweak, with devices
  * jittering from @p deviceSeed and the loop driven by spec.sim, and
@@ -276,69 +285,57 @@ class ParallelRunner
         baselines_;
 };
 
-/**
- * Optional annotations for writeResultsJson: a campaign identity and a
- * partition of the record array into named scenario groups. With both
- * empty the output is byte-identical to the unannotated form, so every
- * existing BENCH_*.json consumer keeps working.
- */
-struct ResultsAnnotations
+/** The campaign scenario a record belongs to: its leading "scenario"
+ *  and "tag" fields, keying a merged set by (campaign, scenario, run). */
+struct RecordGroup
 {
-    /** Emitted as a top-level "campaign" field when non-empty. */
-    std::string campaign;
-
-    /** One contiguous slice of the record array (a lowered scenario). */
-    struct Group
-    {
-        std::string scenario; ///< scenario name ("scenario" field)
-        std::string tag;      ///< manifest tag ("tag" field)
-        std::size_t count = 0;
-    };
-
-    /** When non-empty, group counts must sum to the record count;
-     *  writeResultsJson throws std::invalid_argument otherwise. Each
-     *  record in group g gains "scenario" and "tag" fields, keying the
-     *  merged set by (campaign, scenario, run). */
-    std::vector<Group> groups;
+    std::string scenario; ///< scenario name ("scenario" field)
+    std::string tag;      ///< manifest tag ("tag" field)
 };
 
 /**
- * Serialize one record as the exact JSON object writeResultsJson emits
- * for it (no surrounding array or indentation). @p group, when
- * non-null, contributes the leading "scenario"/"tag" fields. Failed
- * records emit the identity fields plus "status"/"error"/"attempts"
- * and no metrics; runs that needed a retry gain an "attempts" field;
- * guardrail-supervised runs gain "guardrail*" trip accounting. The
- * campaign checkpoint journal stores precisely these bytes, which is
- * what makes a resumed merge byte-identical by construction.
+ * The one serializer of a run's results: one record as the JSON object
+ * a results document lists (no surrounding array or indentation).
+ * @p group, when non-null, contributes the leading "scenario"/"tag"
+ * fields. Failed records emit the identity fields plus "status"/
+ * "error"/"attempts" and no metrics; runs that needed a retry gain an
+ * "attempts" field; the guardrail, fault, endurance and fleet blocks
+ * are inline and appear only for runs that have them. A campaign
+ * serializes each run once, as it settles, and its checkpoint journal
+ * stores precisely these bytes, which is what makes a resumed merge
+ * byte-identical by construction.
  */
 void writeRecordJson(std::ostream &os, const RunRecord &r,
-                     const ResultsAnnotations::Group *group);
+                     const RecordGroup *group = nullptr);
 
 /**
- * Structured result sink: emit records as machine-readable JSON
- * (`{"results": [...]}`, one object per run with the spec identity and
- * the Fast-Only-normalized metrics). Doubles are printed with %.17g so
- * two bit-identical result sets serialize to byte-identical JSON.
+ * The one results-document envelope: `{"campaign": ..., "results":
+ * [...], "seedCount": N}` around the already serialized @p recordJson
+ * (writeRecordJson bytes, one per record, in order). The "campaign"
+ * field appears only when @p campaign is non-empty; seedCount counts
+ * the distinct experiment seeds of @p records, so downstream tooling
+ * knows how many repetitions back a mean/CI aggregation.
+ */
+void writeResultsDocument(std::ostream &os, const std::string &campaign,
+                          const std::vector<RunRecord> &records,
+                          const std::vector<std::string> &recordJson);
+
+/**
+ * Structured result sink: @p records as one results document, each
+ * serialized by writeRecordJson (spec identity plus the
+ * Fast-Only-normalized metrics). Doubles are printed with %.17g so two
+ * bit-identical result sets serialize to byte-identical JSON; the
+ * regression gate diffs two such files.
  */
 void writeResultsJson(std::ostream &os,
-                      const std::vector<RunRecord> &records);
-
-/** Annotated form: campaign field + per-record scenario/tag keys (see
- *  ResultsAnnotations). The regression gate diffs two such files. */
-void writeResultsJson(std::ostream &os,
                       const std::vector<RunRecord> &records,
-                      const ResultsAnnotations &notes);
+                      const std::string &campaign = "");
 
 /** writeResultsJson() to @p path via write-tmp + atomic-rename
  *  (scenario::writeTextFileAtomic), so an interrupted process never
  *  leaves a truncated results file; returns false on I/O failure. */
 bool writeResultsJsonFile(const std::string &path,
-                          const std::vector<RunRecord> &records);
-
-/** Annotated writeResultsJson() to @p path. */
-bool writeResultsJsonFile(const std::string &path,
                           const std::vector<RunRecord> &records,
-                          const ResultsAnnotations &notes);
+                          const std::string &campaign = "");
 
 } // namespace sibyl::sim

@@ -9,14 +9,69 @@
 namespace sibyl::sim
 {
 
+void
+RunAccumulator::merge(const RunAccumulator &o)
+{
+    if (o.latency.count() == 0)
+        return;
+    if (latency.count() == 0) {
+        firstArrival = o.firstArrival;
+        lastFinish = o.lastFinish;
+    } else {
+        firstArrival = std::min(firstArrival, o.firstArrival);
+        lastFinish = std::max(lastFinish, o.lastFinish);
+    }
+    latency.merge(o.latency);
+    steadyLatency.merge(o.steadyLatency);
+    latencyHist.merge(o.latencyHist);
+}
+
+void
+deriveRunMetrics(const RunAccumulator &acc, const hss::HssCounters &c,
+                 RunMetrics &m)
+{
+    m.requests = acc.latency.count();
+    m.avgLatencyUs = acc.latency.mean();
+    // Histogram quantiles interpolate inside a bin and can overshoot
+    // the largest observed sample; clamp so p50 <= p99 <= p999 <= max
+    // always holds in reported metrics.
+    m.maxLatencyUs = acc.latency.max();
+    m.p999LatencyUs = std::min(acc.latencyHist.quantile(0.999),
+                               m.maxLatencyUs);
+    m.p99LatencyUs = std::min(acc.latencyHist.quantile(0.99),
+                              m.p999LatencyUs);
+    m.p50LatencyUs = std::min(acc.latencyHist.quantile(0.50),
+                              m.p99LatencyUs);
+    m.steadyAvgLatencyUs = acc.steadyLatency.mean();
+    m.makespanUs = acc.lastFinish - acc.firstArrival;
+    m.iops = m.makespanUs > 0.0
+        ? static_cast<double>(m.requests) / (m.makespanUs / 1e6)
+        : 0.0;
+    if (m.requests) {
+        m.evictionFraction = static_cast<double>(c.evictionEvents) /
+                             static_cast<double>(m.requests);
+        m.evictedPagesPerRequest = static_cast<double>(c.evictedPages) /
+                                   static_cast<double>(m.requests);
+    }
+    std::uint64_t totalPlacements = 0;
+    for (auto p : c.placements)
+        totalPlacements += p;
+    m.fastPlacementPreference = totalPlacements
+        ? static_cast<double>(c.placements[0]) /
+          static_cast<double>(totalPlacements)
+        : 0.0;
+    m.placements = c.placements;
+    m.promotions = c.promotions;
+    m.demotions = c.demotions;
+}
+
 RequestStepper::RequestStepper(hss::HybridSystem &sys,
                                policies::PlacementPolicy &policy,
                                const SimConfig &cfg,
                                std::size_t expectedRequests)
     : sys_(sys), policy_(policy), cfg_(cfg), expected_(expectedRequests),
       qd_(std::max<std::uint32_t>(1, cfg.queueDepth)),
-      finishRing_(qd_, 0.0),
-      latencyHist_(0.0, 1e6, 4096) // 0 .. 1 s, ~244 us bins
+      finishRing_(qd_, 0.0)
 {
     if (cfg_.recordPerRequest) {
         record_.perRequestArrivalUs.reserve(expected_);
@@ -29,13 +84,13 @@ RequestStepper::RequestStepper(hss::HybridSystem &sys,
 void
 RequestStepper::step(const trace::Request &req)
 {
-    const std::uint64_t i = count_++;
+    const std::uint64_t i = acc_.latency.count();
 
     // Bounded outstanding window: wait for request i-qd.
     SimTime gate = finishRing_[i % qd_];
     const SimTime arrival = std::max(req.timestamp, gate);
     if (i == 0)
-        firstArrival_ = arrival;
+        acc_.firstArrival = arrival;
 
     // Refresh device health (and the placement mask) at this request's
     // arrival so the decision below observes current availability.
@@ -61,52 +116,21 @@ RequestStepper::step(const trace::Request &req)
     }
 
     finishRing_[i % qd_] = result.finishUs;
-    lastFinish_ = std::max(lastFinish_, result.finishUs);
-    latency_.add(result.latencyUs);
+    acc_.lastFinish = std::max(acc_.lastFinish, result.finishUs);
+    acc_.latency.add(result.latencyUs);
     if (i >= expected_ / 2)
-        steadyLatency_.add(result.latencyUs);
-    latencyHist_.add(result.latencyUs);
+        acc_.steadyLatency.add(result.latencyUs);
+    acc_.latencyHist.add(result.latencyUs);
 }
 
 RunMetrics
 RequestStepper::finish() const
 {
     RunMetrics m = record_;
-    if (count_ == 0)
+    if (acc_.latency.count() == 0)
         return m;
 
-    const auto &c = sys_.counters();
-    m.requests = count_;
-    m.avgLatencyUs = latency_.mean();
-    // Histogram quantiles interpolate inside a bin and can overshoot
-    // the largest observed sample; clamp so p50 <= p99 <= p999 <= max
-    // always holds in reported metrics.
-    m.maxLatencyUs = latency_.max();
-    m.p999LatencyUs = std::min(latencyHist_.quantile(0.999),
-                               m.maxLatencyUs);
-    m.p99LatencyUs = std::min(latencyHist_.quantile(0.99),
-                              m.p999LatencyUs);
-    m.p50LatencyUs = std::min(latencyHist_.quantile(0.50),
-                              m.p99LatencyUs);
-    m.steadyAvgLatencyUs = steadyLatency_.mean();
-    m.makespanUs = lastFinish_ - firstArrival_;
-    m.iops = m.makespanUs > 0.0
-        ? static_cast<double>(count_) / (m.makespanUs / 1e6)
-        : 0.0;
-    m.evictionFraction = static_cast<double>(c.evictionEvents) /
-                         static_cast<double>(count_);
-    m.evictedPagesPerRequest = static_cast<double>(c.evictedPages) /
-                               static_cast<double>(count_);
-    std::uint64_t totalPlacements = 0;
-    for (auto p : c.placements)
-        totalPlacements += p;
-    m.fastPlacementPreference = totalPlacements
-        ? static_cast<double>(c.placements[0]) /
-          static_cast<double>(totalPlacements)
-        : 0.0;
-    m.placements = c.placements;
-    m.promotions = c.promotions;
-    m.demotions = c.demotions;
+    deriveRunMetrics(acc_, sys_.counters(), m);
 
     for (DeviceId d = 0; d < sys_.numDevices(); d++) {
         const auto &spec = sys_.device(d).spec();
@@ -122,7 +146,7 @@ RequestStepper::finish() const
         // end of the run so the availability accounting sees it
         // (advanceTo is idempotent; sys_ is a reference member, so the
         // health clock may move even though finish() is const).
-        sys_.advanceTo(lastFinish_);
+        sys_.advanceTo(acc_.lastFinish);
         for (DeviceId d = 0; d < sys_.numDevices(); d++) {
             const auto &fc = sys_.device(d).faultCounters();
             m.faultErroredOps += fc.erroredOps;
@@ -131,8 +155,10 @@ RequestStepper::finish() const
             m.faultDegradedOps += fc.degradedOps;
             m.faultErrorLatencyUs += fc.errorLatencyUs;
             m.deviceAvailability.push_back(
-                sys_.deviceAvailability(d, firstArrival_, lastFinish_));
+                sys_.deviceAvailability(d, acc_.firstArrival,
+                                        acc_.lastFinish));
         }
+        const auto &c = sys_.counters();
         m.maskedPlacements = c.maskedPlacements;
         m.failoverReads = c.failoverReads;
         m.failedOps = c.failedOps;

@@ -39,6 +39,35 @@ struct SimConfig
 };
 
 /**
+ * A run's latency and timing accumulators: everything the latency,
+ * tail, makespan and IOPS fields of RunMetrics derive from. A fleet
+ * merges its tenants' accumulators and derives its aggregate from the
+ * merge exactly as a single run derives its own.
+ */
+struct RunAccumulator
+{
+    RunningStat latency;
+    RunningStat steadyLatency;             // second half only
+    Histogram latencyHist{0.0, 1e6, 4096}; // 0 .. 1 s, ~244 us bins
+    SimTime firstArrival = 0.0;            // zero until a request ran
+    SimTime lastFinish = 0.0;
+
+    /** Fold @p o in: the stats and histogram merge, the time bounds
+     *  widen to cover both (an empty side contributes no bound). */
+    void merge(const RunAccumulator &o);
+};
+
+/**
+ * Fill @p m's core fields from @p acc and the placement counters @p c:
+ * request count, mean, steady and tail latency (quantiles clamped so
+ * p50 <= p99 <= p999 <= max), makespan, IOPS, eviction fraction,
+ * evicted pages per request, fast-placement preference, placements,
+ * promotions and demotions. Every other field of @p m is left as is.
+ */
+void deriveRunMetrics(const RunAccumulator &acc, const hss::HssCounters &c,
+                      RunMetrics &m);
+
+/**
  * Incremental request-replay engine: the body of runSimulation() with
  * the loop inverted so a caller can drive it one request at a time.
  *
@@ -68,22 +97,11 @@ class RequestStepper
     /** Replay one request (must be called in trace order). */
     void step(const trace::Request &req);
 
-    /** Requests stepped so far. */
-    std::uint64_t requests() const { return count_; }
-
-    /** Simulated-time bounds over the stepped requests, for aggregate
-     *  makespans that span several steppers. Zero until step() ran. */
-    double firstArrivalUs() const { return firstArrival_; }
-    double lastFinishUs() const { return lastFinish_; }
-
     /** Collect metrics over everything stepped so far. */
     RunMetrics finish() const;
 
-    /** Raw accumulators, for folding several steppers into aggregate
-     *  (fleet-level) latency statistics. */
-    const RunningStat &latencyStat() const { return latency_; }
-    const RunningStat &steadyLatencyStat() const { return steadyLatency_; }
-    const Histogram &latencyHistogram() const { return latencyHist_; }
+    /** The accumulators finish() derives from, for a fleet aggregate. */
+    const RunAccumulator &accumulator() const { return acc_; }
 
   private:
     hss::HybridSystem &sys_;
@@ -92,12 +110,7 @@ class RequestStepper
     std::size_t expected_;
     std::uint32_t qd_;
     std::vector<SimTime> finishRing_;
-    RunningStat latency_;
-    RunningStat steadyLatency_; // second half only (post-convergence)
-    Histogram latencyHist_;
-    SimTime firstArrival_ = 0.0;
-    SimTime lastFinish_ = 0.0;
-    std::uint64_t count_ = 0;
+    RunAccumulator acc_;
     RunMetrics record_; // per-request vectors when cfg.recordPerRequest
 };
 

@@ -34,9 +34,6 @@ struct Request
     /** Read or write. */
     OpType op = OpType::Read;
 
-    /** Request size in KiB. */
-    double sizeKiB() const { return sizePages * (kPageSize / 1024.0); }
-
     /** One past the last page touched. */
     PageId endPage() const { return page + sizePages; }
 };
@@ -49,7 +46,6 @@ class Trace
     explicit Trace(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
-    void setName(std::string n) { name_ = std::move(n); }
 
     void add(const Request &r) { requests_.push_back(r); }
     void reserve(std::size_t n) { requests_.reserve(n); }

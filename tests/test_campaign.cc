@@ -288,17 +288,6 @@ TEST(CampaignRun, MergedJsonByteIdenticalAtOneVsManyThreads)
     EXPECT_TRUE(self.deltas.empty());
 }
 
-TEST(CampaignRun, AnnotationGroupsMustTileTheRecordSet)
-{
-    sim::ResultsAnnotations notes;
-    notes.campaign = "x";
-    notes.groups.push_back({"s", "t", 2}); // but zero records follow
-    std::ostringstream os;
-    EXPECT_THROW(
-        sim::writeResultsJson(os, std::vector<sim::RunRecord>(), notes),
-        std::invalid_argument);
-}
-
 // ---------------------- checkpoint / resume ---------------------------
 
 std::string

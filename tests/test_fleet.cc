@@ -16,6 +16,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -326,6 +328,73 @@ TEST(Fleet, ResultsJsonBitExactThroughRunner)
     EXPECT_NE(out[0].find("\"fairnessJain\""), std::string::npos);
     EXPECT_NE(out[0].find("\"tenantP999LatencyUs\""), std::string::npos);
     EXPECT_NE(out[0].find("\"p999LatencyUs\""), std::string::npos);
+}
+
+TEST(Fleet, OneTenantAggregateIsTheTenantsOwnRun)
+{
+    // The fleet aggregate and a single run derive their metrics and
+    // device accounting in one place, so a one-tenant fleet's
+    // aggregate must equal its tenant's slice, and the tenant's own
+    // run through the runner (its pseudo-run identity, per the tenant
+    // RNG-derivation rule), bit for bit.
+    sim::FleetTenant tenant;
+    tenant.policy = "Sibyl{trainEvery=100}";
+    tenant.workload = "prxy_1";
+    sim::RunSpec alone;
+    alone.policy = tenant.policy;
+    alone.workload = tenant.workload;
+    alone.hssConfig = "H&M";
+    alone.traceLen = 300;
+    alone.variantTag = "fleet-tenant:0";
+
+    sim::ParallelConfig cfg;
+    cfg.numThreads = 1;
+    sim::ParallelRunner runner(cfg);
+    const auto records =
+        runner.runAll({fleetSpecOf({tenant}, 300), alone});
+    ASSERT_EQ(records.size(), 2u);
+    ASSERT_FALSE(records[0].failed()) << records[0].error;
+    ASSERT_FALSE(records[1].failed()) << records[1].error;
+    const sim::PolicyResult &fleet = records[0].result;
+    const sim::PolicyResult &single = records[1].result;
+    ASSERT_EQ(fleet.tenants.size(), 1u);
+    EXPECT_EQ(fleet.tenants[0].tenantKey, records[1].runKey);
+    EXPECT_EQ(fleet.metrics.requests, 300u);
+
+    const auto sameBits = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    constexpr double sim::RunMetrics::*kCore[] = {
+        &sim::RunMetrics::avgLatencyUs,
+        &sim::RunMetrics::steadyAvgLatencyUs,
+        &sim::RunMetrics::p50LatencyUs,
+        &sim::RunMetrics::p99LatencyUs,
+        &sim::RunMetrics::p999LatencyUs,
+        &sim::RunMetrics::maxLatencyUs,
+        &sim::RunMetrics::iops,
+        &sim::RunMetrics::makespanUs,
+        &sim::RunMetrics::evictionFraction,
+        &sim::RunMetrics::evictedPagesPerRequest,
+        &sim::RunMetrics::fastPlacementPreference,
+    };
+    const sim::RunMetrics &agg = fleet.metrics;
+    for (const sim::RunMetrics *other :
+         {&fleet.tenants[0].metrics, &single.metrics}) {
+        SCOPED_TRACE(other == &single.metrics ? "single run"
+                                              : "tenant slice");
+        EXPECT_EQ(agg.requests, other->requests);
+        for (std::size_t f = 0; f < std::size(kCore); f++)
+            EXPECT_TRUE(sameBits(agg.*kCore[f], other->*kCore[f]))
+                << "core field " << f << ": " << agg.*kCore[f]
+                << " vs " << other->*kCore[f];
+        EXPECT_EQ(agg.placements, other->placements);
+        EXPECT_EQ(agg.promotions, other->promotions);
+        EXPECT_EQ(agg.demotions, other->demotions);
+    }
+    EXPECT_EQ(fleet.devicePagesWritten, single.devicePagesWritten);
+    EXPECT_TRUE(sameBits(fleet.totalEnergyMj, single.totalEnergyMj))
+        << fleet.totalEnergyMj << " vs " << single.totalEnergyMj;
+    EXPECT_GT(fleet.totalEnergyMj, 0.0);
 }
 
 TEST(Fleet, TenantStreamsIndependentOfFleetComposition)
