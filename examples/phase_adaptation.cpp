@@ -6,9 +6,9 @@
  * The paper's central claim is *adaptivity* — Sibyl "continuously
  * learns from and adapts to the workload" (§1) where static heuristics
  * are tuned once. This example splices a cold/random phase onto a
- * hot/write-heavy phase, runs Sibyl instrumented, and shows its
- * placement preference tracking the phase change, versus CDE whose
- * policy is fixed.
+ * hot/write-heavy phase, runs Sibyl with its per-request placements
+ * recorded, and shows its placement preference tracking the phase
+ * change, versus CDE whose policy is fixed.
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
@@ -17,7 +17,7 @@
 
 #include <cstdio>
 
-#include "explain/instrumented_policy.hh"
+#include "core/sibyl_policy.hh"
 #include "policies/cde.hh"
 #include "sim/parallel_runner.hh"
 #include "trace/trace.hh"
@@ -69,11 +69,13 @@ main()
 
     sim::RunSpec cfg;
     cfg.hssConfig = "H&M";
+    // Record every request's placement for the preference timeline.
+    cfg.sim.recordPerRequest = true;
     // Fast-Only normalization baseline; devices jitter from seed 42.
     const auto fastOnly = sim::computeFastOnlyBaseline(cfg, spliced, 42);
 
-    explain::InstrumentedSibyl sibyl(core::SibylConfig(),
-                                     sim::numHssDevices(cfg.hssConfig));
+    core::SibylPolicy sibyl(core::SibylConfig(),
+                            sim::numHssDevices(cfg.hssConfig));
     const auto sibylResult =
         sim::runPolicyExperiment(cfg, spliced, sibyl, fastOnly, 42);
 
@@ -91,17 +93,21 @@ main()
     // rewards.
     std::printf("\nSibyl preference timeline (10 windows, phase change "
                 "at window 6):\n  ");
-    const auto timeline = sibyl.log().preferenceTimeline(10);
-    for (const auto &w : timeline)
-        std::printf("%.2f  ", w.preference());
+    const auto &actions = sibylResult.metrics.perRequestAction;
+    double fast[10] = {}, placed[10] = {}, timeline[10] = {};
+    for (std::size_t i = 0; i < actions.size(); i++) {
+        const std::size_t w = i * 10 / actions.size();
+        fast[w] += actions[i] == 0 ? 1.0 : 0.0;
+        placed[w] += 1.0;
+    }
+    for (std::size_t w = 0; w < 10; w++) {
+        timeline[w] = placed[w] > 0.0 ? fast[w] / placed[w] : 0.0;
+        std::printf("%.2f  ", timeline[w]);
+    }
     std::printf("\n");
 
-    const double early = (timeline[2].preference() +
-                          timeline[3].preference() +
-                          timeline[4].preference()) / 3.0;
-    const double late = (timeline[7].preference() +
-                         timeline[8].preference() +
-                         timeline[9].preference()) / 3.0;
+    const double early = (timeline[2] + timeline[3] + timeline[4]) / 3.0;
+    const double late = (timeline[7] + timeline[8] + timeline[9]) / 3.0;
     std::printf("\nmean preference before/after the change: %.2f -> "
                 "%.2f\n%s\n",
                 early, late,

@@ -36,6 +36,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,8 +70,8 @@ struct Options
     std::uint64_t seed = 42;
     double learningRate = 0.0;      ///< 0 = SibylConfig default
     double epsilon = -1.0;          ///< <0 = SibylConfig default
-    std::string exploration;        ///< "", constant, linear, exp, boltzmann
-    double temperature = 0.05;      ///< Boltzmann temperature
+    std::string exploration;        ///< "" = SibylConfig default kind
+    std::optional<double> temperature; ///< unset = SibylConfig default
     std::string degradeFast;        ///< "startMs:endMs:mult" fault window
     bool csv = false;
     std::string saveAgent;
@@ -228,7 +229,7 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             opt.exploration = v;
         } else if (a == "--temperature") {
-            if (!number(i, opt.temperature))
+            if (!number(i, opt.temperature.emplace()))
                 return false;
         } else if (a == "--degrade-fast") {
             if (!(v = need(i)))
@@ -561,23 +562,21 @@ main(int argc, char **argv)
         sibylCfg.learningRate = opt.learningRate;
     if (opt.epsilon >= 0.0)
         sibylCfg.exploration.epsilon = opt.epsilon;
+    if (opt.temperature)
+        sibylCfg.exploration.temperature = *opt.temperature;
     if (!opt.exploration.empty()) {
-        if (opt.exploration == "constant") {
-            sibylCfg.exploration.kind =
-                rl::ExplorationKind::ConstantEpsilon;
-        } else if (opt.exploration == "linear") {
-            sibylCfg.exploration.kind = rl::ExplorationKind::LinearDecay;
-        } else if (opt.exploration == "exp") {
-            sibylCfg.exploration.kind =
-                rl::ExplorationKind::ExponentialDecay;
-        } else if (opt.exploration == "boltzmann") {
-            sibylCfg.exploration.kind = rl::ExplorationKind::Boltzmann;
-            sibylCfg.exploration.temperature = opt.temperature;
-        } else if (opt.exploration == "vdbe") {
-            sibylCfg.exploration.kind = rl::ExplorationKind::Vdbe;
-        } else {
-            std::fprintf(stderr, "unknown --exploration %s\n",
-                         opt.exploration.c_str());
+        // The descriptor's explore= table names the kinds. The flag's
+        // value goes in as that one parameter, never parsed, so it
+        // cannot set other keys.
+        scenario::PolicyDesc desc;
+        desc.name = "Sibyl";
+        desc.params = {{"explore", opt.exploration}};
+        desc.raw = "Sibyl{explore=" + opt.exploration + "}";
+        try {
+            scenario::applySibylParams(sibylCfg, desc);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "unknown --exploration %s: %s\n",
+                         opt.exploration.c_str(), e.what());
             return 2;
         }
     }

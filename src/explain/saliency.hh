@@ -41,8 +41,9 @@ struct FeatureSaliency
  *
  * For every state and feature, the feature value is replaced with
  * `probes` evenly spaced values in [0,1] and the flip rate / Q-delta
- * averaged. States should come from real decisions (an ActionLog) so
- * the probe reflects the visited distribution.
+ * averaged. States should come from real decisions, so the probe
+ * reflects the visited distribution: call StateEncoder::encode before
+ * each RequestStepper::step of a run.
  *
  * @param agent  The (trained) agent to probe.
  * @param states Observed observation vectors.

@@ -32,9 +32,11 @@ struct SimConfig
     /** Skip the policy's prepare() hook (used by tests that pre-train). */
     bool skipPrepare = false;
 
-    /** Record per-request arrival/latency/action vectors in the
-     *  RunMetrics (off by default — costs memory). Used by benches
-     *  that need phase-resolved views, e.g. the fault ablation. */
+    /** Record four per-request vectors in the RunMetrics: arrival,
+     *  latency, finish and action (off by default — costs memory). The
+     *  one per-request record: the fault, chaos and guardrail
+     *  ablations read it for phase-resolved views, and the
+     *  explainability examples for placement preference. */
     bool recordPerRequest = false;
 };
 

@@ -12,10 +12,10 @@
 #include <sstream>
 
 #include "core/sibyl_policy.hh"
-#include "explain/instrumented_policy.hh"
 #include "explain/saliency.hh"
 #include "rl/checkpoint.hh"
 #include "sim/parallel_runner.hh"
+#include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl
@@ -145,14 +145,19 @@ TEST(EndToEnd, SaliencyRunsOnEveryAgentFamily)
         trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
         core::SibylConfig scfg;
         scfg.agentKind = kind;
-        explain::InstrumentedSibyl policy(scfg, 2);
-        runOnCore(t, policy);
-
+        hss::HybridSystem sys(hss::makeHssConfig("H&M", t.uniquePages()),
+                              42);
+        core::SibylPolicy policy(scfg, 2);
+        policy.prepare(t, sys);
+        sim::RequestStepper stepper(sys, policy, sim::SimConfig(), t.size());
         std::vector<ml::Vector> states;
-        for (std::size_t i = 0; i < policy.log().size(); i += 200)
-            states.push_back(policy.log()[i].state);
+        for (std::size_t i = 0; i < t.size(); i++) {
+            if (i % 200 == 0)
+                states.push_back(policy.encoder().encode(sys, t[i]));
+            stepper.step(t[i]);
+        }
         const auto report =
-            explain::featureSaliency(policy.sibyl().agent(), states, 3);
+            explain::featureSaliency(policy.agent(), states, 3);
         EXPECT_EQ(report.size(), 6u) << core::agentKindName(kind);
         for (const auto &f : report) {
             EXPECT_GE(f.actionFlipRate, 0.0);

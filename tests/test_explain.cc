@@ -1,147 +1,22 @@
 /**
  * @file
- * Tests for the explainability module (§9/§11): action logging,
- * preference aggregation, saliency probing, and the instrumented
- * policy wrapper.
+ * Tests for the explainability module (§9/§11): saliency probing, and
+ * collecting the states it probes by encoding each observation while
+ * stepping a run.
  */
 
 #include <gtest/gtest.h>
 
-#include "explain/action_log.hh"
-#include "explain/instrumented_policy.hh"
+#include "core/sibyl_policy.hh"
 #include "explain/saliency.hh"
 #include "rl/dqn_agent.hh"
-#include "sim/parallel_runner.hh"
+#include "sim/simulator.hh"
 #include "trace/workloads.hh"
 
 namespace sibyl::explain
 {
 namespace
 {
-
-DecisionRecord
-decision(std::uint32_t action, float f0 = 0.5f, float reward = 1.0f,
-         bool eviction = false)
-{
-    DecisionRecord r;
-    r.state = {f0, 0.0f};
-    r.action = action;
-    r.reward = reward;
-    r.eviction = eviction;
-    return r;
-}
-
-// ---------------------------------------------------------------------
-// ActionLog
-// ---------------------------------------------------------------------
-
-TEST(ActionLog, EmptyLogHasNoPreference)
-{
-    ActionLog log;
-    EXPECT_EQ(log.overallPreference().decisions, 0u);
-    EXPECT_DOUBLE_EQ(log.overallPreference().preference(), 0.0);
-    EXPECT_DOUBLE_EQ(log.evictionFraction(), 0.0);
-}
-
-TEST(ActionLog, PreferenceCountsFastPlacements)
-{
-    ActionLog log;
-    log.record(decision(0));
-    log.record(decision(0));
-    log.record(decision(1));
-    log.record(decision(0));
-    const auto p = log.overallPreference();
-    EXPECT_EQ(p.decisions, 4u);
-    EXPECT_EQ(p.fastPlacements, 3u);
-    EXPECT_DOUBLE_EQ(p.preference(), 0.75);
-}
-
-TEST(ActionLog, CapacityBoundDropsOldest)
-{
-    ActionLog log(4);
-    for (int i = 0; i < 10; i++)
-        log.record(decision(i < 8 ? 1 : 0)); // last two are fast
-    EXPECT_EQ(log.size(), 4u);
-    EXPECT_EQ(log.overallPreference().fastPlacements, 2u);
-}
-
-TEST(ActionLog, EvictionFraction)
-{
-    ActionLog log;
-    log.record(decision(0, 0.5f, 1.0f, true));
-    log.record(decision(0));
-    log.record(decision(0));
-    log.record(decision(0, 0.5f, 1.0f, true));
-    EXPECT_DOUBLE_EQ(log.evictionFraction(), 0.5);
-}
-
-TEST(ActionLog, MeanRewardPerAction)
-{
-    ActionLog log;
-    log.record(decision(0, 0.5f, 2.0f));
-    log.record(decision(0, 0.5f, 4.0f));
-    log.record(decision(1, 0.5f, 1.0f));
-    const auto mean = log.meanRewardPerAction(2);
-    EXPECT_DOUBLE_EQ(mean[0], 3.0);
-    EXPECT_DOUBLE_EQ(mean[1], 1.0);
-}
-
-TEST(ActionLog, PreferenceByFeatureSplitsBins)
-{
-    ActionLog log;
-    // Low feature values placed slow, high values fast.
-    for (int i = 0; i < 10; i++)
-        log.record(decision(1, 0.1f));
-    for (int i = 0; i < 10; i++)
-        log.record(decision(0, 0.9f));
-    const auto bins = log.preferenceByFeature(0, 2);
-    ASSERT_EQ(bins.size(), 2u);
-    EXPECT_DOUBLE_EQ(bins[0].preference(), 0.0);
-    EXPECT_DOUBLE_EQ(bins[1].preference(), 1.0);
-}
-
-TEST(ActionLog, TimelineShowsPolicyShift)
-{
-    ActionLog log;
-    for (int i = 0; i < 50; i++)
-        log.record(decision(1));
-    for (int i = 0; i < 50; i++)
-        log.record(decision(0));
-    const auto timeline = log.preferenceTimeline(2);
-    ASSERT_EQ(timeline.size(), 2u);
-    EXPECT_LT(timeline[0].preference(), 0.1);
-    EXPECT_GT(timeline[1].preference(), 0.9);
-}
-
-TEST(ActionLog, ClearEmptiesLog)
-{
-    ActionLog log;
-    log.record(decision(0));
-    log.clear();
-    EXPECT_EQ(log.size(), 0u);
-}
-
-
-TEST(ActionLog, RewardTimelineShowsLearning)
-{
-    ActionLog log;
-    for (int i = 0; i < 40; i++)
-        log.record(decision(0, 0.5f, 0.1f));
-    for (int i = 0; i < 40; i++)
-        log.record(decision(0, 0.5f, 0.9f));
-    const auto curve = log.rewardTimeline(2);
-    ASSERT_EQ(curve.size(), 2u);
-    EXPECT_NEAR(curve[0], 0.1, 1e-6);
-    EXPECT_NEAR(curve[1], 0.9, 1e-6);
-}
-
-TEST(ActionLog, RewardTimelineEmptyLogIsZero)
-{
-    ActionLog log;
-    const auto curve = log.rewardTimeline(4);
-    for (double v : curve)
-        EXPECT_DOUBLE_EQ(v, 0.0);
-}
 
 // ---------------------------------------------------------------------
 // Saliency
@@ -207,53 +82,50 @@ TEST(Saliency, TrainedBanditIgnoresAllFeatures)
 }
 
 // ---------------------------------------------------------------------
-// InstrumentedSibyl
+// Observing a run
 // ---------------------------------------------------------------------
 
-/** Run @p policy on @p t in H&M on the single-run core (device seed
- *  42). */
-sim::PolicyResult
-runOnCore(const trace::Trace &t, policies::PlacementPolicy &policy)
+TEST(ObservedRun, EncodingBeforeEachStepLeavesTheRunUnchanged)
 {
-    const sim::RunSpec spec;
-    return sim::runPolicyExperiment(
-        spec, t, policy, sim::computeFastOnlyBaseline(spec, t, 42), 42);
-}
-
-TEST(InstrumentedSibyl, RecordsEveryDecision)
-{
-    trace::Trace t = trace::makeWorkload("rsrch_0", /*requests=*/2000);
-    InstrumentedSibyl policy(core::SibylConfig(), 2);
-    const auto r = runOnCore(t, policy);
-    EXPECT_EQ(policy.log().size(), r.metrics.requests);
-}
-
-TEST(InstrumentedSibyl, LoggedPreferenceMatchesRunMetrics)
-{
+    // The explainability examples collect states by encoding each
+    // request before stepping it. Encoding only reads the system, so
+    // the observed run must match an unobserved twin bit for bit.
     trace::Trace t = trace::makeWorkload("rsrch_0", 2000);
-    InstrumentedSibyl policy(core::SibylConfig(), 2);
-    const auto r = runOnCore(t, policy);
-    EXPECT_NEAR(policy.log().overallPreference().preference(),
-                r.metrics.fastPlacementPreference, 1e-9);
-}
+    sim::SimConfig sc;
+    sc.recordPerRequest = true;
 
-TEST(InstrumentedSibyl, ResetClearsLog)
-{
-    trace::Trace t = trace::makeWorkload("rsrch_0", 500);
-    InstrumentedSibyl policy(core::SibylConfig(), 2);
-    runOnCore(t, policy);
-    policy.reset();
-    EXPECT_EQ(policy.log().size(), 0u);
-}
+    hss::HybridSystem twinSys(hss::makeHssConfig("H&M", t.uniquePages()),
+                              42);
+    core::SibylPolicy twin(core::SibylConfig(), 2);
+    const sim::RunMetrics want = sim::runSimulation(t, twinSys, twin, sc);
 
-TEST(InstrumentedSibyl, StatesHaveEncoderDimension)
-{
-    trace::Trace t = trace::makeWorkload("rsrch_0", 300);
-    InstrumentedSibyl policy(core::SibylConfig(), 2);
-    runOnCore(t, policy);
-    ASSERT_GT(policy.log().size(), 0u);
-    EXPECT_EQ(policy.log()[0].state.size(),
-              policy.sibyl().encoder().dimension());
+    hss::HybridSystem sys(hss::makeHssConfig("H&M", t.uniquePages()), 42);
+    core::SibylPolicy policy(core::SibylConfig(), 2);
+    policy.prepare(t, sys);
+    sim::RequestStepper stepper(sys, policy, sc, t.size());
+    for (const auto &req : t) {
+        const ml::Vector state = policy.encoder().encode(sys, req);
+        ASSERT_EQ(state.size(), policy.encoder().dimension());
+        stepper.step(req);
+    }
+    const sim::RunMetrics got = stepper.finish();
+
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.avgLatencyUs, want.avgLatencyUs);
+    EXPECT_EQ(got.steadyAvgLatencyUs, want.steadyAvgLatencyUs);
+    EXPECT_EQ(got.p50LatencyUs, want.p50LatencyUs);
+    EXPECT_EQ(got.p99LatencyUs, want.p99LatencyUs);
+    EXPECT_EQ(got.p999LatencyUs, want.p999LatencyUs);
+    EXPECT_EQ(got.maxLatencyUs, want.maxLatencyUs);
+    EXPECT_EQ(got.iops, want.iops);
+    EXPECT_EQ(got.makespanUs, want.makespanUs);
+    EXPECT_EQ(got.evictionFraction, want.evictionFraction);
+    EXPECT_EQ(got.evictedPagesPerRequest, want.evictedPagesPerRequest);
+    EXPECT_EQ(got.fastPlacementPreference, want.fastPlacementPreference);
+    EXPECT_EQ(got.promotions, want.promotions);
+    EXPECT_EQ(got.demotions, want.demotions);
+    EXPECT_EQ(got.perRequestAction, want.perRequestAction);
+    EXPECT_EQ(got.perRequestAction.size(), t.size());
 }
 
 } // namespace
