@@ -74,7 +74,7 @@ main()
                 });
             double kib = 0.0;
             for (std::size_t wi = 0; wi < s.workloads.size(); wi++)
-                kib += storage->at(bench::recordIndex(s, ci, wi, pi));
+                kib += storage->at(s.recordIndex(ci, wi, pi));
             kib /= static_cast<double>(s.workloads.size()) * 1024.0;
             tab.addRow({families[pi].label, cell(lat, 3), cell(kib, 1)});
         }

@@ -125,7 +125,7 @@ main()
                  "retired blocks"});
     for (std::size_t pi = 0; pi < e.policies.size(); pi++) {
         const auto &m =
-            wearRecords.at(bench::recordIndex(e, 0, 0, pi)).result.metrics;
+            wearRecords.at(e.recordIndex(0, 0, pi)).result.metrics;
         // Contract: a detailed-FTL run must surface the endurance
         // block, and WA is host-write-relative, never below 1.
         ok &= m.enduranceConfigured && m.writeAmplification >= 1.0 &&

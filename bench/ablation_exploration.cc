@@ -89,7 +89,7 @@ main()
             };
             double rnd = 0.0;
             for (std::size_t wi = 0; wi < s.workloads.size(); wi++)
-                rnd += randomPct->at(bench::recordIndex(s, ci, wi, pi));
+                rnd += randomPct->at(s.recordIndex(ci, wi, pi));
             rnd /= static_cast<double>(s.workloads.size());
             tab.addRow(
                 {strategies[pi].label,

@@ -95,7 +95,7 @@ main()
         // The agent's footprint depends only on the topology; any
         // run's value is representative.
         const double kib =
-            storage->at(bench::recordIndex(s, 0, 0, pi)) / 1024.0;
+            storage->at(s.recordIndex(0, 0, pi)) / 1024.0;
         tab.addRow({topologies[pi].label, cell(lat, 3), cell(macs),
                     cell(kib, 1)});
     }

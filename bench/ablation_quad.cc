@@ -47,7 +47,7 @@ main()
         std::string shares;
         for (std::size_t pi = 0; pi < s.policies.size(); pi++) {
             const auto &r =
-                records[bench::recordIndex(s, 0, wi, pi)].result;
+                records[s.recordIndex(0, wi, pi)].result;
             sums[pi] += r.normalizedLatency;
             row.push_back(cell(r.normalizedLatency, 2));
             if (s.policies[pi] == "Sibyl") {

@@ -61,7 +61,7 @@ main()
         std::vector<std::string> row = {s.workloads[wi]};
         for (std::size_t pi = 0; pi < subsets.size(); pi++)
             row.push_back(
-                cell(records[bench::recordIndex(s, 0, wi, pi)]
+                cell(records[s.recordIndex(0, wi, pi)]
                          .result.normalizedLatency,
                      2));
         tab.addRow(row);

@@ -53,7 +53,7 @@ main()
             });
         double roundSum = 0.0;
         for (std::size_t wi = 0; wi < s.workloads.size(); wi++)
-            roundSum += rounds->at(bench::recordIndex(s, 0, wi, pi));
+            roundSum += rounds->at(s.recordIndex(0, wi, pi));
         tab.addRow({*scenario::PolicyDesc::parse(s.policies[pi])
                          .find("bufferCapacity"),
                     cell(lat, 3),

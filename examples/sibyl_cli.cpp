@@ -7,6 +7,13 @@
  * across runs. This is the "downstream user" entry point: everything
  * the benches do is reachable from here without writing C++.
  *
+ * --scenario runs a scenario file. When the file has a "report"
+ * block, the output is that figure's report: its title as a banner,
+ * one table per HSS config of the report's metric (workloads x
+ * policies, mean±95% CI over seeds, an AVG row), then the reference
+ * text. The paper's lineup figures are such files under
+ * scenarios/paper/. --requests N sets the scenario's traceLen.
+ *
  * Examples:
  *   sibyl_cli --workload prxy_1 --config H&M
  *   sibyl_cli --workload rsrch_0 --config H&L --policy Sibyl \
@@ -21,6 +28,8 @@
  *   sibyl_cli --policy Sibyl --policy CDE --policy Oracle --threads 4 \
  *             --json results.json
  *   sibyl_cli --scenario scenarios/smoke.json --json results.json
+ *   sibyl_cli --scenario scenarios/paper/fig9_latency.json \
+ *             --requests 3000 --json BENCH_fig9.json
  *   sibyl_cli --campaign scenarios/campaign_smoke.json \
  *             --json merged.json
  *   sibyl_cli --list-policies
@@ -43,6 +52,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/table.hh"
 #include "core/sibyl_policy.hh"
 #include "device/fault_model.hh"
@@ -66,6 +76,7 @@ struct Options
     std::string config = "H&M";
     std::vector<std::string> policies;
     std::size_t requests = 0;       ///< 0 = profile default
+    bool requestsSet = false;       ///< --requests given explicitly
     double fastFrac = 0.10;
     std::uint64_t seed = 42;
     double learningRate = 0.0;      ///< 0 = SibylConfig default
@@ -100,7 +111,8 @@ usage(const char *prog)
         "RNN-HSS Sibyl Oracle\n"
         "                      Heuristic-Multi-Tier "
         "(default: Sibyl CDE Oracle)\n"
-        "  --requests N        truncate/scale the workload\n"
+        "  --requests N        truncate/scale the workload (0 = "
+        "profile default)\n"
         "  --fast-frac F       fast-device capacity as working-set "
         "fraction (default 0.10)\n"
         "  --lr ALPHA          Sibyl learning rate override\n"
@@ -125,9 +137,13 @@ usage(const char *prog)
         "  --csv               emit CSV instead of an aligned table\n"
         "  --scenario PATH     run a declarative scenario file (JSON\n"
         "                      ScenarioSpec: policies x workloads x\n"
-        "                      configs x seeds); other experiment flags\n"
-        "                      are ignored, --threads/--json/--csv still\n"
-        "                      apply\n"
+        "                      configs x seeds); a file with a report\n"
+        "                      block prints that figure's tables\n"
+        "                      (scenarios/paper/); --requests sets its\n"
+        "                      traceLen, --threads/--json/--csv still\n"
+        "                      apply, other experiment flags are\n"
+        "                      ignored; --json names the document's\n"
+        "                      campaign after the scenario\n"
         "  --campaign PATH     run a campaign manifest (JSON naming\n"
         "                      several scenario files with per-entry\n"
         "                      tag/requests/seeds overrides) as ONE\n"
@@ -215,6 +231,7 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (a == "--requests") {
             if (!number(i, opt.requests))
                 return false;
+            opt.requestsSet = true;
         } else if (a == "--fast-frac") {
             if (!number(i, opt.fastFrac))
                 return false;
@@ -337,6 +354,145 @@ appendMetrics(std::vector<std::string> &row, const sim::RunRecord &rec,
     row.insert(row.end(), metrics.begin(), metrics.end());
 }
 
+/**
+ * Half-width of a two-sided 95% confidence interval for the mean of
+ * @p samples (Student's t for small n, 1.96 beyond the table). Zero
+ * for fewer than two samples.
+ */
+double
+confidenceHalfWidth95(const std::vector<double> &samples)
+{
+    if (samples.size() < 2)
+        return 0.0;
+    RunningStat stat;
+    for (double s : samples)
+        stat.add(s);
+    // Two-sided 95% t critical values for df = 1..30; beyond that the
+    // normal 1.96 is within a percent.
+    static const double tTable[] = {
+        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306,
+        2.262,  2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
+        2.110,  2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
+        2.060,  2.056, 2.052, 2.048, 2.045, 2.042,
+    };
+    const std::size_t df = samples.size() - 1;
+    const double t = df <= 30 ? tTable[df - 1] : 1.96;
+    return t * stat.stddev() /
+           std::sqrt(static_cast<double>(samples.size()));
+}
+
+/**
+ * Print @p records (in expand() order) as @p s's report asks: one
+ * table of the report's metric per HSS configuration, policies as
+ * columns, workloads as rows, and an AVG row holding the mean over
+ * workloads, as the paper reports. With more than one seed every
+ * cell is the across-seed mean with a 95% confidence half-width
+ * ("m±c"). A cell with a failed run says FAILED, and its policy's
+ * AVG "-".
+ */
+void
+printReport(const scenario::ScenarioSpec &s,
+            const std::vector<sim::RunRecord> &records, bool csv)
+{
+    const sim::ResultScalar &metric =
+        *sim::findResultScalar(s.report->metric);
+    const std::size_t nSeeds = s.seeds.size();
+    const bool multiSeed = nSeeds > 1;
+    for (std::size_t ci = 0; ci < s.hssConfigs.size(); ci++) {
+        std::printf("\n[%s]  metric: %s%s\n", s.hssConfigs[ci].c_str(),
+                    scenario::reportMetricCaption(s.report->metric),
+                    multiSeed ? "  (mean±95% CI over seeds)" : "");
+        TextTable tab;
+        std::vector<std::string> header = {"workload"};
+        header.insert(header.end(), s.policies.begin(), s.policies.end());
+        tab.header(header);
+
+        std::vector<double> sums(s.policies.size(), 0.0);
+        std::vector<bool> failed(s.policies.size(), false);
+        std::vector<double> seedVals(nSeeds);
+        for (std::size_t wi = 0; wi < s.workloads.size(); wi++) {
+            std::vector<std::string> row = {s.workloads[wi]};
+            for (std::size_t pi = 0; pi < s.policies.size(); pi++) {
+                bool cellFailed = false;
+                for (std::size_t si = 0; si < nSeeds; si++) {
+                    const sim::RunRecord &rec =
+                        records[s.recordIndex(ci, wi, pi, si)];
+                    cellFailed |= rec.failed();
+                    seedVals[si] = metric.get(rec.result);
+                }
+                if (cellFailed) {
+                    failed[pi] = true;
+                    row.push_back("FAILED");
+                    continue;
+                }
+                double mean = 0.0;
+                for (double v : seedVals)
+                    mean += v;
+                mean /= static_cast<double>(nSeeds);
+                sums[pi] += mean;
+                if (multiSeed) {
+                    row.push_back(cell(mean, 3) + "±" +
+                                  cell(confidenceHalfWidth95(seedVals),
+                                       3));
+                } else {
+                    row.push_back(cell(mean, 3));
+                }
+            }
+            tab.addRow(row);
+        }
+        std::vector<std::string> avg = {"AVG"};
+        for (std::size_t pi = 0; pi < sums.size(); pi++)
+            avg.push_back(failed[pi]
+                              ? "-"
+                              : cell(sums[pi] / static_cast<double>(
+                                                    s.workloads.size()),
+                                     3));
+        tab.addRow(avg);
+        if (csv)
+            tab.printCsv(std::cout);
+        else
+            tab.print(std::cout);
+    }
+    std::printf("\n");
+}
+
+/** Print the run table of a scenario without a report: one row per
+ *  run. */
+void
+printRuns(const std::vector<sim::RunRecord> &records, bool csv)
+{
+    TextTable tab;
+    tab.header({"config", "workload", "policy", "seed",
+                "avg latency (us)", "vs Fast-Only", "IOPS",
+                "evictions", "fast pref"});
+    for (const auto &rec : records) {
+        const auto &r = rec.result;
+        std::vector<std::string> row = {
+            rec.spec.hssConfig, rec.spec.workload, rec.spec.policy,
+            cell(std::uint64_t{rec.spec.seed})};
+        appendMetrics(row, rec,
+                      {cell(r.metrics.avgLatencyUs, 1),
+                       cell(r.normalizedLatency, 3),
+                       cell(r.metrics.iops, 0),
+                       cell(r.metrics.evictionFraction, 3),
+                       cell(r.metrics.fastPlacementPreference, 3)});
+        tab.addRow(row);
+    }
+    if (csv)
+        tab.printCsv(std::cout);
+    else
+        tab.print(std::cout);
+}
+
+/** Print the standard report banner. */
+void
+banner(const std::string &title)
+{
+    std::printf("==============================================================\n");
+    std::printf("%s\n", title.c_str());
+    std::printf("==============================================================\n");
+}
+
 /** --scenario: run a declarative scenario file. */
 int
 runScenarioFile(const Options &opt)
@@ -346,39 +502,27 @@ runScenarioFile(const Options &opt)
             scenario::loadScenarioFile(opt.scenarioPath);
         if (opt.threadsSet)
             spec.numThreads = opt.threads;
+        if (opt.requestsSet)
+            spec.traceLen = opt.requests;
 
-        std::printf("scenario %s: %zu policies x %zu workloads x %zu "
-                    "configs x %zu seeds\n",
-                    spec.name.c_str(), spec.policies.size(),
-                    spec.workloads.size(), spec.hssConfigs.size(),
-                    spec.seeds.size());
+        if (spec.report)
+            banner(spec.report->title);
+        else
+            std::printf("scenario %s: %zu policies x %zu workloads x "
+                        "%zu configs x %zu seeds\n",
+                        spec.name.c_str(), spec.policies.size(),
+                        spec.workloads.size(), spec.hssConfigs.size(),
+                        spec.seeds.size());
 
         const auto records = scenario::runScenario(spec);
-
-        TextTable tab;
-        tab.header({"config", "workload", "policy", "seed",
-                    "avg latency (us)", "vs Fast-Only", "IOPS",
-                    "evictions", "fast pref"});
-        for (const auto &rec : records) {
-            const auto &r = rec.result;
-            std::vector<std::string> row = {
-                rec.spec.hssConfig, rec.spec.workload, rec.spec.policy,
-                cell(std::uint64_t{rec.spec.seed})};
-            appendMetrics(row, rec,
-                          {cell(r.metrics.avgLatencyUs, 1),
-                           cell(r.normalizedLatency, 3),
-                           cell(r.metrics.iops, 0),
-                           cell(r.metrics.evictionFraction, 3),
-                           cell(r.metrics.fastPlacementPreference, 3)});
-            tab.addRow(row);
-        }
-        if (opt.csv)
-            tab.printCsv(std::cout);
+        if (spec.report)
+            printReport(spec, records, opt.csv);
         else
-            tab.print(std::cout);
+            printRuns(records, opt.csv);
 
         if (!opt.jsonPath.empty()) {
-            if (sim::writeResultsJsonFile(opt.jsonPath, records))
+            if (sim::writeResultsJsonFile(opt.jsonPath, records,
+                                          spec.name))
                 std::printf("wrote %s\n", opt.jsonPath.c_str());
             else {
                 std::fprintf(stderr, "could not write %s\n",
@@ -386,6 +530,8 @@ runScenarioFile(const Options &opt)
                 return 1;
             }
         }
+        if (spec.report && !spec.report->reference.empty())
+            std::printf("%s\n", spec.report->reference.c_str());
         return reportFailures(records) == 0 ? 0 : 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
@@ -495,6 +641,53 @@ main(int argc, char **argv)
     if (!opt.scenarioPath.empty())
         return runScenarioFile(opt);
 
+    // Flags that can be malformed are checked before any trace is
+    // loaded or synthesized.
+    std::optional<device::DegradedWindow> degrade;
+    if (!opt.degradeFast.empty()) {
+        // "startMs:endMs:multiplier" -> a fault window on device 0,
+        // checked by the same validator the FaultModel runs.
+        double startMs = 0.0, endMs = 0.0, mult = 1.0;
+        const bool parsed =
+            std::sscanf(opt.degradeFast.c_str(), "%lf:%lf:%lf", &startMs,
+                        &endMs, &mult) == 3;
+        const device::DegradedWindow window{startMs * 1e3, endMs * 1e3,
+                                            mult};
+        const std::string err =
+            parsed ? device::validateWindow(window) : "";
+        if (!parsed || !err.empty()) {
+            std::fprintf(stderr,
+                         "--degrade-fast wants START_MS:END_MS:MULT%s%s\n",
+                         err.empty() ? "" : ": ", err.c_str());
+            return 2;
+        }
+        degrade = window;
+    }
+
+    core::SibylConfig sibylCfg;
+    if (opt.learningRate > 0.0)
+        sibylCfg.learningRate = opt.learningRate;
+    if (opt.epsilon >= 0.0)
+        sibylCfg.exploration.epsilon = opt.epsilon;
+    if (opt.temperature)
+        sibylCfg.exploration.temperature = *opt.temperature;
+    if (!opt.exploration.empty()) {
+        // The descriptor's explore= table names the kinds. The flag's
+        // value goes in as that one parameter, never parsed, so it
+        // cannot set other keys.
+        scenario::PolicyDesc desc;
+        desc.name = "Sibyl";
+        desc.params = {{"explore", opt.exploration}};
+        desc.raw = "Sibyl{explore=" + opt.exploration + "}";
+        try {
+            scenario::applySibylParams(sibylCfg, desc);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "unknown --exploration %s: %s\n",
+                         opt.exploration.c_str(), e.what());
+            return 2;
+        }
+    }
+
     // Workload: synthesizer profile or a real MSRC CSV. A profile
     // workload goes through the runner's shared trace cache; a CSV is
     // loaded here and handed to every run as an external trace.
@@ -531,57 +724,18 @@ main(int argc, char **argv)
                     static_cast<double>(pages * kPageSize) / (1 << 20));
     }
 
-    if (!opt.degradeFast.empty()) {
-        // "startMs:endMs:multiplier" -> a fault window on device 0,
-        // checked by the same validator the FaultModel runs.
-        double startMs = 0.0, endMs = 0.0, mult = 1.0;
-        const bool parsed =
-            std::sscanf(opt.degradeFast.c_str(), "%lf:%lf:%lf", &startMs,
-                        &endMs, &mult) == 3;
-        const device::DegradedWindow window{startMs * 1e3, endMs * 1e3,
-                                            mult};
-        const std::string err =
-            parsed ? device::validateWindow(window) : "";
-        if (!parsed || !err.empty()) {
-            std::fprintf(stderr,
-                         "--degrade-fast wants START_MS:END_MS:MULT%s%s\n",
-                         err.empty() ? "" : ": ", err.c_str());
-            return 2;
-        }
+    proto.sibylCfg = sibylCfg;
+    if (degrade) {
+        const device::DegradedWindow window = *degrade;
         proto.specTweak = [=](std::vector<device::DeviceSpec> &specs) {
             specs[0].faults.windows.push_back(window);
         };
         // The fault window changes dynamics: tag it into the run key.
         proto.variantTag = "degrade-fast=" + opt.degradeFast;
         std::printf("fast device degraded x%.1f in [%.0f, %.0f] ms\n",
-                    mult, startMs, endMs);
+                    window.latencyMultiplier, window.startUs / 1e3,
+                    window.endUs / 1e3);
     }
-
-    core::SibylConfig sibylCfg;
-    if (opt.learningRate > 0.0)
-        sibylCfg.learningRate = opt.learningRate;
-    if (opt.epsilon >= 0.0)
-        sibylCfg.exploration.epsilon = opt.epsilon;
-    if (opt.temperature)
-        sibylCfg.exploration.temperature = *opt.temperature;
-    if (!opt.exploration.empty()) {
-        // The descriptor's explore= table names the kinds. The flag's
-        // value goes in as that one parameter, never parsed, so it
-        // cannot set other keys.
-        scenario::PolicyDesc desc;
-        desc.name = "Sibyl";
-        desc.params = {{"explore", opt.exploration}};
-        desc.raw = "Sibyl{explore=" + opt.exploration + "}";
-        try {
-            scenario::applySibylParams(sibylCfg, desc);
-        } catch (const std::invalid_argument &e) {
-            std::fprintf(stderr, "unknown --exploration %s: %s\n",
-                         opt.exploration.c_str(), e.what());
-            return 2;
-        }
-    }
-
-    proto.sibylCfg = sibylCfg;
 
     // One spec per policy; the runner shards them across workers and
     // returns results in policy order regardless of scheduling.
@@ -673,9 +827,11 @@ main(int argc, char **argv)
     if (!opt.jsonPath.empty()) {
         if (sim::writeResultsJsonFile(opt.jsonPath, records))
             std::printf("wrote %s\n", opt.jsonPath.c_str());
-        else
+        else {
             std::fprintf(stderr, "could not write %s\n",
                          opt.jsonPath.c_str());
+            return 1;
+        }
     }
     return reportFailures(records) == 0 ? 0 : 1;
 }

@@ -258,22 +258,10 @@ hydrateRecord(sim::RunRecord &rec, const JsonValue &doc)
     str("workload", rec.result.workload);
     auto &m = rec.result.metrics;
     num("requests", m.requests);
-    num("avgLatencyUs", m.avgLatencyUs);
-    num("steadyAvgLatencyUs", m.steadyAvgLatencyUs);
-    num("p50LatencyUs", m.p50LatencyUs);
-    num("p99LatencyUs", m.p99LatencyUs);
-    num("p999LatencyUs", m.p999LatencyUs);
-    num("maxLatencyUs", m.maxLatencyUs);
-    num("iops", m.iops);
-    num("makespanUs", m.makespanUs);
-    num("evictionFraction", m.evictionFraction);
-    num("fastPlacementPreference", m.fastPlacementPreference);
+    for (const auto &sc : sim::resultScalars())
+        num(sc.name, sc.at(rec.result));
     num("promotions", m.promotions);
     num("demotions", m.demotions);
-    num("normalizedLatency", rec.result.normalizedLatency);
-    num("normalizedSteadyLatency", rec.result.normalizedSteadyLatency);
-    num("normalizedIops", rec.result.normalizedIops);
-    num("totalEnergyMj", rec.result.totalEnergyMj);
 }
 
 /** Parse and validate one journal entry: a JSON object whose runKey

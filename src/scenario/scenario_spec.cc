@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "scenario/json.hh"
 #include "scenario/policy_factory.hh"
@@ -32,6 +33,30 @@ DeviceOverride::faultConfig() const
     device::FaultConfig fc;
     applyFaults(fc);
     return fc;
+}
+
+namespace
+{
+
+constexpr std::pair<const char *, const char *> kReportMetrics[] = {
+    {"normalizedLatency", "avg request latency (normalized to Fast-Only)"},
+    {"normalizedIops",
+     "request throughput IOPS (normalized to Fast-Only)"},
+    {"evictionFraction",
+     "eviction fraction (evicting requests / all requests)"},
+    {"fastPlacementPreference",
+     "preference for fast storage (#fast / #all placements)"},
+};
+
+} // namespace
+
+const char *
+reportMetricCaption(const std::string &metric)
+{
+    for (const auto &[name, caption] : kReportMetrics)
+        if (metric == name)
+            return caption;
+    return nullptr;
 }
 
 std::vector<sim::RunSpec>
@@ -383,6 +408,36 @@ parseOverride(const JsonValue &v)
     return ov;
 }
 
+ReportSpec
+parseReport(const JsonValue &v)
+{
+    if (!v.isObject())
+        specError("report wants an object");
+    ReportSpec r;
+    for (const auto &[key, val] : v.asObject()) {
+        std::string *field = key == "title"       ? &r.title
+                             : key == "metric"    ? &r.metric
+                             : key == "reference" ? &r.reference
+                                                  : nullptr;
+        if (!field)
+            specError("unknown report key \"" + key +
+                      "\" (valid: title metric reference)");
+        if (!val.isString())
+            specError("report." + key + " wants a string");
+        *field = val.asString();
+    }
+    if (r.title.empty())
+        specError("report needs a \"title\"");
+    if (!reportMetricCaption(r.metric)) {
+        std::string valid;
+        for (const auto &m : kReportMetrics)
+            valid += std::string(" ") + m.first;
+        specError("report.metric \"" + r.metric +
+                  "\" is not a report metric (valid:" + valid + ")");
+    }
+    return r;
+}
+
 } // namespace
 
 ScenarioSpec
@@ -437,13 +492,15 @@ parseScenarioJson(const std::string &text)
                 s.deviceOverrides.push_back(parseOverride(e));
         } else if (key == "numThreads") {
             s.numThreads = static_cast<unsigned>(v.asUint());
+        } else if (key == "report") {
+            s.report = parseReport(v);
         } else {
             specError("unknown key \"" + key +
                       "\" (valid: name policies workloads fleet "
                       "hssConfigs seeds mixedWorkloads "
                       "fastCapacityFrac traceLen traceSeed timeCompress "
                       "queueDepth recordPerRequest sibylParams "
-                      "deviceOverrides numThreads)");
+                      "deviceOverrides numThreads report)");
         }
     }
     if (!s.fleetTenants.empty()) {
@@ -453,6 +510,10 @@ parseScenarioJson(const std::string &text)
         if (sawPolicies || sawWorkloads)
             specError("\"fleet\" excludes \"policies\"/\"workloads\" "
                       "(tenants carry their own)");
+        // A report tabulates workloads x policies, which a fleet cell
+        // does not have.
+        if (s.report)
+            specError("\"fleet\" excludes \"report\"");
     } else {
         if (!sawPolicies || s.policies.empty())
             specError("\"policies\" must name at least one policy");
@@ -573,6 +634,14 @@ emitScenarioJson(const ScenarioSpec &s)
         doc.set("deviceOverrides", arr);
     }
     doc.set("numThreads", JsonValue::of(std::uint64_t{s.numThreads}));
+    if (s.report) {
+        JsonValue report = JsonValue::object();
+        report.set("title", JsonValue::of(s.report->title));
+        report.set("metric", JsonValue::of(s.report->metric));
+        if (!s.report->reference.empty())
+            report.set("reference", JsonValue::of(s.report->reference));
+        doc.set("report", report);
+    }
     return doc.dump();
 }
 

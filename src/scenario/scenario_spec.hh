@@ -6,8 +6,9 @@
  * Sibyl hyper-parameter overrides, and declarative device overrides
  * (fault windows, channel counts, FTL selection). It parses from and
  * emits to JSON, so *any experiment in the repository is a file*: the
- * figure benches, the CLI's --scenario mode, and the golden-run tests
- * all lower the same structure onto sim::ParallelRunner.
+ * paper's figures (scenarios/paper/, with a report block), the
+ * benches, the CLI's --scenario mode, and the golden-run tests all
+ * lower the same structure onto sim::ParallelRunner.
  *
  * Lowering rule: expand() is the only grid lowering in the repository.
  * It emits one sim::RunSpec per cell in a fixed nesting order —
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,27 @@ struct DeviceOverride
     bool operator==(const DeviceOverride &) const = default;
 };
 
+/**
+ * How `sibyl_cli --scenario` presents a lineup scenario (JSON key
+ * "report"): a banner, then per HSS config one table of one record
+ * scalar with workloads as rows, policies as columns and an AVG row,
+ * then the reference text. Presentation only: expand() never reads
+ * it, so it reaches no run key and no results bytes.
+ */
+struct ReportSpec
+{
+    std::string title;     ///< banner
+    std::string metric;    ///< a reportMetricCaption() name
+    std::string reference; ///< optional trailing text
+
+    bool operator==(const ReportSpec &) const = default;
+};
+
+/** Table caption of the record scalar @p metric, or nullptr when a
+ *  report cannot name it. A report may name normalizedLatency,
+ *  normalizedIops, evictionFraction or fastPlacementPreference. */
+const char *reportMetricCaption(const std::string &metric);
+
 /** One declarative experiment (see file header). */
 struct ScenarioSpec
 {
@@ -149,6 +172,10 @@ struct ScenarioSpec
      *  Results are thread-count invariant; this is throughput only. */
     unsigned numThreads = 0;
 
+    /** How the CLI prints the results; unset prints one row per run.
+     *  Excludes `fleetTenants`. */
+    std::optional<ReportSpec> report;
+
     bool operator==(const ScenarioSpec &) const = default;
 
     /**
@@ -162,6 +189,17 @@ struct ScenarioSpec
      * (run seeds are derived); throws std::invalid_argument otherwise.
      */
     std::vector<sim::RunSpec> expand() const;
+
+    /** Row index of (config ci, workload wi, policy pi, seed si) in
+     *  expand()'s order (hssConfig outermost, seed innermost), which
+     *  is also the order of runScenario()'s records. */
+    std::size_t recordIndex(std::size_t ci, std::size_t wi,
+                            std::size_t pi, std::size_t si = 0) const
+    {
+        return ((ci * workloads.size() + wi) * policies.size() + pi) *
+                   seeds.size() +
+               si;
+    }
 };
 
 /** Parse a scenario JSON document. Unknown keys, ill-typed values, and

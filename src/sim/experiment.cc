@@ -6,6 +6,44 @@
 namespace sibyl::sim
 {
 
+namespace
+{
+
+constexpr ResultScalar kResultScalars[] = {
+    {"avgLatencyUs", &RunMetrics::avgLatencyUs},
+    {"steadyAvgLatencyUs", &RunMetrics::steadyAvgLatencyUs},
+    {"p50LatencyUs", &RunMetrics::p50LatencyUs},
+    {"p99LatencyUs", &RunMetrics::p99LatencyUs},
+    {"p999LatencyUs", &RunMetrics::p999LatencyUs},
+    {"maxLatencyUs", &RunMetrics::maxLatencyUs},
+    {"iops", &RunMetrics::iops},
+    {"makespanUs", &RunMetrics::makespanUs},
+    {"evictionFraction", &RunMetrics::evictionFraction},
+    {"fastPlacementPreference", &RunMetrics::fastPlacementPreference},
+    {"normalizedLatency", nullptr, &PolicyResult::normalizedLatency},
+    {"normalizedSteadyLatency", nullptr,
+     &PolicyResult::normalizedSteadyLatency},
+    {"normalizedIops", nullptr, &PolicyResult::normalizedIops},
+    {"totalEnergyMj", nullptr, &PolicyResult::totalEnergyMj},
+};
+
+} // namespace
+
+std::span<const ResultScalar>
+resultScalars()
+{
+    return kResultScalars;
+}
+
+const ResultScalar *
+findResultScalar(std::string_view name)
+{
+    for (const auto &s : kResultScalars)
+        if (name == s.name)
+            return &s;
+    return nullptr;
+}
+
 std::uint32_t
 numHssDevices(const std::string &hssConfig, double fastCapacityFrac)
 {

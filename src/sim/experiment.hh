@@ -10,7 +10,9 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "core/sibyl_config.hh"
 #include "policies/policy.hh"
@@ -70,6 +72,35 @@ struct PolicyResult
     std::vector<TenantSummary> tenants;
     double fairnessJain = 0.0;
 };
+
+/**
+ * One floating-point scalar of a PolicyResult, under the name a
+ * results record gives it. resultScalars() is the one list of them:
+ * writeRecordJson emits them in its order, a campaign journal entry
+ * is read back through it, and a scenario report picks its metric
+ * from it. Exactly one of the two member pointers is set.
+ */
+struct ResultScalar
+{
+    const char *name = nullptr;
+    double RunMetrics::*metric = nullptr;   ///< a RunMetrics field
+    double PolicyResult::*result = nullptr; ///< or a PolicyResult one
+
+    double get(const PolicyResult &r) const
+    {
+        return metric ? r.metrics.*metric : r.*result;
+    }
+    double &at(PolicyResult &r) const
+    {
+        return metric ? r.metrics.*metric : r.*result;
+    }
+};
+
+/** Every ResultScalar, in results-record order. */
+std::span<const ResultScalar> resultScalars();
+
+/** The ResultScalar named @p name, or nullptr. */
+const ResultScalar *findResultScalar(std::string_view name);
 
 /** Device count of an HSS shorthand (throws std::invalid_argument
  *  for an unknown shorthand or an out-of-range fraction, as

@@ -411,25 +411,9 @@ writeRecordJson(std::ostream &os, const RunRecord &r,
     if (r.attempts > 1)
         os << ", \"attempts\": " << r.attempts;
     os << ", \"requests\": " << m.requests;
-    const std::pair<const char *, double> scalars[] = {
-        {"avgLatencyUs", m.avgLatencyUs},
-        {"steadyAvgLatencyUs", m.steadyAvgLatencyUs},
-        {"p50LatencyUs", m.p50LatencyUs},
-        {"p99LatencyUs", m.p99LatencyUs},
-        {"p999LatencyUs", m.p999LatencyUs},
-        {"maxLatencyUs", m.maxLatencyUs},
-        {"iops", m.iops},
-        {"makespanUs", m.makespanUs},
-        {"evictionFraction", m.evictionFraction},
-        {"fastPlacementPreference", m.fastPlacementPreference},
-        {"normalizedLatency", r.result.normalizedLatency},
-        {"normalizedSteadyLatency", r.result.normalizedSteadyLatency},
-        {"normalizedIops", r.result.normalizedIops},
-        {"totalEnergyMj", r.result.totalEnergyMj},
-    };
-    for (const auto &[name, v] : scalars) {
-        os << ", \"" << name << "\": " << scenario::jsonNumber(v);
-    }
+    for (const auto &sc : resultScalars())
+        os << ", \"" << sc.name
+           << "\": " << scenario::jsonNumber(sc.get(r.result));
     os << ", \"promotions\": " << m.promotions
        << ", \"demotions\": " << m.demotions;
     os << ", \"placements\": [";

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -499,6 +500,68 @@ TEST(ScenarioSpec, ParseDiagnosesBadInput)
                  std::invalid_argument);
 }
 
+TEST(ScenarioSpec, ReportRoundTripsAndStaysOutOfTheRuns)
+{
+    ScenarioSpec s = fullSpec();
+    s.report = ReportSpec{"Fig. X: a title — with a dash",
+                          "normalizedIops",
+                          "Paper reference: 20% better\non average."};
+    const std::string text = emitScenarioJson(s);
+    const ScenarioSpec back = parseScenarioJson(text);
+    EXPECT_TRUE(back == s);
+    EXPECT_EQ(emitScenarioJson(back), text);
+    // The reference is optional.
+    s.report->reference.clear();
+    EXPECT_TRUE(parseScenarioJson(emitScenarioJson(s)) == s);
+
+    // Presentation only: the same runs, under the same keys.
+    ScenarioSpec plain = s;
+    plain.report.reset();
+    const auto withReport = s.expand();
+    const auto without = plain.expand();
+    ASSERT_EQ(withReport.size(), without.size());
+    for (std::size_t i = 0; i < without.size(); i++)
+        EXPECT_EQ(sim::ParallelRunner::runKey(withReport[i]),
+                  sim::ParallelRunner::runKey(without[i]));
+
+    // Every report metric is a results-record scalar.
+    for (const char *m : {"normalizedLatency", "normalizedIops",
+                          "evictionFraction", "fastPlacementPreference"}) {
+        EXPECT_NE(reportMetricCaption(m), nullptr) << m;
+        EXPECT_NE(sim::findResultScalar(m), nullptr) << m;
+    }
+    EXPECT_EQ(reportMetricCaption("avgLatencyUs"), nullptr);
+}
+
+TEST(ScenarioSpec, ReportErrorsNameTheField)
+{
+    const auto expectError = [](const std::string &report,
+                                const std::string &needle) {
+        const std::string doc =
+            "{\"policies\": [\"CDE\"], \"workloads\": [\"prxy_1\"], "
+            "\"report\": " + report + "}";
+        try {
+            parseScenarioJson(doc);
+            ADD_FAILURE() << "accepted " << report;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectError("{\"title\": \"t\", \"metric\": \"avgLatency\"}",
+                "report.metric \"avgLatency\"");
+    expectError("{\"title\": \"t\", \"metric\": \"normalizedLatency\", "
+                "\"labels\": []}",
+                "unknown report key \"labels\"");
+    expectError("{\"title\": 3, \"metric\": \"normalizedLatency\"}",
+                "report.title wants a string");
+    expectError("{\"title\": \"t\"}", "report.metric \"\"");
+    expectError("{\"metric\": \"normalizedLatency\"}",
+                "report needs a \"title\"");
+    expectError("[]", "report wants an object");
+}
+
 TEST(ScenarioSpec, RejectsMalformedFaultWindowsAtLowering)
 {
     const auto doc = [](const std::string &window) {
@@ -796,6 +859,38 @@ TEST(ScenarioRun, BadFtlOverrideFailsOnlyItsRuns)
     sim::writeResultsJson(got, cleanRuns);
     sim::writeResultsJson(want, without);
     EXPECT_EQ(got.str(), want.str());
+}
+
+// ------------------ the paper's figures as scenario files ------------------
+
+TEST(PaperScenarios, EveryFileLoadsAndExpands)
+{
+    // Each figure file parses with a report, is named after its file
+    // (the name becomes the results document's "campaign"),
+    // round-trips, and lowers to its full grid. Running them is CI's
+    // job; runtime stays out of unit tests.
+    namespace fs = std::filesystem;
+    for (const char *dir : {"../scenarios/paper", "scenarios/paper"}) {
+        if (!fs::is_directory(dir))
+            continue;
+        std::vector<fs::path> files;
+        for (const auto &entry : fs::directory_iterator(dir))
+            if (entry.path().extension() == ".json")
+                files.push_back(entry.path());
+        EXPECT_FALSE(files.empty());
+        for (const auto &path : files) {
+            SCOPED_TRACE(path.string());
+            const ScenarioSpec s = loadScenarioFile(path.string());
+            EXPECT_TRUE(s.report.has_value());
+            EXPECT_EQ(s.name, path.stem().string());
+            EXPECT_TRUE(parseScenarioJson(emitScenarioJson(s)) == s);
+            EXPECT_EQ(s.expand().size(),
+                      s.hssConfigs.size() * s.workloads.size() *
+                          s.policies.size() * s.seeds.size());
+        }
+        return;
+    }
+    GTEST_SKIP() << "scenarios/paper/ not reachable from test cwd";
 }
 
 } // namespace
